@@ -1,14 +1,14 @@
 //===- bench/ablation_simd.cpp - A8: SoA + SIMD ablation ------------------===//
 //
-// A8: prices the SoA field layout and the vectorized kernel layer.
+// A8: prices the vectorized kernel layer over the SoA field planes.
 //
 // Two levels:
 //   1. per-kernel: each kernels:: primitive timed scalar (the
 //      -fno-tree-vectorize TU) vs SIMD (the host-ISA TU) over the same
 //      unit-stride SoA buffers — the per-kernel vectorization speedup;
 //   2. end-to-end: the Fig. 4 workload (2D shock interaction, benchmark
-//      scheme) across {aos,soa} x {scalar,simd} on both engines, each
-//      priced against the scalar-AoS baseline.
+//      scheme) scalar vs SIMD on both engines, each priced against the
+//      engine's scalar run.
 //
 // Determinism makes the whole sweep a pure performance knob: every
 // configuration must produce bit-identical fields, and the bench checks
@@ -16,7 +16,7 @@
 //
 // --json writes artifacts/BENCH_simd.json; --gate makes the process fail
 // when the acceptance floor is missed (>= 1.3x on >= 2 kernels and
-// SoA+SIMD no slower than scalar AoS end-to-end) — the Release-matrix CI
+// SIMD no slower than scalar end-to-end) — the Release-matrix CI
 // leg runs with --gate.  Both checks auto-skip when the toolchain could
 // not build an accelerated simdimpl TU (kernels::simdAccelerated() is
 // false), because then "SIMD" is a dispatch formality, not a claim.
@@ -151,10 +151,9 @@ std::vector<KernelRow> benchKernels(size_t Cells, unsigned Reps,
 
 struct E2eRow {
   std::string Engine;
-  std::string LayoutName;
   bool Simd = false;
   double Seconds = 0.0;
-  double VsScalarAos = 1.0; ///< ScalarAosSeconds / Seconds (>1 = faster)
+  double VsScalar = 1.0; ///< ScalarSeconds / Seconds (>1 = faster)
 };
 
 Problem<2> fig4Problem(size_t Cells) {
@@ -174,37 +173,28 @@ double runE2eOnce(const RunConfig &Cfg, size_t Cells, unsigned Steps,
   return Samples.min();
 }
 
-/// Every {layout, simd} configuration must reproduce the scalar-AoS
-/// fields bit for bit.  \returns false (and prints the offender) on any
-/// divergence.
+/// The SIMD run of each engine must reproduce its scalar fields bit for
+/// bit.  \returns false (and prints the offender) on any divergence.
 bool checkBitIdentity(const RunConfig &Base, size_t Cells, unsigned Steps) {
   bool Ok = true;
   for (EngineKind Engine : {EngineKind::Array, EngineKind::Fused}) {
     RunConfig Ref = Base;
     Ref.Engine = Engine;
-    Ref.FieldLayout = Layout::AoS;
     Ref.Simd = false;
     SolverRun<2> RefRun = makeSolverRun(fig4Problem(Cells), Ref);
     RefRun.advanceSteps(Steps);
-    for (Layout L : {Layout::AoS, Layout::SoA})
-      for (bool Simd : {false, true}) {
-        if (L == Layout::AoS && !Simd)
-          continue;
-        RunConfig Cfg = Ref;
-        Cfg.FieldLayout = L;
-        Cfg.Simd = Simd;
-        SolverRun<2> Run = makeSolverRun(fig4Problem(Cells), Cfg);
-        Run.advanceSteps(Steps);
-        double Diff = maxFieldDifference(RefRun.solver(), Run.solver());
-        if (Diff != 0.0) {
-          std::fprintf(stderr,
-                       "BIT-IDENTITY VIOLATION: %s %s %s differs from "
-                       "scalar aos by %g\n",
-                       engineKindName(Engine), layoutName(L),
-                       Simd ? "simd" : "scalar", Diff);
-          Ok = false;
-        }
-      }
+    RunConfig Cfg = Ref;
+    Cfg.Simd = true;
+    SolverRun<2> Run = makeSolverRun(fig4Problem(Cells), Cfg);
+    Run.advanceSteps(Steps);
+    double Diff = maxFieldDifference(RefRun.solver(), Run.solver());
+    if (Diff != 0.0) {
+      std::fprintf(stderr,
+                   "BIT-IDENTITY VIOLATION: %s simd differs from scalar "
+                   "by %g\n",
+                   engineKindName(Engine), Diff);
+      Ok = false;
+    }
   }
   return Ok;
 }
@@ -236,12 +226,10 @@ bool writeJson(const std::string &Path, size_t KernelCells, size_t Cells,
   for (size_t I = 0; I < E2e.size(); ++I) {
     const E2eRow &R = E2e[I];
     std::fprintf(F,
-                 "    {\"engine\": \"%s\", \"layout\": \"%s\", "
-                 "\"simd\": %s, \"seconds\": %.6f, "
-                 "\"vs_scalar_aos\": %.4f}%s\n",
-                 R.Engine.c_str(), R.LayoutName.c_str(),
-                 R.Simd ? "true" : "false", R.Seconds, R.VsScalarAos,
-                 I + 1 < E2e.size() ? "," : "");
+                 "    {\"engine\": \"%s\", \"simd\": %s, "
+                 "\"seconds\": %.6f, \"vs_scalar\": %.4f}%s\n",
+                 R.Engine.c_str(), R.Simd ? "true" : "false", R.Seconds,
+                 R.VsScalar, I + 1 < E2e.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
@@ -263,11 +251,11 @@ int main(int Argc, const char **Argv) {
 
   CommandLine CL("ablation_simd",
                  "A8: per-kernel scalar-vs-SIMD speedups plus the "
-                 "layout x simd end-to-end matrix on the Fig. 4 workload");
+                 "end-to-end scalar-vs-SIMD runs on the Fig. 4 workload");
   CL.addFlag("full", Full, "larger grid and more steps");
   CL.addFlag("gate", Gate,
              "fail the process when the acceptance floor is missed "
-             "(>=1.3x on >=2 kernels, SoA+SIMD >= scalar AoS end-to-end)");
+             "(>=1.3x on >=2 kernels, SIMD >= scalar end-to-end)");
   CL.addInt("cells", Cells, "grid cells per axis (end-to-end)");
   CL.addUnsigned("steps", Steps, "time steps per end-to-end run");
   CL.addUnsigned("repeats", Repeats, "repetitions per config (min wins)");
@@ -294,8 +282,7 @@ int main(int Argc, const char **Argv) {
   // Bit-identity first: a timing table for diverging runs is meaningless.
   bool BitIdentical =
       checkBitIdentity(Cfg, static_cast<size_t>(Cells) / 2, 6);
-  std::printf("# bit-identity across {aos,soa} x {scalar,simd} x "
-              "{array,fused}: %s\n",
+  std::printf("# bit-identity across {scalar,simd} x {array,fused}: %s\n",
               BitIdentical ? "ok" : "VIOLATED");
 
   std::printf("## per-kernel (%zu cells, unit-stride runs)\n", KernelCells);
@@ -314,31 +301,26 @@ int main(int Argc, const char **Argv) {
   std::printf("## end-to-end: fig4 interaction %dx%d, %u steps, "
               "%u threads\n",
               Cells, Cells, Steps, Cfg.Threads);
-  std::printf("%-10s %-6s %-7s %10s %9s\n", "engine", "layout", "simd",
-              "wall[s]", "speedup");
+  std::printf("%-10s %-7s %10s %9s\n", "engine", "simd", "wall[s]",
+              "speedup");
   std::vector<E2eRow> E2e;
-  double SoaSimdVsScalarAos = 0.0;
+  double SimdVsScalar = 0.0;
   for (EngineKind Engine : {EngineKind::Array, EngineKind::Fused}) {
-    double ScalarAos = 0.0;
-    for (Layout L : {Layout::AoS, Layout::SoA})
-      for (bool Simd : {false, true}) {
-        RunConfig Run = Cfg;
-        Run.Engine = Engine;
-        Run.FieldLayout = L;
-        Run.Simd = Simd;
-        double Sec =
-            runE2eOnce(Run, static_cast<size_t>(Cells), Steps, Repeats);
-        if (L == Layout::AoS && !Simd)
-          ScalarAos = Sec;
-        double Speedup = Sec > 0.0 ? ScalarAos / Sec : 0.0;
-        E2e.push_back(
-            {engineKindName(Engine), layoutName(L), Simd, Sec, Speedup});
-        if (Engine == EngineKind::Fused && L == Layout::SoA && Simd)
-          SoaSimdVsScalarAos = Speedup;
-        std::printf("%-10s %-6s %-7s %10.3f %8.2fx\n",
-                    engineKindName(Engine), layoutName(L),
-                    Simd ? "on" : "off", Sec, Speedup);
-      }
+    double Scalar = 0.0;
+    for (bool Simd : {false, true}) {
+      RunConfig Run = Cfg;
+      Run.Engine = Engine;
+      Run.Simd = Simd;
+      double Sec = runE2eOnce(Run, static_cast<size_t>(Cells), Steps, Repeats);
+      if (!Simd)
+        Scalar = Sec;
+      double Speedup = Sec > 0.0 ? Scalar / Sec : 0.0;
+      E2e.push_back({engineKindName(Engine), Simd, Sec, Speedup});
+      if (Engine == EngineKind::Fused && Simd)
+        SimdVsScalar = Speedup;
+      std::printf("%-10s %-7s %10.3f %8.2fx\n", engineKindName(Engine),
+                  Simd ? "on" : "off", Sec, Speedup);
+    }
   }
 
   if (!JsonPath.empty()) {
@@ -366,16 +348,16 @@ int main(int Argc, const char **Argv) {
                    FastKernels);
       Pass = false;
     }
-    if (SoaSimdVsScalarAos < 1.0) {
+    if (SimdVsScalar < 1.0) {
       std::fprintf(stderr,
-                   "GATE: fused SoA+SIMD is slower than scalar AoS on "
-                   "fig4 (%.2fx)\n",
-                   SoaSimdVsScalarAos);
+                   "GATE: fused SIMD is slower than scalar on fig4 "
+                   "(%.2fx)\n",
+                   SimdVsScalar);
       Pass = false;
     }
-    std::printf("# gate: %s (%u/4 kernels >= 1.3x, fused soa+simd "
-                "%.2fx vs scalar aos)\n",
-                Pass ? "pass" : "FAIL", FastKernels, SoaSimdVsScalarAos);
+    std::printf("# gate: %s (%u/4 kernels >= 1.3x, fused simd %.2fx vs "
+                "scalar)\n",
+                Pass ? "pass" : "FAIL", FastKernels, SimdVsScalar);
     return Pass ? 0 : 1;
   }
   return 0;

@@ -115,9 +115,9 @@ echo "wrote artifacts/BENCH_shard.json"
 
 echo "== simd ablation gate + artifact =="
 # A8 record and gate: per-kernel scalar-vs-SIMD speedups plus the
-# layout x simd end-to-end matrix on the Fig. 4 workload.  --gate fails
+# scalar-vs-SIMD end-to-end runs on the Fig. 4 workload.  --gate fails
 # the Release matrix when fewer than 2 kernels reach 1.3x or fused
-# SoA+SIMD runs slower than scalar AoS (auto-skipped when the toolchain
+# SIMD runs slower than fused scalar (auto-skipped when the toolchain
 # could not build an accelerated simd TU); any bit-identity violation
 # fails unconditionally.
 ./build-ci-Release/bench/ablation_simd --cells 96 --steps 20 \

@@ -32,16 +32,6 @@ bool FieldPool::enabled() const {
   return Enabled;
 }
 
-void FieldPool::setLayout(Layout L) {
-  std::lock_guard<std::mutex> Lock(M);
-  FieldLayout = L;
-}
-
-Layout FieldPool::layout() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return FieldLayout;
-}
-
 FieldPool::Stats FieldPool::stats() const {
   std::lock_guard<std::mutex> Lock(M);
   return St;
@@ -60,13 +50,11 @@ void FieldPool::recordTelemetry(unsigned Step) const {
   static const unsigned HitId = telemetry::gaugeId("pool.hits");
   static const unsigned ResId = telemetry::gaugeId("pool.bytes_resident");
   static const unsigned HighId = telemetry::gaugeId("pool.high_water");
-  static const unsigned LayoutId = telemetry::gaugeId("pool.layout");
   Stats S = stats();
   telemetry::recordGauge(AcqId, Step, static_cast<double>(S.Acquisitions));
   telemetry::recordGauge(HitId, Step, static_cast<double>(S.Hits));
   telemetry::recordGauge(ResId, Step, static_cast<double>(S.BytesResident));
   telemetry::recordGauge(HighId, Step, static_cast<double>(S.HighWaterBytes));
-  telemetry::recordGauge(LayoutId, Step, static_cast<double>(layout()));
 }
 
 } // namespace sacfd

@@ -43,7 +43,6 @@
 #ifndef SACFD_ARRAY_FIELDPOOL_H
 #define SACFD_ARRAY_FIELDPOOL_H
 
-#include "array/Layout.h"
 #include "array/NDArray.h"
 #include "array/Shape.h"
 
@@ -51,7 +50,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -70,25 +68,6 @@ template <typename T> unsigned fieldPoolTypeId() {
 /// Shape-keyed arena of reusable NDArray buffers with RAII leases.
 class FieldPool {
 public:
-  /// Structured outcome of pool operations that can be refused; replaces
-  /// asserting on misuse so callers can surface the reason.
-  enum class PoolError : unsigned char {
-    None = 0,
-    /// A lease was asked to be reused under a layout other than the one
-    /// it was acquired with.
-    LayoutMismatch,
-  };
-  struct PoolStatus {
-    PoolError Err = PoolError::None;
-    std::string Detail;
-    explicit operator bool() const { return Err == PoolError::None; }
-
-    static PoolStatus success() { return {}; }
-    static PoolStatus make(PoolError E, std::string D) {
-      return {E, std::move(D)};
-    }
-  };
-
   /// Pool accounting; monotonic counters plus the current/peak residency.
   struct Stats {
     /// Total acquire/acquireUninit calls.
@@ -111,7 +90,7 @@ public:
   public:
     Lease() = default;
     Lease(Lease &&O) noexcept
-        : Pool(O.Pool), Buf(std::move(O.Buf)), L(O.L), Align(O.Align) {
+        : Pool(O.Pool), Buf(std::move(O.Buf)) {
       O.Pool = nullptr;
     }
     Lease &operator=(Lease &&O) noexcept {
@@ -119,8 +98,6 @@ public:
         reset();
         Pool = O.Pool;
         Buf = std::move(O.Buf);
-        L = O.L;
-        Align = O.Align;
         O.Pool = nullptr;
       }
       return *this;
@@ -132,31 +109,8 @@ public:
     /// Returns the buffer to the pool; the Lease becomes empty.
     void reset() {
       if (Buf)
-        Pool->release<T>(std::move(Buf), L, Align);
+        Pool->release<T>(std::move(Buf));
       Pool = nullptr;
-    }
-
-    /// Layout the buffer was acquired under; part of its pool key.
-    Layout layout() const { return L; }
-    /// Alignment the buffer was acquired under.
-    size_t alignment() const { return Align; }
-
-    /// Checks that this lease's buffer may be reused in place under
-    /// \p NewLayout.  A buffer keyed for one layout must not be
-    /// reinterpreted under another — the plane geometry differs — so a
-    /// mismatch is a structured error naming both layouts, not an
-    /// assert.
-    PoolStatus reuseAs(Layout NewLayout) const {
-      if (!Buf)
-        return PoolStatus::make(PoolError::LayoutMismatch,
-                                "empty lease cannot be reused");
-      if (NewLayout != L)
-        return PoolStatus::make(
-            PoolError::LayoutMismatch,
-            std::string("lease acquired as ") + layoutName(L) +
-                " cannot be reused as " + layoutName(NewLayout) +
-                "; release it and acquire under the new layout");
-      return PoolStatus::success();
     }
 
     explicit operator bool() const { return Buf != nullptr; }
@@ -170,14 +124,11 @@ public:
 
   private:
     friend class FieldPool;
-    Lease(FieldPool *Pool, std::unique_ptr<NDArray<T>> Buf, Layout L,
-          size_t Align)
-        : Pool(Pool), Buf(std::move(Buf)), L(L), Align(Align) {}
+    Lease(FieldPool *Pool, std::unique_ptr<NDArray<T>> Buf)
+        : Pool(Pool), Buf(std::move(Buf)) {}
 
     FieldPool *Pool = nullptr;
     std::unique_ptr<NDArray<T>> Buf;
-    Layout L = Layout::AoS;
-    size_t Align = kFieldAlign;
   };
 
   FieldPool() = default;
@@ -186,29 +137,17 @@ public:
   FieldPool &operator=(const FieldPool &) = delete;
 
   /// Leases a value-initialized buffer of shape \p S (recycled buffers
-  /// are re-zeroed, matching NDArray(Shape) semantics).  \p L and
-  /// \p Align are part of the bucket key: buffers only recycle within
-  /// the same (shape, layout, alignment) class.
-  template <typename T>
-  Lease<T> acquire(const Shape &S, Layout L = Layout::AoS,
-                   size_t Align = kFieldAlign) {
-    return acquireImpl<T>(S, L, Align, /*Recycled=*/nullptr);
+  /// are re-zeroed, matching NDArray(Shape) semantics).
+  template <typename T> Lease<T> acquire(const Shape &S) {
+    return acquireImpl<T>(S, /*Recycled=*/nullptr);
   }
 
   /// Leases a buffer of shape \p S with unspecified contents.  Only for
   /// buffers that are fully overwritten before being read.
-  template <typename T>
-  Lease<T> acquireUninit(const Shape &S, Layout L = Layout::AoS,
-                         size_t Align = kFieldAlign) {
+  template <typename T> Lease<T> acquireUninit(const Shape &S) {
     bool Recycled = false;
-    return acquireImpl<T>(S, L, Align, &Recycled);
+    return acquireImpl<T>(S, &Recycled);
   }
-
-  /// Declares the layout the owning solver runs its state field under.
-  /// Purely descriptive (exported as the "pool.layout" gauge); acquire
-  /// calls still name their layout explicitly.
-  void setLayout(Layout L);
-  Layout layout() const;
 
   /// Turns recycling on or off.  Disabling drains the free lists, so an
   /// "unpooled" run really pays one malloc/free per temporary.
@@ -234,17 +173,15 @@ private:
   template <typename T> struct SubPool final : SubPoolBase {
     struct Bucket {
       Shape Dims;
-      Layout L = Layout::AoS;
-      size_t Align = kFieldAlign;
       std::vector<std::unique_ptr<NDArray<T>>> Free;
     };
     std::vector<Bucket> Buckets;
 
-    Bucket &bucket(const Shape &S, Layout L, size_t Align) {
+    Bucket &bucket(const Shape &S) {
       for (Bucket &B : Buckets)
-        if (B.Dims == S && B.L == L && B.Align == Align)
+        if (B.Dims == S)
           return B;
-      Buckets.push_back(Bucket{S, L, Align, {}});
+      Buckets.push_back(Bucket{S, {}});
       return Buckets.back();
     }
 
@@ -270,14 +207,13 @@ private:
   /// a recycled buffer); non-null means uninit (leave contents) and
   /// receives whether the buffer came off a free list.
   template <typename T>
-  Lease<T> acquireImpl(const Shape &S, Layout L, size_t Align,
-                       bool *Recycled) {
+  Lease<T> acquireImpl(const Shape &S, bool *Recycled) {
     std::unique_ptr<NDArray<T>> Buf;
     {
       std::lock_guard<std::mutex> Lock(M);
       ++St.Acquisitions;
       if (Enabled) {
-        typename SubPool<T>::Bucket &B = subPool<T>().bucket(S, L, Align);
+        typename SubPool<T>::Bucket &B = subPool<T>().bucket(S);
         if (!B.Free.empty()) {
           Buf = std::move(B.Free.back());
           B.Free.pop_back();
@@ -295,22 +231,22 @@ private:
         *Recycled = true;
       else
         Buf->fill(T());
-      return Lease<T>(this, std::move(Buf), L, Align);
+      return Lease<T>(this, std::move(Buf));
     }
     // Fresh NDArray(Shape) storage is value-initialized either way; the
     // uninit mode only skips the re-zeroing of recycled buffers.
-    return Lease<T>(this, std::make_unique<NDArray<T>>(S), L, Align);
+    return Lease<T>(this, std::make_unique<NDArray<T>>(S));
   }
 
   template <typename T>
-  void release(std::unique_ptr<NDArray<T>> Buf, Layout L, size_t Align) {
+  void release(std::unique_ptr<NDArray<T>> Buf) {
     std::lock_guard<std::mutex> Lock(M);
     --St.LiveLeases;
     if (!Enabled) {
       St.BytesResident -= Buf->size() * sizeof(T);
       return; // unique_ptr frees the buffer
     }
-    subPool<T>().bucket(Buf->shape(), L, Align).Free.push_back(std::move(Buf));
+    subPool<T>().bucket(Buf->shape()).Free.push_back(std::move(Buf));
   }
 
   /// Frees every pooled (idle) buffer; leased buffers are unaffected and
@@ -321,7 +257,6 @@ private:
   std::vector<std::unique_ptr<SubPoolBase>> Subs;
   Stats St;
   bool Enabled = true;
-  Layout FieldLayout = Layout::AoS;
 };
 
 } // namespace sacfd

@@ -9,13 +9,13 @@
 /// The field memory-layout vocabulary shared by FieldPool, Field, and the
 /// kernels:: layer.
 ///
-/// AoS keeps one Cons<Dim> record per cell (the layout the with-loop
-/// engine has always used); SoA stores each conserved component in its
-/// own contiguous plane so the inner kernels see unit-stride streams the
-/// compiler can vectorize.  Every pooled buffer is aligned to kFieldAlign
-/// and SoA planes are tail-padded to a whole number of alignment blocks,
-/// so each component plane starts on a 64-byte boundary regardless of the
-/// cell count.
+/// Conserved fields are stored SoA: each conserved component lives in its
+/// own contiguous plane, so the inner kernels see unit-stride streams the
+/// compiler can vectorize.  (Arrays of Cons records remain only as the
+/// interchange format of checkpoints, snapshots and diagnostics.)  Every
+/// pooled buffer is aligned to kFieldAlign and planes are tail-padded to
+/// a whole number of alignment blocks, so each component plane starts on
+/// a 64-byte boundary regardless of the cell count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,13 +23,12 @@
 #define SACFD_ARRAY_LAYOUT_H
 
 #include <cstddef>
-#include <string_view>
 
 namespace sacfd {
 
-/// How a field's conserved components are arranged in memory.
+/// How a field's conserved components are arranged in memory.  SoA is
+/// the only in-memory layout; the name survives for reports.
 enum class Layout : unsigned char {
-  AoS = 0, ///< interleaved Cons records, one per cell
   SoA = 1, ///< one contiguous, padded plane per conserved component
 };
 
@@ -46,23 +45,7 @@ constexpr size_t paddedCount(size_t N) {
   return (N + kAlignDoubles - 1) / kAlignDoubles * kAlignDoubles;
 }
 
-constexpr const char *layoutName(Layout L) {
-  return L == Layout::SoA ? "soa" : "aos";
-}
-
-/// Parses "aos"/"soa"; returns false (leaving \p Out untouched) on
-/// anything else.
-inline bool parseLayout(std::string_view Name, Layout &Out) {
-  if (Name == "aos") {
-    Out = Layout::AoS;
-    return true;
-  }
-  if (Name == "soa") {
-    Out = Layout::SoA;
-    return true;
-  }
-  return false;
-}
+constexpr const char *layoutName(Layout) { return "soa"; }
 
 } // namespace sacfd
 

@@ -204,8 +204,8 @@ CheckpointStatus sacfd::saveCheckpoint(const std::string &Path,
   static_assert(std::is_trivially_copyable_v<Cons<Dim>>,
                 "checkpoint writes raw state bytes");
   // Stage through the AoS interchange format: the on-disk payload is
-  // layout-independent, so a run checkpointed under --layout soa resumes
-  // bit-exactly under aos and vice versa.
+  // independent of the in-memory SoA planes, so checkpoints written
+  // before fields became SoA-only still resume bit-exactly.
   std::vector<Cons<Dim>> U(S.field().size());
   S.field().exportTo(U.data());
   size_t PayloadBytes = U.size() * sizeof(Cons<Dim>);

@@ -10,11 +10,13 @@
 ///
 /// Every kernel operates on a contiguous run of cells described by a
 /// Run/ConstRun view: one pointer per conserved component plus a shared
-/// element stride.  AoS storage presents as stride NumVars with the
-/// component pointers offset inside the first record; SoA storage
-/// presents as stride 1 with one pointer per plane.  No NDArray (or any
-/// container) appears in these signatures — the engines translate their
-/// index spaces into runs, and this layer owns the arithmetic.
+/// element stride.  The kernels take SoA planes only (stride 1, one
+/// pointer per plane) and assert it.  The record-stride view of Cons
+/// arrays (aosRun), and with it the non-unit Stride, has no caller in
+/// the solver: it is kept only because perfbench's kernel probe still
+/// builds an AoS run, and goes when that probe branch does.  No NDArray (or any container) appears in these
+/// signatures — the engines translate their index spaces into runs, and
+/// this layer owns the arithmetic.
 ///
 /// Each kernel exists twice, in scalarimpl:: (compiled with vectorization
 /// disabled — the honest scalar baseline) and simdimpl:: (compiled with
@@ -72,7 +74,8 @@ template <unsigned Dim> constexpr void assertConsLayout() {
                 "Cons must pack its components with no padding");
 }
 
-/// Run over interleaved Cons records starting at \p P.
+/// Run over interleaved Cons records starting at \p P.  Kernels reject
+/// it (non-unit stride); only perfbench's AoS kernel probe uses it.
 template <unsigned Dim> inline Run<Dim> aosRun(Cons<Dim> *P) {
   assertConsLayout<Dim>();
   Run<Dim> R;
@@ -230,11 +233,9 @@ template <unsigned Dim>
 inline void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,
                       const Run<Dim> &F, const Gas &G, unsigned Axis,
                       RiemannKind Kind, size_t N, bool Simd) {
-  // The branch-free SIMD mirror covers the unit-stride (SoA) runs of the
-  // three algebraic solvers; Roe's eigen-decomposition and AoS gathers
-  // stay on the reference loop.
-  bool Vector = Simd && Kind != RiemannKind::Roe && L.Stride == 1 &&
-                R.Stride == 1 && F.Stride == 1;
+  // The branch-free SIMD mirror covers the three algebraic solvers;
+  // Roe's eigen-decomposition stays on the reference loop.
+  bool Vector = Simd && Kind != RiemannKind::Roe;
   (Vector ? simdimpl::fluxFaces<Dim> : scalarimpl::fluxFaces<Dim>)(
       L, R, F, G, Axis, Kind, N);
 }

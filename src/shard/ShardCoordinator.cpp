@@ -81,13 +81,12 @@ int ShardCoordinator::workerBody(unsigned K) {
   ShardSlot *Slot = Layout.slot(Base, K);
 
   // Each worker is a plain serial solver over its sub-problem; all the
-  // single-process machinery (engines, layouts, pooling) applies as-is.
+  // single-process machinery (engines, kernels, pooling) applies as-is.
   RunConfig Cfg;
   Cfg.Scheme = Opt.Scheme;
   Cfg.Engine = Opt.Engine;
   Cfg.Backend = BackendKind::Serial;
   Cfg.Threads = 1;
-  Cfg.FieldLayout = Opt.FieldLayout;
   Cfg.Simd = Opt.Simd;
   Cfg.Pooling = Opt.Pooling;
   SolverRun<2> Run(SubProblems[K], Cfg);

@@ -51,14 +51,13 @@
 
 namespace sacfd {
 
-/// Everything a shard run is shaped by.  Scheme/engine/layout mirror the
-/// single-process RunConfig knobs so a sharded run can be compared
-/// bitwise against the equivalent SolverRun.
+/// Everything a shard run is shaped by.  Scheme, engine and kernel build
+/// mirror the single-process RunConfig knobs so a sharded run can be
+/// compared bitwise against the equivalent SolverRun.
 struct ShardOptions {
   unsigned Shards = 2;
   SchemeConfig Scheme;
   EngineKind Engine = EngineKind::Fused;
-  Layout FieldLayout = Layout::AoS;
   bool Simd = true;
   bool Pooling = true;
   /// Per-shard checkpoint stores live under `<CheckpointDir>/shard-<k>`;

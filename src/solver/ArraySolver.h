@@ -55,10 +55,8 @@ enum class ArrayEvalMode {
 template <unsigned Dim> class ArraySolver final : public EulerSolver<Dim> {
 public:
   ArraySolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
-              ArrayEvalMode Mode = ArrayEvalMode::Fused,
-              Layout FieldLayout = Layout::AoS, bool Simd = true)
-      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, FieldLayout, Simd),
-        Mode(Mode) {}
+              ArrayEvalMode Mode = ArrayEvalMode::Fused, bool Simd = true)
+      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, Simd), Mode(Mode) {}
 
   const char *engineName() const override { return "array"; }
   ArrayEvalMode evalMode() const { return Mode; }
@@ -141,8 +139,7 @@ private:
 
     // Q^n snapshot for the convex Runge-Kutta combinations.  Leased
     // uninitialized: the copy overwrites every element.
-    Field<Dim> Un(this->Pool, this->U.shape(), this->U.layout(),
-                  FieldInit::Uninit);
+    Field<Dim> Un(this->Pool, this->U.shape(), FieldInit::Uninit);
     {
       telemetry::ScopedSpan S(SpanSnapshot);
       kernels::copyState<Dim>(this->U.crun(), Un.run(), this->U.size(),
@@ -184,8 +181,7 @@ private:
   /// shape extended by one along the axis).  Piecewise-constant
   /// reconstruction takes the kernel path — whole face rows through
   /// kernels::fluxFaces, vectorized on unit-stride runs; every other
-  /// scheme gathers the 6-cell stencil per face, exactly the genarray
-  /// with-loop of the paper.
+  /// scheme runs the stencil-gather with-loop (stencilFluxWithLoop).
   Field<Dim> fluxAlongFused(unsigned Axis) {
     const Gas &Gas_ = this->Prob.G;
     const SchemeConfig &SC = this->Scheme;
@@ -194,7 +190,7 @@ private:
 
     Shape Faces = G.interiorShape();
     Faces.dim(Axis) += 1;
-    Field<Dim> Out(this->Pool, Faces, this->U.layout(), FieldInit::Uninit);
+    Field<Dim> Out(this->Pool, Faces, FieldInit::Uninit);
 
     if (kernels::fluxKernelEligible(SC.Recon)) {
       size_t RowLen = Faces.dim(LineAxis);
@@ -224,31 +220,68 @@ private:
       return Out;
     }
 
-    std::ptrdiff_t Ng = G.ghost();
-    std::ptrdiff_t StorageMax =
-        static_cast<std::ptrdiff_t>(this->U.shape().dim(Axis)) - 1;
-    // genarray with-loop over faces: gather the 6-cell stencil along the
-    // axis, reconstruct, solve the face Riemann problem.
-    forEachIndex(Faces, this->Exec, [&, Ng, StorageMax,
-                                     Axis](const Index &Fv, size_t Linear) {
-      std::array<Cons<Dim>, 6> Stencil;
-      for (unsigned K = 0; K < 6; ++K) {
-        Index C = Fv;
-        for (unsigned A = 0; A < Dim; ++A)
-          C.Coord[A] += Ng;
-        // Window cell K sits at interior offset f - 3 + K along the axis;
-        // clamp the unused outermost cells into storage.
-        C.Coord[Axis] += static_cast<std::ptrdiff_t>(K) - 3;
-        C.Coord[Axis] =
-            std::clamp<std::ptrdiff_t>(C.Coord[Axis], 0, StorageMax);
-        Stencil[K] = this->U.at(C);
-      }
-      FaceStates<Dim> FS = reconstructFaceStates(SC.Recon, SC.Limiter,
-                                                 SC.Vars, Stencil, Gas_,
-                                                 Axis);
-      Out.store(Linear, numericalFlux(SC.Riemann, FS.L, FS.R, Gas_, Axis));
+    stencilFluxWithLoop(Axis, Faces, [&](size_t Linear, const Cons<Dim> &F) {
+      Out.store(Linear, F);
     });
     return Out;
+  }
+
+  /// The genarray with-loop of the paper over the face space \p Faces
+  /// of \p Axis: gather each face's 6-cell stencil along the axis,
+  /// reconstruct, solve the face Riemann problem, and hand the flux to
+  /// \p Emit(FaceLinear, Flux).  Each block the backend deals (a tile
+  /// in 2D, so --tile applies) is cut into runs of faces along one line;
+  /// a run stages its window once and slides the stencil over it
+  /// (EulerSolver::stageLineWindow, shared with the fused engine).  A
+  /// face's stencil does not depend on the run it falls in, so any
+  /// blocking writes bit-identical fluxes.
+  template <typename EmitFn>
+  void stencilFluxWithLoop(unsigned Axis, const Shape &Faces, EmitFn Emit) {
+    // Faces [FaceBegin, FaceBegin + Len) of line Line, the first of
+    // which sits at face-space offset OutBase, the rest OutStride apart.
+    auto Run = [&](size_t Line, size_t FaceBegin, size_t Len, size_t OutBase,
+                   size_t OutStride) {
+      const Cons<Dim> *W = this->stageLineWindow(Axis, Line, FaceBegin, Len);
+      for (size_t F = 0; F < Len; ++F)
+        Emit(OutBase + F * OutStride, this->stencilFlux(W + F, Axis));
+    };
+    if constexpr (Dim == 1) {
+      this->Exec.parallelFor(0, Faces.count(), [&](size_t B, size_t E) {
+        Run(0, B, E - B, B, 1);
+      });
+    } else if constexpr (Dim == 2) {
+      size_t Cols = Faces.dim(1);
+      this->Exec.parallelFor2D(
+          Faces.dim(0), Cols,
+          [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+            if (Axis == 1) {
+              for (size_t R = RB; R != RE; ++R)
+                Run(R, CB, CE - CB, R * Cols + CB, 1);
+            } else {
+              for (size_t C = CB; C != CE; ++C)
+                Run(C, RB, RE - RB, RB * Cols + C, Cols);
+            }
+          });
+    } else {
+      // Whole lines, tangential coordinates decomposed in the row-major
+      // order of EulerSolver::lineStorageBase.
+      std::array<size_t, Dim> FaceStride;
+      FaceStride[Dim - 1] = 1;
+      for (unsigned A = Dim - 1; A-- > 0;)
+        FaceStride[A] = FaceStride[A + 1] * Faces.dim(A + 1);
+      this->Exec.parallelFor(
+          0, this->lineCount(Axis), [&](size_t B, size_t E) {
+            for (size_t Line = B; Line != E; ++Line) {
+              size_t OutBase = 0, Rest = Line;
+              for (unsigned A = Dim; A-- > 0;)
+                if (A != Axis) {
+                  OutBase += Rest % Faces.dim(A) * FaceStride[A];
+                  Rest /= Faces.dim(A);
+                }
+              Run(Line, 0, Faces.dim(Axis), OutBase, FaceStride[Axis]);
+            }
+          });
+    }
   }
 
   /// Residual L(U) = -sum_axis dF_axis/dx_axis over the interior.  One
@@ -287,8 +320,7 @@ private:
     for (unsigned A = 0; A + 1 < Dim; ++A)
       Lead.dim(A) = Interior.dim(A);
 
-    Field<Dim> Res(this->Pool, Interior, this->U.layout(),
-                   FieldInit::Uninit);
+    Field<Dim> Res(this->Pool, Interior, FieldInit::Uninit);
     this->Exec.parallelFor(0, Rows, [&](size_t RB, size_t RE) {
       for (size_t R = RB; R != RE; ++R) {
         Index L = Lead.delinearize(R);
@@ -360,34 +392,15 @@ private:
   /// Materialized flux array along \p Axis: the stencil-gather with-loop
   /// writing an explicit NDArray temporary.
   FieldPool::Lease<Cons<Dim>> fluxAlongMaterialized(unsigned Axis) {
-    const Grid<Dim> &G = this->Prob.Domain;
-    const Gas &Gas_ = this->Prob.G;
-    const SchemeConfig &SC = this->Scheme;
-    std::ptrdiff_t Ng = G.ghost();
-    std::ptrdiff_t StorageMax =
-        static_cast<std::ptrdiff_t>(this->U.shape().dim(Axis)) - 1;
-
-    Shape Faces = G.interiorShape();
+    Shape Faces = this->Prob.Domain.interiorShape();
     Faces.dim(Axis) += 1;
 
     FieldPool::Lease<Cons<Dim>> Out =
         this->Pool.template acquireUninit<Cons<Dim>>(Faces);
-    withLoopInto(*Out, this->Exec, [&, Ng, StorageMax,
-                                    Axis](const Index &Fv) {
-      std::array<Cons<Dim>, 6> Stencil;
-      for (unsigned K = 0; K < 6; ++K) {
-        Index C = Fv;
-        for (unsigned A = 0; A < Dim; ++A)
-          C.Coord[A] += Ng;
-        C.Coord[Axis] += static_cast<std::ptrdiff_t>(K) - 3;
-        C.Coord[Axis] =
-            std::clamp<std::ptrdiff_t>(C.Coord[Axis], 0, StorageMax);
-        Stencil[K] = this->U.at(C);
-      }
-      FaceStates<Dim> FS = reconstructFaceStates(SC.Recon, SC.Limiter,
-                                                 SC.Vars, Stencil, Gas_,
-                                                 Axis);
-      return numericalFlux(SC.Riemann, FS.L, FS.R, Gas_, Axis);
+    Cons<Dim> *Data = Out->data();
+    stencilFluxWithLoop(Axis, Faces, [Data](size_t Linear,
+                                            const Cons<Dim> &F) {
+      Data[Linear] = F;
     });
     return Out;
   }

@@ -128,7 +128,7 @@ template <unsigned Dim> struct BoundarySpec {
 namespace detail {
 
 /// Uniform element access over the two field containers the fill works
-/// on: the layout-aware Field and plain NDArray staging buffers.
+/// on: the SoA Field and plain NDArray staging buffers.
 template <unsigned Dim>
 inline Cons<Dim> ghostLoad(const NDArray<Cons<Dim>> &U, const Index &I) {
   return U.at(I);

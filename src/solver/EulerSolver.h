@@ -22,7 +22,6 @@
 #define SACFD_SOLVER_EULERSOLVER_H
 
 #include "array/FieldPool.h"
-#include "array/Layout.h"
 #include "array/NDArray.h"
 #include "runtime/Backend.h"
 #include "solver/Field.h"
@@ -56,13 +55,11 @@ inline bool stepRemainderNegligible(double Now, double EndTime) {
 template <unsigned Dim> class EulerSolver {
 public:
   EulerSolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
-              Layout FieldLayout = Layout::AoS, bool Simd = true)
+              bool Simd = true)
       : Prob(std::move(Prob)), Scheme(Scheme), Exec(Exec),
-        U(Pool, this->Prob.Domain.storageShape(), FieldLayout),
-        SimdEnabled(Simd) {
+        U(Pool, this->Prob.Domain.storageShape()), SimdEnabled(Simd) {
     assert(this->Prob.Domain.ghost() >= ghostCells(Scheme.Recon) &&
            "grid ghost layers insufficient for the reconstruction");
-    Pool.setLayout(FieldLayout);
     const Grid<Dim> &G = this->Prob.Domain;
     Shape Storage = G.storageShape();
     for (unsigned A = 0; A < Dim; ++A) {
@@ -108,14 +105,10 @@ public:
 
   /// The full field including ghost cells (shape == storageShape()).
   /// Element access goes through Field::at()/set(); bulk transfers
-  /// through Field::exportTo()/importFrom().  The old accessors handing
-  /// out the raw interleaved NDArray are gone — they pinned every
-  /// consumer to the AoS layout.
+  /// through Field::exportTo()/importFrom().
   const Field<Dim> &field() const { return U; }
   Field<Dim> &field() { return U; }
 
-  /// Memory layout the state field is stored under.
-  Layout fieldLayout() const { return U.layout(); }
   /// Whether stage kernels may use the vectorized build.
   bool simdEnabled() const { return SimdEnabled; }
 
@@ -247,6 +240,48 @@ protected:
       Base += Coord * InteriorStride[A];
     }
     return Base;
+  }
+
+  /// The higher-order face path both engines share.  Stages the stencil
+  /// window of faces [FaceBegin, FaceBegin + Faces) of line \p Line
+  /// along \p Axis: entry K is the cell at axis offset FaceBegin + K - 3
+  /// from interior 0, clamped into storage (outermost cells are never
+  /// read by the implemented schemes), so face FaceBegin + f's 6-cell
+  /// stencil is entries f..f+5 — feed them to stencilFlux().  Staging
+  /// loads each cell's planes once instead of six times.  The row is a
+  /// per-worker-thread, grown-only scratch (allocated once per thread on
+  /// persistent pools, re-paid by transient fork-join teams); every slot
+  /// is written before it is read, and it is valid until the calling
+  /// thread's next call.
+  const Cons<Dim> *stageLineWindow(unsigned Axis, size_t Line,
+                                   size_t FaceBegin, size_t Faces) const {
+    const std::ptrdiff_t AxisStride =
+        static_cast<std::ptrdiff_t>(StorageStride[Axis]);
+    const std::ptrdiff_t Lo = -static_cast<std::ptrdiff_t>(Ng);
+    const std::ptrdiff_t Hi =
+        static_cast<std::ptrdiff_t>(StorageDim[Axis]) - 1 + Lo;
+    const std::ptrdiff_t Base =
+        static_cast<std::ptrdiff_t>(lineStorageBase(Axis, Line));
+    size_t Len = Faces + 5;
+    static thread_local NDArray<Cons<Dim>> Window;
+    if (Window.size() < Len)
+      Window.reshapeDiscard(Shape{Len});
+    Cons<Dim> *W = Window.data();
+    for (size_t K = 0; K < Len; ++K) {
+      std::ptrdiff_t Off = static_cast<std::ptrdiff_t>(FaceBegin + K) - 3;
+      W[K] = U.load(
+          static_cast<size_t>(Base + std::clamp(Off, Lo, Hi) * AxisStride));
+    }
+    return W;
+  }
+
+  /// Numerical flux of the face whose 6-cell stencil starts at \p W.
+  Cons<Dim> stencilFlux(const Cons<Dim> *W, unsigned Axis) const {
+    std::array<Cons<Dim>, 6> Stencil;
+    std::copy_n(W, 6, Stencil.begin());
+    FaceStates<Dim> FS = reconstructFaceStates(
+        Scheme.Recon, Scheme.Limiter, Scheme.Vars, Stencil, Prob.G, Axis);
+    return numericalFlux(Scheme.Riemann, FS.L, FS.R, Prob.G, Axis);
   }
 
   /// Called whenever restoreClock rewinds or overwrites the clock (step-

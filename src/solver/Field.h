@@ -1,4 +1,4 @@
-//===- solver/Field.h - Layout-aware conserved-state field -----*- C++ -*-===//
+//===- solver/Field.h - SoA conserved-state field --------------*- C++ -*-===//
 //
 // Part of SacFD, a reproduction of "Numerical Simulations of Unsteady Shock
 // Wave Interactions Using SaC and Fortran-90" (PaCT 2009).
@@ -6,21 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solver's conserved-state storage, generic over memory layout.
+/// The solver's conserved-state storage.
 ///
-/// A Field<Dim> owns one pooled buffer holding Shape::count() states
-/// either as an array of Cons<Dim> records (AoS, the historical layout)
-/// or as NumVars 64-byte-aligned planes of doubles (SoA), each plane
+/// A Field<Dim> owns one pooled buffer holding Shape::count() states as
+/// NumVars 64-byte-aligned planes of doubles (SoA), each plane
 /// tail-padded to a multiple of the vector width.  Element access goes
 /// through at()/set() — at() returns the state by value, const-qualified
 /// so a stale `field.at(I) = Q` write fails to compile instead of
 /// silently updating a temporary — and bulk access goes through run() /
-/// crun(), the kernels:: views both layouts share.
+/// crun(), the unit-stride kernels:: views.
 ///
-/// The AoS record array remains the interchange format: checkpoints,
-/// snapshot staging and diagnostics move whole fields through
-/// exportTo()/importFrom(), so a run checkpointed under one layout
-/// resumes bit-exactly under the other.
+/// An array of Cons<Dim> records (AoS) is the interchange format:
+/// checkpoints, snapshot staging and diagnostics move whole fields
+/// through exportTo()/importFrom(), so the on-disk format is independent
+/// of the in-memory planes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +31,6 @@
 #include "array/Shape.h"
 #include "kernels/Kernels.h"
 
-#include <cassert>
 #include <cstddef>
 
 namespace sacfd {
@@ -42,31 +40,23 @@ namespace sacfd {
 /// being read — the pool's no-memset fast path).
 enum class FieldInit { Zero, Uninit };
 
-/// One conserved-state field of a fixed shape, stored AoS or SoA.
+/// One conserved-state field of a fixed shape, stored as SoA planes.
 template <unsigned Dim> class Field {
 public:
   Field() = default;
 
-  /// Leases storage for \p S.count() states from \p Pool under \p L.
+  /// Leases storage for \p S.count() states from \p Pool.
   /// FieldInit::Zero matches the NDArray<Cons>(Shape) construction this
   /// replaces.
-  Field(FieldPool &Pool, const Shape &S, Layout L,
-        FieldInit Init = FieldInit::Zero)
-      : Dims(S), L(L) {
-    if (L == Layout::AoS) {
-      Aos = Init == FieldInit::Zero ? Pool.acquire<Cons<Dim>>(S, L)
-                                    : Pool.acquireUninit<Cons<Dim>>(S, L);
-    } else {
-      Plane = paddedCount(S.count());
-      Shape Planes({static_cast<size_t>(NumVars<Dim>), Plane});
-      Soa = Init == FieldInit::Zero ? Pool.acquire<double>(Planes, L)
-                                    : Pool.acquireUninit<double>(Planes, L);
-    }
+  Field(FieldPool &Pool, const Shape &S, FieldInit Init = FieldInit::Zero)
+      : Dims(S), Plane(paddedCount(S.count())) {
+    Shape Planes({static_cast<size_t>(NumVars<Dim>), Plane});
+    Soa = Init == FieldInit::Zero ? Pool.acquire<double>(Planes)
+                                  : Pool.acquireUninit<double>(Planes);
   }
 
   const Shape &shape() const { return Dims; }
   size_t size() const { return Dims.count(); }
-  Layout layout() const { return L; }
 
   /// State at linear cell \p I.  Returned by value; const-qualified so
   /// assignment through at() is a compile error (use set()).
@@ -88,13 +78,9 @@ public:
 
   /// Kernel view of the run of cells starting at linear offset \p Off.
   kernels::Run<Dim> run(size_t Off = 0) {
-    if (L == Layout::AoS)
-      return kernels::aosRun<Dim>(Aos->data() + Off);
     return kernels::soaRun<Dim>(Soa->data(), Plane, Off);
   }
   kernels::ConstRun<Dim> crun(size_t Off = 0) const {
-    if (L == Layout::AoS)
-      return kernels::aosRun<Dim>(Aos->data() + Off);
     return kernels::soaRun<Dim>(Soa->data(), Plane, Off);
   }
 
@@ -114,39 +100,29 @@ public:
 
 private:
   Shape Dims;
-  Layout L = Layout::AoS;
-  /// Exactly one of the two leases is live, selected by L.
-  FieldPool::Lease<Cons<Dim>> Aos;
   FieldPool::Lease<double> Soa;
-  /// SoA plane stride in doubles (padded cell count); 0 under AoS.
+  /// Plane stride in doubles (padded cell count).
   size_t Plane = 0;
 };
 
 /// Thread-local flux-line scratch: view of block \p Row out of \p Rows
-/// blocks, each holding \p Len states laid out per \p L.  The scratch
-/// mirrors the field layout so every kernel call mixing a field run with
-/// a scratch run (accumDivergence in particular) sees one homogeneous
-/// stride; under SoA the unit-stride planes are what admit the SIMD flux
-/// mirror.  Grown-only per thread, like the engines' line scratch:
-/// persistent worker pools allocate it once per thread, fork-join teams
-/// re-pay it per region.  Every slot is written before it is read.
+/// blocks, each holding \p Len states as padded SoA planes, so every
+/// kernel call mixing a field run with a scratch run (accumDivergence in
+/// particular) sees unit stride and admits the SIMD flux mirror.
+/// Grown-only per thread, like the engines' line scratch: persistent
+/// worker pools allocate it once per thread, fork-join teams re-pay it
+/// per region.  Every slot is written before it is read.
 template <unsigned Dim>
 inline kernels::Run<Dim> fluxScratchRow(unsigned Row, unsigned Rows,
-                                        size_t Len, Layout L) {
+                                        size_t Len) {
   size_t Plane = paddedCount(Len);
   size_t Block = static_cast<size_t>(NumVars<Dim>) * Plane;
   size_t Needed = static_cast<size_t>(Rows) * Block;
   static thread_local NDArray<double> Buf;
   if (Buf.size() < Needed)
     Buf.reshapeDiscard(Shape{Needed});
-  double *Base = Buf.data() + static_cast<size_t>(Row) * Block;
-  if (L == Layout::SoA)
-    return kernels::soaRun<Dim>(Base, Plane, 0);
-  kernels::Run<Dim> R;
-  for (unsigned K = 0; K < NumVars<Dim>; ++K)
-    R.C[K] = Base + K;
-  R.Stride = NumVars<Dim>;
-  return R;
+  return kernels::soaRun<Dim>(Buf.data() + static_cast<size_t>(Row) * Block,
+                              Plane, 0);
 }
 
 } // namespace sacfd

@@ -24,9 +24,9 @@
 /// The loop bodies themselves are the shared kernels:: layer: snapshot,
 /// RHS zeroing, the SSP update and the GetDT reduction always run as
 /// contiguous line runs, and under piecewise-constant reconstruction the
-/// face fluxes do too — so with --layout soa the hot loops execute the
-/// vectorized kernel build.  Higher-order schemes keep the per-face
-/// stencil gather for reconstruction.
+/// face fluxes do too, so the hot loops execute the vectorized kernel
+/// build.  Higher-order schemes keep a per-face stencil gather for
+/// reconstruction, sliding over one staged copy of each line.
 ///
 /// On a TaskBackend the engine additionally offers a dependency-DAG step
 /// mode (enableDagStepping): one step becomes per-tile snapshot, flux and
@@ -65,8 +65,8 @@ namespace sacfd {
 template <unsigned Dim> class FusedSolver final : public EulerSolver<Dim> {
 public:
   FusedSolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
-              Layout FieldLayout = Layout::AoS, bool Simd = true)
-      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, FieldLayout, Simd) {}
+              bool Simd = true)
+      : EulerSolver<Dim>(std::move(Prob), Scheme, Exec, Simd) {}
 
   const char *engineName() const override { return "fused"; }
 
@@ -186,11 +186,9 @@ private:
   void acquireStepBuffers() {
     const Grid<Dim> &G = this->Prob.Domain;
     if (Un.shape() != this->U.shape())
-      Un = Field<Dim>(this->Pool, this->U.shape(), this->U.layout(),
-                      FieldInit::Uninit);
+      Un = Field<Dim>(this->Pool, this->U.shape(), FieldInit::Uninit);
     if (Res.shape() != G.interiorShape())
-      Res = Field<Dim>(this->Pool, G.interiorShape(), this->U.layout(),
-                       FieldInit::Uninit);
+      Res = Field<Dim>(this->Pool, G.interiorShape(), FieldInit::Uninit);
   }
 
   /// True when the \p Axis sweep runs whole face rows through
@@ -225,49 +223,22 @@ private:
       return;
     }
 
-    const Gas &Gas_ = this->Prob.G;
-    const SchemeConfig &SC = this->Scheme;
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
-    const std::ptrdiff_t AxisStride =
-        static_cast<std::ptrdiff_t>(this->StorageStride[Axis]);
-    const std::ptrdiff_t AxisMax =
-        static_cast<std::ptrdiff_t>(this->StorageDim[Axis]) - 1;
-    const std::ptrdiff_t NgS = static_cast<std::ptrdiff_t>(this->Ng);
-
     // Faces CellBegin..CellEnd inclusive bound this cell sub-range;
-    // local face f is global face CellBegin + f.  The face-state
-    // scratch is per-worker-thread and grown-only: on persistent
-    // worker pools it is allocated once per thread and then reused
-    // for every region of every step (fork-join teams are transient,
-    // so they re-pay it — part of the per-region cost Fig. 4 is
-    // about).  Every face slot is written before it is read.
+    // local face f is global face CellBegin + f, gathered from the
+    // line's staged window.  The face-flux row is a per-worker-thread,
+    // grown-only scratch like the window; every slot is written before
+    // it is read.
     size_t LocalFaces = (CellEnd - CellBegin) + 1;
     static thread_local NDArray<Cons<Dim>> FluxScratch;
     if (FluxScratch.size() < LocalFaces)
       FluxScratch.reshapeDiscard(Shape{LocalFaces});
     Cons<Dim> *FluxLine = FluxScratch.data();
     for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
-      // Base points at interior cell 0; relative cell i sits at
-      // Base + i * AxisStride.
-      size_t Base = this->lineStorageBase(Axis, Line);
-
-      for (size_t F = 0; F < LocalFaces; ++F) {
-        std::array<Cons<Dim>, 6> Stencil;
-        for (unsigned K = 0; K < 6; ++K) {
-          // Window cell K at axis offset f - 3 + K from interior 0,
-          // clamped into storage (outermost cells are never read by
-          // the implemented schemes).
-          std::ptrdiff_t Off = static_cast<std::ptrdiff_t>(CellBegin + F) +
-                               static_cast<std::ptrdiff_t>(K) - 3;
-          Off = std::clamp<std::ptrdiff_t>(Off, -NgS, AxisMax - NgS);
-          Stencil[K] = this->U.load(static_cast<size_t>(
-              static_cast<std::ptrdiff_t>(Base) + Off * AxisStride));
-        }
-        FaceStates<Dim> FS = reconstructFaceStates(SC.Recon, SC.Limiter,
-                                                   SC.Vars, Stencil, Gas_,
-                                                   Axis);
-        FluxLine[F] = numericalFlux(SC.Riemann, FS.L, FS.R, Gas_, Axis);
-      }
+      const Cons<Dim> *W =
+          this->stageLineWindow(Axis, Line, CellBegin, LocalFaces);
+      for (size_t F = 0; F < LocalFaces; ++F)
+        FluxLine[F] = this->stencilFlux(W + F, Axis);
 
       size_t RBase = this->lineInteriorBase(Axis, Line);
       std::ptrdiff_t RStride =
@@ -293,8 +264,7 @@ private:
     constexpr unsigned Axis = Dim - 1;
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
     size_t LocalFaces = (CellEnd - CellBegin) + 1;
-    kernels::Run<Dim> FluxRow =
-        fluxScratchRow<Dim>(0, 1, LocalFaces, this->U.layout());
+    kernels::Run<Dim> FluxRow = fluxScratchRow<Dim>(0, 1, LocalFaces);
     for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
       size_t Base = this->lineStorageBase(Axis, Line) + CellBegin;
       // Face f (local) sits between storage cells Base+f-1 and Base+f;
@@ -329,9 +299,8 @@ private:
       return (this->Ng + F) * S0 + this->Ng + LineBegin;
     };
 
-    kernels::Run<Dim> Rows[2] = {
-        fluxScratchRow<Dim>(0, 2, W, this->U.layout()),
-        fluxScratchRow<Dim>(1, 2, W, this->U.layout())};
+    kernels::Run<Dim> Rows[2] = {fluxScratchRow<Dim>(0, 2, W),
+                                 fluxScratchRow<Dim>(1, 2, W)};
     kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(CellBegin) - S0),
                             this->U.crun(FaceRowBase(CellBegin)), Rows[0],
                             this->Prob.G, /*Axis=*/0, this->Scheme.Riemann,

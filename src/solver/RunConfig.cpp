@@ -116,10 +116,7 @@ void RunConfig::registerPoolFlag(CommandLine &CL) {
              "disable field-buffer recycling (one malloc per temporary)");
 }
 
-void RunConfig::registerLayoutFlags(CommandLine &CL) {
-  LayoutName = layoutName(FieldLayout);
-  CL.addString("layout", LayoutName,
-               "conserved-field memory layout: aos | soa");
+void RunConfig::registerSimdFlag(CommandLine &CL) {
   CL.addFlag("no-simd", NoSimdFlag,
              "run the scalar kernel build (bit-identical; for ablation)");
 }
@@ -131,7 +128,7 @@ void RunConfig::registerAll(CommandLine &CL) {
   registerBackendFlags(CL);
   registerScheduleFlags(CL);
   registerPoolFlag(CL);
-  registerLayoutFlags(CL);
+  registerSimdFlag(CL);
   registerGuardFlags(CL);
   registerTelemetryFlags(CL);
   registerCheckpointFlags(CL);
@@ -250,9 +247,6 @@ bool RunConfig::resolve(std::string &Error) {
       return Fail("--tile-dealing: " + P.Error);
     TileCfg.Dealing = *P.Value;
   }
-  if (!LayoutName.empty() && !parseLayout(LayoutName, FieldLayout))
-    return Fail("unknown --layout value '" + LayoutName +
-                "' (expected aos|soa)");
   if (NoPoolFlag)
     Pooling = false;
   if (NoSimdFlag)
@@ -284,10 +278,6 @@ std::string RunConfig::executionStr() const {
   }
   if (TileCfg.Enabled)
     S += " tile=" + TileCfg.str();
-  if (FieldLayout != Layout::AoS) {
-    S += " layout=";
-    S += layoutName(FieldLayout);
-  }
   if (!Pooling)
     S += " no-pool";
   if (!Simd)

@@ -106,10 +106,9 @@ struct RunConfig {
   /// zero-allocation hot path).  Off = one malloc/free per temporary,
   /// the unpooled arm of the A6 ablation.  Bit-identical either way.
   bool Pooling = true;
-  /// Conserved-field memory layout (--layout): AoS keeps the historical
-  /// record array; SoA stores per-component planes, the vectorization-
-  /// friendly shape.  Bit-identical either way.
-  Layout FieldLayout = Layout::AoS;
+  /// Conserved-field memory layout: per-component SoA planes, always.
+  /// Kept as a constant so reports can name it; not settable.
+  static constexpr Layout FieldLayout = Layout::SoA;
   /// Whether the per-TU vectorized kernel build runs the contiguous
   /// inner loops (--no-simd turns it off).  The scalar and SIMD builds
   /// are bit-identical by construction; the flag exists for ablation
@@ -134,8 +133,8 @@ struct RunConfig {
   void registerScheduleFlags(CommandLine &CL);
   /// Binds --no-pool (disable field-buffer recycling).
   void registerPoolFlag(CommandLine &CL);
-  /// Binds --layout (aos|soa) and --no-simd.
-  void registerLayoutFlags(CommandLine &CL);
+  /// Binds --no-simd.
+  void registerSimdFlag(CommandLine &CL);
   /// Binds the step-guard flag group (see GuardOptions.h).
   void registerGuardFlags(CommandLine &CL) { Guard.registerWith(CL); }
   /// Binds the telemetry flag group (see TelemetryOptions.h).
@@ -194,7 +193,6 @@ private:
   std::string TileSpec;
   std::string TileDealingSpec;
   std::string ScenarioSpecText;
-  std::string LayoutName;
   bool NoPoolFlag = false;
   bool NoSimdFlag = false;
   /// The CommandLine the register*() calls bound to, for

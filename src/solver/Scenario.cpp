@@ -296,7 +296,7 @@ namespace {
 
 template <unsigned Dim>
 SpecParse<PinnedResult> runPinnedImpl(const Scenario<Dim> &S,
-                                      EngineKind Engine, Layout FieldLayout,
+                                      EngineKind Engine, bool Simd,
                                       std::optional<uint64_t> Expected) {
   using Result = SpecParse<PinnedResult>;
 
@@ -323,19 +323,17 @@ SpecParse<PinnedResult> runPinnedImpl(const Scenario<Dim> &S,
   std::unique_ptr<EulerSolver<Dim>> Solver;
   switch (Engine) {
   case EngineKind::Array:
-    Solver = std::make_unique<ArraySolver<Dim>>(std::move(*Built.Value),
-                                                Scheme, *Exec,
-                                                ArrayEvalMode::Fused,
-                                                FieldLayout);
+    Solver = std::make_unique<ArraySolver<Dim>>(
+        std::move(*Built.Value), Scheme, *Exec, ArrayEvalMode::Fused, Simd);
     break;
   case EngineKind::ArrayMaterialized:
     Solver = std::make_unique<ArraySolver<Dim>>(
         std::move(*Built.Value), Scheme, *Exec, ArrayEvalMode::Materialized,
-        FieldLayout);
+        Simd);
     break;
   case EngineKind::Fused:
     Solver = std::make_unique<FusedSolver<Dim>>(std::move(*Built.Value),
-                                                Scheme, *Exec, FieldLayout);
+                                                Scheme, *Exec, Simd);
     break;
   }
 
@@ -360,14 +358,14 @@ SpecParse<PinnedResult> runPinnedImpl(const Scenario<Dim> &S,
 
 SpecParse<PinnedResult> sacfd::runPinnedScenario(std::string_view Name,
                                                  EngineKind Engine,
-                                                 Layout FieldLayout) {
+                                                 bool Simd) {
   using Result = SpecParse<PinnedResult>;
   const ScenarioRegistry &R = ScenarioRegistry::instance();
   std::optional<uint64_t> Expected = R.referenceHash(Name);
   if (const Scenario<1> *S = R.find<1>(Name))
-    return runPinnedImpl(*S, Engine, FieldLayout, Expected);
+    return runPinnedImpl(*S, Engine, Simd, Expected);
   if (const Scenario<2> *S = R.find<2>(Name))
-    return runPinnedImpl(*S, Engine, FieldLayout, Expected);
+    return runPinnedImpl(*S, Engine, Simd, Expected);
   return Result::fail("unknown scenario '" + std::string(Name) +
                       "'; known scenarios: " + R.namesStr());
 }

@@ -321,12 +321,11 @@ struct PinnedResult {
 /// Runs scenario \p Name's pinned configuration on \p Engine (serial
 /// backend, one thread, figure scheme with the scenario tuning applied)
 /// and hashes the final state.  Structured error for unknown names or a
-/// failing factory.  \p FieldLayout selects the conserved-field storage
-/// layout; the hash is layout-independent (fieldStateHash walks logical
-/// cells), so SoA runs must reproduce the same pinned references.
+/// failing factory.  \p Simd selects the kernel build; the scalar and
+/// SIMD builds are bit-identical, so both must reproduce the same pinned
+/// references.
 SpecParse<PinnedResult> runPinnedScenario(std::string_view Name,
-                                          EngineKind Engine,
-                                          Layout FieldLayout = Layout::AoS);
+                                          EngineKind Engine, bool Simd = true);
 
 /// The one-line recipe for refreshing the reference table after an
 /// intentional numerics change (printed by failing regression checks).

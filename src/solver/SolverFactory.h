@@ -56,17 +56,16 @@ public:
     switch (Cfg.Engine) {
     case EngineKind::Array:
       Solver = std::make_unique<ArraySolver<Dim>>(
-          std::move(Prob), Cfg.Scheme, *Exec, ArrayEvalMode::Fused,
-          Cfg.FieldLayout, Cfg.Simd);
+          std::move(Prob), Cfg.Scheme, *Exec, ArrayEvalMode::Fused, Cfg.Simd);
       break;
     case EngineKind::ArrayMaterialized:
       Solver = std::make_unique<ArraySolver<Dim>>(
           std::move(Prob), Cfg.Scheme, *Exec, ArrayEvalMode::Materialized,
-          Cfg.FieldLayout, Cfg.Simd);
+          Cfg.Simd);
       break;
     case EngineKind::Fused: {
       auto Fused = std::make_unique<FusedSolver<Dim>>(
-          std::move(Prob), Cfg.Scheme, *Exec, Cfg.FieldLayout, Cfg.Simd);
+          std::move(Prob), Cfg.Scheme, *Exec, Cfg.Simd);
       if (Cfg.Step == StepMode::Dag && !Fused->enableDagStepping()) {
         // resolve() validated backend/engine, so the only ways here are a
         // 3D problem or a hand-built RunConfig that skipped resolve().

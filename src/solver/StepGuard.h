@@ -446,8 +446,7 @@ private:
     if (!Snap || Snap->shape() != U.shape())
       // Leased from the solver's pool (the guard never outlives its
       // solver); uninit is safe, the copy writes every element.  The
-      // snapshot stages through the AoS interchange format, so the
-      // guard is layout-agnostic.
+      // snapshot stages through the AoS interchange format.
       Snap = S.fieldPool().template acquireUninit<Cons<Dim>>(U.shape());
     U.exportTo(Snap->data());
     SnapTime = S.time();

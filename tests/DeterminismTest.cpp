@@ -193,48 +193,34 @@ void checkDagMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
   }
 }
 
-/// Builds a solver with an explicit layout/SIMD selection, papering over
-/// the engines' differing constructor shapes.
+/// Builds a solver with an explicit kernel build, papering over the
+/// engines' differing constructor shapes.
 template <typename SolverT, unsigned Dim>
-std::unique_ptr<SolverT> makeLayoutSolver(const Problem<Dim> &Prob,
-                                          const SchemeConfig &Scheme,
-                                          Backend &Exec, Layout L,
-                                          bool Simd) {
+std::unique_ptr<SolverT> makeSimdSolver(const Problem<Dim> &Prob,
+                                        const SchemeConfig &Scheme,
+                                        Backend &Exec, bool Simd) {
   if constexpr (std::is_same_v<SolverT, ArraySolver<Dim>>)
-    return std::make_unique<SolverT>(Prob, Scheme, Exec,
-                                     ArrayEvalMode::Fused, L, Simd);
+    return std::make_unique<SolverT>(Prob, Scheme, Exec, ArrayEvalMode::Fused,
+                                     Simd);
   else
-    return std::make_unique<SolverT>(Prob, Scheme, Exec, L, Simd);
+    return std::make_unique<SolverT>(Prob, Scheme, Exec, Simd);
 }
 
-/// Physics gauges only (step.dt, step.max_eigen, conserved totals):
-/// pool.* telemetry legitimately differs across layouts (different lease
-/// shapes and byte counts), but the physics stream may not.
-TelemetryDigest stepGaugesOnly(const TelemetryDigest &D) {
-  TelemetryDigest Out;
-  for (const telemetry::GaugeSeries &G : D.Gauges)
-    if (G.Name.rfind("step.", 0) == 0)
-      Out.Gauges.push_back(G);
-  return Out;
-}
-
-/// The layout/SIMD bit-identity matrix: every (layout, kernel build)
-/// combination, on every backend at every worker count, must reproduce
-/// the serial AoS *scalar* reference bitwise.  This is the tentpole
-/// determinism contract: vectorization and the SoA layout are pure
-/// reorganizations of the same arithmetic.
+/// The SIMD bit-identity matrix over the SoA field: both kernel builds,
+/// on every backend at every worker count, must reproduce the serial
+/// *scalar* reference bitwise, gauge series included.  Vectorization is
+/// a pure reorganization of the same arithmetic.
 template <typename SolverT, unsigned Dim>
-void checkLayoutSimdMatrix(const Problem<Dim> &Prob,
-                           const SchemeConfig &Scheme, unsigned Steps,
-                           const Tile &TileCfg = Tile::off()) {
+void checkSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
+                     unsigned Steps, const Tile &TileCfg = Tile::off()) {
   auto RefExec = createBackend(BackendKind::Serial, 1);
   telemetry::reset();
   telemetry::setGaugeStride(1);
   telemetry::setEnabled(true);
   std::unique_ptr<SolverT> Ref =
-      makeLayoutSolver<SolverT>(Prob, Scheme, *RefExec, Layout::AoS, false);
+      makeSimdSolver<SolverT>(Prob, Scheme, *RefExec, false);
   Ref->advanceSteps(Steps);
-  TelemetryDigest RefTelem = stepGaugesOnly(digest(telemetry::snapshot()));
+  TelemetryDigest RefTelem = digest(telemetry::snapshot());
   telemetry::setEnabled(false);
   EXPECT_FALSE(RefTelem.Gauges.empty());
 
@@ -244,81 +230,64 @@ void checkLayoutSimdMatrix(const Problem<Dim> &Prob,
   // reference to have moved off the initial condition before trusting
   // the matrix.
   std::unique_ptr<SolverT> Init =
-      makeLayoutSolver<SolverT>(Prob, Scheme, *RefExec, Layout::AoS, false);
+      makeSimdSolver<SolverT>(Prob, Scheme, *RefExec, false);
   EXPECT_GT(maxFieldDifference(*Init, *Ref), 0.0)
-      << "scalar AoS reference did not evolve";
+      << "scalar reference did not evolve";
 
-  struct Combo {
-    Layout L;
-    bool Simd;
-  };
-  constexpr Combo kCombos[] = {
-      {Layout::AoS, true}, {Layout::SoA, false}, {Layout::SoA, true}};
-  for (Combo C : kCombos) {
-    std::vector<std::pair<BackendKind, unsigned>> Arms = {
-        {BackendKind::Serial, 1}};
-    for (BackendKind Kind : kParallelKinds)
-      for (unsigned Workers : kWorkerCounts)
-        Arms.emplace_back(Kind, Workers);
+  std::vector<std::pair<BackendKind, unsigned>> Arms = {
+      {BackendKind::Serial, 1}};
+  for (BackendKind Kind : kParallelKinds)
+    for (unsigned Workers : kWorkerCounts)
+      Arms.emplace_back(Kind, Workers);
+  for (bool Simd : {false, true})
     for (auto [Kind, Workers] : Arms) {
       auto Exec =
           createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
       ASSERT_NE(Exec, nullptr);
       std::string Label = std::string(Exec->name()) + "(" +
-                          std::to_string(Workers) + ") layout=" +
-                          layoutName(C.L) + (C.Simd ? " simd" : " scalar") +
+                          std::to_string(Workers) + ")" +
+                          (Simd ? " simd" : " scalar") +
                           " tile=" + TileCfg.str();
       telemetry::reset();
       telemetry::setGaugeStride(1);
       telemetry::setEnabled(true);
       std::unique_ptr<SolverT> S =
-          makeLayoutSolver<SolverT>(Prob, Scheme, *Exec, C.L, C.Simd);
+          makeSimdSolver<SolverT>(Prob, Scheme, *Exec, Simd);
       S->advanceSteps(Steps);
-      TelemetryDigest Telem = stepGaugesOnly(digest(telemetry::snapshot()));
+      TelemetryDigest Telem = digest(telemetry::snapshot());
       telemetry::setEnabled(false);
-      EXPECT_EQ(S->fieldLayout(), C.L) << Label;
-      EXPECT_EQ(S->simdEnabled(), C.Simd) << Label;
+      EXPECT_EQ(S->simdEnabled(), Simd) << Label;
       EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
       EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
       expectSameGauges(RefTelem, Telem, Label);
     }
-  }
 }
 
-/// Layout/SIMD bit-identity under the DAG step mode, vs the serial
-/// scalar AoS loops reference.
+/// SIMD bit-identity under the DAG step mode, vs the serial scalar loops
+/// reference.
 template <unsigned Dim>
-void checkDagLayoutSimdMatrix(const Problem<Dim> &Prob,
-                              const SchemeConfig &Scheme, unsigned Steps,
-                              const Tile &TileCfg = Tile::off()) {
+void checkDagSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
+                        unsigned Steps, const Tile &TileCfg = Tile::off()) {
   auto RefExec = createBackend(BackendKind::Serial, 1);
-  std::unique_ptr<FusedSolver<Dim>> Ref = makeLayoutSolver<FusedSolver<Dim>>(
-      Prob, Scheme, *RefExec, Layout::AoS, false);
+  std::unique_ptr<FusedSolver<Dim>> Ref =
+      makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *RefExec, false);
   Ref->advanceSteps(Steps);
 
   // Same evolved-reference guard as the loop-mode matrix: a frozen or
   // NaN-poisoned engine would pass pure self-comparison.
-  std::unique_ptr<FusedSolver<Dim>> Init = makeLayoutSolver<FusedSolver<Dim>>(
-      Prob, Scheme, *RefExec, Layout::AoS, false);
+  std::unique_ptr<FusedSolver<Dim>> Init =
+      makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *RefExec, false);
   EXPECT_GT(maxFieldDifference(*Init, *Ref), 0.0)
-      << "scalar AoS reference did not evolve";
+      << "scalar reference did not evolve";
 
-  struct Combo {
-    Layout L;
-    bool Simd;
-  };
-  constexpr Combo kCombos[] = {
-      {Layout::AoS, true}, {Layout::SoA, false}, {Layout::SoA, true}};
-  for (Combo C : kCombos)
+  for (bool Simd : {false, true})
     for (unsigned Workers : kWorkerCounts) {
       auto Exec = createBackend(BackendKind::Tasks, Workers,
                                 Schedule::staticBlock(), TileCfg);
       ASSERT_NE(Exec, nullptr);
-      std::string Label = "tasks/dag(" + std::to_string(Workers) +
-                          ") layout=" + layoutName(C.L) +
-                          (C.Simd ? " simd" : " scalar");
-      auto S = makeLayoutSolver<FusedSolver<Dim>>(Prob, Scheme, *Exec, C.L,
-                                                  C.Simd);
+      std::string Label = "tasks/dag(" + std::to_string(Workers) + ")" +
+                          (Simd ? " simd" : " scalar");
+      auto S = makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *Exec, Simd);
       EXPECT_TRUE(S->enableDagStepping()) << Label;
       S->advanceSteps(Steps);
       EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
@@ -453,69 +422,116 @@ TEST_F(DeterminismTest, DagRiemann2DConfig3FusedSolver) {
   checkDagMatrix<2>(riemann2D(24, 2, 3), SchemeConfig::figureScheme(), 5);
 }
 
+// LayoutSimd rows: the SoA field layout under both kernel builds.
 TEST_F(DeterminismTest, LayoutSimdSod1DArraySolver) {
   // Odd cell count: the vectorized kernels run a ragged tail every line.
-  checkLayoutSimdMatrix<ArraySolver<1>>(sodProblem(67),
-                                        SchemeConfig::benchmarkScheme(), 12);
+  checkSimdMatrix<ArraySolver<1>>(sodProblem(67),
+                                  SchemeConfig::benchmarkScheme(), 12);
 }
 
 TEST_F(DeterminismTest, LayoutSimdSod1DFusedSolver) {
-  checkLayoutSimdMatrix<FusedSolver<1>>(sodProblem(67),
-                                        SchemeConfig::benchmarkScheme(), 12);
+  checkSimdMatrix<FusedSolver<1>>(sodProblem(67),
+                                  SchemeConfig::benchmarkScheme(), 12);
 }
 
 TEST_F(DeterminismTest, LayoutSimdTinySod1DArraySolver) {
   // Nx below the vector width: every kernel call is pure tail.
-  checkLayoutSimdMatrix<ArraySolver<1>>(sodProblem(5),
-                                        SchemeConfig::benchmarkScheme(), 6);
+  checkSimdMatrix<ArraySolver<1>>(sodProblem(5),
+                                  SchemeConfig::benchmarkScheme(), 6);
 }
 
 TEST_F(DeterminismTest, LayoutSimdTinySod1DFusedSolver) {
-  checkLayoutSimdMatrix<FusedSolver<1>>(sodProblem(5),
-                                        SchemeConfig::benchmarkScheme(), 6);
+  checkSimdMatrix<FusedSolver<1>>(sodProblem(5),
+                                  SchemeConfig::benchmarkScheme(), 6);
 }
 
 TEST_F(DeterminismTest, LayoutSimdInteraction2DArraySolver) {
   // Odd Nx: ragged rows in both the axis-1 line runs and the axis-0
   // transposed row runs.
-  checkLayoutSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5),
-                                        SchemeConfig::benchmarkScheme(), 4);
+  checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                  SchemeConfig::benchmarkScheme(), 4);
 }
 
 TEST_F(DeterminismTest, LayoutSimdInteraction2DFusedSolver) {
-  checkLayoutSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
-                                        SchemeConfig::benchmarkScheme(), 4);
+  checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                  SchemeConfig::benchmarkScheme(), 4);
 }
 
 TEST_F(DeterminismTest, LayoutSimdFigureSchemeInteraction2DArraySolver) {
   // WENO3 keeps the flux on the stencil-gather path; the SSP update,
-  // GetDT and layout accessors still route through the kernels.
-  checkLayoutSimdMatrix<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
-                                        SchemeConfig::figureScheme(), 4);
+  // GetDT and field accessors still route through the kernels.
+  checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
+                                  SchemeConfig::figureScheme(), 4);
 }
 
 TEST_F(DeterminismTest, LayoutSimdTiledInteraction2DArraySolver) {
   // Odd tiles put kernel-run seams mid-row: sub-range faces are
   // recomputed, never communicated, so seams cannot shift bits.
-  checkLayoutSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5),
-                                        SchemeConfig::benchmarkScheme(), 4,
-                                        Tile::sized(5, 7));
+  checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                  SchemeConfig::benchmarkScheme(), 4,
+                                  Tile::sized(5, 7));
 }
 
 TEST_F(DeterminismTest, LayoutSimdTiledInteraction2DFusedSolver) {
-  checkLayoutSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
-                                        SchemeConfig::benchmarkScheme(), 4,
-                                        Tile::sized(5, 7));
+  checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                  SchemeConfig::benchmarkScheme(), 4,
+                                  Tile::sized(5, 7));
 }
 
 TEST_F(DeterminismTest, LayoutSimdDagSod1DFusedSolver) {
-  checkDagLayoutSimdMatrix<1>(sodProblem(67),
-                              SchemeConfig::benchmarkScheme(), 12);
+  checkDagSimdMatrix<1>(sodProblem(67), SchemeConfig::benchmarkScheme(), 12);
 }
 
 TEST_F(DeterminismTest, LayoutSimdDagInteraction2DFusedSolver) {
-  checkDagLayoutSimdMatrix<2>(shockInteraction2D(19, 2.2, 9.5),
-                              SchemeConfig::benchmarkScheme(), 4);
+  checkDagSimdMatrix<2>(shockInteraction2D(19, 2.2, 9.5),
+                        SchemeConfig::benchmarkScheme(), 4);
+}
+
+TEST_F(DeterminismTest, HigherOrderStagedGatherFusedMatchesArray) {
+  // Both engines stage each run of faces' clamped stencil window once
+  // and slide the 6-cell stencil over it; the serial array run stages
+  // whole lines (and the pinned scenario hashes tie it to the historical
+  // per-face gather).  WENO3 (characteristic variables) and MUSCL on
+  // fused loops, ragged tiles on a persistent pool, and the DAG pipeline
+  // must all reproduce it bitwise.  Every arm has seams at
+  // CellBegin = 0 and CellEnd = N, so the window clamp runs at both line
+  // ends, and the 5x7 tiles of the 19-cell grid add interior seams where
+  // it must not.
+  Problem<2> Prob = shockInteraction2D(19, 2.2, 9.5);
+  SchemeConfig Muscl = SchemeConfig::figureScheme();
+  Muscl.Recon = ReconstructionKind::Tvd2;
+  constexpr unsigned Steps = 4;
+  struct Arm {
+    BackendKind Kind;
+    unsigned Workers;
+    Tile TileCfg;
+    bool Dag;
+  };
+  const Arm Arms[] = {{BackendKind::Serial, 1, Tile::off(), false},
+                      {BackendKind::SpinPool, 4, Tile::sized(5, 7), false},
+                      {BackendKind::Tasks, 4, Tile::sized(5, 7), true}};
+  for (const SchemeConfig &Scheme : {SchemeConfig::figureScheme(), Muscl}) {
+    auto RefExec = createBackend(BackendKind::Serial, 1);
+    ArraySolver<2> Ref(Prob, Scheme, *RefExec);
+    Ref.advanceSteps(Steps);
+    ArraySolver<2> Init(Prob, Scheme, *RefExec);
+    EXPECT_GT(maxFieldDifference(Init, Ref), 0.0)
+        << Scheme.str() << ": array reference did not evolve";
+    for (const Arm &A : Arms) {
+      auto Exec = createBackend(A.Kind, A.Workers, Schedule::staticBlock(),
+                                A.TileCfg);
+      ASSERT_NE(Exec, nullptr);
+      std::string Label = Scheme.str() + " " + Exec->name() +
+                          (A.Dag ? "/dag" : "") + " tile=" + A.TileCfg.str();
+      FusedSolver<2> S(Prob, Scheme, *Exec);
+      if (A.Dag) {
+        ASSERT_TRUE(S.enableDagStepping()) << Label;
+      }
+      S.advanceSteps(Steps);
+      EXPECT_DOUBLE_EQ(Ref.time(), S.time()) << Label;
+      EXPECT_EQ(maxFieldDifference(Ref, S), 0.0) << Label;
+    }
+  }
 }
 
 TEST_F(DeterminismTest, TiledDynamicDealingInteraction2DArraySolver) {

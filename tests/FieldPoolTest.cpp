@@ -9,7 +9,6 @@
 #include "array/AllocCounter.h"
 #include "array/FieldPool.h"
 #include "euler/State.h"
-#include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -192,61 +191,6 @@ TEST(FieldPoolTest, EveryAcquirePathIs64ByteAligned) {
       EXPECT_TRUE(aligned64(R->data())) << S.str() << " (recycled)";
     }
   }
-}
-
-TEST(FieldPoolTest, LayoutAndAlignmentKeyBuckets) {
-  FieldPool Pool;
-  Shape S{16};
-  double *AosData = nullptr;
-  {
-    FieldPool::Lease<double> A = Pool.acquire<double>(S, Layout::AoS);
-    AosData = A->data();
-    EXPECT_EQ(A.layout(), Layout::AoS);
-    EXPECT_EQ(A.alignment(), kFieldAlign);
-  }
-  // Same shape under the other layout: a different bucket, so the AoS
-  // buffer must not be stolen.
-  FieldPool::Lease<double> B = Pool.acquire<double>(S, Layout::SoA);
-  EXPECT_EQ(B.layout(), Layout::SoA);
-  EXPECT_NE(B->data(), AosData);
-  // The AoS bucket still holds its buffer.
-  FieldPool::Lease<double> C = Pool.acquire<double>(S, Layout::AoS);
-  EXPECT_EQ(C->data(), AosData);
-}
-
-TEST(FieldPoolTest, LayoutMismatchedReuseIsStructuredError) {
-  FieldPool Pool;
-  FieldPool::Lease<double> L = Pool.acquire<double>(Shape{8}, Layout::SoA);
-  EXPECT_TRUE(static_cast<bool>(L.reuseAs(Layout::SoA)));
-  FieldPool::PoolStatus St = L.reuseAs(Layout::AoS);
-  ASSERT_FALSE(static_cast<bool>(St));
-  EXPECT_EQ(St.Err, FieldPool::PoolError::LayoutMismatch);
-  // The diagnostic names both layouts — an error report, not an assert.
-  EXPECT_NE(St.Detail.find("soa"), std::string::npos);
-  EXPECT_NE(St.Detail.find("aos"), std::string::npos);
-}
-
-TEST(FieldPoolTest, LayoutGaugeExported) {
-  telemetry::reset();
-  telemetry::setGaugeStride(1);
-  telemetry::setEnabled(true);
-  FieldPool Pool;
-  Pool.setLayout(Layout::SoA);
-  EXPECT_EQ(Pool.layout(), Layout::SoA);
-  { FieldPool::Lease<double> Warm = Pool.acquire<double>(Shape{8}); }
-  Pool.recordTelemetry(0);
-  telemetry::MetricsReport R = telemetry::snapshot();
-  telemetry::setEnabled(false);
-  bool Found = false;
-  for (const telemetry::GaugeSeries &G : R.Gauges)
-    if (G.Name == "pool.layout") {
-      Found = true;
-      ASSERT_FALSE(G.Samples.empty());
-      EXPECT_EQ(G.Samples.back().Value,
-                static_cast<double>(static_cast<int>(Layout::SoA)));
-    }
-  EXPECT_TRUE(Found) << "pool.layout gauge missing from telemetry";
-  telemetry::reset();
 }
 
 TEST(FieldPoolTest, MoveTransfersLease) {

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The contract of the kernel layer, asserted bit-for-bit:
-//   1. simdimpl:: == scalarimpl:: on every kernel, both layouts, over
-//      ragged run lengths (tails shorter than any vector width included);
+//   1. simdimpl:: == scalarimpl:: on every kernel, over padded SoA planes
+//      and ragged run lengths (tails shorter than any vector width
+//      included);
 //   2. scalarimpl:: == the reference per-cell arithmetic the engines
 //      always ran (Cons operators, numericalFlux), so routing a stage
 //      through kernels:: cannot move a single bit;
@@ -25,6 +26,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 using namespace sacfd;
@@ -35,26 +37,21 @@ namespace {
 // Ragged lengths: below, at, and astride every plausible vector width.
 const size_t kLengths[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 97};
 
+/// SoA image of a state array: padded planes, the kernels' only input.
 template <unsigned Dim> struct Buffers {
-  // AoS records plus an equivalent SoA image (padded planes).
-  std::vector<Cons<Dim>> Aos;
   std::vector<double> Soa;
   size_t Plane = 0;
 
   explicit Buffers(const std::vector<Cons<Dim>> &Cells)
-      : Aos(Cells), Plane(paddedCount(Cells.size())),
-        SoaStore(NumVars<Dim> * paddedCount(Cells.size()), 0.0) {
-    Soa = SoaStore;
+      : Soa(NumVars<Dim> * paddedCount(Cells.size()), 0.0),
+        Plane(paddedCount(Cells.size())) {
     for (size_t I = 0; I < Cells.size(); ++I)
-      for (unsigned K = 0; K < NumVars<Dim>; ++K)
-        Soa[K * Plane + I] = Cells[I].comp(K);
+      storeCons<Dim>(run(), I, Cells[I]);
   }
 
-  Run<Dim> aos() { return aosRun<Dim>(Aos.data()); }
-  Run<Dim> soa() { return soaRun<Dim>(Soa.data(), Plane, 0); }
-
-private:
-  std::vector<double> SoaStore;
+  Run<Dim> run() { return soaRun<Dim>(Soa.data(), Plane, 0); }
+  ConstRun<Dim> crun() const { return soaRun<Dim>(Soa.data(), Plane, 0); }
+  Cons<Dim> at(size_t I) const { return loadCons<Dim>(crun(), I); }
 };
 
 // Deterministic state soup: mostly physical states across many decades,
@@ -84,27 +81,16 @@ std::vector<Cons<Dim>> randomStates(size_t N, uint64_t Seed,
   return Out;
 }
 
+/// Asserts the first \p N states of \p Got equal \p Want bit for bit.
 template <unsigned Dim>
-void expectBitEqual(const Buffers<Dim> &A, const Buffers<Dim> &B, size_t N,
-                    const char *What) {
+void expectBitEqual(const std::vector<Cons<Dim>> &Want,
+                    const Buffers<Dim> &Got, size_t N, const std::string &What) {
   for (size_t I = 0; I < N; ++I)
     for (unsigned K = 0; K < NumVars<Dim>; ++K) {
-      double X = A.Aos[I].comp(K);
-      double Y = B.Aos[I].comp(K);
+      double X = Want[I].comp(K), Y = Got.at(I).comp(K);
       ASSERT_EQ(std::memcmp(&X, &Y, sizeof X), 0)
-          << What << " cell " << I << " comp " << K << ": " << X
-          << " != " << Y;
-    }
-}
-
-template <unsigned Dim>
-void expectSoaMatchesAos(Buffers<Dim> &B, size_t N, const char *What) {
-  for (size_t I = 0; I < N; ++I)
-    for (unsigned K = 0; K < NumVars<Dim>; ++K) {
-      double X = B.Aos[I].comp(K);
-      double Y = B.Soa[K * B.Plane + I];
-      ASSERT_EQ(std::memcmp(&X, &Y, sizeof X), 0)
-          << What << " soa/aos cell " << I << " comp " << K;
+          << What << " N=" << N << " cell " << I << " comp " << K << ": "
+          << X << " != " << Y;
     }
 }
 
@@ -125,17 +111,9 @@ template <unsigned Dim> void checkSspUpdate(uint64_t Seed, bool Broken) {
 
     for (bool Simd : {false, true}) {
       Buffers<Dim> Bu(U0), Bn(Un), Br(Rs);
-      sspUpdate<Dim>(Bu.aos(), ConstRun<Dim>(Bn.aos()),
-                     ConstRun<Dim>(Br.aos()), A, B, Dt, N, Simd);
-      sspUpdate<Dim>(Bu.soa(), ConstRun<Dim>(Bn.soa()),
-                     ConstRun<Dim>(Br.soa()), A, B, Dt, N, Simd);
-      for (size_t I = 0; I < N; ++I)
-        for (unsigned K = 0; K < NumVars<Dim>; ++K) {
-          double X = Ref[I].comp(K), Y = Bu.Aos[I].comp(K);
-          ASSERT_EQ(std::memcmp(&X, &Y, sizeof X), 0)
-              << "sspUpdate simd=" << Simd << " N=" << N << " cell " << I;
-        }
-      expectSoaMatchesAos(Bu, N, "sspUpdate");
+      sspUpdate<Dim>(Bu.run(), Bn.crun(), Br.crun(), A, B, Dt, N, Simd);
+      expectBitEqual(Ref, Bu, N,
+                     "sspUpdate simd=" + std::to_string(Simd));
     }
   }
 }
@@ -166,15 +144,10 @@ template <unsigned Dim> void checkMaxEigen(uint64_t Seed, bool Broken) {
 
     for (bool Simd : {false, true}) {
       Buffers<Dim> Bu(U);
-      double FromAos =
-          maxEigen<Dim>(ConstRun<Dim>(Bu.aos()), G, InvDx, 0.0, N, Simd);
-      double FromSoa =
-          maxEigen<Dim>(ConstRun<Dim>(Bu.soa()), G, InvDx, 0.0, N, Simd);
-      ASSERT_EQ(std::memcmp(&FromAos, &Ref, sizeof Ref), 0)
-          << "maxEigen simd=" << Simd << " N=" << N << " got " << FromAos
+      double Got = maxEigen<Dim>(Bu.crun(), G, InvDx, 0.0, N, Simd);
+      ASSERT_EQ(std::memcmp(&Got, &Ref, sizeof Ref), 0)
+          << "maxEigen simd=" << Simd << " N=" << N << " got " << Got
           << " want " << Ref;
-      ASSERT_EQ(std::memcmp(&FromSoa, &Ref, sizeof Ref), 0)
-          << "maxEigen soa simd=" << Simd << " N=" << N;
     }
   }
 }
@@ -201,23 +174,12 @@ void checkFluxFaces(RiemannKind Kind, uint64_t Seed, bool Broken) {
 
       for (bool Simd : {false, true}) {
         Buffers<Dim> Bl(L), Br(R), Bf{std::vector<Cons<Dim>>(N)};
-        fluxFaces<Dim>(ConstRun<Dim>(Bl.aos()), ConstRun<Dim>(Br.aos()),
-                       Bf.aos(), G, Axis, Kind, N, Simd);
-        fluxFaces<Dim>(ConstRun<Dim>(Bl.soa()), ConstRun<Dim>(Br.soa()),
-                       Bf.soa(), G, Axis, Kind, N, Simd);
-        for (size_t I = 0; I < N; ++I)
-          for (unsigned K = 0; K < NumVars<Dim>; ++K) {
-            double X = Ref[I].comp(K), Y = Bf.Aos[I].comp(K);
-            ASSERT_EQ(std::memcmp(&X, &Y, sizeof X), 0)
-                << riemannKindName(Kind) << " aos simd=" << Simd << " N=" << N
-                << " axis=" << Axis << " cell " << I << " comp " << K << ": "
-                << X << " != " << Y;
-            double Z = Bf.Soa[K * Bf.Plane + I];
-            ASSERT_EQ(std::memcmp(&X, &Z, sizeof X), 0)
-                << riemannKindName(Kind) << " soa simd=" << Simd << " N=" << N
-                << " axis=" << Axis << " cell " << I << " comp " << K << ": "
-                << X << " != " << Z;
-          }
+        fluxFaces<Dim>(Bl.crun(), Br.crun(), Bf.run(), G, Axis, Kind, N,
+                       Simd);
+        expectBitEqual(Ref, Bf, N,
+                       std::string(riemannKindName(Kind)) +
+                           " simd=" + std::to_string(Simd) +
+                           " axis=" + std::to_string(Axis));
       }
     }
   }
@@ -255,24 +217,15 @@ template <unsigned Dim> void checkCopyZeroDiv(uint64_t Seed) {
 
     for (bool Simd : {false, true}) {
       Buffers<Dim> Bs(Src), Bd{std::vector<Cons<Dim>>(N)};
-      copyState<Dim>(ConstRun<Dim>(Bs.aos()), Bd.aos(), N, Simd);
-      copyState<Dim>(ConstRun<Dim>(Bs.soa()), Bd.soa(), N, Simd);
-      expectBitEqual(Bd, Bs, N, "copyState");
-      expectSoaMatchesAos(Bd, N, "copyState");
+      copyState<Dim>(Bs.crun(), Bd.run(), N, Simd);
+      expectBitEqual(Src, Bd, N, "copyState");
 
-      zeroState<Dim>(Bd.aos(), N, Simd);
-      for (size_t I = 0; I < N; ++I)
-        for (unsigned K = 0; K < NumVars<Dim>; ++K)
-          ASSERT_EQ(Bd.Aos[I].comp(K), 0.0);
+      zeroState<Dim>(Bd.run(), N, Simd);
+      expectBitEqual(std::vector<Cons<Dim>>(N), Bd, N, "zeroState");
 
       Buffers<Dim> Br(R0), Bl(Lo), Bh(Hi);
-      accumDivergence<Dim>(Br.aos(), ConstRun<Dim>(Bl.aos()),
-                           ConstRun<Dim>(Bh.aos()), InvDx, N, Simd);
-      accumDivergence<Dim>(Br.soa(), ConstRun<Dim>(Bl.soa()),
-                           ConstRun<Dim>(Bh.soa()), InvDx, N, Simd);
-      Buffers<Dim> Bref(Ref);
-      expectBitEqual(Br, Bref, N, "accumDivergence");
-      expectSoaMatchesAos(Br, N, "accumDivergence");
+      accumDivergence<Dim>(Br.run(), Bl.crun(), Bh.crun(), InvDx, N, Simd);
+      expectBitEqual(Ref, Br, N, "accumDivergence");
     }
   }
 }
@@ -294,13 +247,9 @@ TEST(Kernels, DivergenceOverlappingFaceLine) {
 
     for (bool Simd : {false, true}) {
       Buffers<Dim> Bf(Faces), Br(R0);
-      ConstRun<Dim> LoA(Bf.aos());
-      accumDivergence<Dim>(Br.aos(), LoA, advance(LoA, 1), InvDx, N, Simd);
-      ConstRun<Dim> LoS(Bf.soa());
-      accumDivergence<Dim>(Br.soa(), LoS, advance(LoS, 1), InvDx, N, Simd);
-      Buffers<Dim> Bref(Ref);
-      expectBitEqual(Br, Bref, N, "overlap divergence");
-      expectSoaMatchesAos(Br, N, "overlap divergence");
+      accumDivergence<Dim>(Br.run(), Bf.crun(), advance(Bf.crun(), 1), InvDx,
+                           N, Simd);
+      expectBitEqual(Ref, Br, N, "overlap divergence");
     }
   }
 }

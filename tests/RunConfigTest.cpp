@@ -92,33 +92,26 @@ TEST(RunConfigResolve, ParsesLayoutAndSimdFlags) {
     RunConfig Cfg;
     std::string Error;
     ASSERT_TRUE(parseAndResolve(Cfg, {}, &Error)) << Error;
-    EXPECT_EQ(Cfg.FieldLayout, Layout::AoS);
+    EXPECT_EQ(Cfg.FieldLayout, Layout::SoA);
     EXPECT_TRUE(Cfg.Simd);
   }
   {
     RunConfig Cfg;
     std::string Error;
-    ASSERT_TRUE(parseAndResolve(Cfg, {"--layout", "soa", "--no-simd"},
-                                &Error))
-        << Error;
-    EXPECT_EQ(Cfg.FieldLayout, Layout::SoA);
+    ASSERT_TRUE(parseAndResolve(Cfg, {"--no-simd"}, &Error)) << Error;
     EXPECT_FALSE(Cfg.Simd);
-    // Both knobs show up in the one-line execution description.
-    EXPECT_NE(Cfg.executionStr().find("layout=soa"), std::string::npos);
     EXPECT_NE(Cfg.executionStr().find("no-simd"), std::string::npos);
+    EXPECT_EQ(Cfg.executionStr().find("layout"), std::string::npos);
   }
   {
+    // SoA is the only layout, so --layout is no longer an option: it
+    // takes the unknown-option error path like any other stray flag.
     RunConfig Cfg;
-    std::string Error;
-    ASSERT_TRUE(parseAndResolve(Cfg, {"--layout", "aos"}, &Error)) << Error;
-    EXPECT_EQ(Cfg.FieldLayout, Layout::AoS);
-  }
-  {
-    RunConfig Cfg;
-    std::string Error;
-    EXPECT_FALSE(parseAndResolve(Cfg, {"--layout", "csr"}, &Error));
-    EXPECT_NE(Error.find("--layout"), std::string::npos) << Error;
-    EXPECT_NE(Error.find("aos|soa"), std::string::npos) << Error;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parseAndResolve(Cfg, {"--layout", "soa"}));
+    std::string Err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(Err.find("unknown option '--layout'"), std::string::npos)
+        << Err;
   }
 }
 
@@ -126,14 +119,21 @@ TEST(SolverFactory, ThreadsLayoutAndSimdIntoTheEngine) {
   for (const char *Engine : {"array", "array-materialized", "fused"}) {
     RunConfig Cfg;
     std::string Error;
-    ASSERT_TRUE(parseAndResolve(Cfg,
-                                {"--engine", Engine, "--layout", "soa",
-                                 "--no-simd", "--threads", "1"},
-                                &Error))
+    ASSERT_TRUE(parseAndResolve(
+        Cfg, {"--engine", Engine, "--no-simd", "--threads", "1"}, &Error))
         << Error;
     SolverRun<1> Run = makeSolverRun(sodProblem(16), Cfg);
-    EXPECT_EQ(Run.solver().fieldLayout(), Layout::SoA) << Engine;
     EXPECT_FALSE(Run.solver().simdEnabled()) << Engine;
+    // The state field is SoA: unit-stride component planes, each
+    // 64-byte aligned and padded apart.
+    kernels::ConstRun<1> R = Run.solver().field().crun();
+    EXPECT_EQ(R.Stride, 1) << Engine;
+    size_t Plane = paddedCount(Run.solver().field().size());
+    for (unsigned K = 0; K < NumVars<1>; ++K) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(R.C[K]) % kFieldAlign, 0u)
+          << Engine;
+      EXPECT_EQ(R.C[K], R.C[0] + K * Plane) << Engine;
+    }
   }
 }
 
