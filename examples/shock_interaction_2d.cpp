@@ -10,18 +10,18 @@
 //   ./examples/shock_interaction_2d --cells 400 --frames 4
 //   ./examples/shock_interaction_2d --ms 3.0 --prefix strong
 //   ./examples/shock_interaction_2d --tile 32x128 --backend fork-join
+//   ./examples/shock_interaction_2d --telemetry run.json --telemetry-every 5
+//                                  # per-step history as step.* gauges
 //
 //===----------------------------------------------------------------------===//
 
 #include "io/AsciiPlot.h"
-#include "io/CsvWriter.h"
 #include "io/FieldExport.h"
 #include "io/PgmWriter.h"
 #include "io/RunIo.h"
 #include "io/VtkWriter.h"
 #include "solver/Diagnostics.h"
 #include "solver/Problems.h"
-#include "solver/RunRecorder.h"
 #include "solver/SolverFactory.h"
 #include "support/CommandLine.h"
 #include "support/Error.h"
@@ -38,7 +38,6 @@ int main(int Argc, const char **Argv) {
   double TimeFraction = 1.0;
   int Frames = 1;
   std::string Prefix = "interaction";
-  std::string HistoryPath;
   bool NoFiles = false;
   RunConfig Cfg;
 
@@ -50,9 +49,6 @@ int main(int Argc, const char **Argv) {
                "fraction of the nominal end time to simulate");
   CL.addInt("frames", Frames, "number of evenly spaced output frames");
   CL.addString("prefix", Prefix, "output file prefix");
-  CL.addString("history", HistoryPath,
-               "write per-step diagnostics (dt, conservation, "
-               "positivity) to this CSV file");
   CL.addFlag("no-files", NoFiles, "skip PGM/VTK output");
   Cfg.registerAll(CL);
   if (!CL.parse(Argc, Argv))
@@ -87,20 +83,9 @@ int main(int Argc, const char **Argv) {
               Cfg.executionStr().c_str());
 
   WallTimer Timer;
-  RunRecorder<2> Recorder(/*Stride=*/5);
   bool GuardFailed = false;
   for (int Frame = 1; Frame <= Frames; ++Frame) {
-    double FrameEnd = EndTime * Frame / Frames;
-    if (HistoryPath.empty()) {
-      GuardFailed = !Run.advanceTo(FrameEnd);
-    } else if (StepGuard<2> *SG = Run.guard()) {
-      while (Solver.time() < FrameEnd && !SG->failed())
-        Recorder.advanceAndRecord(*SG);
-      GuardFailed = SG->failed();
-    } else {
-      while (Solver.time() < FrameEnd)
-        Recorder.advanceAndRecord(Solver);
-    }
+    GuardFailed = !Run.advanceTo(EndTime * Frame / Frames);
     if (GuardFailed)
       break;
 
@@ -136,16 +121,6 @@ int main(int Argc, const char **Argv) {
                   .c_str());
   std::printf("\nwall time %.2fs for %u steps\n", Timer.seconds(),
               Solver.stepCount());
-
-  if (!HistoryPath.empty()) {
-    if (!writeCsv(HistoryPath, RunRecorder<2>::csvHeader(),
-                  Recorder.csvRows()))
-      reportFatalError("cannot write history CSV");
-    std::printf("history (%zu samples) written to %s; min rho seen "
-                "%.4f\n",
-                Recorder.samples().size(), HistoryPath.c_str(),
-                Recorder.minDensitySeen());
-  }
 
   std::string TelemetryError;
   if (!writeRunTelemetry(Run, "shock_interaction_2d",

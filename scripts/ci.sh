@@ -1,11 +1,14 @@
 #!/bin/sh
-# Local mirror of the CI matrix: build Debug and Release and run the
-# labeled test tiers (see tests/CMakeLists.txt):
+# Local mirror of the CI matrix: build Debug, Release and asan and run
+# the labeled test tiers (see tests/CMakeLists.txt):
 #
 #   Debug    unit + property + smoke + scenario  (fast correctness on
 #            every build, including the pinned workload-gallery matrix)
 #   Release  everything, including the "slow" tier — the determinism
 #            matrix and the closed-box conservation regression
+#   asan     Debug with AddressSanitizer + UndefinedBehaviorSanitizer
+#            (any report is fatal) and libstdc++ assertions: unit +
+#            scenario, which covers the shard fork/rewind paths
 #
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
@@ -28,17 +31,24 @@ if [ -n "$TRACKED_BUILD" ]; then
   exit 1
 fi
 
-for TYPE in Debug Release; do
+SANITIZE="-fsanitize=address,undefined -fno-sanitize-recover=all"
+SANITIZE="$SANITIZE -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
+for TYPE in Debug Release asan; do
   BUILD="build-ci-$TYPE"
   echo "== $TYPE =="
-  cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE="$TYPE"
-  cmake --build "$BUILD" -j "$JOBS"
-  if [ "$TYPE" = Debug ]; then
-    (cd "$BUILD" && ctest --output-on-failure -j "$JOBS" \
-        -L 'unit|property|smoke|scenario')
+  if [ "$TYPE" = asan ]; then
+    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS="$SANITIZE"
   else
-    (cd "$BUILD" && ctest --output-on-failure -j "$JOBS")
+    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE="$TYPE"
   fi
+  cmake --build "$BUILD" -j "$JOBS"
+  case "$TYPE" in
+    Debug) LABELS='unit|property|smoke|scenario' ;;
+    asan) LABELS='unit|scenario' ;;
+    *) LABELS='' ;;
+  esac
+  (cd "$BUILD" && ctest --output-on-failure -j "$JOBS" ${LABELS:+-L "$LABELS"})
 done
 
 echo "== scenario regression matrix =="

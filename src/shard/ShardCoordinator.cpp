@@ -16,12 +16,22 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
 #include <unistd.h>
 
 namespace sacfd {
+
+namespace {
+
+/// The command that broadcasts step entry \p E (payload: its value bits).
+ShardCmd entryCmd(const StepEntry &E) {
+  return E.isSnap() ? ShardCmd::SnapTime : ShardCmd::AdvanceDt;
+}
+
+} // namespace
 
 ShardCoordinator::ShardCoordinator(Problem<2> GlobalProb, ShardOptions O)
     : Global(std::move(GlobalProb)), Opt(std::move(O)) {
@@ -202,13 +212,12 @@ int ShardCoordinator::workerBody(unsigned K) {
                          std::memory_order_relaxed);
       break;
     case ShardCmd::AdvanceDt:
-      S.advanceWithDt(shardDouble(Payload));
-      if (Store && Opt.CheckpointEvery &&
+    case ShardCmd::SnapTime:
+      S.apply({Cmd == ShardCmd::SnapTime ? StepEntry::Snap : StepEntry::Step,
+               shardDouble(Payload)});
+      if (Cmd == ShardCmd::AdvanceDt && Store && Opt.CheckpointEvery &&
           S.stepCount() % Opt.CheckpointEvery == 0)
         Store->write(S);
-      break;
-    case ShardCmd::SnapTime:
-      S.restoreClock(shardDouble(Payload), S.stepCount());
       break;
     case ShardCmd::Export: {
       // Interior rows land at their global offsets, so the export
@@ -427,8 +436,8 @@ ShardCoordinator::CmdResult ShardCoordinator::globalRestart() {
   }
   // Rewind to the newest generation every shard can load; with no common
   // generation (or no durability at all) replay restarts from the
-  // initial state — either way replayHistory re-issues the recorded
-  // command stream and lands on the same bitwise state.
+  // initial state — either way replayHistory re-issues the logged step
+  // entries and lands on the same bitwise state.
   const uint64_t Gen =
       Opt.CheckpointDir.empty() ? ShardNoResume : latestCommonGeneration();
   Layout.resetMailboxes(Region.data());
@@ -451,47 +460,49 @@ ShardCoordinator::CmdResult ShardCoordinator::globalRestart() {
   return CmdResult::Rewound;
 }
 
-ShardCoordinator::CmdResult ShardCoordinator::stepOnce(const double *EndTime) {
+bool ShardCoordinator::runCommand(ShardCmd Cmd, uint64_t Payload) {
+  if (!Started)
+    return false;
+  const unsigned PreSteps = CurSteps;
   while (true) {
-    CmdResult R = command(ShardCmd::ComputeEv, 0);
+    CmdResult R = command(Cmd, Payload);
     if (R == CmdResult::Fatal)
-      return R;
+      return false;
     if (R == CmdResult::Done)
-      break;
-    if (!replayHistory()) // Rewound: back to the exact pre-command state
-      return CmdResult::Fatal;
-  }
-  // max is exact under any grouping, so the shard-order reduction equals
-  // the global GetDT maximum bit for bit.
-  double EvMax = 0.0;
-  for (unsigned K = 0; K < Opt.Shards; ++K)
-    EvMax = std::max(
-        EvMax, shardDouble(Layout.slot(Region.data(), K)
-                               ->EvBits.load(std::memory_order_acquire)));
-  double Dt = Opt.Scheme.dtFromMaxEigen(EvMax);
-  if (EndTime)
-    Dt = std::min(Dt, *EndTime - CurTime); // EulerSolver::advanceTo clamp
-  const uint64_t PreSteps = CurSteps;
-  while (true) {
-    CmdResult R = command(ShardCmd::AdvanceDt, shardBits(Dt));
-    if (R == CmdResult::Fatal)
-      return R;
-    if (R == CmdResult::Done)
-      break;
+      return true;
+    // Rewound: replay the log back to the pre-command state, then
+    // re-issue the command (re-applying a snap is idempotent).
     if (!replayHistory())
-      return CmdResult::Fatal;
-    // A rewind can absorb the in-flight step: when every shard
+      return false;
+    // A rewind can absorb an in-flight step: when every shard
     // checkpointed the new step before the death, the rewind target
     // already contains it and re-running it would double-step.
-    if (CurSteps > PreSteps)
-      break;
+    if (Cmd == ShardCmd::AdvanceDt && CurSteps > PreSteps)
+      return true;
   }
-  // The committed step joins the replay log with the dt bits actually
-  // broadcast — clamps included — so a later rewind replays it exactly
-  // instead of recomputing an unclamped dt.
-  History.push_back({ShardCmd::AdvanceDt, shardBits(Dt)});
+}
+
+bool ShardCoordinator::stepToward(double EndTime) {
+  // The CFL callback is the fleet's GetDT: one ComputeEv epoch, then the
+  // shard-order max reduction — max is exact under any grouping, so it
+  // equals the global GetDT maximum bit for bit.  nextStep calls it only
+  // for a step, so a snap costs one epoch and a step exactly two.
+  bool Ok = true;
+  const StepEntry E = nextStep(CurTime, EndTime, [&] {
+    Ok = runCommand(ShardCmd::ComputeEv, 0);
+    double EvMax = 0.0;
+    for (unsigned K = 0; K < Opt.Shards; ++K)
+      EvMax = std::max(
+          EvMax, shardDouble(Layout.slot(Region.data(), K)
+                                 ->EvBits.load(std::memory_order_acquire)));
+    return Opt.Scheme.dtFromMaxEigen(EvMax);
+  });
+  if (!Ok || !runCommand(entryCmd(E), shardBits(E.Value)))
+    return false;
+  // The committed entry joins the replay log exactly as broadcast.
+  History.push_back(E);
   syncClock();
-  return CmdResult::Done;
+  return true;
 }
 
 bool ShardCoordinator::advanceSteps(unsigned N) {
@@ -499,7 +510,7 @@ bool ShardCoordinator::advanceSteps(unsigned N) {
     return false;
   const uint64_t Target = static_cast<uint64_t>(CurSteps) + N;
   while (CurSteps < Target)
-    if (stepOnce(nullptr) != CmdResult::Done)
+    if (!stepToward(std::numeric_limits<double>::infinity()))
       return false;
   return true;
 }
@@ -507,48 +518,31 @@ bool ShardCoordinator::advanceSteps(unsigned N) {
 bool ShardCoordinator::advanceTo(double EndTime) {
   if (!Started || Dead)
     return false;
-  while (CurTime < EndTime) {
-    if (stepRemainderNegligible(CurTime, EndTime)) {
-      // The single-process end-time snap, broadcast through restoreClock
-      // on every worker (engines cache state keyed on the clock).
-      while (true) {
-        CmdResult R = command(ShardCmd::SnapTime, shardBits(EndTime));
-        if (R == CmdResult::Fatal)
-          return false;
-        if (R == CmdResult::Done)
-          break;
-        if (!replayHistory()) // re-issuing the snap is idempotent
-          return false;
-      }
-      History.push_back({ShardCmd::SnapTime, shardBits(EndTime)});
-      syncClock();
-      break;
-    }
-    if (stepOnce(&EndTime) != CmdResult::Done)
+  while (CurTime < EndTime)
+    if (!stepToward(EndTime))
       return false;
-  }
   return true;
 }
 
 bool ShardCoordinator::replayHistory() {
   // After a rewind the fleet sits at some checkpoint generation (or the
-  // initial state); re-issue the recorded command stream from that
-  // point: the exact dt of every committed step and every clock snap.
-  // Recomputing steps instead would drop the advanceTo clamp an original
-  // step ran under and diverge bitwise from the single-process run.
+  // initial state); re-issue the logged step entries from that point,
+  // verbatim — every step's exact dt (advanceTo clamps included) and
+  // every clock snap, with no arithmetic of the replay's own.
   for (bool Again = true; Again;) {
     Again = false;
-    // Skip the events the rewind target already contains: everything up
-    // to and including the AdvanceDt that produced step count CurSteps
-    // (checkpoints are written inside that command, so a snap recorded
+    // Skip the entries the rewind target already contains: everything up
+    // to and including the step that produced step count CurSteps
+    // (checkpoints are written inside that command, so a snap logged
     // after it is *not* in the checkpoint and must be replayed).
     size_t Pos = 0;
     for (uint64_t Steps = HistoryBase;
          Pos < History.size() && Steps < CurSteps; ++Pos)
-      if (History[Pos].Cmd == ShardCmd::AdvanceDt)
+      if (!History[Pos].isSnap())
         ++Steps;
     for (; Pos < History.size(); ++Pos) {
-      CmdResult R = command(History[Pos].Cmd, History[Pos].Payload);
+      CmdResult R =
+          command(entryCmd(History[Pos]), shardBits(History[Pos].Value));
       if (R == CmdResult::Fatal)
         return false;
       if (R == CmdResult::Rewound) {
@@ -563,8 +557,8 @@ bool ShardCoordinator::replayHistory() {
 
 bool ShardCoordinator::snapRecordedAfter(uint64_t Steps) const {
   uint64_t S = HistoryBase;
-  for (const ReplayEvent &E : History) {
-    if (E.Cmd == ShardCmd::AdvanceDt)
+  for (const StepEntry &E : History) {
+    if (!E.isSnap())
       ++S;
     else if (S >= Steps)
       return true; // snap applied at or after the checkpoint write
@@ -572,24 +566,8 @@ bool ShardCoordinator::snapRecordedAfter(uint64_t Steps) const {
   return false;
 }
 
-bool ShardCoordinator::exportNow(ShardCmd Cmd) {
-  if (!Started || Dead)
-    return false;
-  while (true) {
-    CmdResult R = command(Cmd, 0);
-    if (R == CmdResult::Fatal)
-      return false;
-    if (R == CmdResult::Done)
-      return true;
-    // Rewound: replay the recorded stream back to the current state,
-    // then re-issue the export.
-    if (!replayHistory())
-      return false;
-  }
-}
-
 uint64_t ShardCoordinator::stateHash() {
-  if (!exportNow(ShardCmd::Export))
+  if (!runCommand(ShardCmd::Export, 0))
     return 0;
   const Grid<2> &G = Global.Domain;
   return fieldStateHash<2>(Layout.exportInterior(Region.data()),
@@ -597,7 +575,7 @@ uint64_t ShardCoordinator::stateHash() {
 }
 
 bool ShardCoordinator::stitchInterior(std::vector<Cons<2>> &Out) {
-  if (!exportNow(ShardCmd::Export))
+  if (!runCommand(ShardCmd::Export, 0))
     return false;
   const Grid<2> &G = Global.Domain;
   const Cons<2> *In = Layout.exportInterior(Region.data());
@@ -609,7 +587,7 @@ bool ShardCoordinator::exportShardStorage(unsigned K,
                                           std::vector<Cons<2>> &Out) {
   if (!Opt.StorageDump || K >= Opt.Shards)
     return false;
-  if (!exportNow(ShardCmd::ExportStorage))
+  if (!runCommand(ShardCmd::ExportStorage, 0))
     return false;
   const Grid<2> &G = Global.Domain;
   const unsigned Ng = G.ghost();

@@ -26,11 +26,14 @@
 /// shard is re-forked and resumed while the others wait inside their
 /// mailbox spins; any messier death (mid-step, stale checkpoint, snapped
 /// clock) falls back to a global rewind to the latest common generation.
-/// A rewound fleet is brought back by replaying the coordinator's
-/// recorded command stream — the exact dt of every committed step
-/// (advanceTo clamps included) and every end-time snap — rather than by
-/// recomputing steps, so recovery is bitwise faithful even when the
-/// original steps ran under a clamp the rewound clock no longer implies.
+/// The coordinator decides every step with the single-process step rule
+/// (nextStep over the reduced GetDT) and broadcasts the resulting
+/// StepEntry; workers execute it through the same EulerSolver::apply.
+/// A rewound fleet is brought back by replaying the logged entries —
+/// the exact dt of every committed step (advanceTo clamps included) and
+/// every end-time snap — rather than by recomputing steps, so recovery
+/// is bitwise faithful even when the original steps ran under a clamp
+/// the rewound clock no longer implies.
 /// Either way the run continues to the same bitwise final state, which
 /// the fault tests assert by hash.
 ///
@@ -42,6 +45,7 @@
 #include "shard/ShardPlan.h"
 #include "shard/ShardShm.h"
 #include "solver/RunConfig.h"
+#include "solver/StepRule.h"
 #include "support/Shm.h"
 
 #include <cstdint>
@@ -96,8 +100,8 @@ public:
   /// unrecoverable failure.
   bool advanceSteps(unsigned N);
 
-  /// Advances every shard to \p EndTime with the exact clamp-and-snap
-  /// arithmetic of EulerSolver::advanceTo.  \returns false on an
+  /// Advances every shard to \p EndTime under the step rule of
+  /// EulerSolver::advanceTo (clamp, remainder snap).  \returns false on an
   /// unrecoverable failure.
   bool advanceTo(double EndTime);
 
@@ -155,33 +159,25 @@ private:
   CmdResult command(ShardCmd Cmd, uint64_t Payload);
   CmdResult handleDeath(unsigned K);
   CmdResult globalRestart();
-  /// One ComputeEv + reduce + AdvanceDt cycle, replaying through any
-  /// rewind recovery; EndTime null for the fixed-step loop.  Records the
-  /// committed step in the replay log.
-  CmdResult stepOnce(const double *EndTime);
+  /// Runs one command to completion on a started fleet, replaying the
+  /// log through any rewind recovery.  \returns false on an
+  /// unrecoverable failure.
+  bool runCommand(ShardCmd Cmd, uint64_t Payload);
+  /// Decides the next step-rule entry toward \p EndTime (+infinity for
+  /// the fixed-step loop), commits it fleet-wide and logs it.
+  bool stepToward(double EndTime);
   /// Re-advances a rewound fleet back to the current state by re-issuing
-  /// the recorded command stream (exact per-step dt and clock snaps)
-  /// from the rewind point.  \returns false on an unrecoverable failure.
+  /// the logged step entries from the rewind point.  \returns false on
+  /// an unrecoverable failure.
   bool replayHistory();
-  /// True when the replay log holds a SnapTime applied at or after step
+  /// True when the replay log holds a snap applied at or after step
   /// count \p Steps — i.e. after the checkpoint of generation \p Steps
   /// was written, making that checkpoint's clock stale.
   bool snapRecordedAfter(uint64_t Steps) const;
-  /// Runs an export-style command to completion, replaying through any
-  /// rewind recovery.
-  bool exportNow(ShardCmd Cmd);
   void syncClock();
   uint64_t latestGeneration(unsigned K) const;
   uint64_t latestCommonGeneration() const;
   std::string shardDir(unsigned K) const;
-
-  /// One committed entry of the coordinator's command stream: the step
-  /// dts actually broadcast (AdvanceDt) and the end-time snaps
-  /// (SnapTime), in order.  Replayed verbatim after a global rewind.
-  struct ReplayEvent {
-    ShardCmd Cmd;
-    uint64_t Payload;
-  };
 
   Problem<2> Global;
   ShardOptions Opt;
@@ -194,9 +190,10 @@ private:
   std::vector<pid_t> Pids;
   uint64_t Epoch = 0;
   ShardCmd LastCmd = ShardCmd::None;
-  /// Command stream since start(); HistoryBase is the fleet step count
-  /// the stream begins at (nonzero after a cross-coordinator resume).
-  std::vector<ReplayEvent> History;
+  /// The replay log: every step entry committed since start(), exactly
+  /// as broadcast.  HistoryBase is the fleet step count the log begins
+  /// at (nonzero after a cross-coordinator resume).
+  std::vector<StepEntry> History;
   uint64_t HistoryBase = 0;
   double CurTime = 0.0;
   unsigned CurSteps = 0;

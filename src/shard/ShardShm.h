@@ -54,11 +54,11 @@ enum class ShardCmd : uint32_t {
   None = 0,
   /// Run GetDT on the local block; publish the max eigenvalue.
   ComputeEv,
-  /// Advance one step with the broadcast dt (Payload = dt bits), then
-  /// checkpoint when the cadence hits.
+  /// A StepEntry::Step (Payload = dt bits): every worker runs it through
+  /// EulerSolver::apply, then checkpoints when the cadence hits.
   AdvanceDt,
-  /// Overwrite the clock with Payload (time bits) — the advanceTo
-  /// end-time snap, routed through restoreClock on every worker.
+  /// A StepEntry::Snap (Payload = end-time bits): every worker moves its
+  /// clock there through EulerSolver::apply (restoreClock, no step).
   SnapTime,
   /// Copy the local interior into the export section.
   Export,

@@ -22,76 +22,19 @@
 
 namespace sacfd {
 
-/// Domain integrals of the conserved variables (the conservation laws'
-/// invariants on closed/periodic domains).
-template <unsigned Dim> struct ConservedTotals {
-  double Mass = 0.0;
-  std::array<double, Dim> Momentum = {};
-  double Energy = 0.0;
-};
-
 /// Integrates Q over the interior (sum times cell volume), serially for
-/// exact reproducibility.
+/// exact reproducibility.  The same pass feeds the step.mass /
+/// step.momentum* / step.energy gauges.
 template <unsigned Dim>
 ConservedTotals<Dim> conservedTotals(const EulerSolver<Dim> &Solver) {
-  const Grid<Dim> &G = Solver.problem().Domain;
-  double Volume = 1.0;
-  for (unsigned A = 0; A < Dim; ++A)
-    Volume *= G.dx(A);
-
-  ConservedTotals<Dim> T;
-  Shape Interior = G.interiorShape();
-  Index Iv = Interior.delinearize(0);
-  do {
-    const Cons<Dim> &Q = Solver.field().at(G.toStorage(Iv));
-    T.Mass += Q.Rho;
-    for (unsigned A = 0; A < Dim; ++A)
-      T.Momentum[A] += Q.Mom[A];
-    T.Energy += Q.E;
-  } while (Interior.increment(Iv));
-
-  T.Mass *= Volume;
-  for (unsigned A = 0; A < Dim; ++A)
-    T.Momentum[A] *= Volume;
-  T.Energy *= Volume;
-  return T;
+  return Solver.summarize().Totals;
 }
 
-/// Smallest density/pressure over the interior, and finiteness.
-template <unsigned Dim> struct FieldHealth {
-  double MinDensity = 0.0;
-  double MinPressure = 0.0;
-  bool AllFinite = true;
-};
-
+/// Smallest density/pressure over the interior, and finiteness — the
+/// values the step.min_density / step.min_pressure gauges sample.
 template <unsigned Dim>
 FieldHealth<Dim> fieldHealth(const EulerSolver<Dim> &Solver) {
-  const Grid<Dim> &G = Solver.problem().Domain;
-  const Gas &Gas_ = Solver.problem().G;
-
-  FieldHealth<Dim> H;
-  H.MinDensity = std::numeric_limits<double>::infinity();
-  H.MinPressure = std::numeric_limits<double>::infinity();
-
-  Shape Interior = G.interiorShape();
-  Index Iv = Interior.delinearize(0);
-  do {
-    const Cons<Dim> &Q = Solver.field().at(G.toStorage(Iv));
-    for (unsigned K = 0; K < NumVars<Dim>; ++K)
-      if (!std::isfinite(Q.comp(K)))
-        H.AllFinite = false;
-    if (!H.AllFinite) {
-      // The scan stops at the first bad cell; the partial minima would be
-      // misleading ("min density 1.0" over a NaN field), so report NaN.
-      H.MinDensity = std::numeric_limits<double>::quiet_NaN();
-      H.MinPressure = std::numeric_limits<double>::quiet_NaN();
-      return H;
-    }
-    Prim<Dim> W = toPrim(Q, Gas_);
-    H.MinDensity = std::min(H.MinDensity, W.Rho);
-    H.MinPressure = std::min(H.MinPressure, W.P);
-  } while (Interior.increment(Iv));
-  return H;
+  return Solver.summarize().Health;
 }
 
 /// Total variation of the density field (1D): sum |rho_{i+1} - rho_i|.

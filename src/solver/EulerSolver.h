@@ -10,11 +10,17 @@
 ///
 /// ArraySolver (the SaC port) and FusedSolver (the Fortran original) are
 /// two implementations of the same numerical method; both derive from
-/// EulerSolver, which owns the field, the clock and the step loop.  The
-/// engines implement computeDt() (the GetDT kernel) and stepWithDt() (one
-/// full multi-stage time step).  For identical scheme settings the two
-/// engines produce bit-identical fields — the executable form of the
+/// EulerSolver, which owns the field, the clock and the step executor.
+/// The engines implement computeDt() (the GetDT kernel) and stepWithDt()
+/// (one full multi-stage time step).  For identical scheme settings the
+/// two engines produce bit-identical fields — the executable form of the
 /// paper's claim that the SaC code is a faithful port.
+///
+/// Every stepping loop in SacFD — advance/advanceTo/advanceSteps here,
+/// the step guard's windows, SolverRun, shard workers — asks nextStep()
+/// (solver/StepRule.h) what to do and executes the answer through
+/// apply(), the one place a step or clock snap mutates the solver and
+/// the per-step telemetry is recorded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +33,7 @@
 #include "solver/Field.h"
 #include "solver/Problem.h"
 #include "solver/SchemeConfig.h"
+#include "solver/StepRule.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -39,16 +46,27 @@
 
 namespace sacfd {
 
-/// True when the interval [Now, EndTime] is below the rounding noise of
-/// the solver clock — smaller than a few ulps of Now.  Stepping through
-/// such a remainder grinds out denormal-sized dt values (and
-/// `Time += Dt` may not even change Time, looping forever); callers snap
-/// the clock onto EndTime instead.
-inline bool stepRemainderNegligible(double Now, double EndTime) {
-  return EndTime - Now <
-         4.0 * std::numeric_limits<double>::epsilon() *
-             std::max(std::abs(Now), 1.0);
-}
+/// Domain integrals of the conserved variables (the conservation laws'
+/// invariants on closed/periodic domains).
+template <unsigned Dim> struct ConservedTotals {
+  double Mass = 0.0;
+  std::array<double, Dim> Momentum = {};
+  double Energy = 0.0;
+};
+
+/// Smallest density/pressure over the interior, and finiteness (the
+/// minima are NaN when any cell is not finite).
+template <unsigned Dim> struct FieldHealth {
+  double MinDensity = 0.0;
+  double MinPressure = 0.0;
+  bool AllFinite = true;
+};
+
+/// Both results of one serial interior pass (EulerSolver::summarize).
+template <unsigned Dim> struct InteriorSummary {
+  ConservedTotals<Dim> Totals;
+  FieldHealth<Dim> Health;
+};
 
 /// Abstract Euler solver: owns the field and the time loop; engines
 /// supply the per-step numerics.
@@ -120,25 +138,32 @@ public:
   /// CFL-limited time step of the current field (the GetDT kernel).
   virtual double computeDt() = 0;
 
-  /// Advances one step with the CFL time step.  \returns the dt taken.
-  double advance() {
-    double Dt = computeDt();
-    stepWithDt(Dt);
-    Time += Dt;
+  /// Executes one stepping decision: a Step runs the engine's full
+  /// multi-stage step with exactly E.Value, advances the clock and
+  /// records the per-step telemetry; a Snap moves the clock onto E.Value
+  /// through restoreClock (engines cache state keyed on the clock, and
+  /// Prescribed boundary segments read it).  \returns the dt taken (0
+  /// for a snap).
+  double apply(StepEntry E) {
+    if (E.isSnap()) {
+      restoreClock(E.Value, Steps);
+      return 0.0;
+    }
+    stepWithDt(E.Value);
+    Time += E.Value;
     ++Steps;
-    recordStepTelemetry(Dt);
-    return Dt;
+    recordStepTelemetry(E.Value);
+    return E.Value;
   }
 
-  /// Advances one step with a caller-chosen dt (the step-guard retry loop
-  /// drives this with scaled/clamped steps).  \returns the dt taken.
-  double advanceWithDt(double Dt) {
-    stepWithDt(Dt);
-    Time += Dt;
-    ++Steps;
-    recordStepTelemetry(Dt);
-    return Dt;
+  /// Advances one step with the CFL time step.  \returns the dt taken.
+  double advance() {
+    return apply(nextStep(Time, std::numeric_limits<double>::infinity(),
+                          [this] { return computeDt(); }));
   }
+
+  /// Advances one step with a caller-chosen dt.  \returns the dt taken.
+  double advanceWithDt(double Dt) { return apply({StepEntry::Step, Dt}); }
 
   /// Advances exactly \p N steps (the paper's fixed-step benchmark loop).
   void advanceSteps(unsigned N) {
@@ -146,26 +171,57 @@ public:
       advance();
   }
 
-  /// Advances until \p EndTime, clamping the final step onto it.  A
-  /// remainder below clock rounding noise is snapped rather than stepped
-  /// (see stepRemainderNegligible) so adversarial end times cannot grind
-  /// the loop through denormal-sized steps.
+  /// Advances until \p EndTime, clamping the final step onto it (a
+  /// remainder below clock rounding noise is snapped, see nextStep).
   void advanceTo(double EndTime) {
-    while (Time < EndTime) {
-      if (stepRemainderNegligible(Time, EndTime)) {
-        // Snap through restoreClock, not a bare assignment: engines cache
-        // state keyed on the clock (the DAG GetDT cache), and Prescribed
-        // boundary segments read the clock — both must observe the snap
-        // exactly like a checkpoint-resume overwrite.
-        restoreClock(EndTime, Steps);
-        break;
+    while (Time < EndTime)
+      apply(nextStep(Time, EndTime, [this] { return computeDt(); }));
+  }
+
+  /// One serial pass over the interior in row-major order: the conserved
+  /// totals (sum times cell volume) and the density/pressure minima.
+  /// Serial for exact reproducibility — the values are bit-identical
+  /// across backends and worker counts.
+  InteriorSummary<Dim> summarize() const {
+    const Grid<Dim> &G = Prob.Domain;
+    InteriorSummary<Dim> S;
+    ConservedTotals<Dim> &T = S.Totals;
+    FieldHealth<Dim> &H = S.Health;
+    H.MinDensity = std::numeric_limits<double>::infinity();
+    H.MinPressure = std::numeric_limits<double>::infinity();
+    // Lines along the last axis are contiguous runs, enumerated in
+    // row-major order of the remaining axes.
+    const unsigned Axis = Dim - 1;
+    for (size_t Line = 0, Lines = lineCount(Axis); Line < Lines; ++Line) {
+      kernels::ConstRun<Dim> R = U.crun(lineStorageBase(Axis, Line));
+      for (size_t I = 0; I < N[Axis]; ++I) {
+        const Cons<Dim> Q = kernels::loadCons<Dim>(R, I);
+        T.Mass += Q.Rho;
+        for (unsigned A = 0; A < Dim; ++A)
+          T.Momentum[A] += Q.Mom[A];
+        T.Energy += Q.E;
+        for (unsigned K = 0; K < NumVars<Dim>; ++K)
+          if (!std::isfinite(Q.comp(K)))
+            H.AllFinite = false;
+        const Prim<Dim> W = toPrim(Q, Prob.G);
+        H.MinDensity = std::min(H.MinDensity, W.Rho);
+        H.MinPressure = std::min(H.MinPressure, W.P);
       }
-      double Dt = std::min(computeDt(), EndTime - Time);
-      stepWithDt(Dt);
-      Time += Dt;
-      ++Steps;
-      recordStepTelemetry(Dt);
     }
+    double Volume = 1.0;
+    for (unsigned A = 0; A < Dim; ++A)
+      Volume *= G.dx(A);
+    T.Mass *= Volume;
+    for (unsigned A = 0; A < Dim; ++A)
+      T.Momentum[A] *= Volume;
+    T.Energy *= Volume;
+    if (!H.AllFinite) {
+      // Minima over a partly non-finite field would be misleading ("min
+      // density 1.0" over a NaN field), so report NaN.
+      H.MinDensity = std::numeric_limits<double>::quiet_NaN();
+      H.MinPressure = std::numeric_limits<double>::quiet_NaN();
+    }
+    return S;
   }
 
   /// Engine name for reports ("array" / "fused").
@@ -298,11 +354,11 @@ protected:
   }
 
   /// Feeds the "solver.steps" counter and, at the configured gauge
-  /// stride, the per-step gauges: dt, the GetDT max eigenvalue, and the
-  /// conserved totals (mass, momentum per axis, energy) whose drift is
-  /// the conservation regression's measurement channel.  The totals are
-  /// a serial interior sum, so the gauge values are bit-identical across
-  /// backends and worker counts.
+  /// stride, the per-step gauges: time, dt, the GetDT max eigenvalue,
+  /// and one summarize() pass — the conserved totals (mass, momentum per
+  /// axis, energy; their drift is the conservation regression's
+  /// measurement channel) and the density/pressure minima.  Every value
+  /// is bit-identical across backends and worker counts.
   void recordStepTelemetry(double Dt) {
     if (!telemetry::enabled())
       return;
@@ -310,10 +366,13 @@ protected:
     telemetry::addCounter(StepsTaken);
     if (!telemetry::gaugeDue(Steps))
       return;
+    static const unsigned GaugeTime = telemetry::gaugeId("step.time");
     static const unsigned GaugeDt = telemetry::gaugeId("step.dt");
     static const unsigned GaugeEv = telemetry::gaugeId("step.max_eigen");
     static const unsigned GaugeMass = telemetry::gaugeId("step.mass");
     static const unsigned GaugeEnergy = telemetry::gaugeId("step.energy");
+    static const unsigned GaugeMinRho = telemetry::gaugeId("step.min_density");
+    static const unsigned GaugeMinP = telemetry::gaugeId("step.min_pressure");
     static const std::array<unsigned, Dim> GaugeMom = [] {
       std::array<unsigned, Dim> Ids{};
       for (unsigned A = 0; A < Dim; ++A) {
@@ -323,30 +382,16 @@ protected:
       return Ids;
     }();
 
+    telemetry::recordGauge(GaugeTime, Steps, Time);
     telemetry::recordGauge(GaugeDt, Steps, Dt);
     telemetry::recordGauge(GaugeEv, Steps, LastMaxEigen);
-
-    const Grid<Dim> &G = Prob.Domain;
-    double Volume = 1.0;
+    const InteriorSummary<Dim> S = summarize();
+    telemetry::recordGauge(GaugeMass, Steps, S.Totals.Mass);
     for (unsigned A = 0; A < Dim; ++A)
-      Volume *= G.dx(A);
-    double Mass = 0.0, Energy = 0.0;
-    std::array<double, Dim> Momentum = {};
-    Shape Interior = G.interiorShape();
-    Index Iv = Interior.delinearize(0);
-    if (Interior.count() > 0) {
-      do {
-        const Cons<Dim> Q = U.at(G.toStorage(Iv));
-        Mass += Q.Rho;
-        for (unsigned A = 0; A < Dim; ++A)
-          Momentum[A] += Q.Mom[A];
-        Energy += Q.E;
-      } while (Interior.increment(Iv));
-    }
-    telemetry::recordGauge(GaugeMass, Steps, Mass * Volume);
-    for (unsigned A = 0; A < Dim; ++A)
-      telemetry::recordGauge(GaugeMom[A], Steps, Momentum[A] * Volume);
-    telemetry::recordGauge(GaugeEnergy, Steps, Energy * Volume);
+      telemetry::recordGauge(GaugeMom[A], Steps, S.Totals.Momentum[A]);
+    telemetry::recordGauge(GaugeEnergy, Steps, S.Totals.Energy);
+    telemetry::recordGauge(GaugeMinRho, Steps, S.Health.MinDensity);
+    telemetry::recordGauge(GaugeMinP, Steps, S.Health.MinPressure);
 
     // Pool stats are a pure function of the step structure (acquisitions
     // happen only on the driving thread), so these gauges stay

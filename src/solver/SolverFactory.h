@@ -21,9 +21,10 @@
 /// Periodic checkpointing follows the same layering: io installs an
 /// opaque hook via setPeriodicCheckpoint() (see io/RunIo.h
 /// setupDurableRun()), and the advance calls fire it every N accepted
-/// steps.  The hooked step loops replicate the exact dt arithmetic of
-/// the unhooked fast paths, so durable runs stay bit-identical to plain
-/// ones — the property the kill-and-resume tests assert.
+/// steps.  There is one loop per entry point, hooked or not: each pass
+/// runs one guard window or one step-rule entry (solver/StepRule.h),
+/// then offers the hook a checkpoint, so durable runs are bit-identical
+/// to plain ones — the property the kill-and-resume tests assert.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -113,47 +115,17 @@ public:
   /// Advances to \p EndTime (guarded when configured).  \returns false
   /// on terminal guard failure.
   bool advanceTo(double EndTime) {
-    if (!periodicArmed()) {
-      if (Guard)
-        return Guard->advanceTo(EndTime);
-      Solver->advanceTo(EndTime);
-      return true;
-    }
-    // Same arithmetic as the fast paths, chunked so the hook can fire:
-    // guard windows when guarded, single clamped CFL steps otherwise.
-    while (!failed() && Solver->time() < EndTime) {
-      if (Guard) {
-        Guard->advanceWindow(EndTime);
-      } else if (stepRemainderNegligible(Solver->time(), EndTime)) {
-        // Snap a sub-rounding-noise remainder, matching
-        // EulerSolver::advanceTo.
-        Solver->restoreClock(EndTime, Solver->stepCount());
-      } else {
-        double Dt = std::min(Solver->computeDt(), EndTime - Solver->time());
-        Solver->advanceWithDt(Dt);
-      }
-      maybeCheckpoint();
-    }
+    while (!failed() && Solver->time() < EndTime)
+      stepToward(EndTime);
     return !failed();
   }
 
   /// Advances exactly \p N steps (guarded when configured).  \returns
   /// false on terminal guard failure.
   bool advanceSteps(unsigned N) {
-    if (!periodicArmed()) {
-      if (Guard)
-        return Guard->advanceSteps(N);
-      Solver->advanceSteps(N);
-      return true;
-    }
-    unsigned Target = Solver->stepCount() + N;
-    while (!failed() && Solver->stepCount() < Target) {
-      if (Guard)
-        Guard->advanceWindow();
-      else
-        Solver->advanceWithDt(Solver->computeDt());
-      maybeCheckpoint();
-    }
+    const unsigned Target = Solver->stepCount() + N;
+    while (!failed() && Solver->stepCount() < Target)
+      stepToward(std::numeric_limits<double>::infinity());
     return !failed();
   }
 
@@ -168,10 +140,16 @@ public:
   }
 
 private:
-  bool periodicArmed() const { return CkptEvery > 0 && CkptHook != nullptr; }
-
-  void maybeCheckpoint() {
-    if (Solver->stepCount() >= LastCkptStep + CkptEvery) {
+  /// One guard window, or one step-rule entry, toward \p EndTime; then
+  /// the periodic checkpoint when it is due.
+  void stepToward(double EndTime) {
+    if (Guard)
+      Guard->advanceWindow(EndTime);
+    else
+      Solver->apply(nextStep(Solver->time(), EndTime,
+                             [this] { return Solver->computeDt(); }));
+    if (CkptHook && CkptEvery > 0 &&
+        Solver->stepCount() >= LastCkptStep + CkptEvery) {
       CkptHook();
       LastCkptStep = Solver->stepCount();
     }

@@ -178,7 +178,7 @@ enum class BreakdownResolution {
 };
 
 /// Structured record of one breakdown episode, surfaced through
-/// StepGuard::reports() and RunRecorder.
+/// StepGuard::reports().
 struct BreakdownReport {
   /// Step count at the window-start snapshot (the last healthy point).
   unsigned Step = 0;
@@ -402,23 +402,19 @@ public:
   }
 
 private:
-  /// Runs up to Cfg.Every steps with the backed-off dt, firing armed
-  /// faults after each step.  \returns the dt of the first step taken.
+  /// Runs up to Cfg.Every steps with the backed-off dt (the step rule
+  /// with Cfl = computeDt() * Scale), firing armed faults after each
+  /// step.  \returns the dt of the first step taken.
   double runWindow(double ClampTime) {
     double FirstDt = 0.0;
-    for (unsigned I = 0; I < Cfg.Every; ++I) {
-      if (S.time() >= ClampTime)
+    for (unsigned I = 0; I < Cfg.Every && S.time() < ClampTime; ++I) {
+      const StepEntry E = nextStep(S.time(), ClampTime,
+                                   [this] { return S.computeDt() * Scale; });
+      S.apply(E);
+      if (E.isSnap())
         break;
-      if (stepRemainderNegligible(S.time(), ClampTime)) {
-        // Snap instead of grinding through a sub-rounding-noise
-        // remainder with denormal-sized steps (see EulerSolver::advanceTo).
-        S.restoreClock(ClampTime, S.stepCount());
-        break;
-      }
-      double Dt = std::min(S.computeDt() * Scale, ClampTime - S.time());
-      S.advanceWithDt(Dt);
       if (I == 0)
-        FirstDt = Dt;
+        FirstDt = E.Value;
       fireFaults();
     }
     return FirstDt;

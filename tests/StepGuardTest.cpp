@@ -16,7 +16,6 @@
 #include "solver/Diagnostics.h"
 #include "solver/FusedSolver.h"
 #include "solver/Problems.h"
-#include "solver/RunRecorder.h"
 #include "solver/StepGuard.h"
 
 #include <gtest/gtest.h>
@@ -411,35 +410,3 @@ TEST(DtClamp, PhysicalFieldsAreUnaffected) {
   EXPECT_LT(DtA, 1.0);
 }
 
-//===----------------------------------------------------------------------===//
-// RunRecorder integration
-//===----------------------------------------------------------------------===//
-
-TEST(RunRecorderGuard, MirrorsBreakdownReports) {
-  ArraySolver<1> S(sodProblem(64), SchemeConfig::figureScheme(), Exec);
-  GuardConfig Cfg;
-  Cfg.MaxRetries = 1;
-  StepGuard<1> Guard(S, Cfg);
-  Guard.injectFault(/*AfterStep=*/2, {9}, /*Persistent=*/true);
-
-  RunRecorder<1> Rec;
-  for (int I = 0; I < 4 && !Guard.failed(); ++I)
-    Rec.advanceAndRecord(Guard);
-
-  EXPECT_FALSE(Guard.failed()) << "floors should contain the fault";
-  EXPECT_EQ(Rec.breakdowns().size(), Guard.reports().size());
-  ASSERT_GE(Rec.breakdowns().size(), 1u);
-  EXPECT_EQ(Rec.breakdowns().front().Resolution,
-            BreakdownResolution::FloorRecovered);
-  EXPECT_FALSE(Rec.samples().empty());
-}
-
-TEST(RunRecorderGuard, HealthyGuardedRunRecordsNormally) {
-  ArraySolver<1> S(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
-  StepGuard<1> Guard(S);
-  RunRecorder<1> Rec;
-  for (int I = 0; I < 5; ++I)
-    EXPECT_GT(Rec.advanceAndRecord(Guard), 0.0);
-  EXPECT_EQ(Rec.samples().size(), 5u);
-  EXPECT_TRUE(Rec.breakdowns().empty());
-}

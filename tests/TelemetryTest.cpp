@@ -9,12 +9,14 @@
 #include "io/TelemetryExport.h"
 #include "runtime/Runtime.h"
 #include "solver/ArraySolver.h"
+#include "solver/Diagnostics.h"
 #include "solver/Problems.h"
 #include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -201,6 +203,49 @@ TEST_F(TelemetryTest, SolverStageSpansAndGaugesAppear) {
     const telemetry::GaugeSeries *G = R.findGauge(Name);
     ASSERT_NE(G, nullptr) << Name;
     EXPECT_EQ(G->Samples.size(), 2u) << Name;
+  }
+}
+
+TEST_F(TelemetryTest, StepGaugesSampleClockTotalsAndHealthExactly) {
+  // The per-step history is the step.* gauges: every sample must equal,
+  // bit for bit, the clock, conservedTotals() and fieldHealth() at that
+  // step (one shared interior pass), at the configured stride.
+  auto Exec = createBackend(BackendKind::Serial, 1);
+  ArraySolver<2> S(shockInteraction2D(16, 2.2, 8.0),
+                   SchemeConfig::benchmarkScheme(), *Exec);
+  telemetry::setGaugeStride(2);
+  struct Row {
+    unsigned Step;
+    double Time, Mass, MinDensity, MinPressure;
+  };
+  std::vector<Row> Want;
+  for (int I = 0; I < 6; ++I) {
+    S.advance();
+    if (S.stepCount() % 2 != 0)
+      continue;
+    FieldHealth<2> H = fieldHealth(S);
+    Want.push_back({S.stepCount(), S.time(), conservedTotals(S).Mass,
+                    H.MinDensity, H.MinPressure});
+  }
+
+  auto Same = [](double A, double B) {
+    return std::memcmp(&A, &B, sizeof(double)) == 0;
+  };
+  telemetry::MetricsReport R = telemetry::snapshot();
+  const std::pair<const char *, double Row::*> Gauges[] = {
+      {"step.time", &Row::Time},
+      {"step.mass", &Row::Mass},
+      {"step.min_density", &Row::MinDensity},
+      {"step.min_pressure", &Row::MinPressure}};
+  for (const auto &[Name, Field] : Gauges) {
+    const telemetry::GaugeSeries *G = R.findGauge(Name);
+    ASSERT_NE(G, nullptr) << Name;
+    ASSERT_EQ(G->Samples.size(), Want.size()) << Name;
+    for (size_t K = 0; K < Want.size(); ++K) {
+      EXPECT_EQ(G->Samples[K].Step, Want[K].Step) << Name;
+      EXPECT_TRUE(Same(G->Samples[K].Value, Want[K].*Field))
+          << Name << " at step " << Want[K].Step;
+    }
   }
 }
 
