@@ -8,11 +8,13 @@
 //      unit-stride SoA buffers — the per-kernel vectorization speedup;
 //   2. end-to-end: the Fig. 4 workload (2D shock interaction, benchmark
 //      scheme) scalar vs SIMD on both engines, each priced against the
-//      engine's scalar run.
+//      engine's scalar run, plus the fused engine on the figure scheme
+//      (WENO3), whose face path is reconstructFaces + fluxFaces.
 //
 // Determinism makes the whole sweep a pure performance knob: every
-// configuration must produce bit-identical fields, and the bench checks
-// that before it prints a single timing row.
+// configuration must produce bit-identical fields — both engines under
+// the benchmark and the figure scheme — and the bench checks that before
+// it prints a single timing row.
 //
 // --json writes artifacts/BENCH_simd.json; --gate makes the process fail
 // when the acceptance floor is missed (>= 1.3x on >= 2 kernels and
@@ -141,6 +143,21 @@ std::vector<KernelRow> benchKernels(size_t Cells, unsigned Reps,
     else
       Rows.back().SimdSec = Sec;
   }
+  // WENO3 characteristic face states from a staged window of Cells + 5.
+  SoaField2 Win(Cells + 5);
+  for (bool Simd : {false, true}) {
+    double Sec = timeKernel(Reps, Repeats, [&] {
+      kernels::reconstructFaces<2>(Win.crun(), F.run(), Un.run(), G, 0,
+                                   ReconstructionKind::Weno3,
+                                   LimiterKind::MinMod,
+                                   ReconstructVariables::Characteristic,
+                                   Cells, Simd);
+    });
+    if (!Simd)
+      Rows.push_back({"reconstructFaces", Sec, 0.0});
+    else
+      Rows.back().SimdSec = Sec;
+  }
   (void)Sink;
   return Rows;
 }
@@ -151,6 +168,7 @@ std::vector<KernelRow> benchKernels(size_t Cells, unsigned Reps,
 
 struct E2eRow {
   std::string Engine;
+  std::string Scheme;
   bool Simd = false;
   double Seconds = 0.0;
   double VsScalar = 1.0; ///< ScalarSeconds / Seconds (>1 = faster)
@@ -174,26 +192,31 @@ double runE2eOnce(const RunConfig &Cfg, size_t Cells, unsigned Steps,
 }
 
 /// The SIMD run of each engine must reproduce its scalar fields bit for
-/// bit.  \returns false (and prints the offender) on any divergence.
+/// bit, under \p Base's scheme and the figure scheme.  \returns false
+/// (and prints the offender) on any divergence.
 bool checkBitIdentity(const RunConfig &Base, size_t Cells, unsigned Steps) {
   bool Ok = true;
-  for (EngineKind Engine : {EngineKind::Array, EngineKind::Fused}) {
-    RunConfig Ref = Base;
-    Ref.Engine = Engine;
-    Ref.Simd = false;
-    SolverRun<2> RefRun = makeSolverRun(fig4Problem(Cells), Ref);
-    RefRun.advanceSteps(Steps);
-    RunConfig Cfg = Ref;
-    Cfg.Simd = true;
-    SolverRun<2> Run = makeSolverRun(fig4Problem(Cells), Cfg);
-    Run.advanceSteps(Steps);
-    double Diff = maxFieldDifference(RefRun.solver(), Run.solver());
-    if (Diff != 0.0) {
-      std::fprintf(stderr,
-                   "BIT-IDENTITY VIOLATION: %s simd differs from scalar "
-                   "by %g\n",
-                   engineKindName(Engine), Diff);
-      Ok = false;
+  for (const SchemeConfig &Scheme :
+       {Base.Scheme, SchemeConfig::figureScheme()}) {
+    for (EngineKind Engine : {EngineKind::Array, EngineKind::Fused}) {
+      RunConfig Ref = Base;
+      Ref.Scheme = Scheme;
+      Ref.Engine = Engine;
+      Ref.Simd = false;
+      SolverRun<2> RefRun = makeSolverRun(fig4Problem(Cells), Ref);
+      RefRun.advanceSteps(Steps);
+      RunConfig Cfg = Ref;
+      Cfg.Simd = true;
+      SolverRun<2> Run = makeSolverRun(fig4Problem(Cells), Cfg);
+      Run.advanceSteps(Steps);
+      double Diff = maxFieldDifference(RefRun.solver(), Run.solver());
+      if (Diff != 0.0) {
+        std::fprintf(stderr,
+                     "BIT-IDENTITY VIOLATION: %s %s simd differs from scalar "
+                     "by %g\n",
+                     engineKindName(Engine), Scheme.str().c_str(), Diff);
+        Ok = false;
+      }
     }
   }
   return Ok;
@@ -226,10 +249,10 @@ bool writeJson(const std::string &Path, size_t KernelCells, size_t Cells,
   for (size_t I = 0; I < E2e.size(); ++I) {
     const E2eRow &R = E2e[I];
     std::fprintf(F,
-                 "    {\"engine\": \"%s\", \"simd\": %s, "
-                 "\"seconds\": %.6f, \"vs_scalar\": %.4f}%s\n",
-                 R.Engine.c_str(), R.Simd ? "true" : "false", R.Seconds,
-                 R.VsScalar, I + 1 < E2e.size() ? "," : "");
+                 "    {\"engine\": \"%s\", \"scheme\": \"%s\", "
+                 "\"simd\": %s, \"seconds\": %.6f, \"vs_scalar\": %.4f}%s\n",
+                 R.Engine.c_str(), R.Scheme.c_str(), R.Simd ? "true" : "false",
+                 R.Seconds, R.VsScalar, I + 1 < E2e.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
@@ -282,7 +305,10 @@ int main(int Argc, const char **Argv) {
   // Bit-identity first: a timing table for diverging runs is meaningless.
   bool BitIdentical =
       checkBitIdentity(Cfg, static_cast<size_t>(Cells) / 2, 6);
-  std::printf("# bit-identity across {scalar,simd} x {array,fused}: %s\n",
+  std::printf("# bit-identity across {scalar,simd} x {array,fused} x "
+              "{%s,%s}: %s\n",
+              Cfg.Scheme.str().c_str(),
+              SchemeConfig::figureScheme().str().c_str(),
               BitIdentical ? "ok" : "VIOLATED");
 
   std::printf("## per-kernel (%zu cells, unit-stride runs)\n", KernelCells);
@@ -301,24 +327,36 @@ int main(int Argc, const char **Argv) {
   std::printf("## end-to-end: fig4 interaction %dx%d, %u steps, "
               "%u threads\n",
               Cells, Cells, Steps, Cfg.Threads);
-  std::printf("%-10s %-7s %10s %9s\n", "engine", "simd", "wall[s]",
-              "speedup");
+  std::printf("%-10s %-22s %-7s %10s %9s\n", "engine", "scheme", "simd",
+              "wall[s]", "speedup");
   std::vector<E2eRow> E2e;
   double SimdVsScalar = 0.0;
-  for (EngineKind Engine : {EngineKind::Array, EngineKind::Fused}) {
+  struct E2eArm {
+    EngineKind Engine;
+    SchemeConfig Scheme;
+    bool Gated; ///< the --gate end-to-end term
+  };
+  const E2eArm Arms[] = {
+      {EngineKind::Array, Cfg.Scheme, false},
+      {EngineKind::Fused, Cfg.Scheme, true},
+      {EngineKind::Fused, SchemeConfig::figureScheme(), false}};
+  for (const E2eArm &Arm : Arms) {
     double Scalar = 0.0;
+    std::string Scheme = Arm.Scheme.str();
     for (bool Simd : {false, true}) {
       RunConfig Run = Cfg;
-      Run.Engine = Engine;
+      Run.Scheme = Arm.Scheme;
+      Run.Engine = Arm.Engine;
       Run.Simd = Simd;
       double Sec = runE2eOnce(Run, static_cast<size_t>(Cells), Steps, Repeats);
       if (!Simd)
         Scalar = Sec;
       double Speedup = Sec > 0.0 ? Scalar / Sec : 0.0;
-      E2e.push_back({engineKindName(Engine), Simd, Sec, Speedup});
-      if (Engine == EngineKind::Fused && Simd)
+      E2e.push_back({engineKindName(Arm.Engine), Scheme, Simd, Sec, Speedup});
+      if (Arm.Gated && Simd)
         SimdVsScalar = Speedup;
-      std::printf("%-10s %-7s %10.3f %8.2fx\n", engineKindName(Engine),
+      std::printf("%-10s %-22s %-7s %10.3f %8.2fx\n",
+                  engineKindName(Arm.Engine), Scheme.c_str(),
                   Simd ? "on" : "off", Sec, Speedup);
     }
   }
@@ -355,9 +393,10 @@ int main(int Argc, const char **Argv) {
                    SimdVsScalar);
       Pass = false;
     }
-    std::printf("# gate: %s (%u/4 kernels >= 1.3x, fused simd %.2fx vs "
+    std::printf("# gate: %s (%u/%zu kernels >= 1.3x, fused simd %.2fx vs "
                 "scalar)\n",
-                Pass ? "pass" : "FAIL", FastKernels, SimdVsScalar);
+                Pass ? "pass" : "FAIL", FastKernels, Kernels.size(),
+                SimdVsScalar);
     return Pass ? 0 : 1;
   }
   return 0;

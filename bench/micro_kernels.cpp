@@ -8,7 +8,9 @@
 //     the threads");
 //   - with-loop elementwise throughput (fused vs materialized);
 //   - the getDt reduction;
-//   - per-face reconstruction + Riemann solve for each scheme.
+//   - per-face reconstruction + Riemann solve for each scheme;
+//   - the kernels:: face path (reconstructFaces, fluxFaces) and stage
+//     kernels, scalar vs SIMD.
 //
 //===----------------------------------------------------------------------===//
 
@@ -256,5 +258,28 @@ BENCHMARK(BM_KernelAccumDivergence)
     ->Args({1 << 14, 0})
     ->Args({1 << 14, 1})
     ->Name("BM_Kernel/accumDivergence");
+
+// The higher-order face path's first kernel: WENO3 characteristic face
+// states from a staged window (N faces read N + 5 cells).
+static void BM_KernelReconstructFaces(benchmark::State &State) {
+  const size_t N = static_cast<size_t>(State.range(0));
+  const bool Simd = State.range(1) != 0;
+  Gas G;
+  SoaField2 Win(N + 5), L(N), R(N);
+  for (auto _ : State) {
+    kernels::reconstructFaces<2>(Win.crun(), L.run(), R.run(), G, 0,
+                                 ReconstructionKind::Weno3,
+                                 LimiterKind::MinMod,
+                                 ReconstructVariables::Characteristic, N,
+                                 Simd);
+    benchmark::DoNotOptimize(L.Buf.data());
+    benchmark::DoNotOptimize(R.Buf.data());
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(N));
+}
+BENCHMARK(BM_KernelReconstructFaces)
+    ->Args({1 << 14, 0})
+    ->Args({1 << 14, 1})
+    ->Name("BM_Kernel/reconstructFaces/weno3");
 
 BENCHMARK_MAIN();

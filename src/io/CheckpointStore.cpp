@@ -7,10 +7,12 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -22,6 +24,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char *ManifestFile = "manifest.txt";
+constexpr std::string_view RunPrefix = "# run ";
 constexpr const char *GenPrefix = "ckpt-";
 constexpr const char *GenSuffix = ".sacfd";
 
@@ -128,6 +131,44 @@ CheckpointStore::generations() const {
   return Gens;
 }
 
+std::string CheckpointStore::runId() const {
+  std::ifstream Manifest(manifestPath());
+  std::string Line;
+  while (std::getline(Manifest, Line)) {
+    std::string_view View = Line;
+    if (View.substr(0, RunPrefix.size()) == RunPrefix)
+      return std::string(trim(View.substr(RunPrefix.size())));
+  }
+  return std::string();
+}
+
+CheckpointStatus CheckpointStore::claim(std::string Id) {
+  RunId = std::move(Id);
+  std::error_code Ec;
+  for (const Generation &G : generations())
+    fs::remove(G.Path, Ec);
+  fs::remove(manifestPath(), Ec);
+  if (!generations().empty() || fs::exists(manifestPath(), Ec))
+    return CheckpointStatus::make(CheckpointError::WriteFailed,
+                                  "cannot clear an earlier run's "
+                                  "generations from " +
+                                      Root);
+  return CheckpointStatus::success();
+}
+
+std::string CheckpointStore::newRunId() {
+  std::random_device Rd;
+  uint64_t Nonce = (static_cast<uint64_t>(Rd()) << 32) ^ Rd();
+  uint64_t Now = static_cast<uint64_t>(
+      std::chrono::system_clock::now().time_since_epoch().count());
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%x-%llx-%llx",
+                static_cast<unsigned>(::getpid()),
+                static_cast<unsigned long long>(Now),
+                static_cast<unsigned long long>(Nonce));
+  return Buf;
+}
+
 CheckpointStatus CheckpointStore::rotate() {
   std::vector<Generation> Gens = generations();
 
@@ -151,6 +192,8 @@ CheckpointStatus CheckpointStore::rotate() {
   };
 
   std::string Text = "# sacfd checkpoint manifest, newest first\n";
+  if (!RunId.empty())
+    Text += std::string(RunPrefix) + RunId + "\n";
   for (const Generation &G : Gens)
     Text += generationFileName(G.Steps) + "\n";
 

@@ -27,6 +27,12 @@
 /// generation with its precise CheckpointError — the recovery behavior
 /// the fault-injection tests pin down.
 ///
+/// Run ids: a fresh run claim()s the store, which deletes every
+/// generation an earlier run left behind and stamps the manifest with
+/// the new run's id from its first write on.  Without the claim, an
+/// earlier, longer run's newer generations would shadow the fresh run's
+/// own in discovery.  A resumed run adopt()s the id it finds instead.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SACFD_IO_CHECKPOINTSTORE_H
@@ -86,6 +92,23 @@ public:
   /// scan, existing files only).
   std::vector<Generation> generations() const;
 
+  /// The run id stamped in the manifest; empty when there is no manifest
+  /// or it carries no stamp (stores written before run ids existed).
+  std::string runId() const;
+
+  /// Starts a fresh run \p Id in this store: deletes every generation
+  /// file and the manifest (files not named like ours are never
+  /// touched), and stamps \p Id into every manifest this object writes.
+  CheckpointStatus claim(std::string Id);
+
+  /// Continues run \p Id (a resume): stamps it into every manifest this
+  /// object writes, deleting nothing.
+  void adopt(std::string Id) { RunId = std::move(Id); }
+
+  /// A new run id, unique across processes and time: pid, wall clock
+  /// and a random nonce, in hex.
+  static std::string newRunId();
+
   std::string manifestPath() const;
 
   /// "ckpt-00001234.sacfd" for step 1234.
@@ -103,6 +126,8 @@ private:
   std::string Root;
   unsigned Keep;
   RetryPolicy Retry;
+  /// Stamped into every manifest this object writes (none when empty).
+  std::string RunId;
 };
 
 extern template CheckpointStatus

@@ -68,9 +68,10 @@ void installEmergencyCheckpoint(SolverRun<Dim> &Run) {
 
 /// What setupDurableRun() established.
 struct DurabilitySetup {
-  /// False only when --resume found checkpoint generations but none of
-  /// them loaded — continuing would silently restart from step 0, so the
-  /// tool should abort instead.  An empty/missing directory under
+  /// False when --resume found checkpoint generations but none of them
+  /// loaded — continuing would silently restart from step 0, so the tool
+  /// should abort instead — or when a fresh run could not clear an
+  /// earlier run's generations.  An empty/missing directory under
   /// --resume is a fresh start, not an error.
   bool Ok = true;
   bool Resumed = false;
@@ -85,8 +86,10 @@ struct DurabilitySetup {
 /// emergency-checkpoint hook, the rotated CheckpointStore, --resume
 /// recovery (newest loadable generation, falling back across corrupt
 /// ones with a structured report per skipped file), and the periodic
-/// checkpoint hook.  Periodic write failures are reported but do not
-/// stop the run — the simulation is worth more than the checkpoint.
+/// checkpoint hook.  A run that writes generations without resuming
+/// claims the store for a new run id first (CheckpointStore::claim).
+/// Periodic write failures are reported but do not stop the run — the
+/// simulation is worth more than the checkpoint.
 template <unsigned Dim>
 DurabilitySetup setupDurableRun(SolverRun<Dim> &Run) {
   installEmergencyCheckpoint(Run);
@@ -102,6 +105,7 @@ DurabilitySetup setupDurableRun(SolverRun<Dim> &Run) {
     for (const auto &[Path, St] : Outcome.Skipped)
       reportCheckpointError(("resume: skipped " + Path).c_str(), St);
     if (Outcome.resumed()) {
+      Setup.Store->adopt(Setup.Store->runId());
       Setup.Resumed = true;
       Setup.ResumeSteps = Outcome.LoadedSteps;
       Setup.ResumePath = Outcome.LoadedPath;
@@ -116,6 +120,17 @@ DurabilitySetup setupDurableRun(SolverRun<Dim> &Run) {
   }
 
   if (Opt.periodic()) {
+    // A fresh run claims the store: an earlier run's newer generations
+    // would otherwise shadow this run's in rotation and in a later
+    // --resume.
+    if (!Setup.Resumed) {
+      CheckpointStatus St = Setup.Store->claim(CheckpointStore::newRunId());
+      if (!St.ok()) {
+        reportCheckpointError("checkpoint dir", St);
+        Setup.Ok = false;
+        return Setup;
+      }
+    }
     std::shared_ptr<CheckpointStore> Store = Setup.Store;
     EulerSolver<Dim> *Solver = &Run.solver();
     Run.setPeriodicCheckpoint(Opt.Every, [Store, Solver] {

@@ -13,10 +13,14 @@
 /// element stride.  The kernels take SoA planes only (stride 1, one
 /// pointer per plane) and assert it.  The record-stride view of Cons
 /// arrays (aosRun), and with it the non-unit Stride, has no caller in
-/// the solver: it is kept only because perfbench's kernel probe still
-/// builds an AoS run, and goes when that probe branch does.  No NDArray (or any container) appears in these
-/// signatures — the engines translate their index spaces into runs, and
-/// this layer owns the arithmetic.
+/// the solver or the tests: perfbench's kernel probe is its only user.
+/// No NDArray (or any container) appears in these signatures — the
+/// engines translate their index spaces into runs, and this layer owns
+/// the arithmetic.
+///
+/// The face path is two kernels for every reconstruction: a line's
+/// staged stencil window goes through reconstructFaces (face L/R
+/// states) and then fluxFaces (the Riemann solver), both over SoA runs.
 ///
 /// Each kernel exists twice, in scalarimpl:: (compiled with vectorization
 /// disabled — the honest scalar baseline) and simdimpl:: (compiled with
@@ -148,10 +152,11 @@ inline void storeCons(const Run<Dim> &R, size_t I, const Cons<Dim> &Q) {
   R.C[Dim + 1][O] = Q.E;
 }
 
-/// True when the per-line flux kernel applies: piecewise-constant
-/// reconstruction makes a face's L/R states the two adjacent cells, so
-/// the whole face line is two shifted runs.  Higher-order
-/// reconstructions keep the engines' stencil-gather paths.
+/// True when fluxFaces can read a face line straight from the field:
+/// piecewise-constant reconstruction makes a face's L/R states the two
+/// adjacent cells, so the whole face line is two shifted runs.  Every
+/// other reconstruction stages the line's stencil window and runs
+/// reconstructFaces first (EulerSolver::lineFaceFluxes).
 constexpr bool fluxKernelEligible(ReconstructionKind Recon) {
   return Recon == ReconstructionKind::PiecewiseConstant;
 }
@@ -182,7 +187,12 @@ bool simdAccelerated();
   template <unsigned Dim>                                                      \
   void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,               \
                  const Run<Dim> &F, const Gas &G, unsigned Axis,               \
-                 RiemannKind Kind, size_t N);
+                 RiemannKind Kind, size_t N);                                  \
+  template <unsigned Dim>                                                      \
+  void reconstructFaces(const ConstRun<Dim> &Win, const Run<Dim> &L,           \
+                        const Run<Dim> &R, const Gas &G, unsigned Axis,        \
+                        ReconstructionKind Kind, LimiterKind Limiter,          \
+                        ReconstructVariables Vars, size_t N);
 
 namespace scalarimpl {
 SACFD_KERNELS_DECLARE
@@ -238,6 +248,24 @@ inline void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,
   bool Vector = Simd && Kind != RiemannKind::Roe;
   (Vector ? simdimpl::fluxFaces<Dim> : scalarimpl::fluxFaces<Dim>)(
       L, R, F, G, Axis, Kind, N);
+}
+
+/// Face states of \p N consecutive faces along \p Axis from a staged
+/// stencil window: \p Win holds N + 5 cells, and face f's 6-cell stencil
+/// (numerics/Reconstruction.h) is window cells f..f+5.  Writes face f's
+/// conservative left/right states to \p L and \p R, bit-identical to
+/// reconstructFaceStates on that stencil.
+template <unsigned Dim>
+inline void reconstructFaces(const ConstRun<Dim> &Win, const Run<Dim> &L,
+                             const Run<Dim> &R, const Gas &G, unsigned Axis,
+                             ReconstructionKind Kind, LimiterKind Limiter,
+                             ReconstructVariables Vars, size_t N, bool Simd) {
+  // The branch-free SIMD mirror covers the characteristic projection;
+  // Primitive-variable mode (an ablation) stays on the reference loop.
+  bool Vector = Simd && Vars == ReconstructVariables::Characteristic;
+  (Vector ? simdimpl::reconstructFaces<Dim>
+          : scalarimpl::reconstructFaces<Dim>)(Win, L, R, G, Axis, Kind,
+                                               Limiter, Vars, N);
 }
 
 } // namespace kernels

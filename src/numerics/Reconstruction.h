@@ -79,6 +79,44 @@ struct FaceScalars {
   double R;
 };
 
+/// One-sided 3rd-order WENO reconstruction toward the right face of the
+/// middle cell, from the ordered window (Um, U0, Up) = (upwind, cell,
+/// downwind).
+inline double weno3Biased(double Um, double U0, double Up) {
+  // Candidate polynomials evaluated at the face.
+  double P0 = -0.5 * Um + 1.5 * U0; // stencil {i-1, i}
+  double P1 = 0.5 * U0 + 0.5 * Up;  // stencil {i, i+1}
+  // Smoothness indicators and ideal weights (d0 = 1/3, d1 = 2/3).
+  double B0 = (U0 - Um) * (U0 - Um);
+  double B1 = (Up - U0) * (Up - U0);
+  constexpr double Eps = 1e-6;
+  double A0 = (1.0 / 3.0) / ((Eps + B0) * (Eps + B0));
+  double A1 = (2.0 / 3.0) / ((Eps + B1) * (Eps + B1));
+  return (A0 * P0 + A1 * P1) / (A0 + A1);
+}
+
+/// One-sided 5th-order WENO reconstruction toward the right face of the
+/// middle cell, from the ordered 5-cell window (A, B, C, D, E) =
+/// (i-2, i-1, i, i+1, i+2) in upwind orientation (Jiang & Shu weights).
+inline double weno5Biased(double A, double B, double C, double D, double E) {
+  double P0 = (2.0 * A - 7.0 * B + 11.0 * C) / 6.0;
+  double P1 = (-B + 5.0 * C + 2.0 * D) / 6.0;
+  double P2 = (2.0 * C + 5.0 * D - E) / 6.0;
+
+  double B0 = (13.0 / 12.0) * (A - 2.0 * B + C) * (A - 2.0 * B + C) +
+              0.25 * (A - 4.0 * B + 3.0 * C) * (A - 4.0 * B + 3.0 * C);
+  double B1 = (13.0 / 12.0) * (B - 2.0 * C + D) * (B - 2.0 * C + D) +
+              0.25 * (B - D) * (B - D);
+  double B2 = (13.0 / 12.0) * (C - 2.0 * D + E) * (C - 2.0 * D + E) +
+              0.25 * (3.0 * C - 4.0 * D + E) * (3.0 * C - 4.0 * D + E);
+
+  constexpr double Eps = 1e-6;
+  double A0 = 0.1 / ((Eps + B0) * (Eps + B0));
+  double A1 = 0.6 / ((Eps + B1) * (Eps + B1));
+  double A2 = 0.3 / ((Eps + B2) * (Eps + B2));
+  return (A0 * P0 + A1 * P1 + A2 * P2) / (A0 + A1 + A2);
+}
+
 /// Reconstructs one scalar component at the face between window cells 2
 /// and 3.
 ///

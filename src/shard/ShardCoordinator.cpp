@@ -49,6 +49,8 @@ std::string ShardCoordinator::shardDir(unsigned K) const {
 
 uint64_t ShardCoordinator::latestGeneration(unsigned K) const {
   CheckpointStore Store(shardDir(K), Opt.CheckpointKeep);
+  if (Store.runId() != RunId)
+    return ShardNoResume; // another run's generations
   std::vector<CheckpointStore::Generation> Gens = Store.generations();
   if (Gens.empty())
     return ShardNoResume;
@@ -63,6 +65,8 @@ uint64_t ShardCoordinator::latestCommonGeneration() const {
   std::set<uint64_t> Common;
   for (unsigned K = 0; K < Opt.Shards; ++K) {
     CheckpointStore Store(shardDir(K), Opt.CheckpointKeep);
+    if (Store.runId() != RunId)
+      return ShardNoResume; // another run's generations
     std::set<uint64_t> Mine;
     for (const CheckpointStore::Generation &G : Store.generations())
       Mine.insert(G.Steps);
@@ -103,8 +107,10 @@ int ShardCoordinator::workerBody(unsigned K) {
   EulerSolver<2> &S = Run.solver();
 
   std::unique_ptr<CheckpointStore> Store;
-  if (!Opt.CheckpointDir.empty())
+  if (!Opt.CheckpointDir.empty()) {
     Store = std::make_unique<CheckpointStore>(shardDir(K), Opt.CheckpointKeep);
+    Store->adopt(RunId); // claimed or adopted by the coordinator
+  }
 
   uint64_t Gen = Slot->TargetGen.load(std::memory_order_acquire);
   if (Gen != ShardNoResume) {
@@ -313,8 +319,24 @@ bool ShardCoordinator::start() {
   Layout.control(Region.data())
       ->FaultShard.store(ShardNoFault, std::memory_order_relaxed);
   uint64_t Gen = ShardNoResume;
-  if (Opt.Resume && !Opt.CheckpointDir.empty())
-    Gen = latestCommonGeneration();
+  if (!Opt.CheckpointDir.empty()) {
+    // A resume adopts the run id it finds.  A fresh start (or a resume
+    // with nothing to resume from) runs under a new id, so recovery never
+    // rewinds onto an earlier run's generations, and when it writes
+    // generations it claims every store, clearing the earlier run's.
+    if (Opt.Resume) {
+      RunId = CheckpointStore(shardDir(0), Opt.CheckpointKeep).runId();
+      Gen = latestCommonGeneration();
+    }
+    if (Gen == ShardNoResume) {
+      RunId = CheckpointStore::newRunId();
+      for (unsigned K = 0; K < Opt.Shards && Opt.CheckpointEvery; ++K)
+        if (!CheckpointStore(shardDir(K), Opt.CheckpointKeep)
+                 .claim(RunId)
+                 .ok())
+          return false;
+    }
+  }
   Pids.assign(Opt.Shards, -1);
   for (unsigned K = 0; K < Opt.Shards; ++K)
     Layout.slot(Region.data(), K)

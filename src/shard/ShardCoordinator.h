@@ -73,7 +73,9 @@ struct ShardOptions {
   unsigned CheckpointEvery = 0;
   unsigned CheckpointKeep = 3;
   /// Resume every shard from the latest generation common to all the
-  /// per-shard stores (fresh start when none exists).
+  /// per-shard stores of one run (fresh start when none exists).  A
+  /// fresh start claims the stores for a new run id, deleting an earlier
+  /// run's generations, so recovery only ever rewinds onto this run's.
   bool Resume = false;
   /// Reserve the per-shard full-storage dump section so tests can read
   /// ghost rows back (exportShardStorage).
@@ -175,6 +177,8 @@ private:
   /// was written, making that checkpoint's clock stale.
   bool snapRecordedAfter(uint64_t Steps) const;
   void syncClock();
+  /// Newest generation of shard \p K's store, or of all stores; only
+  /// stores stamped with this fleet's RunId count.
   uint64_t latestGeneration(unsigned K) const;
   uint64_t latestCommonGeneration() const;
   std::string shardDir(unsigned K) const;
@@ -201,6 +205,8 @@ private:
   unsigned FullRestarts = 0;
   bool Started = false;
   bool Dead = false;
+  /// The run id the per-shard stores carry (CheckpointStore::claim).
+  std::string RunId;
 };
 
 } // namespace sacfd

@@ -181,7 +181,7 @@ private:
   /// shape extended by one along the axis).  Piecewise-constant
   /// reconstruction takes the kernel path — whole face rows through
   /// kernels::fluxFaces, vectorized on unit-stride runs; every other
-  /// scheme runs the stencil-gather with-loop (stencilFluxWithLoop).
+  /// scheme runs the staged-window with-loop (stencilFluxWithLoop).
   Field<Dim> fluxAlongFused(unsigned Axis) {
     const Gas &Gas_ = this->Prob.G;
     const SchemeConfig &SC = this->Scheme;
@@ -227,23 +227,24 @@ private:
   }
 
   /// The genarray with-loop of the paper over the face space \p Faces
-  /// of \p Axis: gather each face's 6-cell stencil along the axis,
-  /// reconstruct, solve the face Riemann problem, and hand the flux to
+  /// of \p Axis: reconstruct each face from its 6-cell stencil along the
+  /// axis, solve the face Riemann problem, and hand the flux to
   /// \p Emit(FaceLinear, Flux).  Each block the backend deals (a tile
   /// in 2D, so --tile applies) is cut into runs of faces along one line;
-  /// a run stages its window once and slides the stencil over it
-  /// (EulerSolver::stageLineWindow, shared with the fused engine).  A
-  /// face's stencil does not depend on the run it falls in, so any
-  /// blocking writes bit-identical fluxes.
+  /// a run stages its window once and computes its flux row through the
+  /// reconstructFaces + fluxFaces kernels (EulerSolver::lineFaceFluxes,
+  /// shared with the fused engine).  A face's stencil does not depend on
+  /// the run it falls in, so any blocking writes bit-identical fluxes.
   template <typename EmitFn>
   void stencilFluxWithLoop(unsigned Axis, const Shape &Faces, EmitFn Emit) {
     // Faces [FaceBegin, FaceBegin + Len) of line Line, the first of
     // which sits at face-space offset OutBase, the rest OutStride apart.
     auto Run = [&](size_t Line, size_t FaceBegin, size_t Len, size_t OutBase,
                    size_t OutStride) {
-      const Cons<Dim> *W = this->stageLineWindow(Axis, Line, FaceBegin, Len);
+      kernels::ConstRun<Dim> Flux =
+          this->lineFaceFluxes(Axis, Line, FaceBegin, Len);
       for (size_t F = 0; F < Len; ++F)
-        Emit(OutBase + F * OutStride, this->stencilFlux(W + F, Axis));
+        Emit(OutBase + F * OutStride, kernels::loadCons<Dim>(Flux, F));
     };
     if constexpr (Dim == 1) {
       this->Exec.parallelFor(0, Faces.count(), [&](size_t B, size_t E) {
@@ -389,7 +390,7 @@ private:
     }
   }
 
-  /// Materialized flux array along \p Axis: the stencil-gather with-loop
+  /// Materialized flux array along \p Axis: the staged-window with-loop
   /// writing an explicit NDArray temporary.
   FieldPool::Lease<Cons<Dim>> fluxAlongMaterialized(unsigned Axis) {
     Shape Faces = this->Prob.Domain.interiorShape();

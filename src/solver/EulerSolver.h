@@ -298,19 +298,40 @@ protected:
     return Base;
   }
 
-  /// The higher-order face path both engines share.  Stages the stencil
-  /// window of faces [FaceBegin, FaceBegin + Faces) of line \p Line
-  /// along \p Axis: entry K is the cell at axis offset FaceBegin + K - 3
-  /// from interior 0, clamped into storage (outermost cells are never
-  /// read by the implemented schemes), so face FaceBegin + f's 6-cell
-  /// stencil is entries f..f+5 — feed them to stencilFlux().  Staging
-  /// loads each cell's planes once instead of six times.  The row is a
-  /// per-worker-thread, grown-only scratch (allocated once per thread on
-  /// persistent pools, re-paid by transient fork-join teams); every slot
-  /// is written before it is read, and it is valid until the calling
-  /// thread's next call.
-  const Cons<Dim> *stageLineWindow(unsigned Axis, size_t Line,
-                                   size_t FaceBegin, size_t Faces) const {
+  /// The face path both engines share for every reconstruction but the
+  /// piecewise-constant kernel sweeps: the fluxes of faces [FaceBegin,
+  /// FaceBegin + Faces) of line \p Line along \p Axis.  The line's
+  /// stencil window is staged once into SoA planes (stageLineWindow),
+  /// kernels::reconstructFaces turns it into the faces' left/right states
+  /// and kernels::fluxFaces solves their Riemann problems, all on
+  /// unit-stride runs, so the SIMD build vectorizes the whole path.  The
+  /// window and the three face rows are one per-worker-thread, grown-only
+  /// scratch (fluxScratchRow); the returned flux row is valid until the
+  /// calling thread's next call.
+  kernels::ConstRun<Dim> lineFaceFluxes(unsigned Axis, size_t Line,
+                                        size_t FaceBegin, size_t Faces) const {
+    const size_t Len = Faces + 5;
+    kernels::Run<Dim> Win = fluxScratchRow<Dim>(0, 4, Len);
+    kernels::Run<Dim> L = fluxScratchRow<Dim>(1, 4, Len);
+    kernels::Run<Dim> R = fluxScratchRow<Dim>(2, 4, Len);
+    kernels::Run<Dim> F = fluxScratchRow<Dim>(3, 4, Len);
+    stageLineWindow(Axis, Line, FaceBegin, Len, Win);
+    kernels::reconstructFaces<Dim>(Win, L, R, Prob.G, Axis, Scheme.Recon,
+                                   Scheme.Limiter, Scheme.Vars, Faces,
+                                   SimdEnabled);
+    kernels::fluxFaces<Dim>(L, R, F, Prob.G, Axis, Scheme.Riemann, Faces,
+                            SimdEnabled);
+    return F;
+  }
+
+  /// Stages \p Len window cells of line \p Line along \p Axis into the
+  /// SoA planes \p Dst: window cell K is the cell at axis offset
+  /// FaceBegin + K - 3 from interior 0, clamped into storage (outermost
+  /// cells are never read by the implemented schemes), so face
+  /// FaceBegin + f's 6-cell stencil is window cells f..f+5.  Staging
+  /// loads each cell's planes once instead of six times.
+  void stageLineWindow(unsigned Axis, size_t Line, size_t FaceBegin,
+                       size_t Len, const kernels::Run<Dim> &Dst) const {
     const std::ptrdiff_t AxisStride =
         static_cast<std::ptrdiff_t>(StorageStride[Axis]);
     const std::ptrdiff_t Lo = -static_cast<std::ptrdiff_t>(Ng);
@@ -318,26 +339,16 @@ protected:
         static_cast<std::ptrdiff_t>(StorageDim[Axis]) - 1 + Lo;
     const std::ptrdiff_t Base =
         static_cast<std::ptrdiff_t>(lineStorageBase(Axis, Line));
-    size_t Len = Faces + 5;
-    static thread_local NDArray<Cons<Dim>> Window;
-    if (Window.size() < Len)
-      Window.reshapeDiscard(Shape{Len});
-    Cons<Dim> *W = Window.data();
-    for (size_t K = 0; K < Len; ++K) {
-      std::ptrdiff_t Off = static_cast<std::ptrdiff_t>(FaceBegin + K) - 3;
-      W[K] = U.load(
-          static_cast<size_t>(Base + std::clamp(Off, Lo, Hi) * AxisStride));
+    const std::ptrdiff_t First = static_cast<std::ptrdiff_t>(FaceBegin) - 3;
+    kernels::ConstRun<Dim> Src = U.crun();
+    for (unsigned K = 0; K < NumVars<Dim>; ++K) {
+      const double *S = Src.C[K] + Base;
+      double *D = Dst.C[K];
+      for (size_t I = 0; I < Len; ++I) {
+        std::ptrdiff_t Off = First + static_cast<std::ptrdiff_t>(I);
+        D[I] = S[std::clamp(Off, Lo, Hi) * AxisStride];
+      }
     }
-    return W;
-  }
-
-  /// Numerical flux of the face whose 6-cell stencil starts at \p W.
-  Cons<Dim> stencilFlux(const Cons<Dim> *W, unsigned Axis) const {
-    std::array<Cons<Dim>, 6> Stencil;
-    std::copy_n(W, 6, Stencil.begin());
-    FaceStates<Dim> FS = reconstructFaceStates(
-        Scheme.Recon, Scheme.Limiter, Scheme.Vars, Stencil, Prob.G, Axis);
-    return numericalFlux(Scheme.Riemann, FS.L, FS.R, Prob.G, Axis);
   }
 
   /// Called whenever restoreClock rewinds or overwrites the clock (step-

@@ -23,10 +23,11 @@
 ///
 /// The loop bodies themselves are the shared kernels:: layer: snapshot,
 /// RHS zeroing, the SSP update and the GetDT reduction always run as
-/// contiguous line runs, and under piecewise-constant reconstruction the
-/// face fluxes do too, so the hot loops execute the vectorized kernel
-/// build.  Higher-order schemes keep a per-face stencil gather for
-/// reconstruction, sliding over one staged copy of each line.
+/// contiguous line runs, and so do the face fluxes: piecewise-constant
+/// reconstruction reads face rows straight from the field, every other
+/// scheme stages each line's stencil window once and runs it through
+/// reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes), so the hot
+/// loops execute the vectorized kernel build.
 ///
 /// On a TaskBackend the engine additionally offers a dependency-DAG step
 /// mode (enableDagStepping): one step becomes per-tile snapshot, flux and
@@ -191,8 +192,8 @@ private:
       Res = Field<Dim>(this->Pool, G.interiorShape(), FieldInit::Uninit);
   }
 
-  /// True when the \p Axis sweep runs whole face rows through
-  /// kernels::fluxFaces instead of gathering stencils per face: the
+  /// True when the \p Axis sweep feeds kernels::fluxFaces straight from
+  /// the field instead of staging stencil windows: the
   /// reconstruction must be piecewise-constant (face states are the
   /// adjacent cells), and the face rows must be contiguous in storage —
   /// the last axis always is; a 2D axis-0 sweep is restructured into
@@ -204,9 +205,11 @@ private:
 
   /// One directional sweep over lines [LineBegin, LineEnd) x cells
   /// [CellBegin, CellEnd): per line, compute all bounding face fluxes
-  /// into a scratch buffer, then accumulate the flux differences into
-  /// the RHS.  This is the fused Fortran structure: flux and difference
-  /// in one pass over the line, no global flux array.  Each cell's
+  /// into a scratch row, then accumulate the flux differences into
+  /// the RHS (accumDivergence along the last axis, a strided per-cell
+  /// loop along the others).  This is the fused Fortran structure:
+  /// flux and difference in one pass over the line, no global flux
+  /// array.  Each cell's
   /// update reads faces I and I+1 computed from the same clamped
   /// stencils regardless of the sub-range, so tiled, flattened and
   /// task-decomposed sweeps are bit-identical (sub-range boundary faces
@@ -224,32 +227,28 @@ private:
     }
 
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
-    // Faces CellBegin..CellEnd inclusive bound this cell sub-range;
-    // local face f is global face CellBegin + f, gathered from the
-    // line's staged window.  The face-flux row is a per-worker-thread,
-    // grown-only scratch like the window; every slot is written before
-    // it is read.
+    // Faces CellBegin..CellEnd inclusive bound this cell sub-range; local
+    // face f is global face CellBegin + f.
     size_t LocalFaces = (CellEnd - CellBegin) + 1;
-    static thread_local NDArray<Cons<Dim>> FluxScratch;
-    if (FluxScratch.size() < LocalFaces)
-      FluxScratch.reshapeDiscard(Shape{LocalFaces});
-    Cons<Dim> *FluxLine = FluxScratch.data();
     for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
-      const Cons<Dim> *W =
-          this->stageLineWindow(Axis, Line, CellBegin, LocalFaces);
-      for (size_t F = 0; F < LocalFaces; ++F)
-        FluxLine[F] = this->stencilFlux(W + F, Axis);
-
+      kernels::ConstRun<Dim> Flux =
+          this->lineFaceFluxes(Axis, Line, CellBegin, LocalFaces);
       size_t RBase = this->lineInteriorBase(Axis, Line);
-      std::ptrdiff_t RStride =
-          static_cast<std::ptrdiff_t>(this->InteriorStride[Axis]);
-      for (size_t I = CellBegin; I != CellEnd; ++I) {
-        size_t LocalF = I - CellBegin;
-        size_t RI = static_cast<size_t>(
-            static_cast<std::ptrdiff_t>(RBase) +
-            static_cast<std::ptrdiff_t>(I) * RStride);
-        Res.store(RI, Res.load(RI) -
-                          (FluxLine[LocalF + 1] - FluxLine[LocalF]) * InvDx);
+      if (Axis == Dim - 1) {
+        // The line's cells are contiguous in the RHS too.
+        kernels::accumDivergence<Dim>(Res.run(RBase + CellBegin), Flux,
+                                      kernels::advance(Flux, 1), InvDx,
+                                      CellEnd - CellBegin, this->SimdEnabled);
+      } else if constexpr (Dim > 1) {
+        size_t RStride = this->InteriorStride[Axis];
+        for (size_t I = CellBegin; I != CellEnd; ++I) {
+          size_t LocalF = I - CellBegin;
+          size_t RI = RBase + I * RStride;
+          Res.store(RI, Res.load(RI) -
+                            (kernels::loadCons<Dim>(Flux, LocalF + 1) -
+                             kernels::loadCons<Dim>(Flux, LocalF)) *
+                                InvDx);
+        }
       }
     }
   }
@@ -258,7 +257,7 @@ private:
   /// over the bounding faces (unit-stride SoA scratch, so the SIMD
   /// mirror applies), then one accumDivergence run into the RHS.  Face
   /// values and the per-cell accumulation are bit-identical to the
-  /// gather form — the kernels mirror numericalFlux term for term.
+  /// staged form — the kernels mirror numericalFlux term for term.
   void sweepRangeKernelLastAxis(size_t LineBegin, size_t LineEnd,
                                 size_t CellBegin, size_t CellEnd) {
     constexpr unsigned Axis = Dim - 1;
@@ -285,7 +284,7 @@ private:
   /// (lines = columns, cells = rows), so contiguous runs go across the
   /// line range: face row f is computed once into a rolling two-row
   /// scratch, and cell row i consumes face rows i and i+1.  Same face
-  /// values, same single accumulation per cell as the gather form.
+  /// values, same single accumulation per cell as the staged form.
   void sweepRangeKernelAxis0(size_t LineBegin, size_t LineEnd,
                              size_t CellBegin, size_t CellEnd) {
     static_assert(Dim == 2, "axis-0 kernel sweep is the 2D restructure");

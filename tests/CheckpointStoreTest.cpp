@@ -300,3 +300,39 @@ TEST(CheckpointStore, ManifestWriteFailureStillKeepsTheCheckpoint) {
   EXPECT_EQ(Out.LoadedSteps, 2u);
   fs::remove_all(Dir);
 }
+
+TEST(CheckpointStore, ClaimClearsAnEarlierRunAndStampsItsId) {
+  std::string Dir = freshDir("store_claim");
+  ArraySolver<1> S(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
+  {
+    CheckpointStore Earlier(Dir, /*Keep=*/3);
+    S.advanceSteps(4);
+    ASSERT_TRUE(Earlier.write(S).ok());
+    S.advanceSteps(4);
+    ASSERT_TRUE(Earlier.write(S).ok());
+    EXPECT_EQ(Earlier.runId(), "") << "no run claimed the store yet";
+  }
+  { std::ofstream(Dir + "/notes.txt") << "not ours\n"; }
+
+  ArraySolver<1> Fresh(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
+  CheckpointStore Store(Dir, /*Keep=*/3);
+  ASSERT_TRUE(Store.claim("run-b").ok());
+  EXPECT_TRUE(Store.generations().empty())
+      << "the earlier run's newer generations must be gone";
+  EXPECT_TRUE(fs::exists(Dir + "/notes.txt")) << "foreign files survive";
+  Fresh.advanceSteps(2);
+  ASSERT_TRUE(Store.write(Fresh).ok());
+  ASSERT_EQ(Store.generations().size(), 1u);
+  EXPECT_EQ(Store.generations()[0].Steps, 2u);
+  EXPECT_EQ(Store.runId(), "run-b");
+
+  // A resumed run adopts the stamp it finds and keeps writing it.
+  CheckpointStore Resumed(Dir, /*Keep=*/3);
+  Resumed.adopt(Resumed.runId());
+  Fresh.advanceSteps(1);
+  ASSERT_TRUE(Resumed.write(Fresh).ok());
+  EXPECT_EQ(Resumed.runId(), "run-b");
+  EXPECT_EQ(Resumed.generations().size(), 2u);
+  EXPECT_NE(CheckpointStore::newRunId(), CheckpointStore::newRunId());
+  fs::remove_all(Dir);
+}

@@ -458,10 +458,45 @@ TEST_F(DeterminismTest, LayoutSimdInteraction2DFusedSolver) {
 }
 
 TEST_F(DeterminismTest, LayoutSimdFigureSchemeInteraction2DArraySolver) {
-  // WENO3 keeps the flux on the stencil-gather path; the SSP update,
-  // GetDT and field accessors still route through the kernels.
+  // WENO3 runs the staged-window face path: reconstructFaces feeding
+  // fluxFaces, both on the kernel build under test, from every block and
+  // tile run the backends deal.
   checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
                                   SchemeConfig::figureScheme(), 4);
+}
+
+// The higher-order SIMD arm end to end on the fused engine: the Mach 10
+// double-Mach shock with its time-dependent Prescribed top boundary,
+// on 20x5 and 32x8 grids (ragged kernel tails along both axes), for the
+// figure scheme, WENO5 and a compressive TVD3 limiter.  (Characteristic
+// WENO5 turns the 20x5 shock into NaNs in its first step, under either
+// kernel build, so its row runs the finer grid.)
+namespace {
+SchemeConfig doubleMachScheme(ReconstructionKind Recon, LimiterKind Limiter) {
+  SchemeConfig C = SchemeConfig::figureScheme();
+  C.Recon = Recon;
+  C.Limiter = Limiter;
+  C.Cfl = 0.3;
+  return C;
+}
+} // namespace
+
+TEST_F(DeterminismTest, LayoutSimdFigureSchemeDoubleMachFusedSolver) {
+  checkSimdMatrix<FusedSolver<2>>(
+      doubleMachReflection(5),
+      doubleMachScheme(ReconstructionKind::Weno3, LimiterKind::MinMod), 4);
+}
+
+TEST_F(DeterminismTest, LayoutSimdWeno5DoubleMachFusedSolver) {
+  checkSimdMatrix<FusedSolver<2>>(
+      doubleMachReflection(8, 3),
+      doubleMachScheme(ReconstructionKind::Weno5, LimiterKind::MinMod), 4);
+}
+
+TEST_F(DeterminismTest, LayoutSimdTvd3SuperbeeDoubleMachFusedSolver) {
+  checkSimdMatrix<FusedSolver<2>>(
+      doubleMachReflection(5),
+      doubleMachScheme(ReconstructionKind::Tvd3, LimiterKind::Superbee), 4);
 }
 
 TEST_F(DeterminismTest, LayoutSimdTiledInteraction2DArraySolver) {

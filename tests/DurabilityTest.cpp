@@ -235,6 +235,33 @@ TEST(Durability, PeriodicCheckpointingIsBitIdentical) {
   fs::remove_all(Dir);
 }
 
+// A fresh run in a directory an earlier, longer run left behind must
+// not be shadowed by that run's newer generations: neither in rotation
+// (which keeps the newest) nor in a later --resume.
+TEST(Durability, FreshRunClaimsADirtyCheckpointDir) {
+  std::string Dir = freshDir("dirty_dir");
+  {
+    SolverRun<1> Earlier(killProblem<1>(),
+                         durableConfig<1>(BackendKind::Serial, 1, Dir, 2));
+    ASSERT_TRUE(setupDurableRun(Earlier).Ok);
+    ASSERT_TRUE(Earlier.advanceSteps(10));
+  }
+  SolverRun<1> Fresh(killProblem<1>(),
+                     durableConfig<1>(BackendKind::Serial, 1, Dir, 2));
+  ASSERT_TRUE(setupDurableRun(Fresh).Ok);
+  ASSERT_TRUE(Fresh.advanceSteps(4));
+
+  RunConfig Cfg = durableConfig<1>(BackendKind::Serial, 1, Dir, 2);
+  Cfg.Checkpoint.Resume = true;
+  SolverRun<1> Resumed(killProblem<1>(), Cfg);
+  DurabilitySetup Setup = setupDurableRun(Resumed);
+  ASSERT_TRUE(Setup.Ok);
+  ASSERT_TRUE(Setup.Resumed);
+  EXPECT_EQ(Setup.ResumeSteps, 4u);
+  EXPECT_EQ(maxFieldDifference(Fresh.solver(), Resumed.solver()), 0.0);
+  fs::remove_all(Dir);
+}
+
 TEST(Durability, GuardedPeriodicCheckpointingIsBitIdentical) {
   std::string Dir = freshDir("periodic_guarded");
 

@@ -10,7 +10,8 @@
 //      and ragged run lengths (tails shorter than any vector width
 //      included);
 //   2. scalarimpl:: == the reference per-cell arithmetic the engines
-//      always ran (Cons operators, numericalFlux), so routing a stage
+//      always ran (Cons operators, numericalFlux, reconstructFaceStates),
+//      so routing a stage
 //      through kernels:: cannot move a single bit;
 //   3. non-finite states (the step-guard's world) keep 1 and 2 true.
 //
@@ -27,6 +28,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace sacfd;
@@ -88,6 +90,26 @@ void expectBitEqual(const std::vector<Cons<Dim>> &Want,
   for (size_t I = 0; I < N; ++I)
     for (unsigned K = 0; K < NumVars<Dim>; ++K) {
       double X = Want[I].comp(K), Y = Got.at(I).comp(K);
+      ASSERT_EQ(std::memcmp(&X, &Y, sizeof X), 0)
+          << What << " N=" << N << " cell " << I << " comp " << K << ": "
+          << X << " != " << Y;
+    }
+}
+
+/// As expectBitEqual, except that any two NaNs match.  IEEE 754 leaves
+/// the sign and payload of a NaN result unspecified when NaN operands
+/// meet, and the compiler commutes + and * operands in either build, so
+/// only NaN-ness is reproducible.  No select in the kernels reads a NaN's
+/// sign, so every non-NaN result stays held to its exact bits.
+template <unsigned Dim>
+void expectBitEqualUpToNaN(const std::vector<Cons<Dim>> &Want,
+                           const Buffers<Dim> &Got, size_t N,
+                           const std::string &What) {
+  for (size_t I = 0; I < N; ++I)
+    for (unsigned K = 0; K < NumVars<Dim>; ++K) {
+      double X = Want[I].comp(K), Y = Got.at(I).comp(K);
+      if (std::isnan(X) && std::isnan(Y))
+        continue;
       ASSERT_EQ(std::memcmp(&X, &Y, sizeof X), 0)
           << What << " N=" << N << " cell " << I << " comp " << K << ": "
           << X << " != " << Y;
@@ -198,6 +220,140 @@ TEST(Kernels, FluxHllcBrokenStates) {
 }
 TEST(Kernels, FluxRusanovBrokenStates) {
   checkFluxFaces<2>(RiemannKind::Rusanov, 79, true);
+}
+
+// -------------------------------------------------------------------------
+// reconstructFaces: scalar == simd == reconstructFaceStates on each
+// face's 6-cell stencil, for every scheme x limiter, every axis, ragged
+// run lengths.
+
+struct ReconScheme {
+  ReconstructionKind Kind;
+  LimiterKind Limiter;
+};
+
+std::vector<ReconScheme> reconSchemes() {
+  std::vector<ReconScheme> Out;
+  for (ReconstructionKind K :
+       {ReconstructionKind::Tvd2, ReconstructionKind::Tvd3})
+    for (LimiterKind L : {LimiterKind::MinMod, LimiterKind::Superbee,
+                          LimiterKind::VanLeer, LimiterKind::Mc})
+      Out.push_back({K, L});
+  Out.push_back({ReconstructionKind::Weno3, LimiterKind::MinMod});
+  Out.push_back({ReconstructionKind::Weno5, LimiterKind::MinMod});
+  return Out;
+}
+
+// States that break the face eigensystem: zero and negative density
+// (the roeAverage sqrt clamps, 1/(0+0)) and negative pressure (c^2 < 0
+// clamps to c = 0, so B1 = (gamma-1)/c^2 is infinite), mixed with
+// physical neighbours.
+template <unsigned Dim>
+std::vector<Cons<Dim>> brokenFaceStates(size_t N, uint64_t Seed) {
+  std::vector<Cons<Dim>> Out = randomStates<Dim>(N, Seed, false);
+  std::mt19937_64 Rng(Seed + 99);
+  for (size_t I = 0; I < N; ++I) {
+    switch (Rng() % 4) {
+    case 0:
+      Out[I].Rho = 0.0;
+      break;
+    case 1:
+      Out[I].Rho = -Out[I].Rho;
+      break;
+    case 2:
+      Out[I].E = -Out[I].E; // negative pressure
+      break;
+    default:
+      break;
+    }
+  }
+  return Out;
+}
+
+/// \returns how many reference face components were NaN and how many
+/// were finite, so the broken-state rows can show they cover both.
+template <unsigned Dim>
+std::pair<size_t, size_t>
+checkReconstructFaces(ReconScheme Scheme, ReconstructVariables Vars,
+                      const std::vector<Cons<Dim>> &Cells,
+                      bool NaNAgnostic = false) {
+  size_t NaNs = 0, Finite = 0;
+  Gas G;
+  std::string Name = std::string(reconstructionKindName(Scheme.Kind)) + "/" +
+                     limiterKindName(Scheme.Limiter);
+  for (size_t N = 1; N + 5 <= Cells.size(); ++N) {
+    std::vector<Cons<Dim>> Win(Cells.begin(), Cells.begin() + N + 5);
+    for (unsigned Axis = 0; Axis < Dim; ++Axis) {
+      std::vector<Cons<Dim>> RefL(N), RefR(N);
+      for (size_t I = 0; I < N; ++I) {
+        std::array<Cons<Dim>, 6> Stencil;
+        for (unsigned C = 0; C < 6; ++C)
+          Stencil[C] = Win[I + C];
+        FaceStates<Dim> FS = reconstructFaceStates(
+            Scheme.Kind, Scheme.Limiter, Vars, Stencil, G, Axis);
+        RefL[I] = FS.L;
+        RefR[I] = FS.R;
+        for (unsigned K = 0; K < NumVars<Dim>; ++K)
+          for (double V : {FS.L.comp(K), FS.R.comp(K)}) {
+            NaNs += std::isnan(V);
+            Finite += std::isfinite(V);
+          }
+      }
+      for (bool Simd : {false, true}) {
+        Buffers<Dim> Bw(Win), Bl{std::vector<Cons<Dim>>(N)},
+            Br{std::vector<Cons<Dim>>(N)};
+        reconstructFaces<Dim>(Bw.crun(), Bl.run(), Br.run(), G, Axis,
+                              Scheme.Kind, Scheme.Limiter, Vars, N, Simd);
+        std::string What = Name + " simd=" + std::to_string(Simd) +
+                           " axis=" + std::to_string(Axis);
+        if (NaNAgnostic) {
+          expectBitEqualUpToNaN(RefL, Bl, N, What + " L");
+          expectBitEqualUpToNaN(RefR, Br, N, What + " R");
+        } else {
+          expectBitEqual(RefL, Bl, N, What + " L");
+          expectBitEqual(RefR, Br, N, What + " R");
+        }
+      }
+    }
+  }
+  return {NaNs, Finite};
+}
+
+// Ragged run lengths 1..9: windows of 6..14 cells.
+template <unsigned Dim> void checkReconstructAllSchemes(uint64_t Seed) {
+  for (ReconScheme S : reconSchemes())
+    checkReconstructFaces<Dim>(S, ReconstructVariables::Characteristic,
+                               randomStates<Dim>(14, Seed, false));
+}
+
+TEST(Kernels, ReconstructFaces1D) { checkReconstructAllSchemes<1>(107); }
+TEST(Kernels, ReconstructFaces2D) { checkReconstructAllSchemes<2>(109); }
+TEST(Kernels, ReconstructFaces3D) { checkReconstructAllSchemes<3>(113); }
+
+TEST(Kernels, ReconstructFacesBrokenStates) {
+  // Broken faces yield NaNs that meet other NaNs in the projection sums,
+  // so NaN results match as NaNs; every finite result (the clamps' c = 0
+  // and infinite B1 included) must still match bit for bit.
+  for (ReconScheme S : reconSchemes()) {
+    auto [NaNs2, Finite2] = checkReconstructFaces<2>(
+        S, ReconstructVariables::Characteristic, brokenFaceStates<2>(14, 127),
+        true);
+    auto [NaNs3, Finite3] = checkReconstructFaces<3>(
+        S, ReconstructVariables::Characteristic, brokenFaceStates<3>(14, 131),
+        true);
+    EXPECT_GT(NaNs2 + NaNs3, 0u) << "no face broke";
+    EXPECT_GT(Finite2 + Finite3, 0u) << "every face broke";
+    // NaN cells too (the step guard's world).
+    checkReconstructFaces<2>(S, ReconstructVariables::Characteristic,
+                             randomStates<2>(14, 137, true), true);
+  }
+}
+
+TEST(Kernels, ReconstructFacesPrimitiveVariables) {
+  // The ablation mode runs the reference loop under both dispatches.
+  for (ReconScheme S : reconSchemes())
+    checkReconstructFaces<2>(S, ReconstructVariables::Primitive,
+                             randomStates<2>(14, 139, false));
 }
 
 // -------------------------------------------------------------------------

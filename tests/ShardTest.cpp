@@ -407,6 +407,43 @@ TEST(ShardFault, RewindReplayPreservesAdvanceToClamp) {
   EXPECT_TRUE(sameBits(Coord.time(), Ref.solver().time()));
 }
 
+// A fresh fleet in a directory whose stores hold an earlier run's newer
+// generations (steps 6..8 here) claims the stores: the killed shard
+// restarts from this run's own step-3 checkpoint instead of rewinding
+// the fleet onto the earlier run's step 8, and a later resume continues
+// this run.
+TEST(ShardFault, FreshRunIgnoresAnEarlierRunsNewerGenerations) {
+  Problem<2> P = shockInteraction2D(32);
+  SchemeConfig Scheme = SchemeConfig::figureScheme();
+  SolverRun<2> Ref = referenceRun(P, Scheme, 6);
+  const std::string Dir = freshDir("shard-foreign");
+  ShardOptions Opt = shardOptions(Scheme, 2);
+  Opt.CheckpointDir = Dir;
+  Opt.CheckpointEvery = 1;
+  {
+    ShardCoordinator Earlier(P, Opt);
+    ASSERT_TRUE(Earlier.start());
+    ASSERT_TRUE(Earlier.advanceSteps(8));
+  }
+  {
+    ShardCoordinator Coord(P, Opt);
+    ASSERT_TRUE(Coord.start());
+    EXPECT_EQ(Coord.stepCount(), 0u);
+    ASSERT_TRUE(Coord.advanceSteps(3));
+    Coord.killShard(1);
+    ASSERT_TRUE(Coord.advanceSteps(3));
+    EXPECT_EQ(Coord.stepCount(), 6u);
+    EXPECT_EQ(Coord.restartCount(), 1u);
+    EXPECT_EQ(Coord.fullRestartCount(), 0u);
+    EXPECT_EQ(Coord.stateHash(), fieldStateHash(Ref.solver()));
+  }
+  Opt.Resume = true;
+  ShardCoordinator Resumed(P, Opt);
+  ASSERT_TRUE(Resumed.start());
+  EXPECT_EQ(Resumed.stepCount(), 6u);
+  EXPECT_EQ(Resumed.stateHash(), fieldStateHash(Ref.solver()));
+}
+
 // A whole new coordinator resumes the fleet from the per-shard stores
 // (latest common generation) and continues bit-identically.
 TEST(ShardFault, ResumeAcrossCoordinators) {
