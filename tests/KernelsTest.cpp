@@ -11,9 +11,10 @@
 //      included);
 //   2. scalarimpl:: == the reference per-cell arithmetic the engines
 //      always ran (Cons operators, numericalFlux, reconstructFaceStates),
-//      so routing a stage
-//      through kernels:: cannot move a single bit;
-//   3. non-finite states (the step-guard's world) keep 1 and 2 true.
+//      so routing a stage through kernels:: cannot move a single bit;
+//   3. non-finite states (the step-guard's world) keep 1 and 2 true,
+//      except that reconstructFaces' NaN results match as NaNs only
+//      (expectBitEqualUpToNaN says why).
 //
 //===----------------------------------------------------------------------===//
 
