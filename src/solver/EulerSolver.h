@@ -28,7 +28,6 @@
 #define SACFD_SOLVER_EULERSOLVER_H
 
 #include "array/FieldPool.h"
-#include "array/NDArray.h"
 #include "runtime/Backend.h"
 #include "solver/Field.h"
 #include "solver/Problem.h"
