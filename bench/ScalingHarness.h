@@ -108,9 +108,7 @@ inline int runScalingExperiment(const ScalingOptions &Opt) {
   std::printf("# models: sac = array solver on persistent spin pool; "
               "fortran = fused solver on per-loop fork-join\n");
   if (Opt.Base.TileCfg.Enabled)
-    std::printf("# 2D tiling: %s, dealing %s\n",
-                Opt.Base.TileCfg.str().c_str(),
-                Opt.Base.TileCfg.Dealing.str().c_str());
+    std::printf("# 2D tiling: %s\n", Opt.Base.TileCfg.str().c_str());
   std::printf("# host hardware threads: %u (thread counts beyond this "
               "measure oversubscribed dispatch overhead only)\n",
               hardwareThreadCount());

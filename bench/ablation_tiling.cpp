@@ -1,14 +1,19 @@
-//===- bench/ablation_tiling.cpp - A4: 2D tile-schedule sweep -------------===//
+//===- bench/ablation_tiling.cpp - A5: 2D tiling vs row flattening --------===//
 //
-// A5: prices the tile-scheduled 2D runtime against the legacy
-// row-flattened execution on the Fig. 4 hot loops.  For each backend the
-// sweep runs the 2D shock-interaction workload with tiling off (the
-// row-flattening baseline), then across tile sizes and tile-dealing
-// schedules, and reports every configuration's wall clock relative to
-// that backend's flattened baseline.  Determinism makes this a pure
-// performance knob — every row computes bit-identical fields — so the
-// acceptance question is simply whether tiled execution reaches parity
-// or better.
+// A5: prices the tiled 2D runtime against the legacy row-flattened
+// execution on the Fig. 4 hot loops.  For each backend the sweep runs
+// the 2D shock-interaction workload with tiling off (the row-flattening
+// baseline), with `--tile auto`, and at a few fixed tile sizes, and
+// reports every configuration's wall clock relative to that backend's
+// flattened baseline.  Determinism makes this a pure performance knob —
+// every row computes bit-identical fields.
+//
+// The verdict compares `auto` alone against flat: picking the best of
+// several tiled configurations after the fact would credit tiling with
+// whichever configuration the noise favoured.  Repeats are interleaved
+// across the configurations (min per configuration wins), so drift over
+// the run hits every row alike.  Tiles are dealt by each backend's own
+// partitioner under its default static schedule.
 //
 // --json writes the table as a machine-readable artifact
 // (artifacts/BENCH_tiling.json in CI).
@@ -20,7 +25,9 @@
 #include "support/CommandLine.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -31,23 +38,17 @@ namespace {
 struct TilingRow {
   std::string Backend;
   std::string TileSpec;
-  std::string Dealing;
   double Seconds;
   double VsFlat; ///< Seconds / the same backend's tile-off seconds
 };
 
-double runOnce(const RunConfig &Cfg, size_t Cells, unsigned Steps,
-               unsigned Repeats) {
-  TimingSamples Samples;
-  for (unsigned Rep = 0; Rep < Repeats; ++Rep) {
-    Problem<2> Prob = shockInteraction2D(Cells, 2.2,
-                                         static_cast<double>(Cells) / 2.0);
-    SolverRun<2> Run = makeSolverRun(Prob, Cfg);
-    WallTimer Timer;
-    Run.advanceSteps(Steps);
-    Samples.add(Timer.seconds());
-  }
-  return Samples.min();
+double runOnce(const RunConfig &Cfg, size_t Cells, unsigned Steps) {
+  Problem<2> Prob =
+      shockInteraction2D(Cells, 2.2, static_cast<double>(Cells) / 2.0);
+  SolverRun<2> Run = makeSolverRun(Prob, Cfg);
+  WallTimer Timer;
+  Run.advanceSteps(Steps);
+  return Timer.seconds();
 }
 
 bool writeJson(const std::string &Path, size_t Cells, unsigned Steps,
@@ -64,10 +65,9 @@ bool writeJson(const std::string &Path, size_t Cells, unsigned Steps,
     const TilingRow &R = Rows[I];
     std::fprintf(F,
                  "    {\"backend\": \"%s\", \"tile\": \"%s\", "
-                 "\"dealing\": \"%s\", \"seconds\": %.6f, "
-                 "\"vs_flat\": %.4f}%s\n",
-                 R.Backend.c_str(), R.TileSpec.c_str(), R.Dealing.c_str(),
-                 R.Seconds, R.VsFlat, I + 1 < Rows.size() ? "," : "");
+                 "\"seconds\": %.6f, \"vs_flat\": %.4f}%s\n",
+                 R.Backend.c_str(), R.TileSpec.c_str(), R.Seconds, R.VsFlat,
+                 I + 1 < Rows.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");
   std::fclose(F);
@@ -80,18 +80,19 @@ int main(int Argc, const char **Argv) {
   bool Full = false;
   int Cells = 160;
   unsigned Steps = 30;
-  unsigned Repeats = 1;
+  unsigned Repeats = 3;
   std::string JsonPath;
   RunConfig Cfg;
   Cfg.Scheme = SchemeConfig::benchmarkScheme();
 
   CommandLine CL("ablation_tiling",
-                 "A5: tile size x dealing x backend sweep of the "
-                 "2D runtime vs row-flattened execution");
+                 "A5: tile size x backend sweep of the 2D runtime vs "
+                 "row-flattened execution");
   CL.addFlag("full", Full, "larger grid and more steps");
   CL.addInt("cells", Cells, "grid cells per axis");
   CL.addUnsigned("steps", Steps, "time steps per run");
-  CL.addUnsigned("repeats", Repeats, "repetitions per config (min wins)");
+  CL.addUnsigned("repeats", Repeats,
+                 "interleaved repetitions per config (min wins)");
   CL.addString("json", JsonPath, "write the table to this JSON file");
   // The sweep varies backend and tile itself; engine/threads/scheme come
   // from the shared surface.
@@ -110,15 +111,17 @@ int main(int Argc, const char **Argv) {
 
   const BackendKind Backends[] = {BackendKind::Serial, BackendKind::SpinPool,
                                   BackendKind::ForkJoin};
-  const char *TileSpecs[] = {"16x64", "32x128", "64x256", "8x512", "auto"};
-  const char *Dealings[] = {"static", "static,2", "dynamic"};
+  // Index 0 is the flat baseline, index 1 the verdict row.
+  const char *TileSpecs[] = {"off",    "auto",  "16x64",
+                             "32x128", "64x256", "8x512"};
+  constexpr size_t NumSpecs = std::size(TileSpecs);
 
   std::printf("# A5: %s engine, %dx%d grid, %u steps, %u threads, "
-              "min of %u\n",
+              "min of %u interleaved\n",
               engineKindName(Cfg.Engine), Cells, Cells, Steps, Cfg.Threads,
               Repeats);
-  std::printf("%-10s %-8s %-10s %10s %9s\n", "backend", "tile", "dealing",
-              "wall[s]", "vs flat");
+  std::printf("%-10s %-8s %10s %9s\n", "backend", "tile", "wall[s]",
+              "vs flat");
 
   std::vector<TilingRow> Rows;
   for (BackendKind Kind : Backends) {
@@ -127,32 +130,26 @@ int main(int Argc, const char **Argv) {
     if (Kind == BackendKind::Serial)
       Leg.Threads = 1;
 
-    Leg.TileCfg = Tile::off();
-    double Flat = runOnce(Leg, static_cast<size_t>(Cells), Steps, Repeats);
-    Rows.push_back({backendKindName(Kind), "off", "-", Flat, 1.0});
-    std::printf("%-10s %-8s %-10s %10.3f %9s\n", backendKindName(Kind),
-                "off", "-", Flat, "1.00");
-
-    double BestTiled = 1e300;
-    for (const char *Spec : TileSpecs)
-      for (const char *Dealing : Dealings) {
-        Leg.TileCfg = Tile::parseSpec(Spec).Value.value();
-        Leg.TileCfg.Dealing = Schedule::parseSpec(Dealing).Value.value();
-        // Tile dealing is a worker knob; one dealing suffices serially.
-        if (Kind == BackendKind::Serial && Dealing != Dealings[0])
-          continue;
-        double Seconds =
-            runOnce(Leg, static_cast<size_t>(Cells), Steps, Repeats);
-        double Ratio = Flat > 0.0 ? Seconds / Flat : 0.0;
-        BestTiled = std::min(BestTiled, Ratio);
-        Rows.push_back({backendKindName(Kind), Spec, Dealing, Seconds,
-                        Ratio});
-        std::printf("%-10s %-8s %-10s %10.3f %9.2f\n",
-                    backendKindName(Kind), Spec, Dealing, Seconds, Ratio);
+    std::vector<double> Best(NumSpecs, 1e300);
+    for (unsigned Rep = 0; Rep < Repeats; ++Rep)
+      for (size_t I = 0; I < NumSpecs; ++I) {
+        Leg.TileCfg = Tile::parseSpec(TileSpecs[I]).Value.value();
+        Best[I] = std::min(
+            Best[I], runOnce(Leg, static_cast<size_t>(Cells), Steps));
       }
-    std::printf("# %s best tiled vs flat: %.2f (%s)\n",
-                backendKindName(Kind), BestTiled,
-                BestTiled <= 1.05 ? "parity or better" : "slower");
+
+    auto VsFlat = [&](size_t I) {
+      return Best[0] > 0.0 ? Best[I] / Best[0] : 0.0;
+    };
+    for (size_t I = 0; I < NumSpecs; ++I) {
+      Rows.push_back({backendKindName(Kind), TileSpecs[I], Best[I],
+                      VsFlat(I)});
+      std::printf("%-10s %-8s %10.3f %9.2f\n", backendKindName(Kind),
+                  TileSpecs[I], Best[I], VsFlat(I));
+    }
+    double Auto = VsFlat(1);
+    std::printf("# %s auto vs flat: %.2f (%s)\n", backendKindName(Kind), Auto,
+                Auto <= 1.05 ? "parity or better" : "slower");
   }
 
   if (!JsonPath.empty()) {

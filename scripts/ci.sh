@@ -102,13 +102,6 @@ echo "== tasks ablation artifact =="
     --steps 20 --threads 1,2,4,8 --json artifacts/BENCH_tasks.json
 echo "wrote artifacts/BENCH_tasks.json"
 
-echo "== allocation ablation artifact =="
-# A6 record: pooled vs per-temporary allocation on the Fig. 4 workload.
-# The binary exits nonzero if any pooled steady-state step allocates.
-./build-ci-Release/bench/alloc_overhead --cells 96 --steps 20 \
-    --threads 2 --json artifacts/BENCH_alloc.json
-echo "wrote artifacts/BENCH_alloc.json"
-
 echo "== shard smoke + ablation artifact =="
 # PR 9 record: multi-process row-block sharding.  First the elastic
 # recovery end-to-end (kill one shard mid-run, resume from its own

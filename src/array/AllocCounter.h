@@ -14,7 +14,7 @@
 /// NDArray buffer allocation routes through CountingAllocator, which
 /// bumps a process-wide counter.  The allocation-regression tests assert
 /// that a steady-state solver step performs zero such allocations, and
-/// bench/alloc_overhead reports allocs/step next to wall-clock.
+/// perfbench reports allocs/step next to wall-clock.
 ///
 /// The counter is a single relaxed atomic increment paid only when an
 /// actual heap allocation happens — the event being eliminated — so it is

@@ -20,27 +20,9 @@ unsigned nextFieldPoolTypeId() {
 }
 } // namespace detail
 
-void FieldPool::setEnabled(bool On) {
-  std::lock_guard<std::mutex> Lock(M);
-  if (Enabled && !On)
-    drainFreeListsLocked();
-  Enabled = On;
-}
-
-bool FieldPool::enabled() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Enabled;
-}
-
 FieldPool::Stats FieldPool::stats() const {
   std::lock_guard<std::mutex> Lock(M);
   return St;
-}
-
-void FieldPool::drainFreeListsLocked() {
-  for (std::unique_ptr<SubPoolBase> &Sub : Subs)
-    if (Sub)
-      St.BytesResident -= Sub->drainFree();
 }
 
 void FieldPool::recordTelemetry(unsigned Step) const {

@@ -29,14 +29,11 @@
 /// rollback snapshot, engine scratch) must be destroyed before the
 /// solver.  Determinism: pooling only changes where a buffer's storage
 /// comes from, never the arithmetic or the traversal order, and the
-/// value-init mode re-zeroes recycled buffers — so pooled runs are
-/// bit-identical to unpooled ones at any worker count.
-///
-/// setEnabled(false) turns the pool into a pass-through (every acquire
-/// allocates, every release frees) — the "unpooled" arm of the A6
-/// allocation ablation.  Stats (acquisitions, hits, bytes resident,
-/// high-water mark) are exported through the telemetry gauges by
-/// recordTelemetry(), which the solver calls on its gauge cadence.
+/// value-init mode re-zeroes recycled buffers.  Pooling is always on;
+/// the A6 ablation found one malloc per temporary never faster.  Stats
+/// (acquisitions, hits, bytes resident, high-water mark) are exported
+/// through the telemetry gauges by recordTelemetry(), which the solver
+/// calls on its gauge cadence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -149,11 +146,6 @@ public:
     return acquireImpl<T>(S, &Recycled);
   }
 
-  /// Turns recycling on or off.  Disabling drains the free lists, so an
-  /// "unpooled" run really pays one malloc/free per temporary.
-  void setEnabled(bool On);
-  bool enabled() const;
-
   Stats stats() const;
 
   /// Records the pool gauges ("pool.acquisitions", "pool.hits",
@@ -166,8 +158,6 @@ public:
 private:
   struct SubPoolBase {
     virtual ~SubPoolBase() = default;
-    /// Frees all idle buffers; returns the bytes released.
-    virtual uint64_t drainFree() = 0;
   };
 
   template <typename T> struct SubPool final : SubPoolBase {
@@ -183,14 +173,6 @@ private:
           return B;
       Buckets.push_back(Bucket{S, {}});
       return Buckets.back();
-    }
-
-    uint64_t drainFree() override {
-      uint64_t Bytes = 0;
-      for (Bucket &B : Buckets)
-        Bytes += B.Dims.count() * sizeof(T) * B.Free.size();
-      Buckets.clear();
-      return Bytes;
     }
   };
 
@@ -212,15 +194,12 @@ private:
     {
       std::lock_guard<std::mutex> Lock(M);
       ++St.Acquisitions;
-      if (Enabled) {
-        typename SubPool<T>::Bucket &B = subPool<T>().bucket(S);
-        if (!B.Free.empty()) {
-          Buf = std::move(B.Free.back());
-          B.Free.pop_back();
-          ++St.Hits;
-        }
-      }
-      if (!Buf) {
+      typename SubPool<T>::Bucket &B = subPool<T>().bucket(S);
+      if (!B.Free.empty()) {
+        Buf = std::move(B.Free.back());
+        B.Free.pop_back();
+        ++St.Hits;
+      } else {
         St.BytesResident += S.count() * sizeof(T);
         St.HighWaterBytes = std::max(St.HighWaterBytes, St.BytesResident);
       }
@@ -242,21 +221,12 @@ private:
   void release(std::unique_ptr<NDArray<T>> Buf) {
     std::lock_guard<std::mutex> Lock(M);
     --St.LiveLeases;
-    if (!Enabled) {
-      St.BytesResident -= Buf->size() * sizeof(T);
-      return; // unique_ptr frees the buffer
-    }
     subPool<T>().bucket(Buf->shape()).Free.push_back(std::move(Buf));
   }
-
-  /// Frees every pooled (idle) buffer; leased buffers are unaffected and
-  /// will be freed on release.  Caller holds M.
-  void drainFreeListsLocked();
 
   mutable std::mutex M;
   std::vector<std::unique_ptr<SubPoolBase>> Subs;
   Stats St;
-  bool Enabled = true;
 };
 
 } // namespace sacfd

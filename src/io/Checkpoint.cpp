@@ -25,7 +25,6 @@ using namespace sacfd;
 namespace {
 
 constexpr uint64_t CheckpointMagic = 0x53414346'44434B50ull; // "SACFDCKP"
-constexpr uint32_t VersionV1 = 1;
 constexpr uint32_t VersionV2 = 2;
 
 struct AxisRecord {
@@ -34,8 +33,8 @@ struct AxisRecord {
   double Hi;
 };
 
-/// The v1 header layout, which is also the leading part of v2.  Field
-/// order and types are frozen: 112 bytes, no padding.
+/// The leading part of the header, read before the version is known.
+/// Field order and types are frozen: 112 bytes, no padding.
 struct HeaderPrefix {
   uint64_t Magic;
   uint32_t Version;
@@ -73,11 +72,11 @@ struct FileCloser {
 using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
 
 template <unsigned Dim>
-HeaderPrefix makePrefix(const EulerSolver<Dim> &S, uint32_t Version) {
+HeaderPrefix makePrefix(const EulerSolver<Dim> &S) {
   const Grid<Dim> &G = S.problem().Domain;
   HeaderPrefix H = {};
   H.Magic = CheckpointMagic;
-  H.Version = Version;
+  H.Version = VersionV2;
   H.Rank = Dim;
   H.Ghost = G.ghost();
   H.Steps = S.stepCount();
@@ -211,7 +210,7 @@ CheckpointStatus sacfd::saveCheckpoint(const std::string &Path,
   size_t PayloadBytes = U.size() * sizeof(Cons<Dim>);
 
   HeaderV2 H = {};
-  H.P = makePrefix(S, VersionV2);
+  H.P = makePrefix(S);
   H.PayloadBytes = PayloadBytes;
   H.PayloadChecksum = fnv1a(U.data(), PayloadBytes);
   H.HeaderChecksum = headerChecksum(H);
@@ -299,62 +298,45 @@ CheckpointStatus sacfd::loadCheckpoint(const std::string &Path,
     return CheckpointStatus::make(CheckpointError::BadMagic,
                                   Path + " is not a SacFD checkpoint");
 
-  HeaderPrefix Prefix = {};
-  Prefix.Magic = Magic;
-  if (iofault::freadChecked(reinterpret_cast<char *>(&Prefix) +
-                                sizeof(Magic),
-                            sizeof(Prefix) - sizeof(Magic), 1,
+  HeaderV2 H = {};
+  H.P.Magic = Magic;
+  if (iofault::freadChecked(reinterpret_cast<char *>(&H.P) + sizeof(Magic),
+                            sizeof(HeaderPrefix) - sizeof(Magic), 1,
                             File.get()) != 1)
     return CheckpointStatus::make(CheckpointError::Truncated,
                                   Path + " ends inside the header");
 
-  if (Prefix.Version != VersionV1 && Prefix.Version != VersionV2)
+  if (H.P.Version != VersionV2)
     return CheckpointStatus::make(
         CheckpointError::VersionSkew,
-        Path + " is format v" + std::to_string(Prefix.Version) +
-            "; this build reads v1-v2");
+        Path + " is format v" + std::to_string(H.P.Version) +
+            "; this build reads v2");
 
+  if (iofault::freadChecked(&H.PayloadBytes,
+                            sizeof(HeaderV2) - sizeof(HeaderPrefix), 1,
+                            File.get()) != 1)
+    return CheckpointStatus::make(CheckpointError::Truncated,
+                                  Path + " ends inside the v2 header");
+  // Integrity before compatibility: a corrupt header must not be
+  // reported as a geometry mismatch.
+  if (headerChecksum(H) != H.HeaderChecksum)
+    return CheckpointStatus::make(CheckpointError::ChecksumMismatch,
+                                  "header checksum mismatch in " + Path);
+  if (std::string Why = geometryMismatch(H.P, S); !Why.empty())
+    return CheckpointStatus::make(CheckpointError::GeometryMismatch,
+                                  Path + ": " + Why);
   uint64_t ExpectedPayload =
       static_cast<uint64_t>(S.field().size()) * sizeof(Cons<Dim>);
-  uint64_t HeaderBytes = Prefix.Version == VersionV2 ? sizeof(HeaderV2)
-                                                     : sizeof(HeaderPrefix);
-  uint64_t PayloadChecksum = 0;
-  bool Checksummed = false;
-
-  if (Prefix.Version == VersionV2) {
-    HeaderV2 H = {};
-    H.P = Prefix;
-    if (iofault::freadChecked(&H.PayloadBytes,
-                              sizeof(HeaderV2) - sizeof(HeaderPrefix), 1,
-                              File.get()) != 1)
-      return CheckpointStatus::make(CheckpointError::Truncated,
-                                    Path + " ends inside the v2 header");
-    // Integrity before compatibility: a corrupt header must not be
-    // reported as a geometry mismatch.
-    if (headerChecksum(H) != H.HeaderChecksum)
-      return CheckpointStatus::make(CheckpointError::ChecksumMismatch,
-                                    "header checksum mismatch in " + Path);
-    if (std::string Why = geometryMismatch(Prefix, S); !Why.empty())
-      return CheckpointStatus::make(CheckpointError::GeometryMismatch,
-                                    Path + ": " + Why);
-    if (H.PayloadBytes != ExpectedPayload)
-      return CheckpointStatus::make(
-          CheckpointError::GeometryMismatch,
-          Path + ": payload of " + std::to_string(H.PayloadBytes) +
-              " bytes vs solver field of " +
-              std::to_string(ExpectedPayload));
-    PayloadChecksum = H.PayloadChecksum;
-    Checksummed = true;
-  } else {
-    if (std::string Why = geometryMismatch(Prefix, S); !Why.empty())
-      return CheckpointStatus::make(CheckpointError::GeometryMismatch,
-                                    Path + ": " + Why);
-  }
+  if (H.PayloadBytes != ExpectedPayload)
+    return CheckpointStatus::make(
+        CheckpointError::GeometryMismatch,
+        Path + ": payload of " + std::to_string(H.PayloadBytes) +
+            " bytes vs solver field of " + std::to_string(ExpectedPayload));
 
   // Exact size validation, both directions: a short payload and trailing
   // garbage are equally disqualifying for a bit-identical restart.
-  if (FileBytes != HeaderBytes + ExpectedPayload) {
-    uint64_t Expected = HeaderBytes + ExpectedPayload;
+  if (uint64_t Expected = sizeof(HeaderV2) + ExpectedPayload;
+      FileBytes != Expected) {
     std::string Detail =
         FileBytes < Expected
             ? Path + " is " + std::to_string(Expected - FileBytes) +
@@ -373,33 +355,12 @@ CheckpointStatus sacfd::loadCheckpoint(const std::string &Path,
                             File.get()) != Staged.size())
     return CheckpointStatus::make(CheckpointError::Truncated,
                                   "payload read of " + Path + " came short");
-  if (Checksummed &&
-      fnv1a(Staged.data(), ExpectedPayload) != PayloadChecksum)
+  if (fnv1a(Staged.data(), ExpectedPayload) != H.PayloadChecksum)
     return CheckpointStatus::make(CheckpointError::ChecksumMismatch,
                                   "payload checksum mismatch in " + Path);
 
   S.field().importFrom(Staged.data());
-  S.restoreClock(Prefix.Time, Prefix.Steps);
-  return CheckpointStatus::success();
-}
-
-template <unsigned Dim>
-CheckpointStatus sacfd::saveCheckpointLegacyV1(const std::string &Path,
-                                               const EulerSolver<Dim> &S) {
-  // Plain stdio on purpose: the legacy writer exists to produce v1 bytes
-  // for compatibility tests, not to exercise the fault machinery.
-  FileHandle File(std::fopen(Path.c_str(), "wb"));
-  if (!File)
-    return CheckpointStatus::make(CheckpointError::WriteFailed,
-                                  "cannot open " + Path);
-  HeaderPrefix H = makePrefix(S, VersionV1);
-  std::vector<Cons<Dim>> U(S.field().size());
-  S.field().exportTo(U.data());
-  if (std::fwrite(&H, sizeof(H), 1, File.get()) != 1 ||
-      std::fwrite(U.data(), sizeof(Cons<Dim>), U.size(), File.get()) !=
-          U.size())
-    return CheckpointStatus::make(CheckpointError::WriteFailed,
-                                  "write to " + Path + " failed");
+  S.restoreClock(H.P.Time, H.P.Steps);
   return CheckpointStatus::success();
 }
 
@@ -424,9 +385,3 @@ template CheckpointStatus sacfd::loadCheckpoint<2>(const std::string &,
                                                    EulerSolver<2> &);
 template CheckpointStatus sacfd::loadCheckpoint<3>(const std::string &,
                                                    EulerSolver<3> &);
-template CheckpointStatus
-sacfd::saveCheckpointLegacyV1<1>(const std::string &, const EulerSolver<1> &);
-template CheckpointStatus
-sacfd::saveCheckpointLegacyV1<2>(const std::string &, const EulerSolver<2> &);
-template CheckpointStatus
-sacfd::saveCheckpointLegacyV1<3>(const std::string &, const EulerSolver<3> &);

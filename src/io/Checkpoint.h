@@ -15,7 +15,8 @@
 /// time, steps, payload byte count) carrying an FNV-1a checksum of itself
 /// and of the field payload, followed by the raw field bytes.  Native
 /// endianness and IEEE-754 doubles — a single-machine format, not an
-/// archival one.  v1 files (no checksums, no payload count) still load.
+/// archival one.  Only v2 loads: a file of any other version (including
+/// the retired, checksum-less v1) is rejected as VersionSkew.
 ///
 /// Durability contract of saveCheckpoint():
 ///   - the bytes are staged in `<path>.tmp`, flushed and fsynced, then
@@ -102,25 +103,18 @@ CheckpointStatus saveCheckpointWithRetry(const std::string &Path,
                                          const EulerSolver<Dim> &S,
                                          const RetryPolicy &Retry = {});
 
-/// Restores a checkpoint (v2 or legacy v1) into \p S.
+/// Restores a v2 checkpoint into \p S.
 ///
 /// The solver must already be constructed on the *same problem geometry*
 /// (rank, cell counts, ghost layers, bounds, gamma); the file is
 /// validated against it — including an exact file-size-vs-payload check
-/// in both directions and, for v2, header and payload checksums — and
+/// in both directions and header and payload checksums — and
 /// the load is rejected with the precise CheckpointError on any
 /// mismatch.  A failed load leaves the solver bit-identical.  On success
 /// the field, time and step count are replaced and the run continues
 /// bit-identically.
 template <unsigned Dim>
 CheckpointStatus loadCheckpoint(const std::string &Path, EulerSolver<Dim> &S);
-
-/// Writes the legacy v1 format (no checksums, non-atomic).  Kept only so
-/// the v1 compatibility load path stays constructible in tests; new code
-/// must use saveCheckpoint.
-template <unsigned Dim>
-CheckpointStatus saveCheckpointLegacyV1(const std::string &Path,
-                                        const EulerSolver<Dim> &S);
 
 extern template CheckpointStatus saveCheckpoint<1>(const std::string &,
                                                    const EulerSolver<1> &);
@@ -143,12 +137,6 @@ extern template CheckpointStatus loadCheckpoint<2>(const std::string &,
                                                    EulerSolver<2> &);
 extern template CheckpointStatus loadCheckpoint<3>(const std::string &,
                                                    EulerSolver<3> &);
-extern template CheckpointStatus
-saveCheckpointLegacyV1<1>(const std::string &, const EulerSolver<1> &);
-extern template CheckpointStatus
-saveCheckpointLegacyV1<2>(const std::string &, const EulerSolver<2> &);
-extern template CheckpointStatus
-saveCheckpointLegacyV1<3>(const std::string &, const EulerSolver<3> &);
 
 } // namespace sacfd
 

@@ -144,9 +144,10 @@ DurabilitySetup setupDurableRun(SolverRun<Dim> &Run) {
 
 /// Writes the telemetry JSON report for \p Run when --telemetry was
 /// given; no-op (returning true) otherwise.  The standard metadata —
-/// program, scheme, engine, backend, workers, schedule, tile, guard —
-/// is emitted first, then \p Extra entries.  On failure \p Error (when
-/// non-null) names the path that failed.
+/// program, scheme, engine, backend, workers, schedule, tile, step
+/// mode, kernel build (simd on/off), guard — is emitted first, then
+/// \p Extra entries.  On failure \p Error (when non-null) names the
+/// path that failed.
 template <unsigned Dim>
 bool writeRunTelemetry(const SolverRun<Dim> &Run, const std::string &Program,
                        TelemetryMeta Extra = {},
@@ -162,6 +163,8 @@ bool writeRunTelemetry(const SolverRun<Dim> &Run, const std::string &Program,
       {"workers", std::to_string(Run.backend().workerCount())},
       {"schedule", Cfg.Sched.str()},
       {"tile", Cfg.TileCfg.str()},
+      {"step_mode", stepModeName(Cfg.Step)},
+      {"simd", Cfg.Simd ? "on" : "off"},
       {"guard", Cfg.Guard.Enabled ? "on" : "off"},
   };
   for (auto &Entry : Extra)

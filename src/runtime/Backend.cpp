@@ -4,9 +4,6 @@
 
 #include "runtime/ParallelRegion.h"
 
-#include <algorithm>
-#include <atomic>
-
 using namespace sacfd;
 
 // Out-of-line virtual method anchor.
@@ -23,48 +20,14 @@ void Backend::parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) {
   });
 }
 
-void Backend::runTileGrid(const TileGrid &G, const Schedule &Dealing,
-                          RangeBody2D Body) {
-  size_t Tiles = G.count();
-  if (Tiles == 0)
-    return;
-
-  auto RunTiles = [&](size_t Begin, size_t End) {
+void Backend::runTileGrid(const TileGrid &G, RangeBody2D Body) {
+  // The tile range goes through the backend's native partitioner, so
+  // fork-join and tasks deal tiles under their --schedule.
+  parallelFor(0, G.count(), [&](size_t Begin, size_t End) {
     for (size_t T = Begin; T < End; ++T) {
       TileRect R = G.rect(T);
       Body(R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd);
     }
-  };
-
-  if (Dealing.K == Schedule::Kind::StaticBlock) {
-    // Hand the contiguous tile range to the backend's native partitioner;
-    // each worker gets one contiguous run of tiles.
-    parallelFor(0, Tiles, RunTiles);
-    return;
-  }
-
-  unsigned Workers = std::max(workerCount(), 1u);
-  if (Dealing.K == Schedule::Kind::Dynamic) {
-    size_t Chunk = Dealing.resolvedChunk(Tiles, Workers);
-    std::atomic<size_t> Next{0};
-    parallelFor(0, Workers, [&](size_t, size_t) {
-      for (;;) {
-        size_t Begin = Next.fetch_add(Chunk, std::memory_order_relaxed);
-        if (Begin >= Tiles)
-          break;
-        RunTiles(Begin, std::min(Begin + Chunk, Tiles));
-      }
-    });
-    return;
-  }
-
-  // StaticChunk: deal fixed-size tile groups round-robin by worker index.
-  std::vector<std::vector<IterationChunk>> Plan =
-      staticPartition(Tiles, Workers, Dealing);
-  parallelFor(0, Workers, [&](size_t WBegin, size_t WEnd) {
-    for (size_t W = WBegin; W < WEnd; ++W)
-      for (const IterationChunk &C : Plan[W])
-        RunTiles(C.Begin, C.End);
   });
 }
 

@@ -110,11 +110,11 @@ protected:
     }
   }
 
-  /// Executes every tile of \p G through this backend's parallelFor,
-  /// honoring G's dealing schedule.  Shared by the native parallelFor2D
-  /// overrides; issues exactly one counted 1D region.
-  void runTileGrid(const TileGrid &G, const Schedule &Dealing,
-                   RangeBody2D Body);
+  /// Executes every tile of \p G as one parallelFor over the tile range,
+  /// so whole tiles are dealt by this backend's own partitioner (and
+  /// schedule).  Shared by the native parallelFor2D overrides; issues
+  /// exactly one counted 1D region (none for an empty grid).
+  void runTileGrid(const TileGrid &G, RangeBody2D Body);
 
 private:
   std::atomic<uint64_t> RegionCount{0};

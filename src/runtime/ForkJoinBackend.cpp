@@ -54,7 +54,7 @@ void ForkJoinBackend::parallelFor2D(size_t Rows, size_t Cols,
   }
   // One team fork-join covers the whole tile range — the per-region cost
   // is paid once regardless of the tile count.
-  runTileGrid(TileGrid(Rows, Cols, tile()), tile().Dealing, Body);
+  runTileGrid(TileGrid(Rows, Cols, tile()), Body);
 }
 
 void ForkJoinBackend::runStatic(size_t Begin, size_t End, RangeBody Body) {

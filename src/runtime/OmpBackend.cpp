@@ -67,7 +67,7 @@ public:
     }
     // One `omp parallel` covers the whole tile range via the shared tile
     // dealer, so the region cost matches the 1D path.
-    runTileGrid(TileGrid(Rows, Cols, tile()), tile().Dealing, Body);
+    runTileGrid(TileGrid(Rows, Cols, tile()), Body);
   }
 
   unsigned workerCount() const override { return Threads; }

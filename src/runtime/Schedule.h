@@ -105,19 +105,15 @@ staticPartition(size_t N, unsigned Workers, const Schedule &Sched);
 /// Disabled is the legacy behavior: 2D loops are flattened into row
 /// ranges exactly as before the 2D API existed.  Enabled carves the
 /// (Rows, Cols) space into Rows x Cols tiles of the given dimensions
-/// (0 = resolve an automatic cache-friendly size) and deals whole tiles
-/// to workers under Dealing:
-///   StaticBlock  the contiguous tile range goes through the backend's
-///                native 1D partitioner (its default static split);
-///   StaticChunk  tiles are dealt round-robin in fixed-size groups;
-///   Dynamic      workers pull tile chunks from a shared counter.
+/// (0 = resolve an automatic cache-friendly size).  The row-major tile
+/// range is then dealt to workers by the backend's own 1D partitioner,
+/// under its Schedule where it honors one (fork-join, tasks):
+/// `--tile RxC --schedule dynamic` deals tiles dynamically.
 struct Tile {
   bool Enabled = false;
   /// Tile height (rows) and width (cols); 0 = automatic.
   size_t Rows = 0;
   size_t Cols = 0;
-  /// How whole tiles are dealt to workers.
-  Schedule Dealing = Schedule::staticBlock();
 
   static Tile off() { return {}; }
   static Tile automatic() {
@@ -134,12 +130,10 @@ struct Tile {
   }
 
   /// Parses "off", "auto", "RxC" (e.g. "32x128"), or "N" (NxN tiles),
-  /// reporting malformed input with a structured error.  The dealing
-  /// schedule is a separate knob (--tile-dealing) and is not part of
-  /// this grammar.
+  /// reporting malformed input with a structured error.
   static SpecParse<Tile> parseSpec(std::string_view Text);
 
-  /// \returns "off", "auto", or "RxC" (Dealing excluded, as in parseSpec).
+  /// \returns "off", "auto", or "RxC" (the parseSpec grammar).
   std::string str() const;
 };
 
@@ -157,7 +151,7 @@ struct TileRect {
 /// Tiles are numbered row-major: tile T covers tile-row T / colTiles()
 /// and tile-column T % colTiles().  The decomposition depends only on
 /// the extents and the (resolved) tile dimensions — not on the worker
-/// count or the dealing schedule — so anything keyed by tile index
+/// count or the schedule — so anything keyed by tile index
 /// (per-tile reduction partials, most importantly) is reproducible at
 /// any parallelism level.
 class TileGrid {

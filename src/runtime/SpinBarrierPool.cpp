@@ -144,5 +144,5 @@ void SpinBarrierPool::parallelFor2D(size_t Rows, size_t Cols,
   }
   // Tiles go through the pool's broadcast slot as a 1D tile range, so one
   // dispatch (two shared-memory round trips) covers the whole 2D space.
-  runTileGrid(TileGrid(Rows, Cols, tile()), tile().Dealing, Body);
+  runTileGrid(TileGrid(Rows, Cols, tile()), Body);
 }

@@ -233,7 +233,7 @@ void TaskBackend::parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) {
   // Tiles become the task granule: the tile range goes through
   // parallelFor, so each task is one or a few whole tiles and stealing
   // re-deals them under load imbalance.
-  runTileGrid(TileGrid(Rows, Cols, tile()), tile().Dealing, Body);
+  runTileGrid(TileGrid(Rows, Cols, tile()), Body);
 }
 
 void TaskBackend::runDagInline(TaskDag &D, DagNodeBody Run) {

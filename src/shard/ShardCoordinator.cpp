@@ -102,7 +102,6 @@ int ShardCoordinator::workerBody(unsigned K) {
   Cfg.Backend = BackendKind::Serial;
   Cfg.Threads = 1;
   Cfg.Simd = Opt.Simd;
-  Cfg.Pooling = Opt.Pooling;
   SolverRun<2> Run(SubProblems[K], Cfg);
   EulerSolver<2> &S = Run.solver();
 

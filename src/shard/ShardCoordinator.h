@@ -63,7 +63,6 @@ struct ShardOptions {
   SchemeConfig Scheme;
   EngineKind Engine = EngineKind::Fused;
   bool Simd = true;
-  bool Pooling = true;
   /// Per-shard checkpoint stores live under `<CheckpointDir>/shard-<k>`;
   /// empty disables durability (and with it, elastic recovery).
   std::string CheckpointDir;

@@ -88,10 +88,6 @@ void RunConfig::registerBackendFlags(CommandLine &CL) {
   BackendName = backendKindName(Backend);
   CL.addString("backend", BackendName,
                "serial|spin-pool|fork-join|openmp|tasks");
-  // Alias: "execution model" is the paper's vocabulary; seeded empty so
-  // resolve() can tell whether it was given.
-  CL.addString("execution", ExecutionName,
-               "alias for --backend (overrides it when both are given)");
   CL.addUnsigned("threads", Threads, "worker threads (>= 1)");
   StepModeName = stepModeName(Step);
   CL.addString("step-mode", StepModeName,
@@ -102,18 +98,10 @@ void RunConfig::registerBackendFlags(CommandLine &CL) {
 void RunConfig::registerScheduleFlags(CommandLine &CL) {
   ScheduleSpec = Sched.str();
   TileSpec = TileCfg.str();
-  TileDealingSpec = TileCfg.Dealing.str();
   CL.addString("schedule", ScheduleSpec,
                "iteration schedule: static[,N] | dynamic[,N]");
   CL.addString("tile", TileSpec,
                "2D tiling: off | auto | RxC | N (NxN)");
-  CL.addString("tile-dealing", TileDealingSpec,
-               "how tiles are dealt to workers: static[,N] | dynamic[,N]");
-}
-
-void RunConfig::registerPoolFlag(CommandLine &CL) {
-  CL.addFlag("no-pool", NoPoolFlag,
-             "disable field-buffer recycling (one malloc per temporary)");
 }
 
 void RunConfig::registerSimdFlag(CommandLine &CL) {
@@ -127,7 +115,6 @@ void RunConfig::registerAll(CommandLine &CL) {
   registerEngineFlag(CL);
   registerBackendFlags(CL);
   registerScheduleFlags(CL);
-  registerPoolFlag(CL);
   registerSimdFlag(CL);
   registerGuardFlags(CL);
   registerTelemetryFlags(CL);
@@ -199,13 +186,6 @@ bool RunConfig::resolve(std::string &Error) {
       return Fail("unknown --backend value '" + BackendName +
                   "' (expected serial|spin-pool|fork-join|openmp|tasks)");
   }
-  if (!ExecutionName.empty()) {
-    if (auto K = parseBackendKind(ExecutionName))
-      Backend = *K;
-    else
-      return Fail("unknown --execution value '" + ExecutionName +
-                  "' (expected serial|spin-pool|fork-join|openmp|tasks)");
-  }
   if (!StepModeName.empty()) {
     if (auto K = parseStepMode(StepModeName))
       Step = *K;
@@ -236,19 +216,8 @@ bool RunConfig::resolve(std::string &Error) {
     SpecParse<Tile> P = Tile::parseSpec(TileSpec);
     if (!P)
       return Fail("--tile: " + P.Error);
-    // The dealing schedule is a separate flag; graft it below.
-    Schedule Dealing = TileCfg.Dealing;
     TileCfg = *P.Value;
-    TileCfg.Dealing = Dealing;
   }
-  if (!TileDealingSpec.empty()) {
-    SpecParse<Schedule> P = Schedule::parseSpec(TileDealingSpec);
-    if (!P)
-      return Fail("--tile-dealing: " + P.Error);
-    TileCfg.Dealing = *P.Value;
-  }
-  if (NoPoolFlag)
-    Pooling = false;
   if (NoSimdFlag)
     Simd = false;
   if (!Checkpoint.resolve(Error))
@@ -278,8 +247,6 @@ std::string RunConfig::executionStr() const {
   }
   if (TileCfg.Enabled)
     S += " tile=" + TileCfg.str();
-  if (!Pooling)
-    S += " no-pool";
   if (!Simd)
     S += " no-simd";
   return S;

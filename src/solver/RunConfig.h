@@ -102,10 +102,10 @@ struct RunConfig {
   GuardCliOptions Guard;
   TelemetryCliOptions Telemetry;
   CheckpointCliOptions Checkpoint;
-  /// Whether the solver's FieldPool recycles stage temporaries (the
-  /// zero-allocation hot path).  Off = one malloc/free per temporary,
-  /// the unpooled arm of the A6 ablation.  Bit-identical either way.
-  bool Pooling = true;
+  /// The solver's FieldPool always recycles stage temporaries (the
+  /// zero-allocation hot path).  Kept as a constant so reports can name
+  /// it; not settable.
+  static constexpr bool Pooling = true;
   /// Conserved-field memory layout: per-component SoA planes, always.
   /// Kept as a constant so reports can name it; not settable.
   static constexpr Layout FieldLayout = Layout::SoA;
@@ -126,13 +126,10 @@ struct RunConfig {
   void registerScenarioFlag(CommandLine &CL);
   /// Binds --engine.
   void registerEngineFlag(CommandLine &CL);
-  /// Binds --backend, --execution (an alias of --backend that wins when
-  /// both are given), --threads and --step-mode.
+  /// Binds --backend, --threads and --step-mode.
   void registerBackendFlags(CommandLine &CL);
-  /// Binds --schedule, --tile and --tile-dealing.
+  /// Binds --schedule and --tile.
   void registerScheduleFlags(CommandLine &CL);
-  /// Binds --no-pool (disable field-buffer recycling).
-  void registerPoolFlag(CommandLine &CL);
   /// Binds --no-simd.
   void registerSimdFlag(CommandLine &CL);
   /// Binds the step-guard flag group (see GuardOptions.h).
@@ -187,13 +184,10 @@ private:
   std::string IntegratorName;
   std::string EngineName;
   std::string BackendName;
-  std::string ExecutionName;
   std::string StepModeName;
   std::string ScheduleSpec;
   std::string TileSpec;
-  std::string TileDealingSpec;
   std::string ScenarioSpecText;
-  bool NoPoolFlag = false;
   bool NoSimdFlag = false;
   /// The CommandLine the register*() calls bound to, for
   /// flagWasSet() — scenario tuning must lose to explicit user flags.

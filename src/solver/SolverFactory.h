@@ -79,7 +79,6 @@ public:
       break;
     }
     }
-    Solver->fieldPool().setEnabled(Cfg.Pooling);
     if (Cfg.Guard.Enabled) {
       Guard = std::make_unique<StepGuard<Dim>>(*Solver, Cfg.Guard.config());
       Cfg.Guard.armFaults(*Guard);

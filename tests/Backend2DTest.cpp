@@ -2,9 +2,10 @@
 //
 // The 2D iteration-space contract: every backend must visit each (row,
 // col) cell exactly once — tiled or flattened, at any worker count and
-// under every tile-dealing schedule — count exactly one region per
-// non-empty call, and produce bit-identical solver fields and telemetry
-// whether the hot loops run tiled or row-flattened.  The field/telemetry
+// under every schedule the backend deals the tile range with — count
+// exactly one region per non-empty call, and produce bit-identical
+// solver fields and telemetry whether the hot loops run tiled or
+// row-flattened.  The field/telemetry
 // half is the acceptance gate of the tiling work: tiling may only
 // reorder the arithmetic, never change it.
 //
@@ -41,12 +42,14 @@ struct Backend2DCase {
   BackendKind Kind;
   unsigned Threads;
   Tile TileCfg;
+  /// The backend's 1D schedule, which also deals the tile range.
+  Schedule Sched;
 
   std::string label() const {
     std::string S = backendKindName(Kind);
     S += "_t" + std::to_string(Threads) + "_" + TileCfg.str();
     if (TileCfg.Enabled)
-      S += "_" + TileCfg.Dealing.str();
+      S += "_" + Sched.str();
     for (char &C : S)
       if (C == '-' || C == ',')
         C = '_';
@@ -56,27 +59,20 @@ struct Backend2DCase {
 
 std::vector<Backend2DCase> allCases() {
   std::vector<Backend2DCase> Cases;
-  const Tile Tiles[] = {
-      Tile::off(),
-      Tile::automatic(),
-      Tile::sized(3, 5), // deliberately ragged vs the test extents
-      [] {
-        Tile T = Tile::sized(4, 16);
-        T.Dealing = Schedule::staticChunk(2);
-        return T;
-      }(),
-      [] {
-        Tile T = Tile::sized(4, 16);
-        T.Dealing = Schedule::dynamic(1);
-        return T;
-      }(),
+  const std::pair<Tile, Schedule> Tilings[] = {
+      {Tile::off(), Schedule::staticBlock()},
+      {Tile::automatic(), Schedule::staticBlock()},
+      // Deliberately ragged vs the test extents.
+      {Tile::sized(3, 5), Schedule::staticBlock()},
+      {Tile::sized(4, 16), Schedule::staticChunk(2)},
+      {Tile::sized(4, 16), Schedule::dynamic(1)},
   };
   for (BackendKind Kind : kAllKinds)
     for (unsigned Threads : kWorkerCounts) {
       if (Kind == BackendKind::Serial && Threads != 1)
         continue;
-      for (const Tile &T : Tiles)
-        Cases.push_back({Kind, Threads, T});
+      for (const auto &[T, Sched] : Tilings)
+        Cases.push_back({Kind, Threads, T, Sched});
     }
   return Cases;
 }
@@ -85,8 +81,7 @@ class ParallelFor2DTest : public ::testing::TestWithParam<Backend2DCase> {
 protected:
   std::unique_ptr<Backend> makeBackend() const {
     const Backend2DCase &C = GetParam();
-    return createBackend(C.Kind, C.Threads, Schedule::staticBlock(),
-                         C.TileCfg);
+    return createBackend(C.Kind, C.Threads, C.Sched, C.TileCfg);
   }
 };
 
@@ -224,15 +219,15 @@ void expectSameTelemetry(const TelemetryDigest &Ref,
   }
 }
 
-/// Runs \p Steps of a fresh solver on a (Kind, Workers, Tile) backend
-/// with full telemetry, returning the digest and the live solver.
+/// Runs \p Steps of a fresh solver on a (Kind, Workers, Schedule, Tile)
+/// backend with full telemetry, returning the digest and the live solver.
 template <typename SolverT>
 TelemetryDigest runTiled(const Problem<2> &Prob, const SchemeConfig &Scheme,
                          BackendKind Kind, unsigned Workers,
-                         const Tile &TileCfg, unsigned Steps,
-                         std::unique_ptr<Backend> &Exec,
+                         const Schedule &Sched, const Tile &TileCfg,
+                         unsigned Steps, std::unique_ptr<Backend> &Exec,
                          std::unique_ptr<SolverT> &Out) {
-  Exec = createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
+  Exec = createBackend(Kind, Workers, Sched, TileCfg);
   telemetry::reset();
   telemetry::setGaugeStride(1);
   telemetry::setEnabled(true);
@@ -250,27 +245,28 @@ void checkTiledIdentity(const Problem<2> &Prob, const SchemeConfig &Scheme,
   std::unique_ptr<Backend> RefExec;
   std::unique_ptr<SolverT> Ref;
   TelemetryDigest RefTelem = runTiled<SolverT>(
-      Prob, Scheme, BackendKind::Serial, 1, Tile::off(), Steps, RefExec,
-      Ref);
+      Prob, Scheme, BackendKind::Serial, 1, Schedule::staticBlock(),
+      Tile::off(), Steps, RefExec, Ref);
   ASSERT_FALSE(RefTelem.Counters.empty());
 
-  Tile Dynamic = Tile::sized(8, 16);
-  Dynamic.Dealing = Schedule::dynamic(1);
-  const Tile Tiles[] = {Tile::automatic(), Tile::sized(3, 7), Dynamic};
+  const std::pair<Tile, Schedule> Tilings[] = {
+      {Tile::automatic(), Schedule::staticBlock()},
+      {Tile::sized(3, 7), Schedule::staticBlock()},
+      {Tile::sized(8, 16), Schedule::dynamic(1)},
+  };
 
   for (BackendKind Kind : kAllKinds)
     for (unsigned Workers : kWorkerCounts) {
       if (Kind == BackendKind::Serial && Workers != 1)
         continue;
-      for (const Tile &T : Tiles) {
+      for (const auto &[T, Sched] : Tilings) {
         std::unique_ptr<Backend> Exec;
         std::unique_ptr<SolverT> S;
-        TelemetryDigest Telem = runTiled<SolverT>(Prob, Scheme, Kind,
-                                                  Workers, T, Steps, Exec,
-                                                  S);
+        TelemetryDigest Telem = runTiled<SolverT>(
+            Prob, Scheme, Kind, Workers, Sched, T, Steps, Exec, S);
         std::string Label = std::string(Exec->name()) + "(" +
                             std::to_string(Workers) + ") tile=" + T.str() +
-                            "/" + T.Dealing.str();
+                            "/" + Sched.str();
         EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
         EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
         // The telemetry stream — including the region counters — must

@@ -2,8 +2,8 @@
 //
 // Round-trip and restart bit-identity of the v2 checkpoint format, the
 // full CheckpointError taxonomy (every variant constructed, most through
-// the fault-injection layer), v1 compatibility, exact file-size
-// validation in both directions, the atomic save path, and the
+// the fault-injection layer), rejection of the retired v1 format, exact
+// file-size validation in both directions, the atomic save path, and the
 // retry-with-backoff wrapper.
 //
 //===----------------------------------------------------------------------===//
@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -192,44 +193,6 @@ TEST(Checkpoint, ThreeDimensionalRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// v1 compatibility
-//===----------------------------------------------------------------------===//
-
-TEST(Checkpoint, LegacyV1FilesStillLoad) {
-  ArraySolver<1> S(sodProblem(48), SchemeConfig::figureScheme(), Exec);
-  S.advanceSteps(6);
-  std::string Path = tempPath("legacy.ckp");
-  ASSERT_TRUE(saveCheckpointLegacyV1(Path, S).ok());
-
-  ArraySolver<1> T(sodProblem(48), SchemeConfig::figureScheme(), Exec);
-  ASSERT_TRUE(loadCheckpoint(Path, T).ok());
-  EXPECT_DOUBLE_EQ(T.time(), S.time());
-  EXPECT_EQ(T.stepCount(), S.stepCount());
-  EXPECT_EQ(maxFieldDifference(S, T), 0.0);
-  std::remove(Path.c_str());
-}
-
-TEST(Checkpoint, LegacyV1ValidatesGeometryAndSize) {
-  ArraySolver<1> S(sodProblem(48), SchemeConfig::figureScheme(), Exec);
-  std::string Path = tempPath("legacy_geom.ckp");
-  ASSERT_TRUE(saveCheckpointLegacyV1(Path, S).ok());
-
-  ArraySolver<1> Wrong(sodProblem(96), SchemeConfig::figureScheme(), Exec);
-  EXPECT_EQ(loadCheckpoint(Path, Wrong).Error,
-            CheckpointError::GeometryMismatch);
-
-  // v1 has no payload byte count in the header, so the exact-size check
-  // is the only tear detection it gets.
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::app);
-    Out << "junk";
-  }
-  ArraySolver<1> T(sodProblem(48), SchemeConfig::figureScheme(), Exec);
-  EXPECT_EQ(loadCheckpoint(Path, T).Error, CheckpointError::Truncated);
-  std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
 // The error taxonomy, file-surgery edition
 //===----------------------------------------------------------------------===//
 
@@ -261,6 +224,38 @@ TEST(Checkpoint, RejectsGeometryMismatch) {
   ArraySolver<1> WrongGas(OtherGamma, SchemeConfig::figureScheme(), Exec);
   EXPECT_EQ(loadCheckpoint(Path, WrongGas).Error,
             CheckpointError::GeometryMismatch);
+  std::remove(Path.c_str());
+}
+
+TEST(Checkpoint, V1FileIsVersionSkew) {
+  // v1 (no checksums, no payload count) is retired: a file whose version
+  // field says 1 is refused by name, before any of its bytes reach the
+  // live field.
+  ArraySolver<1> Source(sodProblem(32), SchemeConfig::benchmarkScheme(),
+                        Exec);
+  Source.advanceSteps(5);
+  std::string Path = tempPath("v1.ckp");
+  ASSERT_TRUE(saveCheckpoint(Path, Source).ok());
+  {
+    // The version field is the uint32 right after the 8-byte magic.
+    std::fstream F(Path, std::ios::binary | std::ios::in | std::ios::out);
+    F.seekp(8);
+    const uint32_t V1 = 1;
+    F.write(reinterpret_cast<const char *>(&V1), sizeof(V1));
+  }
+
+  ArraySolver<1> T(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
+  T.advanceSteps(2);
+  ArraySolver<1> Reference(sodProblem(32), SchemeConfig::benchmarkScheme(),
+                           Exec);
+  Reference.advanceSteps(2);
+
+  CheckpointStatus St = loadCheckpoint(Path, T);
+  EXPECT_EQ(St.Error, CheckpointError::VersionSkew);
+  EXPECT_NE(St.Detail.find("v1"), std::string::npos) << St.str();
+  EXPECT_EQ(maxFieldDifference(T, Reference), 0.0)
+      << "failed load must not touch the field";
+  EXPECT_EQ(T.stepCount(), Reference.stepCount());
   std::remove(Path.c_str());
 }
 
@@ -515,26 +510,6 @@ TEST(CheckpointFaults, BitFlipOnVersionReadIsVersionSkew) {
   CheckpointStatus St = loadCheckpoint(Path, S);
   EXPECT_EQ(St.Error, CheckpointError::VersionSkew);
   EXPECT_NE(St.Detail.find("v3"), std::string::npos) << St.str();
-  std::remove(Path.c_str());
-}
-
-TEST(CheckpointFaults, BitFlipOnV1GeometryReadIsGeometryMismatch) {
-  FaultGuard FG;
-  ArraySolver<1> S(sodProblem(16), SchemeConfig::benchmarkScheme(), Exec);
-  std::string Path = tempPath("fi_geom.ckp");
-  // v1 deliberately: v2's header checksum catches the flipped bit first
-  // (integrity before compatibility), so the geometry path needs an
-  // unchecksummed header to be reachable via read corruption.
-  ASSERT_TRUE(saveCheckpointLegacyV1(Path, S).ok());
-
-  // Byte 8 of read 2 is the ghost-layer count (prefix offset 16).
-  iofault::Plan P;
-  P.BitFlipReadNth = 2;
-  P.BitFlipByte = 8;
-  iofault::setPlan(P);
-  CheckpointStatus St = loadCheckpoint(Path, S);
-  EXPECT_EQ(St.Error, CheckpointError::GeometryMismatch);
-  EXPECT_NE(St.Detail.find("ghost"), std::string::npos) << St.str();
   std::remove(Path.c_str());
 }
 

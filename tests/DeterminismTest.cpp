@@ -111,7 +111,8 @@ TelemetryDigest runInstrumented(const Problem<Dim> &Prob,
 
 template <typename SolverT, unsigned Dim>
 void checkMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
-                 unsigned Steps, const Tile &TileCfg = Tile::off()) {
+                 unsigned Steps, const Tile &TileCfg = Tile::off(),
+                 const Schedule &Sched = Schedule::staticBlock()) {
   // The reference stays untiled: tiled execution must be bit-identical
   // to the legacy row-flattened serial run, not merely self-consistent.
   auto RefExec = createBackend(BackendKind::Serial, 1);
@@ -123,12 +124,11 @@ void checkMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
 
   for (BackendKind Kind : kParallelKinds)
     for (unsigned Workers : kWorkerCounts) {
-      auto Exec =
-          createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
+      auto Exec = createBackend(Kind, Workers, Sched, TileCfg);
       ASSERT_NE(Exec, nullptr);
       std::string Label = std::string(Exec->name()) + "(" +
                           std::to_string(Workers) + ") tile=" +
-                          TileCfg.str();
+                          TileCfg.str() + " schedule=" + Sched.str();
       std::unique_ptr<SolverT> S;
       TelemetryDigest Telem =
           runInstrumented<SolverT>(Prob, Scheme, *Exec, Steps, S);
@@ -570,13 +570,13 @@ TEST_F(DeterminismTest, HigherOrderStagedGatherFusedMatchesArray) {
 }
 
 TEST_F(DeterminismTest, TiledDynamicDealingInteraction2DArraySolver) {
-  // Dynamic tile dealing changes which worker runs which tile run to
-  // run; per-tile reduction partials merged in tile order must make the
-  // result identical anyway.
-  Tile T = Tile::sized(4, 8);
-  T.Dealing = Schedule::dynamic(1);
+  // Dynamic tile dealing (`--tile 5x7 --schedule dynamic,1`: fork-join
+  // hands out one tile at a time) changes which worker runs which tile
+  // run to run; per-tile reduction partials merged in tile order must
+  // make the result identical anyway.
   checkMatrix<ArraySolver<2>>(shockInteraction2D(20, 2.2, 10.0),
-                              SchemeConfig::figureScheme(), 5, T);
+                              SchemeConfig::figureScheme(), 5,
+                              Tile::sized(5, 7), Schedule::dynamic(1));
 }
 
 TEST_F(DeterminismTest, ShardedInteraction2D) {

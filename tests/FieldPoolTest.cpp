@@ -2,7 +2,7 @@
 //
 // The buffer arena behind the zero-allocation hot path: lease recycling,
 // shape-key and type isolation, stats accounting, value-init vs uninit
-// acquisition semantics, and the disabled (pass-through) mode.
+// acquisition semantics, and 64-byte alignment on every acquire path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -136,30 +136,6 @@ TEST(FieldPoolTest, SteadyStateAcquireDoesNotAllocate) {
   EXPECT_EQ(alloctrack::allocationCount(), Before);
 }
 
-TEST(FieldPoolTest, DisabledPoolPassesThrough) {
-  FieldPool Pool;
-  Shape S{32};
-  { FieldPool::Lease<double> Warm = Pool.acquire<double>(S); }
-  EXPECT_EQ(Pool.stats().BytesResident, 32 * sizeof(double));
-
-  // Disabling drains the free list...
-  Pool.setEnabled(false);
-  EXPECT_FALSE(Pool.enabled());
-  EXPECT_EQ(Pool.stats().BytesResident, 0u);
-
-  // ...and acquisitions become plain allocations (no hits, residency
-  // returns to zero after release).
-  uint64_t Before = alloctrack::allocationCount();
-  {
-    FieldPool::Lease<double> L = Pool.acquire<double>(S);
-    EXPECT_EQ(Pool.stats().BytesResident, 32 * sizeof(double));
-  }
-  EXPECT_GT(alloctrack::allocationCount(), Before);
-  FieldPool::Stats St = Pool.stats();
-  EXPECT_EQ(St.Hits, 0u);
-  EXPECT_EQ(St.BytesResident, 0u);
-}
-
 bool aligned64(const void *P) {
   return reinterpret_cast<std::uintptr_t>(P) % kFieldAlign == 0;
 }
@@ -167,29 +143,26 @@ bool aligned64(const void *P) {
 TEST(FieldPoolTest, EveryAcquirePathIs64ByteAligned) {
   // Regression: acquireUninit once produced malloc-default (16-byte)
   // alignment, breaking the aligned-load contract the vectorized kernels
-  // assume.  Every acquire path — zeroed, uninit, recycled, pooled or
-  // disabled — must hand out 64-byte-aligned storage for every shape,
-  // including odd and sub-vector-width counts.
+  // assume.  Every acquire path — zeroed, uninit, fresh or recycled —
+  // must hand out 64-byte-aligned storage for every shape, including odd
+  // and sub-vector-width counts.
   const Shape Shapes[] = {Shape{1},     Shape{3},      Shape{5},
                           Shape{7},     Shape{8},      Shape{64},
                           Shape{17, 9}, Shape{5, 7, 3}};
-  for (bool Enabled : {true, false}) {
-    FieldPool Pool;
-    Pool.setEnabled(Enabled);
-    for (const Shape &S : Shapes) {
-      {
-        FieldPool::Lease<double> A = Pool.acquire<double>(S);
-        EXPECT_TRUE(aligned64(A->data())) << S.str();
-        FieldPool::Lease<double> B = Pool.acquireUninit<double>(S);
-        EXPECT_TRUE(aligned64(B->data())) << S.str();
-        FieldPool::Lease<Cons<2>> C = Pool.acquire<Cons<2>>(S);
-        EXPECT_TRUE(aligned64(C->data())) << S.str();
-      }
-      // Recycled round: the buffer coming back off the free list must
-      // still carry its original alignment.
-      FieldPool::Lease<double> R = Pool.acquireUninit<double>(S);
-      EXPECT_TRUE(aligned64(R->data())) << S.str() << " (recycled)";
+  FieldPool Pool;
+  for (const Shape &S : Shapes) {
+    {
+      FieldPool::Lease<double> A = Pool.acquire<double>(S);
+      EXPECT_TRUE(aligned64(A->data())) << S.str();
+      FieldPool::Lease<double> B = Pool.acquireUninit<double>(S);
+      EXPECT_TRUE(aligned64(B->data())) << S.str();
+      FieldPool::Lease<Cons<2>> C = Pool.acquire<Cons<2>>(S);
+      EXPECT_TRUE(aligned64(C->data())) << S.str();
     }
+    // Recycled round: the buffer coming back off the free list must
+    // still carry its original alignment.
+    FieldPool::Lease<double> R = Pool.acquireUninit<double>(S);
+    EXPECT_TRUE(aligned64(R->data())) << S.str() << " (recycled)";
   }
 }
 

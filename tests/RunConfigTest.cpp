@@ -62,7 +62,7 @@ TEST(RunConfigResolve, ParsesEveryFlagGroup) {
       {"--recon", "tvd2", "--limiter", "superbee", "--riemann", "hll",
        "--integrator", "rk2", "--cfl", "0.5", "--engine", "fused",
        "--backend", "fork-join", "--threads", "3", "--schedule",
-       "dynamic,4", "--tile", "16x64", "--tile-dealing", "static,2",
+       "dynamic,4", "--tile", "16x64",
        "--guard", "--guard-every", "4", "--telemetry", "out.json"},
       &Error))
       << Error;
@@ -79,8 +79,6 @@ TEST(RunConfigResolve, ParsesEveryFlagGroup) {
   EXPECT_TRUE(Cfg.TileCfg.Enabled);
   EXPECT_EQ(Cfg.TileCfg.Rows, 16u);
   EXPECT_EQ(Cfg.TileCfg.Cols, 64u);
-  EXPECT_EQ(Cfg.TileCfg.Dealing.K, Schedule::Kind::StaticChunk);
-  EXPECT_EQ(Cfg.TileCfg.Dealing.ChunkSize, 2u);
   EXPECT_TRUE(Cfg.Guard.Enabled);
   EXPECT_EQ(Cfg.Guard.Every, 4u);
   EXPECT_EQ(Cfg.Telemetry.Path, "out.json");
@@ -102,16 +100,6 @@ TEST(RunConfigResolve, ParsesLayoutAndSimdFlags) {
     EXPECT_FALSE(Cfg.Simd);
     EXPECT_NE(Cfg.executionStr().find("no-simd"), std::string::npos);
     EXPECT_EQ(Cfg.executionStr().find("layout"), std::string::npos);
-  }
-  {
-    // SoA is the only layout, so --layout is no longer an option: it
-    // takes the unknown-option error path like any other stray flag.
-    RunConfig Cfg;
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(parseAndResolve(Cfg, {"--layout", "soa"}));
-    std::string Err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(Err.find("unknown option '--layout'"), std::string::npos)
-        << Err;
   }
 }
 
@@ -194,13 +182,11 @@ TEST(RunConfigResolve, RejectsBadValuesWithStructuredErrors) {
       {{"--integrator", "rk4"}, "--integrator"},
       {{"--engine", "fortran"}, "--engine"},
       {{"--backend", "gpu"}, "--backend"},
-      {{"--execution", "gpu"}, "--execution"},
       {{"--step-mode", "pipeline"}, "--step-mode"},
       {{"--schedule", "guided"}, "--schedule"},
       {{"--schedule", "static,0"}, "--schedule"},
       {{"--tile", "0x4"}, "--tile"},
       {{"--tile", "huge"}, "--tile"},
-      {{"--tile-dealing", "guided"}, "--tile-dealing"},
       {{"--scenario", "sod:"}, "--scenario"},
       {{"--scenario", "no-such-workload"}, "--scenario"},
       {{"--scenario", "sod:mach=3"}, "--scenario"},
@@ -253,19 +239,26 @@ TEST(RunConfigResolve, RejectsUnparseableUnsignedAtTheCliLayer) {
   }
 }
 
-TEST(RunConfigResolve, ExecutionAliasSelectsTheBackend) {
-  RunConfig Cfg;
-  std::string Error;
-  ASSERT_TRUE(parseAndResolve(Cfg, {"--execution", "tasks"}, &Error))
-      << Error;
-  EXPECT_EQ(Cfg.Backend, BackendKind::Tasks);
-
-  // When both are given, the alias wins.
-  RunConfig Both;
-  ASSERT_TRUE(parseAndResolve(
-      Both, {"--backend", "serial", "--execution", "fork-join"}, &Error))
-      << Error;
-  EXPECT_EQ(Both.Backend, BackendKind::ForkJoin);
+TEST(RunConfigResolve, RetiredFlagsAreUnknownOptions) {
+  // --layout (SoA is the only layout), --no-pool (pooling is always on),
+  // --tile-dealing (tiles are dealt by the backend under --schedule) and
+  // --execution (spelled --backend) are not options; a stale script
+  // naming one must fail loudly, like any other stray flag.
+  const std::vector<const char *> Retired[] = {
+      {"--layout", "soa"},
+      {"--no-pool"},
+      {"--tile-dealing", "dynamic"},
+      {"--execution", "tasks"},
+  };
+  for (const std::vector<const char *> &Args : Retired) {
+    RunConfig Cfg;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parseAndResolve(Cfg, Args)) << Args[0];
+    std::string Err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(Err.find(std::string("unknown option '") + Args[0] + "'"),
+              std::string::npos)
+        << Err;
+  }
 }
 
 TEST(RunConfigResolve, StepModeParsesAndShowsInExecutionStr) {
@@ -298,18 +291,6 @@ TEST(RunConfigResolve, DagStepModeValidatesBackendAndEngine) {
   EXPECT_FALSE(parseAndResolve(
       WrongEngine, {"--step-mode", "dag", "--backend", "tasks"}, &Error));
   EXPECT_NE(Error.find("--engine=fused"), std::string::npos) << Error;
-}
-
-TEST(RunConfigResolve, TileDealingSurvivesTileRespec) {
-  // --tile re-parses the tile geometry but must not clobber a dealing
-  // schedule given through --tile-dealing, in either flag order.
-  RunConfig Cfg;
-  std::string Error;
-  ASSERT_TRUE(parseAndResolve(
-      Cfg, {"--tile-dealing", "dynamic,2", "--tile", "8x8"}, &Error))
-      << Error;
-  EXPECT_EQ(Cfg.TileCfg.Dealing.K, Schedule::Kind::Dynamic);
-  EXPECT_EQ(Cfg.TileCfg.Dealing.ChunkSize, 2u);
 }
 
 TEST(RunConfigBackend, InstallsThreadsScheduleAndTile) {

@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "io/RunIo.h"
 #include "io/TelemetryExport.h"
 #include "runtime/Runtime.h"
 #include "solver/ArraySolver.h"
@@ -275,6 +276,40 @@ TEST_F(TelemetryTest, JsonExportHasSchemaMetaAndData) {
   EXPECT_NE(Json.find("{\"step\": 5, \"value\": 2.5}"), std::string::npos);
   EXPECT_NE(Json.find("{\"step\": 6, \"value\": null}"), std::string::npos);
   EXPECT_EQ(Json.find("nan"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, RunReportNamesStepModeAndKernelBuild) {
+  // A run must explain itself: a dag-stepped scalar-kernel run writes
+  // different metadata than a default (loops, simd) run.
+  auto ReportOf = [](RunConfig Cfg) {
+    Cfg.Telemetry.Path =
+        std::string(::testing::TempDir()) + "/telemetry_run_meta.json";
+    SolverRun<2> Run(riemann2D(8), Cfg);
+    Run.advanceSteps(1);
+    std::string Error;
+    EXPECT_TRUE(writeRunTelemetry(Run, "TelemetryTest", {}, &Error))
+        << Error;
+    std::string Json = slurp(Cfg.Telemetry.Path);
+    std::remove(Cfg.Telemetry.Path.c_str());
+    return Json;
+  };
+
+  RunConfig Dag;
+  Dag.Engine = EngineKind::Fused;
+  Dag.Backend = BackendKind::Tasks;
+  Dag.Threads = 2;
+  Dag.Step = StepMode::Dag;
+  Dag.Simd = false;
+  std::string Json = ReportOf(Dag);
+  EXPECT_NE(Json.find("\"step_mode\": \"dag\""), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"simd\": \"off\""), std::string::npos) << Json;
+
+  RunConfig Default;
+  Default.Threads = 1;
+  Json = ReportOf(Default);
+  EXPECT_NE(Json.find("\"step_mode\": \"loops\""), std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find("\"simd\": \"on\""), std::string::npos) << Json;
 }
 
 TEST_F(TelemetryTest, ExportCreatesMissingOutputDirectory) {
