@@ -9,6 +9,10 @@
 #   asan     Debug with AddressSanitizer + UndefinedBehaviorSanitizer
 #            (any report is fatal) and libstdc++ assertions: unit +
 #            scenario, which covers the shard fork/rewind paths
+#   tsan     RelWithDebInfo with ThreadSanitizer (halt on the first
+#            report): the determinism matrix, i.e. every backend's
+#            parallel loops and reductions at 1-8 workers.  The OpenMP
+#            backend stays out: libgomp is not instrumented.
 #
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
@@ -33,22 +37,27 @@ fi
 
 SANITIZE="-fsanitize=address,undefined -fno-sanitize-recover=all"
 SANITIZE="$SANITIZE -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
-for TYPE in Debug Release asan; do
+for TYPE in Debug Release asan tsan; do
   BUILD="build-ci-$TYPE"
   echo "== $TYPE =="
-  if [ "$TYPE" = asan ]; then
-    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Debug \
-        -DCMAKE_CXX_FLAGS="$SANITIZE"
-  else
-    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE="$TYPE"
-  fi
+  case "$TYPE" in
+    asan)
+      cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Debug \
+          -DCMAKE_CXX_FLAGS="$SANITIZE" ;;
+    tsan)
+      cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+          -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" ;;
+    *) cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE="$TYPE" ;;
+  esac
   cmake --build "$BUILD" -j "$JOBS"
   case "$TYPE" in
     Debug) LABELS='unit|property|smoke|scenario' ;;
     asan) LABELS='unit|scenario' ;;
+    tsan) LABELS='determinism' ;;
     *) LABELS='' ;;
   esac
-  (cd "$BUILD" && ctest --output-on-failure -j "$JOBS" ${LABELS:+-L "$LABELS"})
+  (cd "$BUILD" && TSAN_OPTIONS=halt_on_error=1 \
+      ctest --output-on-failure -j "$JOBS" ${LABELS:+-L "$LABELS"})
 done
 
 echo "== scenario regression matrix =="

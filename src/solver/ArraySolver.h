@@ -9,21 +9,25 @@
 /// The SaC port: the solver expressed as whole-array definitions.
 ///
 /// Every numerical stage is a whole-array operation over an index space,
-/// exactly mirroring the SaC listing in the paper: getDt() is the paper's
-/// getDt (set notation + maxval reduction), the face sweep is a genarray
-/// with-loop over the face index space, and the Runge-Kutta combine is
-/// one fused modarray.  The code is rank-generic: this single class
-/// instantiates the 1D Sod tube and the 2D interaction ("our code makes
-/// use of this fact to reuse function bodies for a one dimensional and
-/// two dimensional shockwave simulation").
+/// exactly mirroring the SaC listing in the paper: the GetDT reduction is
+/// the paper's getDt (set notation + maxval reduction), the face sweep is
+/// a genarray with-loop over the face index space, and the Runge-Kutta
+/// combine is one fused modarray.  The code is rank-generic: this single
+/// class instantiates the 1D Sod tube and the 2D interaction ("our code
+/// makes use of this fact to reuse function bodies for a one dimensional
+/// and two dimensional shockwave simulation").
 ///
 /// Two evaluation modes model the SaC compiler's optimization level:
 ///   Fused        with-loops compose whole pipelines per pass (sac2c
 ///                after with-loop folding — the paper's "collating many
-///                small operations into fewer larger operations").  The
-///                per-stage arithmetic runs through the shared kernels::
-///                layer, so contiguous runs take the vectorized build —
-///                this mode models the optimized compiler output.
+///                small operations into fewer larger operations").  Each
+///                stage is the per-axis flux with-loops plus one combine
+///                with-loop that also folds the residual, the Q^n snapshot
+///                (first stage) and the next step's GetDT reduction (last
+///                stage), so no residual field or snapshot pass exists.
+///                The per-stage arithmetic runs through the shared
+///                kernels:: layer, so contiguous runs take the vectorized
+///                build — this mode models the optimized compiler output.
 ///   Materialized every intermediate array is allocated and filled (the
 ///                naive lowering; ablation A1 measures the gap)
 ///
@@ -61,62 +65,6 @@ public:
   const char *engineName() const override { return "array"; }
   ArrayEvalMode evalMode() const { return Mode; }
 
-  /// The paper's getDt:
-  ///   c  = sqrt(GAM * p(qp) / rho(qp));
-  ///   d  = fabs(u(qp));
-  ///   ev = { iv -> sum((d[iv] + c[iv]) / DELTA) };
-  ///   return CFL / maxval(ev);
-  double computeDt() override {
-    static const unsigned SpanGetDt = telemetry::spanId("solver.get_dt");
-    telemetry::ScopedSpan Span(SpanGetDt);
-    const Grid<Dim> &G = this->Prob.Domain;
-    const Gas &Gas_ = this->Prob.G;
-
-    std::array<double, Dim> InvDx;
-    for (unsigned A = 0; A < Dim; ++A)
-      InvDx[A] = 1.0 / G.dx(A);
-
-    if (Mode == ArrayEvalMode::Fused) {
-      // One fused pass: the set-notation expression feeds the max
-      // reduction directly, evaluated line by line through the shared
-      // maxEigen kernel.  The max chain is exact under any grouping, so
-      // the result is bit-identical to the per-cell formulation at every
-      // worker count.
-      constexpr unsigned LineAxis = Dim - 1;
-      double EvMax = blockReduce2D(
-          this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
-          [&](size_t LineBegin, size_t LineEnd, size_t CellBegin,
-              size_t CellEnd) {
-            double Acc = 0.0;
-            for (size_t Line = LineBegin; Line != LineEnd; ++Line)
-              Acc = kernels::maxEigen<Dim>(
-                  this->U.crun(this->lineStorageBase(LineAxis, Line) +
-                               CellBegin),
-                  Gas_, InvDx.data(), Acc, CellEnd - CellBegin,
-                  this->SimdEnabled);
-            return Acc;
-          },
-          [](double A, double B) { return std::max(A, B); });
-      return this->dtFromMaxEigen(EvMax);
-    }
-
-    // Materialized: ev is an explicit temporary array, like unoptimized
-    // SaC would allocate for the set notation before reducing it.  The
-    // buffer is leased (every element is written, so uninit is safe).
-    Shape Interior = G.interiorShape();
-    auto EvAt = [this, &G, &Gas_, &InvDx](const Index &Iv) {
-      Prim<Dim> W = toPrim(this->U.at(G.toStorage(Iv)), Gas_);
-      double Ev = 0.0;
-      for (unsigned A = 0; A < Dim; ++A)
-        Ev += maxWaveSpeed(W, Gas_, A) * InvDx[A];
-      return Ev;
-    };
-    FieldPool::Lease<double> Ev =
-        this->Pool.template acquireUninit<double>(Interior);
-    withLoopInto(*Ev, this->Exec, EvAt);
-    return this->dtFromMaxEigen(maxval(*Ev, this->Exec));
-  }
-
 protected:
   void stepWithDt(double Dt) override {
     if (Mode == ArrayEvalMode::Fused)
@@ -125,56 +73,142 @@ protected:
       stepMaterialized(Dt);
   }
 
+  /// The paper's getDt:
+  ///   c  = sqrt(GAM * p(qp) / rho(qp));
+  ///   d  = fabs(u(qp));
+  ///   ev = { iv -> sum((d[iv] + c[iv]) / DELTA) };
+  ///   return CFL / maxval(ev);
+  /// Fused mode feeds the set notation straight into the max reduction,
+  /// line by line through the shared maxEigen kernel (the EulerSolver
+  /// default); after a step its combine already folded it.
+  double reduceMaxEigen() override {
+    if (Mode == ArrayEvalMode::Fused)
+      return EulerSolver<Dim>::reduceMaxEigen();
+
+    // Materialized: ev is an explicit temporary array, like unoptimized
+    // SaC would allocate for the set notation before reducing it.  The
+    // buffer is leased (every element is written, so uninit is safe).
+    const Grid<Dim> &G = this->Prob.Domain;
+    const Gas &Gas_ = this->Prob.G;
+    auto EvAt = [this, &G, &Gas_](const Index &Iv) {
+      Prim<Dim> W = toPrim(this->U.at(G.toStorage(Iv)), Gas_);
+      double Ev = 0.0;
+      for (unsigned A = 0; A < Dim; ++A)
+        Ev += maxWaveSpeed(W, Gas_, A) * this->InvSpacing[A];
+      return Ev;
+    };
+    FieldPool::Lease<double> Ev =
+        this->Pool.template acquireUninit<double>(G.interiorShape());
+    withLoopInto(*Ev, this->Exec, EvAt);
+    return maxval(*Ev, this->Exec);
+  }
+
 private:
   //===--------------------------------------------------------------------===//
   // Fused mode: every stage routed through the kernels:: layer.
   //===--------------------------------------------------------------------===//
 
   void stepFused(double Dt) {
-    static const unsigned SpanSnapshot = telemetry::spanId("solver.snapshot");
     static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
     static const unsigned SpanFlux = telemetry::spanId("solver.flux");
     static const unsigned SpanUpdate = telemetry::spanId("solver.update");
-    constexpr unsigned LineAxis = Dim - 1;
 
-    // Q^n snapshot for the convex Runge-Kutta combinations.  Leased
-    // uninitialized: the copy overwrites every element.
+    // Q^n for the convex Runge-Kutta combinations, filled row by row by
+    // the first stage's combine before it overwrites U.  Only interior
+    // cells are written or read, so it is leased uninitialized.
     Field<Dim> Un(this->Pool, this->U.shape(), FieldInit::Uninit);
-    {
-      telemetry::ScopedSpan S(SpanSnapshot);
-      kernels::copyState<Dim>(this->U.crun(), Un.run(), this->U.size(),
-                              this->SimdEnabled);
-    }
 
-    for (const SspStage &Stage : sspStages(this->Scheme.Integrator)) {
+    const std::span<const SspStage> Stages =
+        sspStages(this->Scheme.Integrator);
+    for (size_t S = 0; S < Stages.size(); ++S) {
       {
-        telemetry::ScopedSpan S(SpanBoundary);
+        telemetry::ScopedSpan Sp(SpanBoundary);
         this->fillGhosts(this->Time);
       }
-      Field<Dim> Res;
+      std::array<Field<Dim>, Dim> Flux;
       {
-        // Reconstruction + Riemann fluxes + divergence.
-        telemetry::ScopedSpan S(SpanFlux);
-        Res = residualFused();
+        // Reconstruction + Riemann fluxes, one with-loop per axis.
+        telemetry::ScopedSpan Sp(SpanFlux);
+        for (unsigned A = 0; A < Dim; ++A)
+          Flux[A] = fluxAlongFused(A);
       }
-
-      // Fused modarray combine:
-      //   U = A * Un + B * (U + dt * Res)   on the interior,
-      // one line run of the SSP kernel per interior row.
-      double A = Stage.PrevWeight, B = Stage.StageWeight;
       telemetry::ScopedSpan UpdateSpan(SpanUpdate);
-      this->Exec.parallelFor2D(
-          this->lineCount(LineAxis), this->N[LineAxis],
-          [&](size_t LB, size_t LE, size_t CB, size_t CE) {
-            for (size_t Line = LB; Line != LE; ++Line) {
-              size_t SBase = this->lineStorageBase(LineAxis, Line) + CB;
-              size_t RBase = Line * this->N[LineAxis] + CB;
-              kernels::sspUpdate<Dim>(this->U.run(SBase), Un.crun(SBase),
-                                      Res.crun(RBase), A, B, Dt, CE - CB,
-                                      this->SimdEnabled);
-            }
-          });
+      const bool Last = S + 1 == Stages.size();
+      double EvMax = combineFused(Flux, Un, Stages[S], Dt, S == 0, Last);
+      if (Last)
+        this->cacheMaxEigen(EvMax);
     }
+  }
+
+  /// The stage's combine with-loop over the interior rows (lines along
+  /// the last axis).  Per row run it folds what the unfused formulation
+  /// runs as separate whole-field passes:
+  ///   - the residual L(U) = -sum_axis dF_axis/dx_axis, built in a
+  ///     thread-local scratch row: zero, then the axis-ordered divergence
+  ///     accumulations — the same per-cell sequence as the materialized
+  ///     sum, so fields stay bit-identical;
+  ///   - on the \p First stage, the Q^n snapshot U -> Un of the row;
+  ///   - the modarray U = A * Un + B * (U + dt * Res);
+  ///   - on the \p Last stage, the GetDT max eigenvalue of the updated
+  ///     row.
+  /// The with-loop is a blockReduce2D fold over the same space and blocks
+  /// as the from-scratch GetDT, the way sac2c folds a with-loop into the
+  /// reduction consuming it.  \returns the maximum (0 unless \p Last).
+  double combineFused(const std::array<Field<Dim>, Dim> &Flux, Field<Dim> &Un,
+                      const SspStage &Stage, double Dt, bool First,
+                      bool Last) {
+    constexpr unsigned LineAxis = Dim - 1;
+    const Shape Interior = this->Prob.Domain.interiorShape();
+    const bool Simd = this->SimdEnabled;
+
+    // Per-axis face geometry: the face shape of that axis and the stride
+    // from a cell's low face to its high face.
+    std::array<Shape, Dim> FaceShape;
+    std::array<size_t, Dim> HiStride;
+    for (unsigned A = 0; A < Dim; ++A) {
+      FaceShape[A] = Interior;
+      FaceShape[A].dim(A) += 1;
+      size_t Stride = 1;
+      for (unsigned B = Dim; B-- > A + 1;)
+        Stride *= FaceShape[A].dim(B);
+      HiStride[A] = Stride;
+    }
+    // Leading coordinates (all axes but the last) of interior row Line,
+    // in the row-major order of EulerSolver::lineStorageBase.
+    Shape Lead = Shape::uniform(Dim == 1 ? 1 : Dim - 1, 1);
+    for (unsigned A = 0; A + 1 < Dim; ++A)
+      Lead.dim(A) = Interior.dim(A);
+
+    const double A = Stage.PrevWeight, B = Stage.StageWeight;
+    return blockReduce2D(
+        this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
+        [&](size_t LB, size_t LE, size_t CB, size_t CE) {
+          const size_t Len = CE - CB;
+          kernels::Run<Dim> Res = fluxScratchRow<Dim>(0, 1, Len);
+          double Acc = 0.0;
+          for (size_t Line = LB; Line != LE; ++Line) {
+            Index F = Lead.delinearize(Line);
+            F.Rank = Dim;
+            F.Coord[Dim - 1] = static_cast<std::ptrdiff_t>(CB);
+            kernels::zeroState<Dim>(Res, Len, Simd);
+            for (unsigned Ax = 0; Ax < Dim; ++Ax) {
+              size_t Lo = FaceShape[Ax].linearize(F);
+              kernels::accumDivergence<Dim>(
+                  Res, Flux[Ax].crun(Lo), Flux[Ax].crun(Lo + HiStride[Ax]),
+                  this->InvSpacing[Ax], Len, Simd);
+            }
+            size_t SBase = this->lineStorageBase(LineAxis, Line) + CB;
+            if (First)
+              kernels::copyState<Dim>(this->U.crun(SBase), Un.run(SBase), Len,
+                                      Simd);
+            kernels::sspUpdate<Dim>(this->U.run(SBase), Un.crun(SBase), Res, A,
+                                    B, Dt, Len, Simd);
+            if (Last)
+              Acc = this->runMaxEigen(SBase, Len, Acc);
+          }
+          return Acc;
+        },
+        [](double X, double Y) { return std::max(X, Y); });
   }
 
   /// Numerical flux field over the face index space of \p Axis (interior
@@ -285,64 +319,6 @@ private:
     }
   }
 
-  /// Residual L(U) = -sum_axis dF_axis/dx_axis over the interior.  One
-  /// pass per interior row: zero, then the axis-ordered divergence
-  /// accumulations — the same per-cell sequence as the fused with-loop
-  /// combine, so fields stay bit-identical to the historical formulation.
-  Field<Dim> residualFused() {
-    const Grid<Dim> &G = this->Prob.Domain;
-    Shape Interior = G.interiorShape();
-    constexpr unsigned LineAxis = Dim - 1;
-
-    std::array<Field<Dim>, Dim> Flux;
-    for (unsigned A = 0; A < Dim; ++A)
-      Flux[A] = fluxAlongFused(A);
-
-    std::array<double, Dim> InvDx;
-    for (unsigned A = 0; A < Dim; ++A)
-      InvDx[A] = 1.0 / G.dx(A);
-
-    // Per-axis face geometry: the linear offset of a row's low face and
-    // the stride to its high face, in the face field of that axis.
-    std::array<Shape, Dim> FaceShape;
-    std::array<size_t, Dim> HiStride;
-    for (unsigned A = 0; A < Dim; ++A) {
-      FaceShape[A] = Interior;
-      FaceShape[A].dim(A) += 1;
-      size_t Stride = 1;
-      for (unsigned B = Dim; B-- > A + 1;)
-        Stride *= FaceShape[A].dim(B);
-      HiStride[A] = Stride;
-    }
-
-    size_t RowLen = Interior.dim(LineAxis);
-    size_t Rows = Interior.count() / RowLen;
-    Shape Lead = Shape::uniform(Dim == 1 ? 1 : Dim - 1, 1);
-    for (unsigned A = 0; A + 1 < Dim; ++A)
-      Lead.dim(A) = Interior.dim(A);
-
-    Field<Dim> Res(this->Pool, Interior, FieldInit::Uninit);
-    this->Exec.parallelFor(0, Rows, [&](size_t RB, size_t RE) {
-      for (size_t R = RB; R != RE; ++R) {
-        Index L = Lead.delinearize(R);
-        kernels::Run<Dim> ResRun = Res.run(R * RowLen);
-        kernels::zeroState<Dim>(ResRun, RowLen, this->SimdEnabled);
-        for (unsigned A = 0; A < Dim; ++A) {
-          Index F;
-          F.Rank = Dim;
-          for (unsigned B = 0; B + 1 < Dim; ++B)
-            F.Coord[B] = L.Coord[B];
-          F.Coord[Dim - 1] = 0;
-          size_t Lo = FaceShape[A].linearize(F);
-          kernels::accumDivergence<Dim>(
-              ResRun, Flux[A].crun(Lo), Flux[A].crun(Lo + HiStride[A]),
-              InvDx[A], RowLen, this->SimdEnabled);
-        }
-      }
-    });
-    return Res;
-  }
-
   //===--------------------------------------------------------------------===//
   // Materialized mode: every intermediate array explicit (ablation A1).
   //===--------------------------------------------------------------------===//
@@ -413,16 +389,11 @@ private:
   /// measures); pooling only recycles their storage.  Res needs the
   /// value-initialized acquire: it is read before the first axis sum.
   FieldPool::Lease<Cons<Dim>> residualMaterialized() {
-    const Grid<Dim> &G = this->Prob.Domain;
-    Shape Interior = G.interiorShape();
+    Shape Interior = this->Prob.Domain.interiorShape();
 
     std::array<FieldPool::Lease<Cons<Dim>>, Dim> Flux;
     for (unsigned A = 0; A < Dim; ++A)
       Flux[A] = fluxAlongMaterialized(A);
-
-    std::array<double, Dim> InvDx;
-    for (unsigned A = 0; A < Dim; ++A)
-      InvDx[A] = 1.0 / G.dx(A);
 
     FieldPool::Lease<Cons<Dim>> Res =
         this->Pool.template acquire<Cons<Dim>>(Interior);
@@ -441,7 +412,7 @@ private:
           this->Pool.template acquireUninit<Cons<Dim>>(Interior);
       assignInto(*DfDx,
                  (drop(DropSpec, *Flux[A]) - drop(DropBack, *Flux[A])) *
-                     InvDx[A],
+                     this->InvSpacing[A],
                  this->Exec);
       FieldPool::Lease<Cons<Dim>> Sum =
           this->Pool.template acquireUninit<Cons<Dim>>(Interior);

@@ -11,8 +11,10 @@
 /// ArraySolver (the SaC port) and FusedSolver (the Fortran original) are
 /// two implementations of the same numerical method; both derive from
 /// EulerSolver, which owns the field, the clock and the step executor.
-/// The engines implement computeDt() (the GetDT kernel) and stepWithDt()
-/// (one full multi-stage time step).  For identical scheme settings the
+/// The engines implement reduceMaxEigen() (the GetDT reduction) and
+/// stepWithDt() (one full multi-stage time step); computeDt() serves the
+/// maximum the last step's final stage already reduced when it can (see
+/// cacheMaxEigen).  For identical scheme settings the
 /// two engines produce bit-identical fields — the executable form of the
 /// paper's claim that the SaC code is a faithful port.
 ///
@@ -29,6 +31,7 @@
 
 #include "array/FieldPool.h"
 #include "runtime/Backend.h"
+#include "runtime/BlockReduce.h"
 #include "solver/Field.h"
 #include "solver/Problem.h"
 #include "solver/SchemeConfig.h"
@@ -91,6 +94,8 @@ public:
       InteriorStride[A] = InteriorStride[A + 1] * N[A + 1];
     }
     Ng = G.ghost();
+    for (unsigned A = 0; A < Dim; ++A)
+      InvSpacing[A] = 1.0 / G.dx(A);
     initializeField();
   }
   virtual ~EulerSolver() = default;
@@ -122,9 +127,14 @@ public:
 
   /// The full field including ghost cells (shape == storageShape()).
   /// Element access goes through Field::at()/set(); bulk transfers
-  /// through Field::exportTo()/importFrom().
+  /// through Field::exportTo()/importFrom().  The mutable accessor drops
+  /// the cached GetDT maximum, so a reference obtained from it must not
+  /// be written through after the next step (take it again instead).
   const Field<Dim> &field() const { return U; }
-  Field<Dim> &field() { return U; }
+  Field<Dim> &field() {
+    MaxEigenCached = false;
+    return U;
+  }
 
   /// Whether stage kernels may use the vectorized build.
   bool simdEnabled() const { return SimdEnabled; }
@@ -134,8 +144,23 @@ public:
     return toPrim(U.at(Prob.Domain.toStorage(Interior)), Prob.G);
   }
 
-  /// CFL-limited time step of the current field (the GetDT kernel).
-  virtual double computeDt() = 0;
+  /// CFL-limited time step of the current field (the GetDT kernel).  The
+  /// final stage of a step reduces the updated field's max eigenvalue
+  /// inside its update sweep (cacheMaxEigen); until the field is next
+  /// touched — a step, the mutable field() accessor or restoreClock — that
+  /// value is served without another pass.  Otherwise the engine's
+  /// from-scratch reduction runs.  Max is exact under any grouping, so
+  /// both sources give the same bits.  The maximum is also remembered as
+  /// lastMaxEigen() for the "step.max_eigen" gauge and the shards.
+  double computeDt() {
+    if (!MaxEigenCached) {
+      static const unsigned SpanGetDt = telemetry::spanId("solver.get_dt");
+      telemetry::ScopedSpan Span(SpanGetDt);
+      cacheMaxEigen(reduceMaxEigen());
+    }
+    LastMaxEigen = CachedMaxEigen;
+    return Scheme.dtFromMaxEigen(CachedMaxEigen);
+  }
 
   /// Executes one stepping decision: a Step runs the engine's full
   /// multi-stage step with exactly E.Value, advances the clock and
@@ -148,6 +173,7 @@ public:
       restoreClock(E.Value, Steps);
       return 0.0;
     }
+    MaxEigenCached = false;
     stepWithDt(E.Value);
     Time += E.Value;
     ++Steps;
@@ -227,13 +253,12 @@ public:
   virtual const char *engineName() const = 0;
 
   /// Overwrites the solver clock; checkpoint-restore hook (the field is
-  /// restored through the mutable field() accessor).  Fires
-  /// onClockRestored() so engines can drop any state derived from the
-  /// pre-restore field (e.g. a cached GetDT result).
+  /// restored through the mutable field() accessor).  Drops the cached
+  /// GetDT maximum, which belongs to the pre-restore field.
   void restoreClock(double NewTime, unsigned NewSteps) {
     Time = NewTime;
     Steps = NewSteps;
-    onClockRestored();
+    MaxEigenCached = false;
   }
 
   /// The solver's buffer arena.  Engines lease every stage temporary from
@@ -242,8 +267,42 @@ public:
   FieldPool &fieldPool() { return Pool; }
 
 protected:
-  /// One full multi-stage step with the given dt.
+  /// One full multi-stage step with the given dt.  An engine whose final
+  /// stage reduces the updated field's max eigenvalue hands it to
+  /// cacheMaxEigen.
   virtual void stepWithDt(double Dt) = 0;
+
+  /// The GetDT reduction from scratch: the max CFL eigenvalue over the
+  /// interior, line by line through the maxEigen kernel (blockReduce2D over
+  /// the update space, so tiled backends merge in tile order).
+  virtual double reduceMaxEigen() {
+    constexpr unsigned LineAxis = Dim - 1;
+    return blockReduce2D(
+        lineCount(LineAxis), N[LineAxis], Exec, 0.0,
+        [&](size_t LineBegin, size_t LineEnd, size_t CellBegin,
+            size_t CellEnd) {
+          double Acc = 0.0;
+          for (size_t Line = LineBegin; Line != LineEnd; ++Line)
+            Acc = runMaxEigen(lineStorageBase(LineAxis, Line) + CellBegin,
+                              CellEnd - CellBegin, Acc);
+          return Acc;
+        },
+        [](double A, double B) { return std::max(A, B); });
+  }
+
+  /// Max CFL eigenvalue of the \p Len contiguous cells at storage offset
+  /// \p Base, folded onto \p Acc (the GetDT kernel body).
+  double runMaxEigen(size_t Base, size_t Len, double Acc) const {
+    return kernels::maxEigen<Dim>(U.crun(Base), Prob.G, InvSpacing, Acc, Len,
+                                  SimdEnabled);
+  }
+
+  /// Remembers \p EvMax as the current field's GetDT maximum, served by
+  /// computeDt until the field is next touched.
+  void cacheMaxEigen(double EvMax) {
+    CachedMaxEigen = EvMax;
+    MaxEigenCached = true;
+  }
 
   /// The per-stage ghost fill both engines call: the ghost-fill hook
   /// first (halo exchange), then the physical boundary conditions.  All
@@ -350,19 +409,6 @@ protected:
     }
   }
 
-  /// Called whenever restoreClock rewinds or overwrites the clock (step-
-  /// guard rollback, checkpoint resume, end-time snapping).  Engines that
-  /// cache anything derived from the field state must invalidate it here.
-  virtual void onClockRestored() {}
-
-  /// Engines route their GetDT reduction result through this instead of
-  /// SchemeConfig::dtFromMaxEigen directly, so the max eigenvalue is
-  /// remembered for the "step.max_eigen" telemetry gauge.
-  double dtFromMaxEigen(double EvMax) {
-    LastMaxEigen = EvMax;
-    return Scheme.dtFromMaxEigen(EvMax);
-  }
-
   /// Feeds the "solver.steps" counter and, at the configured gauge
   /// stride, the per-step gauges: time, dt, the GetDT max eigenvalue,
   /// and one summarize() pass — the conserved totals (mass, momentum per
@@ -440,11 +486,17 @@ protected:
   size_t StorageDim[Dim] = {};
   size_t StorageStride[Dim] = {};
   size_t InteriorStride[Dim] = {};
+  double InvSpacing[Dim] = {};
   unsigned Ng = 0;
   double Time = 0.0;
   unsigned Steps = 0;
   /// Result of the last GetDT reduction (0 until computeDt runs).
   double LastMaxEigen = 0.0;
+  /// The current field's GetDT maximum while MaxEigenCached holds: set by
+  /// a step's final stage or a from-scratch reduction, dropped by apply,
+  /// restoreClock and the mutable field() accessor.
+  double CachedMaxEigen = 0.0;
+  bool MaxEigenCached = false;
   /// Optional pre-BC ghost fill (shard halo exchange); empty by default.
   GhostFillHook GhostHook;
 };

@@ -15,11 +15,13 @@
 ///     core — the left edge of Fig. 4);
 ///   - every loop nest is its own parallel region dispatched through the
 ///     Backend, the way -autopar parallelizes each DO loop independently.
-///     One RK3 time step issues ~27 regions (8 per stage: 4 boundary
-///     sides, RHS zeroing, 2 axis sweeps, the update; plus the snapshot
-///     copy and the GetDT reduction); with the fork-join backend each of
-///     those pays the thread-team setup cost, which is the scaling
-///     collapse of Fig. 4.
+///     One 2D RK3 time step issues 24 regions (8 per stage: 4 boundary
+///     sides, RHS zeroing, 2 axis sweeps, the update); with the fork-join
+///     backend each of those pays the thread-team setup cost, which is
+///     the scaling collapse of Fig. 4.  The update loop also takes the
+///     Q^n snapshot of each run on the first stage and reduces the next
+///     step's GetDT maximum on the last, so neither is a region of its
+///     own.
 ///
 /// The loop bodies themselves are the shared kernels:: layer: snapshot,
 /// RHS zeroing, the SSP update and the GetDT reduction always run as
@@ -30,14 +32,12 @@
 /// loops execute the vectorized kernel build.
 ///
 /// On a TaskBackend the engine additionally offers a dependency-DAG step
-/// mode (enableDagStepping): one step becomes per-tile snapshot, flux and
-/// update tasks linked by exact data dependencies, so a tile can run
-/// stage s+1 while a distant tile is still in stage s — no global
-/// barrier between the ~27 regions.  The GetDT reduction rides along as
-/// per-tile max-eigenvalue tasks released by each tile's final update,
-/// merged in row-major tile order; the merged value is cached and served
-/// by the next computeDt() call, overlapping GetDT with independent
-/// work instead of dedicating a barrier-bounded region to it.
+/// mode (enableDagStepping): one step becomes per-tile flux and update
+/// tasks linked by exact data dependencies, so a tile can run stage s+1
+/// while a distant tile is still in stage s — no global barrier between
+/// the regions.  The update tasks run the same updateRange as loop mode,
+/// snapshot and GetDT partial included; the partials are merged in
+/// row-major tile order after the graph drains.
 ///
 /// The numerics (reconstruction, Riemann solver, stage table) are shared
 /// with ArraySolver, so for identical settings the two engines produce
@@ -84,33 +84,6 @@ public:
   /// True when steps run as a task DAG rather than barrier-ed regions.
   bool dagStepping() const { return DagExec != nullptr; }
 
-  /// The Fortran GetDT: nested DO loops, rectangle maxima in parallel,
-  /// then a serial max over rectangles.  The max chain is exact under any
-  /// grouping, so tiled and flattened runs produce bit-identical dt.
-  /// In DAG mode the previous step already merged the per-tile maxima
-  /// (cache keyed on the clock, invalidated by onClockRestored), so this
-  /// usually returns without touching the field.
-  double computeDt() override {
-    if (DagExec && DtCacheValid && this->Steps == DtCacheSteps &&
-        this->Time == DtCacheTime)
-      return this->dtFromMaxEigen(CachedEvMax);
-    static const unsigned SpanGetDt = telemetry::spanId("solver.get_dt");
-    telemetry::ScopedSpan Span(SpanGetDt);
-
-    // Lines run along the last (contiguous) axis.
-    constexpr unsigned LineAxis = Dim - 1;
-    size_t Lines = this->lineCount(LineAxis);
-
-    double EvMax = blockReduce2D(
-        Lines, this->N[LineAxis], this->Exec, 0.0,
-        [&](size_t LineBegin, size_t LineEnd, size_t CellBegin,
-            size_t CellEnd) {
-          return maxEigenRange(LineBegin, LineEnd, CellBegin, CellEnd);
-        },
-        [](double A, double B) { return std::max(A, B); });
-    return this->dtFromMaxEigen(EvMax);
-  }
-
 protected:
   void stepWithDt(double Dt) override {
     if (DagExec) {
@@ -119,37 +92,28 @@ protected:
         return;
       }
     }
-    static const unsigned SpanSnapshot = telemetry::spanId("solver.snapshot");
     static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
     static const unsigned SpanFlux = telemetry::spanId("solver.flux");
     static const unsigned SpanUpdate = telemetry::spanId("solver.update");
-    const Grid<Dim> &G = this->Prob.Domain;
-    size_t StorageCount = this->U.shape().count();
-    size_t InteriorCount = G.interiorCount();
+    size_t InteriorCount = this->Prob.Domain.interiorCount();
 
-    // QN = QP: whole-array snapshot (one parallel region, as the
-    // auto-parallelizer emits for a Fortran array assignment).  Both
-    // scratch buffers are leased on first use; every element is written
-    // before being read, so the uninit mode applies.
+    // Both scratch buffers are leased on first use; every element read is
+    // written first (Un by the first stage's update), so the uninit mode
+    // applies.
     acquireStepBuffers();
-    {
-      telemetry::ScopedSpan S(SpanSnapshot);
-      this->Exec.parallelFor(0, StorageCount, [&](size_t B, size_t E) {
-        kernels::copyState<Dim>(this->U.crun(B), Un.run(B), E - B,
-                                this->SimdEnabled);
-      });
-    }
 
-    for (const SspStage &Stage : sspStages(this->Scheme.Integrator)) {
+    const std::span<const SspStage> Stages =
+        sspStages(this->Scheme.Integrator);
+    for (size_t S = 0; S < Stages.size(); ++S) {
       {
-        telemetry::ScopedSpan S(SpanBoundary);
+        telemetry::ScopedSpan Sp(SpanBoundary);
         this->fillGhosts(this->Time);
       }
 
       {
         // RHS zeroing plus the directional sweeps (reconstruction +
         // Riemann fluxes + divergence, one region per axis).
-        telemetry::ScopedSpan S(SpanFlux);
+        telemetry::ScopedSpan Sp(SpanFlux);
         this->Exec.parallelFor(0, InteriorCount, [&](size_t B, size_t E) {
           kernels::zeroState<Dim>(Res.run(B), E - B, this->SimdEnabled);
         });
@@ -166,22 +130,24 @@ protected:
         }
       }
 
-      // Update loop (one region): U = A*Un + B*(U + dt*Res) on interior.
-      // Runs through the 2D boundary as (line, cell) so the backend can
-      // tile it; per-element results are grouping-independent.
+      // Update loop (one region): U = A*Un + B*(U + dt*Res) on interior,
+      // folded with the snapshot (first stage) and GetDT (last stage).
+      // Runs over the 2D (line, cell) space so the backend can tile it;
+      // per-element results are grouping-independent and the max chain is
+      // exact, and the blocks are those of the from-scratch GetDT.
       constexpr unsigned LineAxis = Dim - 1;
-      size_t Lines = this->lineCount(LineAxis);
+      const bool First = S == 0, Last = S + 1 == Stages.size();
       telemetry::ScopedSpan UpdateSpan(SpanUpdate);
-      this->Exec.parallelFor2D(
-          Lines, this->N[LineAxis],
+      double EvMax = blockReduce2D(
+          this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
           [&](size_t LB, size_t LE, size_t CB, size_t CE) {
-            updateRange(Stage.PrevWeight, Stage.StageWeight, Dt, LB, LE, CB,
-                        CE);
-          });
+            return updateRange(Stages[S], First, Last, Dt, LB, LE, CB, CE);
+          },
+          [](double X, double Y) { return std::max(X, Y); });
+      if (Last)
+        this->cacheMaxEigen(EvMax);
     }
   }
-
-  void onClockRestored() override { DtCacheValid = false; }
 
 private:
   void acquireStepBuffers() {
@@ -317,36 +283,27 @@ private:
     }
   }
 
-  /// U = A*Un + B*(U + dt*Res) over lines [LB, LE) x cells [CB, CE) of
-  /// the update space (lines along the last axis) — one SSP kernel run
-  /// per line.
-  void updateRange(double A, double B, double Dt, size_t LB, size_t LE,
-                   size_t CB, size_t CE) {
+  /// Stage \p St over lines [LB, LE) x cells [CB, CE) of the update
+  /// space (lines along the last axis), one kernel run per line: on the
+  /// \p First stage the run is copied into Un before it is overwritten,
+  /// then U = A*Un + B*(U + dt*Res), and on the \p Last stage the updated
+  /// run's max CFL eigenvalue is folded in (the next step's GetDT).
+  /// \returns that maximum (0 unless \p Last).
+  double updateRange(const SspStage &St, bool First, bool Last, double Dt,
+                     size_t LB, size_t LE, size_t CB, size_t CE) {
     constexpr unsigned LineAxis = Dim - 1;
+    double Acc = 0.0;
     for (size_t Line = LB; Line != LE; ++Line) {
       size_t SBase = this->lineStorageBase(LineAxis, Line) + CB;
       size_t RBase = Line * this->N[LineAxis] + CB;
+      if (First)
+        kernels::copyState<Dim>(this->U.crun(SBase), Un.run(SBase), CE - CB,
+                                this->SimdEnabled);
       kernels::sspUpdate<Dim>(this->U.run(SBase), Un.crun(SBase),
-                              Res.crun(RBase), A, B, Dt, CE - CB,
-                              this->SimdEnabled);
-    }
-  }
-
-  /// Max CFL eigenvalue over lines [LineBegin, LineEnd) x cells
-  /// [CellBegin, CellEnd) of the update space (the GetDT kernel body).
-  double maxEigenRange(size_t LineBegin, size_t LineEnd, size_t CellBegin,
-                       size_t CellEnd) const {
-    constexpr unsigned LineAxis = Dim - 1;
-    const Grid<Dim> &G = this->Prob.Domain;
-    double InvDx[Dim];
-    for (unsigned A = 0; A < Dim; ++A)
-      InvDx[A] = 1.0 / G.dx(A);
-    double Acc = 0.0;
-    for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
-      size_t Base = this->lineStorageBase(LineAxis, Line) + CellBegin;
-      Acc = kernels::maxEigen<Dim>(this->U.crun(Base), this->Prob.G, InvDx,
-                                   Acc, CellEnd - CellBegin,
-                                   this->SimdEnabled);
+                              Res.crun(RBase), St.PrevWeight, St.StageWeight,
+                              Dt, CE - CB, this->SimdEnabled);
+      if (Last)
+        Acc = this->runMaxEigen(SBase, CE - CB, Acc);
     }
     return Acc;
   }
@@ -356,16 +313,17 @@ private:
   //
   // The interior is carved once into the backend's TileGrid over the
   // update space (lines x cells-along-last-axis; automatic tile sizes
-  // when --tile is off).  One step becomes, per tile T:
+  // when --tile is off).  One step becomes, per tile T and stage s:
   //
-  //   Snap(T)                 copy U -> Un on T's interior cells
-  //   per stage s:
-  //     Bnd(s)                ghost fill, serial inside one task
-  //     Flux(s, axis, T)      zero T's RHS (first axis only), then the
+  //   Bnd(s)                  ghost fill, serial inside one task
+  //   Flux(s, axis, T)        zero T's RHS (first axis only), then the
   //                           directional sweep restricted to T
-  //     Upd(s, T)             the SSP update on T
-  //   DtPart(T)               max eigenvalue over T (next step's GetDT)
-  //   DtMerge                 row-major-ordered max over the tile partials
+  //   Upd(s, T)               updateRange on T: the snapshot U -> Un
+  //                           first (s = 0), the SSP update, and T's
+  //                           max-eigenvalue partial (last s)
+  //
+  // After the graph drains, the partials merge in row-major tile order
+  // into the next step's GetDT maximum.
   //
   // Edges encode exact data dependencies, including the anti-dependencies
   // "every flux task reading a tile's U runs before that tile's update
@@ -375,17 +333,14 @@ private:
   // precisely the pipelining headroom.  Determinism: each task covers the
   // same cell sub-ranges as a tiled loop run, the per-cell RHS sequence
   // (zero, -axis0, -axis1) is fixed by the tile-local flux chain, and the
-  // dt merge is an exact max in tile order — so any steal order yields
-  // bit-identical fields and telemetry gauges.
+  // dt merge is an exact max — so any steal order yields bit-identical
+  // fields and telemetry gauges.
   //===--------------------------------------------------------------------===//
 
   enum DagNodeKind : uint64_t {
-    KSnap = 0,
-    KBnd = 1,
-    KFlux = 2,
-    KUpd = 3,
-    KDtPart = 4,
-    KDtMerge = 5,
+    KBnd = 0,
+    KFlux = 1,
+    KUpd = 2,
   };
 
   static uint64_t dagPayload(DagNodeKind Kind, unsigned Axis, size_t Stage,
@@ -453,11 +408,8 @@ private:
     Dag.clear();
 
     const auto &Stages = sspStages(this->Scheme.Integrator);
-    std::vector<size_t> Snap(K), PrevUpd(K), Upd(K), LastFlux(K);
+    std::vector<size_t> PrevUpd(K), Upd(K), LastFlux(K);
     std::vector<size_t> Reads;
-
-    for (size_t Ti = 0; Ti < K; ++Ti)
-      Snap[Ti] = Dag.add(dagPayload(KSnap, 0, 0, Ti));
 
     for (size_t S = 0; S < Stages.size(); ++S) {
       size_t Bnd = Dag.add(dagPayload(KBnd, 0, S, 0));
@@ -466,14 +418,8 @@ private:
           if (rectTouchesEdgeBand(G.rect(Ti), G))
             Dag.addDep(PrevUpd[Ti], Bnd);
 
-      for (size_t Ti = 0; Ti < K; ++Ti) {
+      for (size_t Ti = 0; Ti < K; ++Ti)
         Upd[Ti] = Dag.add(dagPayload(KUpd, 0, S, Ti));
-        if (S == 0)
-          // Stage 0 overwrites U that Snap still reads (and reads Un
-          // that Snap writes); later stages inherit the order through
-          // the flux chain.
-          Dag.addDep(Snap[Ti], Upd[Ti]);
-      }
 
       for (unsigned Axis = 0; Axis < Dim; ++Axis)
         for (size_t Ti = 0; Ti < K; ++Ti) {
@@ -496,15 +442,6 @@ private:
         }
       PrevUpd = Upd;
     }
-
-    // Next step's GetDT: per-tile partials released tile-by-tile as the
-    // final-stage updates land, merged in row-major tile order.
-    size_t Merge = Dag.add(dagPayload(KDtMerge, 0, 0, 0));
-    for (size_t Ti = 0; Ti < K; ++Ti) {
-      size_t P = Dag.add(dagPayload(KDtPart, 0, 0, Ti));
-      Dag.addDep(PrevUpd[Ti], P);
-      Dag.addDep(P, Merge);
-    }
   }
 
   void runDagNode(uint64_t Payload, double Dt) {
@@ -516,15 +453,6 @@ private:
     constexpr unsigned LineAxis = Dim - 1;
 
     switch (Kind) {
-    case KSnap: {
-      TileRect R = G.rect(Ti);
-      for (size_t Line = R.RowBegin; Line != R.RowEnd; ++Line) {
-        size_t Base = this->lineStorageBase(LineAxis, Line) + R.ColBegin;
-        kernels::copyState<Dim>(this->U.crun(Base), Un.run(Base),
-                                R.ColEnd - R.ColBegin, this->SimdEnabled);
-      }
-      return;
-    }
     case KBnd:
       // Runs serially inside this one task (nested parallelFor calls
       // from a task body execute inline).  Same start-of-step Time for
@@ -552,22 +480,13 @@ private:
     }
     case KUpd: {
       TileRect R = G.rect(Ti);
-      const SspStage &St = sspStages(this->Scheme.Integrator)[Stage];
-      updateRange(St.PrevWeight, St.StageWeight, Dt, R.RowBegin, R.RowEnd,
-                  R.ColBegin, R.ColEnd);
-      return;
-    }
-    case KDtPart: {
-      TileRect R = G.rect(Ti);
-      DtPartials[Ti] = maxEigenRange(R.RowBegin, R.RowEnd, R.ColBegin,
-                                     R.ColEnd);
-      return;
-    }
-    case KDtMerge: {
-      double M = 0.0;
-      for (double V : DtPartials)
-        M = std::max(M, V);
-      DagEvMax = M;
+      const std::span<const SspStage> Stages =
+          sspStages(this->Scheme.Integrator);
+      const bool Last = Stage + 1 == Stages.size();
+      double EvMax = updateRange(Stages[Stage], Stage == 0, Last, Dt,
+                                 R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd);
+      if (Last)
+        DtPartials[Ti] = EvMax;
       return;
     }
     }
@@ -581,12 +500,10 @@ private:
       buildStepDag();
     DagExec->runDag(Dag,
                     [&](uint64_t Payload) { runDagNode(Payload, Dt); });
-    // The DAG already reduced next step's max eigenvalue; serve it from
-    // the cache when the clock arrives where this step put it.
-    CachedEvMax = DagEvMax;
-    DtCacheValid = true;
-    DtCacheSteps = this->Steps + 1;
-    DtCacheTime = this->Time + Dt;
+    double EvMax = 0.0;
+    for (double V : DtPartials)
+      EvMax = std::max(EvMax, V);
+    this->cacheMaxEigen(EvMax);
   }
 
   /// Snapshot (QN) and RHS scratch, leased from the solver pool on first
@@ -599,16 +516,9 @@ private:
   /// The reusable step graph and its tile decomposition.
   TaskDag Dag;
   std::optional<TileGrid> DagGrid;
-  /// Per-tile GetDT partials (indexed by tile, merged in tile order).
+  /// Per-tile GetDT partials of the last stage's update tasks (indexed
+  /// by tile, merged in tile order).
   std::vector<double> DtPartials;
-  /// Where the DtMerge task parks the merged maximum.
-  double DagEvMax = 0.0;
-  /// One-step dt cache: valid when the clock matches (Steps, Time)
-  /// recorded at the end of the producing step.
-  double CachedEvMax = 0.0;
-  bool DtCacheValid = false;
-  unsigned DtCacheSteps = 0;
-  double DtCacheTime = 0.0;
 };
 
 } // namespace sacfd

@@ -438,7 +438,8 @@ private:
   }
 
   void captureSnapshot() {
-    const Field<Dim> &U = S.field();
+    // The const accessor: a read keeps the solver's cached GetDT maximum.
+    const Field<Dim> &U = std::as_const(S).field();
     if (!Snap || Snap->shape() != U.shape())
       // Leased from the solver's pool (the guard never outlives its
       // solver); uninit is safe, the copy writes every element.  The

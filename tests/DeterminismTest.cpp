@@ -295,6 +295,104 @@ void checkDagSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
     }
 }
 
+/// The step gauges a fold must reproduce: the dt each step took and the
+/// GetDT maximum it came from.
+TelemetryDigest dtGauges() {
+  TelemetryDigest D;
+  telemetry::MetricsReport R = telemetry::snapshot();
+  for (const char *Name : {"step.dt", "step.max_eigen"}) {
+    const telemetry::GaugeSeries *G = R.findGauge(Name);
+    EXPECT_NE(G, nullptr) << Name;
+    if (G)
+      D.Gauges.push_back(*G);
+  }
+  return D;
+}
+
+/// How a fold arm runs: engine mode plus backend.
+enum class FoldEngine { ArrayFused, FusedLoop, FusedDag };
+
+struct FoldArm {
+  FoldEngine Engine;
+  BackendKind Kind;
+  unsigned Workers;
+  Tile TileCfg;
+};
+
+/// The folds (the RK snapshot, the residual and GetDT inside each stage's
+/// update sweep) against the array engine's materialized mode, which
+/// keeps every pass separate.  For every integrator — rk1, where the
+/// first stage is also the last, rk2 and rk3 — the array engine's fused
+/// mode, the fused engine's loop mode and (1D/2D) its DAG mode must
+/// reproduce the reference fields and the step.dt / step.max_eigen
+/// gauges bit for bit: serial, on a spin pool of 3 and on fork-join
+/// with 5x7 tiles (the DAG on tasks, untiled and tiled).
+template <unsigned Dim>
+void checkFoldsMatchMaterialized(const Problem<Dim> &Prob, SchemeConfig Scheme,
+                                 unsigned Steps) {
+  std::vector<FoldArm> Arms;
+  for (FoldEngine E : {FoldEngine::ArrayFused, FoldEngine::FusedLoop}) {
+    Arms.push_back({E, BackendKind::Serial, 1, Tile::off()});
+    Arms.push_back({E, BackendKind::SpinPool, 3, Tile::off()});
+    Arms.push_back({E, BackendKind::ForkJoin, 3, Tile::sized(5, 7)});
+  }
+  if constexpr (Dim <= 2) {
+    Arms.push_back({FoldEngine::FusedDag, BackendKind::Tasks, 1, Tile::off()});
+    Arms.push_back(
+        {FoldEngine::FusedDag, BackendKind::Tasks, 3, Tile::sized(5, 7)});
+  }
+
+  for (TimeIntegratorKind K :
+       {TimeIntegratorKind::ForwardEuler, TimeIntegratorKind::SspRk2,
+        TimeIntegratorKind::SspRk3}) {
+    Scheme.Integrator = K;
+    SCOPED_TRACE(timeIntegratorKindName(K));
+    auto RefExec = createBackend(BackendKind::Serial, 1);
+    telemetry::reset();
+    telemetry::setGaugeStride(1);
+    telemetry::setEnabled(true);
+    ArraySolver<Dim> Ref(Prob, Scheme, *RefExec, ArrayEvalMode::Materialized);
+    Ref.advanceSteps(Steps);
+    const TelemetryDigest RefGauges = dtGauges();
+    telemetry::setEnabled(false);
+    ArraySolver<Dim> Init(Prob, Scheme, *RefExec, ArrayEvalMode::Materialized);
+    EXPECT_GT(maxFieldDifference(Init, Ref), 0.0)
+        << "materialized reference did not evolve";
+
+    for (const FoldArm &A : Arms) {
+      auto Exec =
+          createBackend(A.Kind, A.Workers, Schedule::staticBlock(), A.TileCfg);
+      ASSERT_NE(Exec, nullptr);
+      const char *Mode = A.Engine == FoldEngine::ArrayFused  ? "array"
+                         : A.Engine == FoldEngine::FusedLoop ? "fused"
+                                                             : "fused/dag";
+      std::string Label = std::string(Mode) + " " + Exec->name() + "(" +
+                          std::to_string(A.Workers) +
+                          ") tile=" + A.TileCfg.str();
+      std::unique_ptr<EulerSolver<Dim>> S;
+      if (A.Engine == FoldEngine::ArrayFused) {
+        S = std::make_unique<ArraySolver<Dim>>(Prob, Scheme, *Exec);
+      } else {
+        auto F = std::make_unique<FusedSolver<Dim>>(Prob, Scheme, *Exec);
+        if (A.Engine == FoldEngine::FusedDag) {
+          ASSERT_TRUE(F->enableDagStepping()) << Label;
+        }
+        S = std::move(F);
+      }
+      telemetry::reset();
+      telemetry::setGaugeStride(1);
+      telemetry::setEnabled(true);
+      S->advanceSteps(Steps);
+      const TelemetryDigest Gauges = dtGauges();
+      telemetry::setEnabled(false);
+      EXPECT_TRUE(sameBits(Ref.time(), S->time())) << Label;
+      EXPECT_EQ(fieldStateHash(Ref), fieldStateHash(*S)) << Label;
+      EXPECT_EQ(maxFieldDifference(Ref, *S), 0.0) << Label;
+      expectSameGauges(RefGauges, Gauges, Label);
+    }
+  }
+}
+
 class DeterminismTest : public ::testing::Test {
 protected:
   void TearDown() override {
@@ -610,4 +708,26 @@ TEST_F(DeterminismTest, ShardedInteraction2D) {
     EXPECT_EQ(Coord.stateHash(), RefHash);
     Coord.shutdown();
   }
+}
+
+TEST_F(DeterminismTest, FoldsMatchMaterializedSod1D) {
+  // Odd cell count: the fused kernel runs end in a ragged tail.
+  checkFoldsMatchMaterialized<1>(sodProblem(67),
+                                 SchemeConfig::benchmarkScheme(), 8);
+}
+
+TEST_F(DeterminismTest, FoldsMatchMaterializedInteraction2D) {
+  checkFoldsMatchMaterialized<2>(shockInteraction2D(19, 2.2, 9.5),
+                                 SchemeConfig::benchmarkScheme(), 4);
+}
+
+TEST_F(DeterminismTest, FoldsMatchMaterializedFigureSchemeInteraction2D) {
+  // WENO3 through the staged-window face path on every fold arm.
+  checkFoldsMatchMaterialized<2>(shockInteraction2D(20, 2.2, 10.0),
+                                 SchemeConfig::figureScheme(), 3);
+}
+
+TEST_F(DeterminismTest, FoldsMatchMaterializedBlast3D) {
+  checkFoldsMatchMaterialized<3>(sphericalBlast3D(9),
+                                 SchemeConfig::benchmarkScheme(), 3);
 }

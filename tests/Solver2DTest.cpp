@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "euler/RankineHugoniot.h"
+#include "runtime/Runtime.h"
 #include "runtime/SerialBackend.h"
 #include "solver/ArraySolver.h"
 #include "solver/Diagnostics.h"
@@ -16,6 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
 
 using namespace sacfd;
 
@@ -261,4 +267,63 @@ TEST(Solver2D, InflowGhostCellsHoldRankineHugoniotState) {
   EXPECT_NEAR(W.Vel[0], Post.U, 1e-12);
   EXPECT_NEAR(W.Vel[1], 0.0, 1e-12);
   EXPECT_NEAR(W.P, Post.P, 1e-12);
+}
+
+TEST(Solver2D, ComputeDtSeesCellsWrittenAfterAStep) {
+  // A step's last stage reduces the next GetDT maximum and computeDt
+  // serves it.  A write through field() after the step (the step guard's
+  // floors, injected faults) must drop that value: dt has to equal a
+  // from-scratch GetDT of the written field, bit for bit, in every
+  // engine mode.
+  Problem<2> Prob = shockInteraction2D(32);
+  SchemeConfig Scheme = SchemeConfig::benchmarkScheme();
+  std::unique_ptr<Backend> Tasks = createBackend(BackendKind::Tasks, 2);
+  ASSERT_NE(Tasks, nullptr);
+  using Factory = std::function<std::unique_ptr<EulerSolver<2>>()>;
+  const std::pair<const char *, Factory> Modes[] = {
+      {"fused loop",
+       [&] { return std::make_unique<FusedSolver<2>>(Prob, Scheme, Exec); }},
+      {"fused dag",
+       [&] {
+         auto S = std::make_unique<FusedSolver<2>>(Prob, Scheme, *Tasks);
+         EXPECT_TRUE(S->enableDagStepping());
+         return S;
+       }},
+      {"array fused",
+       [&] {
+         return std::make_unique<ArraySolver<2>>(Prob, Scheme, Exec,
+                                                 ArrayEvalMode::Fused);
+       }},
+      {"array materialized", [&] {
+         return std::make_unique<ArraySolver<2>>(Prob, Scheme, Exec,
+                                                 ArrayEvalMode::Materialized);
+       }}};
+
+  auto Bits = [](double V) {
+    uint64_t B;
+    std::memcpy(&B, &V, sizeof B);
+    return B;
+  };
+  for (const auto &[Name, Make] : Modes) {
+    SCOPED_TRACE(Name);
+    std::unique_ptr<EulerSolver<2>> S = Make();
+    S->advanceSteps(2);
+    const double DtBefore = S->computeDt();
+
+    const Index Cell = Prob.Domain.toStorage(Index{16, 16});
+    Cons<2> Q = S->field().at(Cell);
+    Q.Mom[0] *= 50.0;
+    Q.Mom[1] *= 50.0;
+    Q.E *= 2500.0;
+    S->field().set(Cell, Q);
+    const double Dt = S->computeDt();
+
+    std::unique_ptr<EulerSolver<2>> Fresh = Make();
+    std::vector<Cons<2>> State(S->field().size());
+    std::as_const(*S).field().exportTo(State.data());
+    Fresh->field().importFrom(State.data());
+    EXPECT_EQ(Bits(Dt), Bits(Fresh->computeDt()))
+        << Dt << " vs " << Fresh->computeDt();
+    EXPECT_LT(Dt, 0.1 * DtBefore) << "the written cell sets the CFL step";
+  }
 }

@@ -11,6 +11,7 @@
 #include "runtime/Runtime.h"
 #include "solver/ArraySolver.h"
 #include "solver/Diagnostics.h"
+#include "solver/FusedSolver.h"
 #include "solver/Problems.h"
 #include "telemetry/Telemetry.h"
 
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -188,22 +190,69 @@ TEST_F(TelemetryTest, BackendRegionSpansAndCounterMatchDispatchCount) {
 }
 
 TEST_F(TelemetryTest, SolverStageSpansAndGaugesAppear) {
-  auto Exec = createBackend(BackendKind::Serial, 1);
-  ArraySolver<2> S(shockInteraction2D(16, 2.2, 8.0),
-                   SchemeConfig::benchmarkScheme(), *Exec);
-  S.advanceSteps(2);
+  // The fused modes fold the Q^n snapshot into the first stage's update,
+  // so only the materialized baseline has a solver.snapshot span.
+  for (ArrayEvalMode Mode :
+       {ArrayEvalMode::Fused, ArrayEvalMode::Materialized}) {
+    const bool Materialized = Mode == ArrayEvalMode::Materialized;
+    SCOPED_TRACE(Materialized ? "materialized" : "fused");
+    telemetry::reset();
+    auto Exec = createBackend(BackendKind::Serial, 1);
+    ArraySolver<2> S(shockInteraction2D(16, 2.2, 8.0),
+                     SchemeConfig::benchmarkScheme(), *Exec, Mode);
+    S.advanceSteps(2);
 
-  telemetry::MetricsReport R = telemetry::snapshot();
-  for (const char *Name : {"solver.get_dt", "solver.snapshot",
-                           "solver.boundary", "solver.flux",
-                           "solver.update"})
-    EXPECT_NE(R.findSpan(Name), nullptr) << Name;
-  for (const char *Name : {"step.dt", "step.max_eigen", "step.mass",
-                           "step.momentum0", "step.momentum1",
-                           "step.energy"}) {
-    const telemetry::GaugeSeries *G = R.findGauge(Name);
-    ASSERT_NE(G, nullptr) << Name;
-    EXPECT_EQ(G->Samples.size(), 2u) << Name;
+    telemetry::MetricsReport R = telemetry::snapshot();
+    for (const char *Name : {"solver.get_dt", "solver.boundary",
+                             "solver.flux", "solver.update"})
+      EXPECT_NE(R.findSpan(Name), nullptr) << Name;
+    EXPECT_EQ(R.findSpan("solver.snapshot") != nullptr, Materialized);
+    for (const char *Name : {"step.dt", "step.max_eigen", "step.mass",
+                             "step.momentum0", "step.momentum1",
+                             "step.energy"}) {
+      const telemetry::GaugeSeries *G = R.findGauge(Name);
+      ASSERT_NE(G, nullptr) << Name;
+      EXPECT_EQ(G->Samples.size(), 2u) << Name;
+    }
+  }
+}
+
+TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
+  // The pass structure of one 2D RK3 step, per stage: 4 boundary sides,
+  // then the array engine's 2 flux with-loops and its combine (residual,
+  // snapshot, update and GetDT folded), or the fused engine's RHS
+  // zeroing, 2 axis sweeps and update (snapshot and GetDT folded).  Only
+  // the first step's GetDT runs as a region of its own.
+  for (BackendKind Kind : {BackendKind::Serial, BackendKind::SpinPool}) {
+    auto Exec = createBackend(Kind, Kind == BackendKind::Serial ? 1 : 2);
+    ASSERT_NE(Exec, nullptr);
+    Problem<2> Prob = shockInteraction2D(16, 2.2, 8.0);
+    SchemeConfig Scheme = SchemeConfig::benchmarkScheme();
+    ASSERT_EQ(Scheme.Integrator, TimeIntegratorKind::SspRk3);
+    for (bool ArrayEngine : {true, false}) {
+      SCOPED_TRACE(std::string(ArrayEngine ? "array" : "fused") + " on " +
+                   Exec->name());
+      const uint64_t PerStep = ArrayEngine ? 21 : 24;
+      std::unique_ptr<EulerSolver<2>> S;
+      if (ArrayEngine)
+        S = std::make_unique<ArraySolver<2>>(Prob, Scheme, *Exec);
+      else
+        S = std::make_unique<FusedSolver<2>>(Prob, Scheme, *Exec);
+      S->advance();
+      telemetry::reset();
+      const uint64_t Before = Exec->regionsDispatched();
+      constexpr unsigned Steps = 3;
+      S->advanceSteps(Steps);
+      EXPECT_EQ(Exec->regionsDispatched() - Before, Steps * PerStep);
+
+      telemetry::MetricsReport R = telemetry::snapshot();
+      const telemetry::CounterTotal *Regions =
+          R.findCounter("runtime.regions");
+      ASSERT_NE(Regions, nullptr);
+      EXPECT_EQ(Regions->Total, Steps * PerStep);
+      EXPECT_EQ(R.findSpan("solver.get_dt"), nullptr);
+      EXPECT_EQ(R.findSpan("solver.snapshot"), nullptr);
+    }
   }
 }
 
