@@ -9,8 +9,8 @@
 //   - with-loop elementwise throughput (fused vs materialized);
 //   - the getDt reduction;
 //   - per-face reconstruction + Riemann solve for each scheme;
-//   - the kernels:: face path (reconstructFaces, fluxFaces) and stage
-//     kernels, scalar vs SIMD.
+//   - the kernels:: face path (reconstructFaces, fluxFaces, and the PC1
+//     split cellPrims + fluxFaces) and stage kernels, scalar vs SIMD.
 //
 //===----------------------------------------------------------------------===//
 
@@ -208,6 +208,33 @@ BENCHMARK(BM_KernelFluxFaces)
     ->Args({1 << 14, 0})
     ->Args({1 << 14, 1})
     ->Name("BM_Kernel/fluxFaces");
+
+// The PC1 sweeps' split of the same N HLLC faces: cellPrims over the
+// line's N + 1 cells, then the faces from two shifted views of the cells
+// and their primitive planes.  Items are faces, as in the row above.
+static void BM_KernelFluxFacesLine(benchmark::State &State) {
+  const size_t N = static_cast<size_t>(State.range(0));
+  const bool Simd = State.range(1) != 0;
+  Gas G;
+  SoaField2 U(N + 1), F(N);
+  NDArray<double> PrimBuf(
+      Shape{static_cast<size_t>(kernels::NumPrimVars<2>), paddedCount(N + 1)});
+  kernels::PrimRun<2> P =
+      kernels::primRun<2>(PrimBuf.data(), paddedCount(N + 1), 0);
+  kernels::ConstRun<2> Cells = U.crun();
+  for (auto _ : State) {
+    kernels::cellPrims<2>(Cells, P, G, RiemannKind::Hllc, N + 1, Simd);
+    kernels::fluxFaces<2>(Cells, P, kernels::advance(Cells, 1),
+                          kernels::advance(P, 1), F.run(), G, 0,
+                          RiemannKind::Hllc, N, Simd);
+    benchmark::DoNotOptimize(F.Buf.data());
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(N));
+}
+BENCHMARK(BM_KernelFluxFacesLine)
+    ->Args({1 << 14, 0})
+    ->Args({1 << 14, 1})
+    ->Name("BM_Kernel/fluxFacesLine");
 
 static void BM_KernelMaxEigen(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));

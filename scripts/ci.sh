@@ -8,7 +8,10 @@
 #            matrix and the closed-box conservation regression
 #   asan     Debug with AddressSanitizer + UndefinedBehaviorSanitizer
 #            (any report is fatal) and libstdc++ assertions: unit +
-#            scenario, which covers the shard fork/rewind paths
+#            scenario, which covers the shard fork/rewind paths, plus the
+#            determinism matrix, which drives every engine's flux sweeps
+#            (shifted kernel views, reallocating line scratch) on every
+#            backend and tiling
 #   tsan     RelWithDebInfo with ThreadSanitizer (halt on the first
 #            report): the determinism matrix, i.e. every backend's
 #            parallel loops and reductions at 1-8 workers.  The OpenMP
@@ -52,7 +55,7 @@ for TYPE in Debug Release asan tsan; do
   cmake --build "$BUILD" -j "$JOBS"
   case "$TYPE" in
     Debug) LABELS='unit|property|smoke|scenario' ;;
-    asan) LABELS='unit|scenario' ;;
+    asan) LABELS='unit|scenario|determinism' ;;
     tsan) LABELS='determinism' ;;
     *) LABELS='' ;;
   esac

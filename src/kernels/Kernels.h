@@ -18,9 +18,15 @@
 /// engines translate their index spaces into runs, and this layer owns
 /// the arithmetic.
 ///
-/// The face path is two kernels for every reconstruction: a line's
+/// The face path of a reconstructed scheme is two kernels: a line's
 /// staged stencil window goes through reconstructFaces (face L/R
 /// states) and then fluxFaces (the Riemann solver), both over SoA runs.
+/// Piecewise-constant reconstruction has no face states of its own, so
+/// its faces split the other way: cellPrims converts each cell of a line
+/// to its primitive planes once, and the PrimRun overload of fluxFaces
+/// solves every face from two shifted views of those planes.  An
+/// interior cell touches two faces; this way its divides and square
+/// roots run once, not twice.
 ///
 /// Each kernel exists twice, in scalarimpl:: (compiled with vectorization
 /// disabled — the honest scalar baseline) and simdimpl:: (compiled with
@@ -132,6 +138,45 @@ inline ConstRun<Dim> advance(ConstRun<Dim> R, ptrdiff_t Cells) {
   return R;
 }
 
+/// Number of per-cell primitive planes cellPrims writes: the velocity
+/// per axis, then the PrimPlane quantities.
+template <unsigned Dim> constexpr unsigned NumPrimVars = Dim + 6;
+
+/// Plane indices of a PrimRun past the Dim velocity planes.  Each plane
+/// holds exactly the expression the face-state flux mirror computes for
+/// a side: p (toPrim), c (Gas::soundSpeed), sqrt(max(rho, 0))
+/// (roeAverage), E_t + p with E_t rebuilt from the primitives
+/// (physicalFlux), h = (E_t + p) / rho (roeAverage) and E / rho
+/// (hllcFlux's star state).
+template <unsigned Dim> struct PrimPlane {
+  static constexpr unsigned P = Dim, C = Dim + 1, SqrtRho = Dim + 2,
+                            EtPlusP = Dim + 3, H = Dim + 4, EOverRho = Dim + 5;
+};
+
+/// Unit-stride view of a run of cells' primitive planes: one pointer per
+/// plane, at the run's first cell.  Written by cellPrims, read by the
+/// PrimRun overload of fluxFaces.
+template <unsigned Dim> struct PrimRun {
+  double *C[NumPrimVars<Dim>] = {};
+};
+
+/// Primitive planes at Base + K * PlaneStride, \p Offset cells in.
+template <unsigned Dim>
+inline PrimRun<Dim> primRun(double *Base, size_t PlaneStride, size_t Offset) {
+  PrimRun<Dim> R;
+  for (unsigned K = 0; K < NumPrimVars<Dim>; ++K)
+    R.C[K] = Base + K * PlaneStride + Offset;
+  return R;
+}
+
+/// \returns \p R advanced by \p Cells cells.
+template <unsigned Dim>
+inline PrimRun<Dim> advance(PrimRun<Dim> R, ptrdiff_t Cells) {
+  for (unsigned K = 0; K < NumPrimVars<Dim>; ++K)
+    R.C[K] += Cells;
+  return R;
+}
+
 /// Scalar element access through a run (boundaries, tests, staging).
 template <unsigned Dim>
 inline Cons<Dim> loadCons(const ConstRun<Dim> &R, size_t I) {
@@ -154,11 +199,21 @@ inline void storeCons(const Run<Dim> &R, size_t I, const Cons<Dim> &Q) {
 
 /// True when fluxFaces can read a face line straight from the field:
 /// piecewise-constant reconstruction makes a face's L/R states the two
-/// adjacent cells, so the whole face line is two shifted runs.  Every
+/// adjacent cells, so the whole face line is two shifted runs (and
+/// cellPrims can convert each cell once for both its faces).  Every
 /// other reconstruction stages the line's stencil window and runs
 /// reconstructFaces first (EulerSolver::lineFaceFluxes).
 constexpr bool fluxKernelEligible(ReconstructionKind Recon) {
   return Recon == ReconstructionKind::PiecewiseConstant;
+}
+
+/// True when fluxFaces runs the branch-free SIMD mirror for \p Kind —
+/// the three algebraic solvers under the SIMD dispatch.  Roe's
+/// eigen-decomposition, and every solver under `--no-simd`, run the
+/// reference loop; for those cellPrims writes nothing and the PrimRun
+/// overload of fluxFaces ignores its planes.
+constexpr bool fluxMirrored(RiemannKind Kind, bool Simd) {
+  return Simd && Kind != RiemannKind::Roe;
 }
 
 /// True when this build compiled simdimpl:: with host-ISA acceleration
@@ -199,6 +254,16 @@ SACFD_KERNELS_DECLARE
 }
 namespace simdimpl {
 SACFD_KERNELS_DECLARE
+// The per-cell split exists only as a mirror: the reference loop has
+// nothing to split (public wrappers below).
+template <unsigned Dim>
+void cellPrims(const ConstRun<Dim> &U, const PrimRun<Dim> &P, const Gas &G,
+               RiemannKind Kind, size_t N);
+template <unsigned Dim>
+void fluxFaces(const ConstRun<Dim> &L, const PrimRun<Dim> &PL,
+               const ConstRun<Dim> &R, const PrimRun<Dim> &PR,
+               const Run<Dim> &F, const Gas &G, unsigned Axis,
+               RiemannKind Kind, size_t N);
 }
 #undef SACFD_KERNELS_DECLARE
 
@@ -243,11 +308,39 @@ template <unsigned Dim>
 inline void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,
                       const Run<Dim> &F, const Gas &G, unsigned Axis,
                       RiemannKind Kind, size_t N, bool Simd) {
-  // The branch-free SIMD mirror covers the three algebraic solvers;
-  // Roe's eigen-decomposition stays on the reference loop.
-  bool Vector = Simd && Kind != RiemannKind::Roe;
-  (Vector ? simdimpl::fluxFaces<Dim> : scalarimpl::fluxFaces<Dim>)(
-      L, R, F, G, Axis, Kind, N);
+  if (fluxMirrored(Kind, Simd))
+    simdimpl::fluxFaces<Dim>(L, R, F, G, Axis, Kind, N);
+  else
+    scalarimpl::fluxFaces<Dim>(L, R, F, G, Axis, Kind, N);
+}
+
+/// Per-cell primitive planes of \p N cells for the \p Kind face solver
+/// (only the planes that solver reads are written).  Writes nothing
+/// unless fluxMirrored(Kind, Simd), so an engine can pair it with the
+/// PrimRun fluxFaces below unconditionally.
+template <unsigned Dim>
+inline void cellPrims(const ConstRun<Dim> &U, const PrimRun<Dim> &P,
+                      const Gas &G, RiemannKind Kind, size_t N, bool Simd) {
+  if (fluxMirrored(Kind, Simd))
+    simdimpl::cellPrims<Dim>(U, P, G, Kind, N);
+}
+
+/// fluxFaces with each side's primitives precomputed: face f's left
+/// state is cell f of \p L, whose cellPrims planes are cell f of \p PL
+/// (likewise \p R / \p PR).  The engines pass two shifted views of one
+/// cell run and its planes, so each cell is converted once for both of
+/// its faces.  Bit-identical to fluxFaces(L, R, ...): the two compose
+/// the same lane arithmetic.  When !fluxMirrored(Kind, Simd) it runs the
+/// reference loop on \p L and \p R and never reads the planes.
+template <unsigned Dim>
+inline void fluxFaces(const ConstRun<Dim> &L, const PrimRun<Dim> &PL,
+                      const ConstRun<Dim> &R, const PrimRun<Dim> &PR,
+                      const Run<Dim> &F, const Gas &G, unsigned Axis,
+                      RiemannKind Kind, size_t N, bool Simd) {
+  if (fluxMirrored(Kind, Simd))
+    simdimpl::fluxFaces<Dim>(L, PL, R, PR, F, G, Axis, Kind, N);
+  else
+    scalarimpl::fluxFaces<Dim>(L, R, F, G, Axis, Kind, N);
 }
 
 /// Face states of \p N consecutive faces along \p Axis from a staged

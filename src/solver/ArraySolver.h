@@ -28,6 +28,10 @@
 ///                The per-stage arithmetic runs through the shared
 ///                kernels:: layer, so contiguous runs take the vectorized
 ///                build — this mode models the optimized compiler output.
+///                Its piecewise-constant flux with-loop converts each
+///                cell row to primitives once (cellPrims) and solves face
+///                rows from shifted views of them, in line-local scratch:
+///                no whole-field primitive array exists.
 ///   Materialized every intermediate array is allocated and filled (the
 ///                naive lowering; ablation A1 measures the gap)
 ///
@@ -184,7 +188,7 @@ private:
         this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
         [&](size_t LB, size_t LE, size_t CB, size_t CE) {
           const size_t Len = CE - CB;
-          kernels::Run<Dim> Res = fluxScratchRow<Dim>(0, 1, Len);
+          kernels::Run<Dim> Res = fluxScratch<Dim>(1, Len).run(0);
           double Acc = 0.0;
           for (size_t Line = LB; Line != LE; ++Line) {
             Index F = Lead.delinearize(Line);
@@ -214,12 +218,14 @@ private:
   /// Numerical flux field over the face index space of \p Axis (interior
   /// shape extended by one along the axis).  Piecewise-constant
   /// reconstruction takes the kernel path — whole face rows through
-  /// kernels::fluxFaces, vectorized on unit-stride runs; every other
-  /// scheme runs the staged-window with-loop (stencilFluxWithLoop).
+  /// cellPrims + kernels::fluxFaces, vectorized on unit-stride runs;
+  /// every other scheme runs the staged-window with-loop
+  /// (stencilFluxWithLoop).
   Field<Dim> fluxAlongFused(unsigned Axis) {
     const Gas &Gas_ = this->Prob.G;
     const SchemeConfig &SC = this->Scheme;
     const Grid<Dim> &G = this->Prob.Domain;
+    const bool Simd = this->SimdEnabled;
     constexpr unsigned LineAxis = Dim - 1;
 
     Shape Faces = G.interiorShape();
@@ -235,20 +241,65 @@ private:
       for (unsigned A = 0; A + 1 < Dim; ++A)
         Lead.dim(A) = Faces.dim(A);
       size_t AxisStride = this->StorageStride[Axis];
+      // Storage offset of face row R's first R-side cell: interior
+      // coordinates shifted by the ghost margin; along the sweep axis
+      // face f's R cell is interior cell f.
+      auto RowBase = [&](size_t R) {
+        Index L = Lead.delinearize(R);
+        size_t SBase = this->Ng; // last-axis start
+        for (unsigned A = 0; A + 1 < Dim; ++A)
+          SBase += (static_cast<size_t>(L.Coord[A]) + this->Ng) *
+                   this->StorageStride[A];
+        return SBase;
+      };
       this->Exec.parallelFor(0, Rows, [&](size_t RB, size_t RE) {
-        for (size_t R = RB; R != RE; ++R) {
-          Index L = Lead.delinearize(R);
-          // Storage offset of the row's first R-side cell: interior
-          // coordinates shifted by the ghost margin; along the sweep
-          // axis face f's R cell is interior cell f.
-          size_t SBase = this->Ng; // last-axis start
-          for (unsigned A = 0; A + 1 < Dim; ++A)
-            SBase += (static_cast<size_t>(L.Coord[A]) + this->Ng) *
-                     this->StorageStride[A];
-          kernels::fluxFaces<Dim>(this->U.crun(SBase - AxisStride),
-                                  this->U.crun(SBase), Out.run(R * RowLen),
-                                  Gas_, Axis, SC.Riemann, RowLen,
-                                  this->SimdEnabled);
+        if (Axis == LineAxis) {
+          // A face row's cells are contiguous: one primitive row over
+          // its RowLen + 1 cells, the faces from two shifted views.
+          kernels::PrimRun<Dim> P = fluxScratch<Dim>(1, RowLen + 1).prims(0);
+          for (size_t R = RB; R != RE; ++R) {
+            kernels::ConstRun<Dim> Cells = this->U.crun(RowBase(R) - 1);
+            kernels::cellPrims<Dim>(Cells, P, Gas_, SC.Riemann, RowLen + 1,
+                                    Simd);
+            kernels::fluxFaces<Dim>(Cells, P, kernels::advance(Cells, 1),
+                                    kernels::advance(P, 1),
+                                    Out.run(R * RowLen), Gas_, Axis,
+                                    SC.Riemann, RowLen, Simd);
+          }
+        } else if (Axis + 2 == Dim) {
+          // Consecutive face rows step along the axis, so the R-side
+          // cell row of one is the L-side row of the next: two rolling
+          // primitive rows convert each cell row once per block (plus
+          // where a row of the block does not follow on, such as the
+          // block's first).
+          FluxScratch<Dim> Scratch = fluxScratch<Dim>(2, RowLen);
+          kernels::PrimRun<Dim> P[2] = {Scratch.prims(0), Scratch.prims(1)};
+          unsigned Lo = 0;
+          size_t PrevBase = 0;
+          for (size_t R = RB; R != RE; ++R) {
+            size_t SBase = RowBase(R);
+            if (R != RB && SBase - AxisStride == PrevBase)
+              Lo ^= 1;
+            else
+              kernels::cellPrims<Dim>(this->U.crun(SBase - AxisStride),
+                                      P[Lo], Gas_, SC.Riemann, RowLen, Simd);
+            kernels::cellPrims<Dim>(this->U.crun(SBase), P[Lo ^ 1], Gas_,
+                                    SC.Riemann, RowLen, Simd);
+            PrevBase = SBase;
+            kernels::fluxFaces<Dim>(this->U.crun(SBase - AxisStride), P[Lo],
+                                    this->U.crun(SBase), P[Lo ^ 1],
+                                    Out.run(R * RowLen), Gas_, Axis,
+                                    SC.Riemann, RowLen, Simd);
+          }
+        } else {
+          // 3D axis 0: consecutive face rows step along axis 1, so no
+          // cell row is shared and each face converts its own states.
+          for (size_t R = RB; R != RE; ++R) {
+            size_t SBase = RowBase(R);
+            kernels::fluxFaces<Dim>(this->U.crun(SBase - AxisStride),
+                                    this->U.crun(SBase), Out.run(R * RowLen),
+                                    Gas_, Axis, SC.Riemann, RowLen, Simd);
+          }
         }
       });
       return Out;

@@ -364,15 +364,16 @@ protected:
   /// and kernels::fluxFaces solves their Riemann problems, all on
   /// unit-stride runs, so the SIMD build vectorizes the whole path.  The
   /// window and the three face rows are one per-worker-thread, grown-only
-  /// scratch (fluxScratchRow); the returned flux row is valid until the
+  /// scratch (fluxScratch); the returned flux row is valid until the
   /// calling thread's next call.
   kernels::ConstRun<Dim> lineFaceFluxes(unsigned Axis, size_t Line,
                                         size_t FaceBegin, size_t Faces) const {
     const size_t Len = Faces + 5;
-    kernels::Run<Dim> Win = fluxScratchRow<Dim>(0, 4, Len);
-    kernels::Run<Dim> L = fluxScratchRow<Dim>(1, 4, Len);
-    kernels::Run<Dim> R = fluxScratchRow<Dim>(2, 4, Len);
-    kernels::Run<Dim> F = fluxScratchRow<Dim>(3, 4, Len);
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(4, Len);
+    kernels::Run<Dim> Win = Scratch.run(0);
+    kernels::Run<Dim> L = Scratch.run(1);
+    kernels::Run<Dim> R = Scratch.run(2);
+    kernels::Run<Dim> F = Scratch.run(3);
     stageLineWindow(Axis, Line, FaceBegin, Len, Win);
     kernels::reconstructFaces<Dim>(Win, L, R, Prob.G, Axis, Scheme.Recon,
                                    Scheme.Limiter, Scheme.Vars, Faces,

@@ -105,24 +105,49 @@ private:
   size_t Plane = 0;
 };
 
-/// Thread-local flux-line scratch: view of block \p Row out of \p Rows
-/// blocks, each holding \p Len states as padded SoA planes, so every
-/// kernel call mixing a field run with a scratch run (accumDivergence in
-/// particular) sees unit stride and admits the SIMD flux mirror.
-/// Grown-only per thread, like the engines' line scratch: persistent
-/// worker pools allocate it once per thread, fork-join teams re-pay it
-/// per region.  Every slot is written before it is read.
+/// View of the thread-local line scratch fluxScratch hands out: blocks
+/// of one length, each NumPrimVars<Dim> padded SoA planes, so a block
+/// holds either a conserved-state row (run(): its first NumVars planes)
+/// or a cellPrims row (prims()).  Unit stride throughout, so every
+/// kernel call mixing a field run with a scratch run (accumDivergence
+/// in particular) admits the SIMD mirrors.
+template <unsigned Dim> class FluxScratch {
+public:
+  FluxScratch(double *Base, size_t Plane) : Base(Base), Plane(Plane) {}
+
+  kernels::Run<Dim> run(unsigned Block) const {
+    return kernels::soaRun<Dim>(block(Block), Plane, 0);
+  }
+  kernels::PrimRun<Dim> prims(unsigned Block) const {
+    return kernels::primRun<Dim>(block(Block), Plane, 0);
+  }
+
+private:
+  double *block(unsigned Block) const {
+    return Base + static_cast<size_t>(Block) * kernels::NumPrimVars<Dim> *
+                      Plane;
+  }
+
+  double *Base;
+  size_t Plane;
+};
+
+/// Thread-local line scratch of \p Blocks blocks of \p Len cells each.
+/// Grown-only per thread: persistent worker pools allocate it once per
+/// thread, fork-join teams re-pay it per region.  A call that grows it
+/// reallocates, which moves every block an earlier call handed out — so
+/// a sweep takes all the blocks it needs from one call, and calls
+/// nothing else that takes scratch while it holds them.  Every slot is
+/// written before it is read.
 template <unsigned Dim>
-inline kernels::Run<Dim> fluxScratchRow(unsigned Row, unsigned Rows,
-                                        size_t Len) {
+inline FluxScratch<Dim> fluxScratch(unsigned Blocks, size_t Len) {
   size_t Plane = paddedCount(Len);
-  size_t Block = static_cast<size_t>(NumVars<Dim>) * Plane;
-  size_t Needed = static_cast<size_t>(Rows) * Block;
+  size_t Needed = static_cast<size_t>(Blocks) * kernels::NumPrimVars<Dim> *
+                  Plane;
   static thread_local NDArray<double> Buf;
   if (Buf.size() < Needed)
     Buf.reshapeDiscard(Shape{Needed});
-  return kernels::soaRun<Dim>(Buf.data() + static_cast<size_t>(Row) * Block,
-                              Plane, 0);
+  return FluxScratch<Dim>(Buf.data(), Plane);
 }
 
 } // namespace sacfd

@@ -25,11 +25,14 @@
 ///
 /// The loop bodies themselves are the shared kernels:: layer: snapshot,
 /// RHS zeroing, the SSP update and the GetDT reduction always run as
-/// contiguous line runs, and so do the face fluxes: piecewise-constant
-/// reconstruction reads face rows straight from the field, every other
-/// scheme stages each line's stencil window once and runs it through
-/// reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes), so the hot
-/// loops execute the vectorized kernel build.
+/// contiguous line runs, and so do the face fluxes.  Piecewise-constant
+/// reconstruction reads cell rows straight from the field: cellPrims
+/// converts each row to primitive planes once, and fluxFaces solves a
+/// face row from two shifted views of cells and planes (line-local
+/// scratch, rolling rows along the 2D axis 0).  Every other scheme
+/// stages each line's stencil window once and runs it through
+/// reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes).  So the
+/// hot loops execute the vectorized kernel build.
 ///
 /// On a TaskBackend the engine additionally offers a dependency-DAG step
 /// mode (enableDagStepping): one step becomes per-tile flux and update
@@ -219,42 +222,56 @@ private:
     }
   }
 
-  /// Kernel form of the last-axis sweep: per line, one fluxFaces run
-  /// over the bounding faces (unit-stride SoA scratch, so the SIMD
-  /// mirror applies), then one accumDivergence run into the RHS.  Face
-  /// values and the per-cell accumulation are bit-identical to the
-  /// staged form — the kernels mirror numericalFlux term for term.
+  /// Kernel form of the last-axis sweep, per line: one cellPrims run
+  /// over the LocalFaces + 1 cells the faces touch, one fluxFaces run
+  /// over the faces from two shifted views of those cells and their
+  /// primitives (unit-stride SoA scratch, so the SIMD mirror applies),
+  /// then one accumDivergence run into the RHS.  Face values and the
+  /// per-cell accumulation are bit-identical to the staged form — the
+  /// kernels mirror numericalFlux term for term.
   void sweepRangeKernelLastAxis(size_t LineBegin, size_t LineEnd,
                                 size_t CellBegin, size_t CellEnd) {
     constexpr unsigned Axis = Dim - 1;
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
+    const Gas &G = this->Prob.G;
+    const RiemannKind Kind = this->Scheme.Riemann;
+    const bool Simd = this->SimdEnabled;
     size_t LocalFaces = (CellEnd - CellBegin) + 1;
-    kernels::Run<Dim> FluxRow = fluxScratchRow<Dim>(0, 1, LocalFaces);
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(2, LocalFaces + 1);
+    kernels::PrimRun<Dim> Prims = Scratch.prims(0);
+    kernels::Run<Dim> FluxRow = Scratch.run(1);
     for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
       size_t Base = this->lineStorageBase(Axis, Line) + CellBegin;
       // Face f (local) sits between storage cells Base+f-1 and Base+f;
       // cell Base-1 is the ghost neighbor when CellBegin == 0.
-      kernels::fluxFaces<Dim>(this->U.crun(Base - 1), this->U.crun(Base),
-                              FluxRow, this->Prob.G, Axis,
-                              this->Scheme.Riemann, LocalFaces,
-                              this->SimdEnabled);
+      kernels::ConstRun<Dim> Cells = this->U.crun(Base - 1);
+      kernels::cellPrims<Dim>(Cells, Prims, G, Kind, LocalFaces + 1, Simd);
+      kernels::fluxFaces<Dim>(Cells, Prims, kernels::advance(Cells, 1),
+                              kernels::advance(Prims, 1), FluxRow, G, Axis,
+                              Kind, LocalFaces, Simd);
       size_t RBase = this->lineInteriorBase(Axis, Line) + CellBegin;
       kernels::ConstRun<Dim> Lo = FluxRow;
       kernels::accumDivergence<Dim>(Res.run(RBase), Lo,
                                     kernels::advance(Lo, 1), InvDx,
-                                    CellEnd - CellBegin, this->SimdEnabled);
+                                    CellEnd - CellBegin, Simd);
     }
   }
 
   /// Kernel form of the 2D axis-0 sweep.  The sweep space is transposed
   /// (lines = columns, cells = rows), so contiguous runs go across the
-  /// line range: face row f is computed once into a rolling two-row
-  /// scratch, and cell row i consumes face rows i and i+1.  Same face
+  /// line range: cell row r is converted once (cellPrims) into one of
+  /// two rolling primitive rows, face row f is computed once from cell
+  /// rows f-1 and f into one of two rolling flux rows, and cell row i
+  /// consumes face rows i and i+1.  Each cell row is converted once per
+  /// sweep range, plus the row below it at a range seam.  Same face
   /// values, same single accumulation per cell as the staged form.
   void sweepRangeKernelAxis0(size_t LineBegin, size_t LineEnd,
                              size_t CellBegin, size_t CellEnd) {
     static_assert(Dim == 2, "axis-0 kernel sweep is the 2D restructure");
     const double InvDx = 1.0 / this->Prob.Domain.dx(0);
+    const Gas &G = this->Prob.G;
+    const RiemannKind Kind = this->Scheme.Riemann;
+    const bool Simd = this->SimdEnabled;
     const size_t S0 = this->StorageStride[0];
     size_t W = LineEnd - LineBegin;
 
@@ -263,23 +280,31 @@ private:
     auto FaceRowBase = [&](size_t F) {
       return (this->Ng + F) * S0 + this->Ng + LineBegin;
     };
+    auto Convert = [&](size_t Base, const kernels::PrimRun<Dim> &P) {
+      kernels::cellPrims<Dim>(this->U.crun(Base), P, G, Kind, W, Simd);
+    };
+    auto Faces = [&](size_t F, const kernels::PrimRun<Dim> &Lo,
+                     const kernels::PrimRun<Dim> &Hi,
+                     const kernels::Run<Dim> &Out) {
+      kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(F) - S0), Lo,
+                              this->U.crun(FaceRowBase(F)), Hi, Out, G,
+                              /*Axis=*/0, Kind, W, Simd);
+    };
 
-    kernels::Run<Dim> Rows[2] = {fluxScratchRow<Dim>(0, 2, W),
-                                 fluxScratchRow<Dim>(1, 2, W)};
-    kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(CellBegin) - S0),
-                            this->U.crun(FaceRowBase(CellBegin)), Rows[0],
-                            this->Prob.G, /*Axis=*/0, this->Scheme.Riemann,
-                            W, this->SimdEnabled);
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(4, W);
+    kernels::PrimRun<Dim> Prims[2] = {Scratch.prims(0), Scratch.prims(1)};
+    kernels::Run<Dim> Rows[2] = {Scratch.run(2), Scratch.run(3)};
+    Convert(FaceRowBase(CellBegin) - S0, Prims[0]);
+    Convert(FaceRowBase(CellBegin), Prims[1]);
+    Faces(CellBegin, Prims[0], Prims[1], Rows[0]);
     for (size_t I = CellBegin; I != CellEnd; ++I) {
-      kernels::Run<Dim> &Lo = Rows[(I - CellBegin) % 2];
-      kernels::Run<Dim> &Hi = Rows[(I - CellBegin + 1) % 2];
-      kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(I + 1) - S0),
-                              this->U.crun(FaceRowBase(I + 1)), Hi,
-                              this->Prob.G, /*Axis=*/0, this->Scheme.Riemann,
-                              W, this->SimdEnabled);
+      size_t K = I - CellBegin;
+      // Cell row I+1 replaces row I-1, whose last face (I) is done.
+      Convert(FaceRowBase(I + 1), Prims[K % 2]);
+      Faces(I + 1, Prims[(K + 1) % 2], Prims[K % 2], Rows[(K + 1) % 2]);
       size_t RBase = I * this->N[1] + LineBegin;
-      kernels::accumDivergence<Dim>(Res.run(RBase), Lo, Hi, InvDx, W,
-                                    this->SimdEnabled);
+      kernels::accumDivergence<Dim>(Res.run(RBase), Rows[K % 2],
+                                    Rows[(K + 1) % 2], InvDx, W, Simd);
     }
   }
 

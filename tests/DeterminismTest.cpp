@@ -611,6 +611,41 @@ TEST_F(DeterminismTest, LayoutSimdTiledInteraction2DFusedSolver) {
                                   Tile::sized(5, 7));
 }
 
+// PC1 with the other two mirrored solvers: the per-cell split feeds
+// Rusanov's and HLL's face arithmetic on both engines, untiled and on
+// the 5x7 ragged tiles.
+namespace {
+SchemeConfig pc1Scheme(RiemannKind Riemann) {
+  SchemeConfig C = SchemeConfig::benchmarkScheme();
+  C.Riemann = Riemann;
+  return C;
+}
+} // namespace
+
+TEST_F(DeterminismTest, LayoutSimdRusanovHllInteraction2DArraySolver) {
+  for (RiemannKind K : {RiemannKind::Rusanov, RiemannKind::Hll})
+    checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                    pc1Scheme(K), 4);
+}
+
+TEST_F(DeterminismTest, LayoutSimdRusanovHllInteraction2DFusedSolver) {
+  for (RiemannKind K : {RiemannKind::Rusanov, RiemannKind::Hll})
+    checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                    pc1Scheme(K), 4);
+}
+
+TEST_F(DeterminismTest, LayoutSimdTiledRusanovHllInteraction2DArraySolver) {
+  for (RiemannKind K : {RiemannKind::Rusanov, RiemannKind::Hll})
+    checkSimdMatrix<ArraySolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                    pc1Scheme(K), 4, Tile::sized(5, 7));
+}
+
+TEST_F(DeterminismTest, LayoutSimdTiledRusanovHllInteraction2DFusedSolver) {
+  for (RiemannKind K : {RiemannKind::Rusanov, RiemannKind::Hll})
+    checkSimdMatrix<FusedSolver<2>>(shockInteraction2D(19, 2.2, 9.5),
+                                    pc1Scheme(K), 4, Tile::sized(5, 7));
+}
+
 TEST_F(DeterminismTest, LayoutSimdDagSod1DFusedSolver) {
   checkDagSimdMatrix<1>(sodProblem(67), SchemeConfig::benchmarkScheme(), 12);
 }

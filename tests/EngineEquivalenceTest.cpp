@@ -81,6 +81,9 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, EngineEquivalence2D,
     ::testing::Values(
         EquivCase{ReconstructionKind::PiecewiseConstant, RiemannKind::Hllc},
+        EquivCase{ReconstructionKind::PiecewiseConstant,
+                  RiemannKind::Rusanov},
+        EquivCase{ReconstructionKind::PiecewiseConstant, RiemannKind::Hll},
         EquivCase{ReconstructionKind::Weno3, RiemannKind::Hllc}),
     [](const ::testing::TestParamInfo<EquivCase> &I) {
       return I.param.label();
