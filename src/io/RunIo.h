@@ -163,7 +163,6 @@ bool writeRunTelemetry(const SolverRun<Dim> &Run, const std::string &Program,
       {"workers", std::to_string(Run.backend().workerCount())},
       {"schedule", Cfg.Sched.str()},
       {"tile", Cfg.TileCfg.str()},
-      {"step_mode", stepModeName(Cfg.Step)},
       {"simd", Cfg.Simd ? "on" : "off"},
       {"guard", Cfg.Guard.Enabled ? "on" : "off"},
   };

@@ -32,8 +32,6 @@
 
 namespace sacfd {
 
-class TaskBackend;
-
 /// A range body: executes iterations [Begin, End) of a parallel loop.
 using RangeBody = FunctionRef<void(size_t Begin, size_t End)>;
 
@@ -76,11 +74,6 @@ public:
 
   /// \returns a stable human-readable backend name for reports.
   virtual const char *name() const = 0;
-
-  /// \returns this backend as a TaskBackend when it supports dependency-
-  /// DAG dispatch (runDag), nullptr otherwise.  Callers with a task graph
-  /// probe this instead of RTTI; everyone else stays on parallelFor.
-  virtual TaskBackend *taskBackend() { return nullptr; }
 
   /// Sets the rank-2 tiling policy used by parallelFor2D.  Disabled by
   /// default (row-flattened legacy behavior).

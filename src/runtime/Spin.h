@@ -6,12 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one spin-wait idiom used across the runtime: busy-poll a bounded
-/// number of iterations, then fall back to yield() so an oversubscribed
-/// host (more waiters than hardware threads) cannot starve the very
-/// thread being waited on.  SpinBarrierPool documents the rationale;
-/// the shard mailboxes reuse the same discipline for their inter-process
-/// seqlock waits.
+/// The shard mailboxes' spin-wait: busy-poll a bounded number of
+/// iterations, then fall back to yield() so an oversubscribed host (more
+/// waiters than hardware threads) cannot starve the very thread being
+/// waited on.  SpinBarrierPool documents the rationale; its private
+/// SpinBarrierPool::spinUntil is a second copy of this loop that adds a
+/// cpuRelax() pause hint per busy iteration.  The two are not merged, so
+/// a change to the wait discipline (a deadline, a diagnostic) has to
+/// touch both.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -239,7 +239,7 @@ void applyBoundarySide(FieldT &U, const Grid<Dim> &G,
 /// \p Time feeds Prescribed segments only.  Engines pass the solver
 /// clock at the start of the step for every RK stage fill of that step —
 /// a deliberate (documented) first-order-in-time treatment that keeps
-/// loops and DAG step modes, and both engines, bit-identical.
+/// both engines bit-identical.
 template <unsigned Dim, typename FieldT>
 void applyBoundaries(FieldT &U, const Grid<Dim> &G,
                      const BoundarySpec<Dim> &Spec, Backend &Exec,

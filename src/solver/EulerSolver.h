@@ -305,9 +305,9 @@ protected:
   }
 
   /// The per-stage ghost fill both engines call: the ghost-fill hook
-  /// first (halo exchange), then the physical boundary conditions.  All
-  /// engine step modes route their applyBoundaries calls through here so
-  /// a sharded sub-solver exchanges halos exactly once per stage.
+  /// first (halo exchange), then the physical boundary conditions.  Both
+  /// engines route their applyBoundaries calls through here so a sharded
+  /// sub-solver exchanges halos exactly once per stage.
   void fillGhosts(double FillTime) {
     if (GhostHook)
       GhostHook(U, FillTime);

@@ -34,21 +34,9 @@
 /// reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes).  So the
 /// hot loops execute the vectorized kernel build.
 ///
-/// On a TaskBackend the engine additionally offers a dependency-DAG step
-/// mode (enableDagStepping): one step becomes per-tile flux and update
-/// tasks linked by exact data dependencies, so a tile can run stage s+1
-/// while a distant tile is still in stage s — no global barrier between
-/// the regions.  The update tasks run the same updateRange as loop mode,
-/// snapshot and GetDT partial included; the partials are merged in
-/// row-major tile order after the graph drains.
-///
 /// The numerics (reconstruction, Riemann solver, stage table) are shared
 /// with ArraySolver, so for identical settings the two engines produce
-/// bit-identical fields.  The DAG mode preserves that: every task covers
-/// the same cell sub-ranges a tiled loop run would, per-cell arithmetic
-/// order within the RHS is fixed by tile-local axis ordering, and the
-/// max-reduction is grouping-independent — so fields stay bit-identical
-/// to serial at every worker count.
+/// bit-identical fields.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,12 +44,9 @@
 #define SACFD_SOLVER_FUSEDSOLVER_H
 
 #include "runtime/BlockReduce.h"
-#include "runtime/TaskBackend.h"
 #include "solver/EulerSolver.h"
 
 #include <algorithm>
-#include <optional>
-#include <vector>
 
 namespace sacfd {
 
@@ -74,27 +59,8 @@ public:
 
   const char *engineName() const override { return "fused"; }
 
-  /// Switches stepWithDt to the dependency-DAG pipeline.  Requires the
-  /// backend to support DAG dispatch (Backend::taskBackend) and Dim <= 2.
-  /// \returns false (leaving the loop mode active) when unsupported.
-  bool enableDagStepping() {
-    if constexpr (Dim > 2)
-      return false;
-    DagExec = this->Exec.taskBackend();
-    return DagExec != nullptr;
-  }
-
-  /// True when steps run as a task DAG rather than barrier-ed regions.
-  bool dagStepping() const { return DagExec != nullptr; }
-
 protected:
   void stepWithDt(double Dt) override {
-    if (DagExec) {
-      if constexpr (Dim <= 2) {
-        stepWithDtDag(Dt);
-        return;
-      }
-    }
     static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
     static const unsigned SpanFlux = telemetry::spanId("solver.flux");
     static const unsigned SpanUpdate = telemetry::spanId("solver.update");
@@ -180,9 +146,9 @@ private:
   /// flux and difference in one pass over the line, no global flux
   /// array.  Each cell's
   /// update reads faces I and I+1 computed from the same clamped
-  /// stencils regardless of the sub-range, so tiled, flattened and
-  /// task-decomposed sweeps are bit-identical (sub-range boundary faces
-  /// are recomputed, not communicated).
+  /// stencils regardless of the sub-range, so tiled and flattened sweeps
+  /// are bit-identical (sub-range boundary faces are recomputed, not
+  /// communicated).
   void sweepRange(unsigned Axis, size_t LineBegin, size_t LineEnd,
                   size_t CellBegin, size_t CellEnd) {
     if (fluxKernelSweep(Axis)) {
@@ -333,217 +299,10 @@ private:
     return Acc;
   }
 
-  //===--------------------------------------------------------------------===//
-  // Dependency-DAG step mode (TaskBackend only, Dim <= 2)
-  //
-  // The interior is carved once into the backend's TileGrid over the
-  // update space (lines x cells-along-last-axis; automatic tile sizes
-  // when --tile is off).  One step becomes, per tile T and stage s:
-  //
-  //   Bnd(s)                  ghost fill, serial inside one task
-  //   Flux(s, axis, T)        zero T's RHS (first axis only), then the
-  //                           directional sweep restricted to T
-  //   Upd(s, T)               updateRange on T: the snapshot U -> Un
-  //                           first (s = 0), the SSP update, and T's
-  //                           max-eigenvalue partial (last s)
-  //
-  // After the graph drains, the partials merge in row-major tile order
-  // into the next step's GetDT maximum.
-  //
-  // Edges encode exact data dependencies, including the anti-dependencies
-  // "every flux task reading a tile's U runs before that tile's update
-  // overwrites it" and "a stage's boundary task waits for the previous
-  // stage's updates of every edge-band tile".  Ghost-reading flux tasks
-  // depend on their stage's boundary task; interior tiles don't, which is
-  // precisely the pipelining headroom.  Determinism: each task covers the
-  // same cell sub-ranges as a tiled loop run, the per-cell RHS sequence
-  // (zero, -axis0, -axis1) is fixed by the tile-local flux chain, and the
-  // dt merge is an exact max — so any steal order yields bit-identical
-  // fields and telemetry gauges.
-  //===--------------------------------------------------------------------===//
-
-  enum DagNodeKind : uint64_t {
-    KBnd = 0,
-    KFlux = 1,
-    KUpd = 2,
-  };
-
-  static uint64_t dagPayload(DagNodeKind Kind, unsigned Axis, size_t Stage,
-                             size_t TileIndex) {
-    return static_cast<uint64_t>(Kind) | (static_cast<uint64_t>(Axis) << 3) |
-           (static_cast<uint64_t>(Stage) << 6) |
-           (static_cast<uint64_t>(TileIndex) << 16);
-  }
-
-  /// Tile-row/col index of interior coordinate \p C along an axis with
-  /// nominal tile size \p TileDim (TileGrid tiles cover
-  /// [i*TileDim, min((i+1)*TileDim, Extent))).
-  static size_t tileIndexOf(size_t C, size_t TileDim) { return C / TileDim; }
-
-  /// True when \p R contains interior cells within Ng of any domain
-  /// face — the cells applyBoundaries reads (and, for periodic, copies
-  /// from the opposite band, which is also covered).
-  bool rectTouchesEdgeBand(const TileRect &R, const TileGrid &G) const {
-    if (Dim >= 2 && (R.RowBegin < this->Ng || R.RowEnd + this->Ng > G.rows()))
-      return true;
-    return R.ColBegin < this->Ng || R.ColEnd + this->Ng > G.cols();
-  }
-
-  /// The update-space tile indices whose U cells a flux task over tile
-  /// \p Ti along \p Axis reads (its own tile plus up to a 3-cell stencil
-  /// reach into neighbors), appended to \p Out.  \p GhostRead reports
-  /// whether the clamped stencil extends into ghost cells.
-  void fluxReadTiles(const TileGrid &G, unsigned Axis, size_t Ti,
-                     std::vector<size_t> &Out, bool &GhostRead) const {
-    TileRect R = G.rect(Ti);
-    constexpr unsigned LineAxis = Dim - 1;
-    if (Axis == LineAxis) {
-      // Sweep along columns: reads cols [ColBegin-3, ColEnd+2] of its
-      // own tile rows.
-      size_t Lo = R.ColBegin < 3 ? 0 : R.ColBegin - 3;
-      size_t Hi = std::min(R.ColEnd + 2, G.cols() - 1);
-      GhostRead = R.ColBegin < 3 || R.ColEnd + 2 > G.cols() - 1;
-      size_t TRow = Ti / G.colTiles();
-      for (size_t TC = tileIndexOf(Lo, G.tileCols());
-           TC <= tileIndexOf(Hi, G.tileCols()); ++TC)
-        Out.push_back(TRow * G.colTiles() + TC);
-      return;
-    }
-    // 2D axis-0 sweep along rows: reads rows [RowBegin-3, RowEnd+2] of
-    // its own tile columns.
-    size_t Lo = R.RowBegin < 3 ? 0 : R.RowBegin - 3;
-    size_t Hi = std::min(R.RowEnd + 2, G.rows() - 1);
-    GhostRead = R.RowBegin < 3 || R.RowEnd + 2 > G.rows() - 1;
-    size_t TCol = Ti % G.colTiles();
-    for (size_t TR = tileIndexOf(Lo, G.tileRows());
-         TR <= tileIndexOf(Hi, G.tileRows()); ++TR)
-      Out.push_back(TR * G.colTiles() + TCol);
-  }
-
-  void buildStepDag() {
-    constexpr unsigned LineAxis = Dim - 1;
-    size_t Lines = this->lineCount(LineAxis);
-    Tile T = this->Exec.tile();
-    if (!T.Enabled)
-      T = Tile::automatic();
-    DagGrid.emplace(Lines, this->N[LineAxis], T);
-    const TileGrid &G = *DagGrid;
-    size_t K = G.count();
-    DtPartials.assign(K, 0.0);
-    Dag.clear();
-
-    const auto &Stages = sspStages(this->Scheme.Integrator);
-    std::vector<size_t> PrevUpd(K), Upd(K), LastFlux(K);
-    std::vector<size_t> Reads;
-
-    for (size_t S = 0; S < Stages.size(); ++S) {
-      size_t Bnd = Dag.add(dagPayload(KBnd, 0, S, 0));
-      if (S > 0)
-        for (size_t Ti = 0; Ti < K; ++Ti)
-          if (rectTouchesEdgeBand(G.rect(Ti), G))
-            Dag.addDep(PrevUpd[Ti], Bnd);
-
-      for (size_t Ti = 0; Ti < K; ++Ti)
-        Upd[Ti] = Dag.add(dagPayload(KUpd, 0, S, Ti));
-
-      for (unsigned Axis = 0; Axis < Dim; ++Axis)
-        for (size_t Ti = 0; Ti < K; ++Ti) {
-          size_t F = Dag.add(dagPayload(KFlux, Axis, S, Ti));
-          if (Axis > 0)
-            // Per-cell RHS sequence: zero, -axis0, -axis1 — same order
-            // as the loop mode, hence bit-identical accumulation.
-            Dag.addDep(LastFlux[Ti], F);
-          LastFlux[Ti] = F;
-          bool GhostRead = false;
-          Reads.clear();
-          fluxReadTiles(G, Axis, Ti, Reads, GhostRead);
-          for (size_t R : Reads) {
-            if (S > 0)
-              Dag.addDep(PrevUpd[R], F); // U produced by previous stage
-            Dag.addDep(F, Upd[R]);       // before R's update overwrites U
-          }
-          if (GhostRead)
-            Dag.addDep(Bnd, F); // ghosts filled by this stage's boundary
-        }
-      PrevUpd = Upd;
-    }
-  }
-
-  void runDagNode(uint64_t Payload, double Dt) {
-    const TileGrid &G = *DagGrid;
-    auto Kind = static_cast<DagNodeKind>(Payload & 0x7);
-    auto Axis = static_cast<unsigned>((Payload >> 3) & 0x7);
-    auto Stage = static_cast<size_t>((Payload >> 6) & 0x3FF);
-    auto Ti = static_cast<size_t>(Payload >> 16);
-    constexpr unsigned LineAxis = Dim - 1;
-
-    switch (Kind) {
-    case KBnd:
-      // Runs serially inside this one task (nested parallelFor calls
-      // from a task body execute inline).  Same start-of-step Time for
-      // every stage, matching the loops mode bit for bit.
-      this->fillGhosts(this->Time);
-      return;
-    case KFlux: {
-      TileRect R = G.rect(Ti);
-      if (Axis == 0) {
-        // First axis of the stage zeroes this tile's RHS before
-        // accumulating into it.
-        for (size_t Line = R.RowBegin; Line != R.RowEnd; ++Line) {
-          size_t Base = Line * this->N[LineAxis] + R.ColBegin;
-          kernels::zeroState<Dim>(Res.run(Base), R.ColEnd - R.ColBegin,
-                                  this->SimdEnabled);
-        }
-      }
-      if (Axis == LineAxis)
-        sweepRange(Axis, R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd);
-      else
-        // The 2D axis-0 sweep space is (lines = cols, cells = rows);
-        // the update-space tile maps onto it transposed.
-        sweepRange(Axis, R.ColBegin, R.ColEnd, R.RowBegin, R.RowEnd);
-      return;
-    }
-    case KUpd: {
-      TileRect R = G.rect(Ti);
-      const std::span<const SspStage> Stages =
-          sspStages(this->Scheme.Integrator);
-      const bool Last = Stage + 1 == Stages.size();
-      double EvMax = updateRange(Stages[Stage], Stage == 0, Last, Dt,
-                                 R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd);
-      if (Last)
-        DtPartials[Ti] = EvMax;
-      return;
-    }
-    }
-  }
-
-  void stepWithDtDag(double Dt) {
-    static const unsigned SpanStep = telemetry::spanId("solver.step_dag");
-    telemetry::ScopedSpan Span(SpanStep);
-    acquireStepBuffers();
-    if (!DagGrid)
-      buildStepDag();
-    DagExec->runDag(Dag,
-                    [&](uint64_t Payload) { runDagNode(Payload, Dt); });
-    double EvMax = 0.0;
-    for (double V : DtPartials)
-      EvMax = std::max(EvMax, V);
-    this->cacheMaxEigen(EvMax);
-  }
-
   /// Snapshot (QN) and RHS scratch, leased from the solver pool on first
   /// step and held for the solver's lifetime.
   Field<Dim> Un;
   Field<Dim> Res;
-
-  /// Non-null when DAG stepping is enabled (the backend, downcast once).
-  TaskBackend *DagExec = nullptr;
-  /// The reusable step graph and its tile decomposition.
-  TaskDag Dag;
-  std::optional<TileGrid> DagGrid;
-  /// Per-tile GetDT partials of the last stage's update tasks (indexed
-  /// by tile, merged in tile order).
-  std::vector<double> DtPartials;
 };
 
 } // namespace sacfd

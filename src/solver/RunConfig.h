@@ -67,22 +67,6 @@ const char *engineKindName(EngineKind Kind);
 /// Parses "array", "array-materialized"/"materialized", "fused".
 std::optional<EngineKind> parseEngineKind(std::string_view Text);
 
-/// How one solver step is dispatched onto the backend.
-enum class StepMode {
-  /// One parallel region (barrier) per loop nest — the paper's model.
-  Loops,
-  /// Dependency-DAG pipeline: per-tile tasks linked by data dependencies,
-  /// no global barrier between stages.  Requires --backend=tasks and
-  /// --engine=fused (2D/1D).
-  Dag,
-};
-
-/// \returns the stable name used in reports and the --step-mode flag.
-const char *stepModeName(StepMode Mode);
-
-/// Parses "loops"/"loop", "dag"/"tasks-dag".
-std::optional<StepMode> parseStepMode(std::string_view Text);
-
 /// The full run-shaping configuration of a SacFD tool.
 struct RunConfig {
   /// Numerical scheme; preset this (e.g. SchemeConfig::benchmarkScheme())
@@ -90,9 +74,6 @@ struct RunConfig {
   SchemeConfig Scheme = SchemeConfig::figureScheme();
   EngineKind Engine = EngineKind::Array;
   BackendKind Backend = BackendKind::SpinPool;
-  /// Step dispatch shape; Dag is validated against Engine/Backend in
-  /// resolve().
-  StepMode Step = StepMode::Loops;
   /// Worker threads; defaults to defaultThreadCount().
   unsigned Threads;
   /// 1D iteration schedule (honored by the fork-join backend).
@@ -126,7 +107,7 @@ struct RunConfig {
   void registerScenarioFlag(CommandLine &CL);
   /// Binds --engine.
   void registerEngineFlag(CommandLine &CL);
-  /// Binds --backend, --threads and --step-mode.
+  /// Binds --backend and --threads.
   void registerBackendFlags(CommandLine &CL);
   /// Binds --schedule and --tile.
   void registerScheduleFlags(CommandLine &CL);
@@ -184,7 +165,6 @@ private:
   std::string IntegratorName;
   std::string EngineName;
   std::string BackendName;
-  std::string StepModeName;
   std::string ScheduleSpec;
   std::string TileSpec;
   std::string ScenarioSpecText;

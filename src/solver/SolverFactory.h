@@ -65,19 +65,10 @@ public:
           std::move(Prob), Cfg.Scheme, *Exec, ArrayEvalMode::Materialized,
           Cfg.Simd);
       break;
-    case EngineKind::Fused: {
-      auto Fused = std::make_unique<FusedSolver<Dim>>(
-          std::move(Prob), Cfg.Scheme, *Exec, Cfg.Simd);
-      if (Cfg.Step == StepMode::Dag && !Fused->enableDagStepping()) {
-        // resolve() validated backend/engine, so the only ways here are a
-        // 3D problem or a hand-built RunConfig that skipped resolve().
-        if constexpr (Dim > 2)
-          reportFatalError("--step-mode=dag supports 1D/2D problems only");
-        reportFatalError("--step-mode=dag requires the tasks backend");
-      }
-      Solver = std::move(Fused);
+    case EngineKind::Fused:
+      Solver = std::make_unique<FusedSolver<Dim>>(std::move(Prob), Cfg.Scheme,
+                                                  *Exec, Cfg.Simd);
       break;
-    }
     }
     if (Cfg.Guard.Enabled) {
       Guard = std::make_unique<StepGuard<Dim>>(*Solver, Cfg.Guard.config());

@@ -14,7 +14,6 @@
 #include "runtime/Runtime.h"
 #include "runtime/SerialBackend.h"
 #include "runtime/SpinBarrierPool.h"
-#include "runtime/TaskBackend.h"
 
 #include <gtest/gtest.h>
 
@@ -196,12 +195,7 @@ INSTANTIATE_TEST_SUITE_P(
         BackendCase{BackendKind::ForkJoin, 4, Schedule::staticChunk(5)},
         BackendCase{BackendKind::ForkJoin, 4, Schedule::dynamic()},
         BackendCase{BackendKind::ForkJoin, 4, Schedule::dynamic(3)},
-        BackendCase{BackendKind::ForkJoin, 8, Schedule::dynamic()},
-        BackendCase{BackendKind::Tasks, 1, Schedule::staticBlock()},
-        BackendCase{BackendKind::Tasks, 2, Schedule::staticBlock()},
-        BackendCase{BackendKind::Tasks, 4, Schedule::staticBlock()},
-        BackendCase{BackendKind::Tasks, 4, Schedule::staticChunk(5)},
-        BackendCase{BackendKind::Tasks, 8, Schedule::staticBlock()}),
+        BackendCase{BackendKind::ForkJoin, 8, Schedule::dynamic()}),
     [](const ::testing::TestParamInfo<BackendCase> &Info) {
       return Info.param.label();
     });
@@ -329,125 +323,6 @@ TEST(ForkJoinBackend, UsesFreshThreadsPerDispatch) {
   EXPECT_TRUE(Seen.count(Main)) << "master must take part in the team";
 }
 
-TEST(TaskBackend, ReusesWorkersAcrossDispatches) {
-  TaskBackend Pool(4);
-  std::set<std::thread::id> Round1, Round2;
-  std::mutex M;
-  auto Collect = [&M](std::set<std::thread::id> &Set) {
-    return [&Set, &M](size_t, size_t) {
-      std::lock_guard<std::mutex> Lock(M);
-      Set.insert(std::this_thread::get_id());
-    };
-  };
-  Pool.parallelFor(0, 4096, Collect(Round1));
-  Pool.parallelFor(0, 4096, Collect(Round2));
-  // Stealing means not every worker necessarily runs a chunk, but every
-  // participating thread must come from the one persistent 4-thread team
-  // — across both dispatches, never more than 4 distinct ids.
-  std::set<std::thread::id> Union = Round1;
-  Union.insert(Round2.begin(), Round2.end());
-  EXPECT_GE(Union.size(), 1u);
-  EXPECT_LE(Union.size(), 4u) << "persistent pool must reuse its threads";
-}
-
-TEST(TaskBackend, AdaptsSpinLimitToOversubscription) {
-  unsigned Hw = std::thread::hardware_concurrency();
-  if (Hw == 0)
-    GTEST_SKIP() << "hardware concurrency unknown";
-  TaskBackend Oversubscribed(Hw + 2);
-  EXPECT_EQ(Oversubscribed.spinLimit(), 0u);
-  TaskBackend Forced(Hw + 2, Schedule::staticBlock(), /*SpinLimit=*/128);
-  EXPECT_EQ(Forced.spinLimit(), 128u);
-}
-
-TEST(TaskBackend, RunDagRunsEveryNodeOnceAfterItsDeps) {
-  // Layered random-ish graph: node I in layer L depends on 1-3 nodes of
-  // layer L-1.  Record per-node completion stamps and check every edge.
-  for (unsigned Workers : {1u, 2u, 4u}) {
-    TaskBackend B(Workers);
-    TaskDag Dag;
-    constexpr size_t Layers = 6, PerLayer = 9, N = Layers * PerLayer;
-    std::vector<size_t> Id(N);
-    for (size_t L = 0; L < Layers; ++L)
-      for (size_t I = 0; I < PerLayer; ++I) {
-        size_t Node = L * PerLayer + I;
-        Id[Node] = Dag.add(Node);
-        if (L > 0)
-          for (size_t K = 0; K <= (I + L) % 3; ++K)
-            Dag.addDep(Id[(L - 1) * PerLayer + (I + K) % PerLayer],
-                       Id[Node]);
-      }
-
-    std::vector<std::atomic<uint64_t>> Stamp(N);
-    for (auto &S : Stamp)
-      S.store(0);
-    std::atomic<uint64_t> Clock{0};
-    std::atomic<size_t> Runs{0};
-    B.runDag(Dag, [&](uint64_t Payload) {
-      Runs.fetch_add(1);
-      Stamp[Payload].store(Clock.fetch_add(1) + 1);
-    });
-
-    EXPECT_EQ(Runs.load(), N) << "workers=" << Workers;
-    for (size_t L = 1; L < Layers; ++L)
-      for (size_t I = 0; I < PerLayer; ++I)
-        for (size_t K = 0; K <= (I + L) % 3; ++K) {
-          size_t Node = L * PerLayer + I;
-          size_t Dep = (L - 1) * PerLayer + (I + K) % PerLayer;
-          EXPECT_LT(Stamp[Dep].load(), Stamp[Node].load())
-              << "workers=" << Workers << " edge " << Dep << "->" << Node;
-        }
-  }
-}
-
-TEST(TaskBackend, RunDagIsReusableAcrossRuns) {
-  // FusedSolver builds the step graph once and re-runs it every step;
-  // dependency counters must reset per run.
-  TaskBackend B(2);
-  TaskDag Dag;
-  size_t A = Dag.add(0), Bn = Dag.add(1), C = Dag.add(2), D = Dag.add(3);
-  Dag.addDep(A, Bn);
-  Dag.addDep(A, C);
-  Dag.addDep(Bn, D);
-  Dag.addDep(C, D);
-  Dag.addDep(A, D); // duplicate-path edge: counted and released once
-  for (int Round = 0; Round < 50; ++Round) {
-    std::atomic<int> Order{0};
-    int At[4] = {-1, -1, -1, -1};
-    B.runDag(Dag, [&](uint64_t P) { At[P] = Order.fetch_add(1); });
-    EXPECT_EQ(At[0], 0) << "round " << Round;
-    EXPECT_EQ(At[3], 3) << "round " << Round;
-    EXPECT_EQ(Order.load(), 4) << "round " << Round;
-  }
-}
-
-TEST(TaskBackend, RunDagCountsRegionsAndNestedCallsRunInline) {
-  TaskBackend B(2);
-  TaskDag Empty;
-  B.runDag(Empty, [](uint64_t) {});
-  EXPECT_EQ(B.regionsDispatched(), 0u) << "empty DAG is not a region";
-
-  TaskDag Dag;
-  size_t A = Dag.add(7);
-  Dag.addDep(A, Dag.add(8));
-  std::atomic<int> Outer{0}, Inner{0};
-  TaskDag Nested;
-  Nested.add(1);
-  Nested.add(2);
-  B.runDag(Dag, [&](uint64_t) {
-    Outer.fetch_add(1);
-    // From inside a task, nested dispatches must run inline (and stay
-    // uncounted), like nested parallelFor regions.
-    B.runDag(Nested, [&](uint64_t) { Inner.fetch_add(1); });
-    B.parallelFor(0, 3, [&](size_t Lo, size_t Hi) {
-      Inner.fetch_add(static_cast<int>(Hi - Lo));
-    });
-  });
-  EXPECT_EQ(Outer.load(), 2);
-  EXPECT_EQ(Inner.load(), 2 * (2 + 3));
-  EXPECT_EQ(B.regionsDispatched(), 1u);
-}
-
 TEST(RuntimeFactory, ParsesBackendNames) {
   EXPECT_EQ(parseBackendKind("serial"), BackendKind::Serial);
   EXPECT_EQ(parseBackendKind("spin-pool"), BackendKind::SpinPool);
@@ -456,15 +331,14 @@ TEST(RuntimeFactory, ParsesBackendNames) {
   EXPECT_EQ(parseBackendKind("FORTRAN"), BackendKind::ForkJoin);
   EXPECT_EQ(parseBackendKind("openmp"), BackendKind::OpenMp);
   EXPECT_EQ(parseBackendKind("omp"), BackendKind::OpenMp);
-  EXPECT_EQ(parseBackendKind("tasks"), BackendKind::Tasks);
-  EXPECT_EQ(parseBackendKind("task"), BackendKind::Tasks);
   EXPECT_FALSE(parseBackendKind("cuda").has_value());
+  EXPECT_FALSE(parseBackendKind("tasks").has_value());
 }
 
 TEST(RuntimeFactory, NamesRoundTrip) {
   for (BackendKind K :
        {BackendKind::Serial, BackendKind::SpinPool, BackendKind::ForkJoin,
-        BackendKind::OpenMp, BackendKind::Tasks})
+        BackendKind::OpenMp})
     EXPECT_EQ(parseBackendKind(backendKindName(K)), K);
 }
 

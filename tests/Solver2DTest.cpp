@@ -7,7 +7,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "euler/RankineHugoniot.h"
-#include "runtime/Runtime.h"
 #include "runtime/SerialBackend.h"
 #include "solver/ArraySolver.h"
 #include "solver/Diagnostics.h"
@@ -277,18 +276,10 @@ TEST(Solver2D, ComputeDtSeesCellsWrittenAfterAStep) {
   // engine mode.
   Problem<2> Prob = shockInteraction2D(32);
   SchemeConfig Scheme = SchemeConfig::benchmarkScheme();
-  std::unique_ptr<Backend> Tasks = createBackend(BackendKind::Tasks, 2);
-  ASSERT_NE(Tasks, nullptr);
   using Factory = std::function<std::unique_ptr<EulerSolver<2>>()>;
   const std::pair<const char *, Factory> Modes[] = {
       {"fused loop",
        [&] { return std::make_unique<FusedSolver<2>>(Prob, Scheme, Exec); }},
-      {"fused dag",
-       [&] {
-         auto S = std::make_unique<FusedSolver<2>>(Prob, Scheme, *Tasks);
-         EXPECT_TRUE(S->enableDagStepping());
-         return S;
-       }},
       {"array fused",
        [&] {
          return std::make_unique<ArraySolver<2>>(Prob, Scheme, Exec,

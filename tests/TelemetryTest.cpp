@@ -327,9 +327,9 @@ TEST_F(TelemetryTest, JsonExportHasSchemaMetaAndData) {
   EXPECT_EQ(Json.find("nan"), std::string::npos);
 }
 
-TEST_F(TelemetryTest, RunReportNamesStepModeAndKernelBuild) {
-  // A run must explain itself: a dag-stepped scalar-kernel run writes
-  // different metadata than a default (loops, simd) run.
+TEST_F(TelemetryTest, RunReportNamesKernelBuild) {
+  // A run must explain itself: a scalar-kernel run writes different
+  // metadata than a default (simd) run.
   auto ReportOf = [](RunConfig Cfg) {
     Cfg.Telemetry.Path =
         std::string(::testing::TempDir()) + "/telemetry_run_meta.json";
@@ -343,21 +343,16 @@ TEST_F(TelemetryTest, RunReportNamesStepModeAndKernelBuild) {
     return Json;
   };
 
-  RunConfig Dag;
-  Dag.Engine = EngineKind::Fused;
-  Dag.Backend = BackendKind::Tasks;
-  Dag.Threads = 2;
-  Dag.Step = StepMode::Dag;
-  Dag.Simd = false;
-  std::string Json = ReportOf(Dag);
-  EXPECT_NE(Json.find("\"step_mode\": \"dag\""), std::string::npos) << Json;
+  RunConfig Scalar;
+  Scalar.Engine = EngineKind::Fused;
+  Scalar.Threads = 2;
+  Scalar.Simd = false;
+  std::string Json = ReportOf(Scalar);
   EXPECT_NE(Json.find("\"simd\": \"off\""), std::string::npos) << Json;
 
   RunConfig Default;
   Default.Threads = 1;
   Json = ReportOf(Default);
-  EXPECT_NE(Json.find("\"step_mode\": \"loops\""), std::string::npos)
-      << Json;
   EXPECT_NE(Json.find("\"simd\": \"on\""), std::string::npos) << Json;
 }
 
