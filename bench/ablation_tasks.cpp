@@ -2,11 +2,8 @@
 //
 // A7: prices the work-stealing task backend against the spin-pool and
 // fork-join backends on the Fig. 4 shock-interaction workload at two
-// grains: the FIG4 default grid and an EXT5-style larger grid.  The
-// tasks backend runs twice per configuration — once in loop mode (the
-// Backend contract, directly comparable to the pools) and once in DAG
-// step mode (per-tile snapshot/flux/update tasks with the GetDT
-// reduction overlapped).  Determinism makes this a pure performance
+// grains: the FIG4 default grid and an EXT5-style larger grid, all on
+// the fused engine.  Determinism makes this a pure performance
 // knob — every row computes bit-identical fields — so the acceptance
 // question is whether tasks reach parity or better with fork-join at
 // the highest worker count.
@@ -35,7 +32,6 @@ struct TasksRow {
   size_t Cells;
   unsigned Threads;
   std::string Backend;
-  std::string StepMode;
   double Seconds;
   double VsForkJoin; ///< Seconds / fork-join's seconds at same grid+threads
 };
@@ -67,10 +63,10 @@ bool writeJson(const std::string &Path, unsigned Steps,
     const TasksRow &R = Rows[I];
     std::fprintf(F,
                  "    {\"grid\": \"%s\", \"cells\": %zu, \"threads\": %u, "
-                 "\"backend\": \"%s\", \"step_mode\": \"%s\", "
+                 "\"backend\": \"%s\", "
                  "\"seconds\": %.6f, \"vs_forkjoin\": %.4f}%s\n",
                  R.Grid.c_str(), R.Cells, R.Threads, R.Backend.c_str(),
-                 R.StepMode.c_str(), R.Seconds, R.VsForkJoin,
+                 R.Seconds, R.VsForkJoin,
                  I + 1 < Rows.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");
@@ -90,10 +86,10 @@ int main(int Argc, const char **Argv) {
   std::string JsonPath;
   RunConfig Cfg;
   Cfg.Scheme = SchemeConfig::benchmarkScheme();
-  Cfg.Engine = EngineKind::Fused; // DAG stepping requires the fused engine.
+  Cfg.Engine = EngineKind::Fused;
 
   CommandLine CL("ablation_tasks",
-                 "A7: task backend (loop and DAG step modes) vs the "
+                 "A7: task backend vs the "
                  "spin-pool and fork-join backends on FIG4/EXT5 grids");
   CL.addFlag("full", Full, "larger grids and more steps");
   CL.addInt("cells", Fig4Cells, "FIG4 grid cells per axis");
@@ -102,7 +98,7 @@ int main(int Argc, const char **Argv) {
   CL.addUnsigned("repeats", Repeats, "repetitions per config (min wins)");
   CL.addString("threads", Threads, "comma-separated worker counts");
   CL.addString("json", JsonPath, "write the table to this JSON file");
-  // The sweep varies backend, step mode, and threads itself; the scheme
+  // The sweep varies backend and threads itself; the scheme
   // and schedule knobs come from the shared surface.
   Cfg.registerSchemeFlags(CL);
   Cfg.registerScheduleFlags(CL);
@@ -130,43 +126,35 @@ int main(int Argc, const char **Argv) {
   };
   const GridSpec Grids[] = {{"fig4", static_cast<size_t>(Fig4Cells)},
                             {"ext5", static_cast<size_t>(Ext5Cells)}};
-  struct ConfigSpec {
-    BackendKind Backend;
-    StepMode Step;
-  };
-  const ConfigSpec Configs[] = {{BackendKind::ForkJoin, StepMode::Loops},
-                                {BackendKind::SpinPool, StepMode::Loops},
-                                {BackendKind::Tasks, StepMode::Loops},
-                                {BackendKind::Tasks, StepMode::Dag}};
+  const BackendKind Backends[] = {BackendKind::ForkJoin,
+                                  BackendKind::SpinPool, BackendKind::Tasks};
 
   std::printf("# A7: fused engine, %u steps, min of %u\n", Steps, Repeats);
-  std::printf("%-6s %6s %8s %-10s %-6s %10s %12s\n", "grid", "cells",
-              "threads", "backend", "step", "wall[s]", "vs forkjoin");
+  std::printf("%-6s %6s %8s %-10s %10s %12s\n", "grid", "cells",
+              "threads", "backend", "wall[s]", "vs forkjoin");
 
   std::vector<TasksRow> Rows;
   bool TasksReachParity = true;
   for (const GridSpec &G : Grids)
     for (unsigned T : ThreadCounts) {
       double ForkJoinSeconds = 0.0;
-      for (const ConfigSpec &C : Configs) {
+      for (BackendKind B : Backends) {
         RunConfig Leg = Cfg;
-        Leg.Backend = C.Backend;
-        Leg.Step = C.Step;
+        Leg.Backend = B;
         Leg.Threads = T;
         double Seconds = runOnce(Leg, G.Cells, Steps, Repeats);
-        if (C.Backend == BackendKind::ForkJoin)
+        if (B == BackendKind::ForkJoin)
           ForkJoinSeconds = Seconds;
         double Ratio =
             ForkJoinSeconds > 0.0 ? Seconds / ForkJoinSeconds : 1.0;
-        Rows.push_back({G.Name, G.Cells, T, backendKindName(C.Backend),
-                        stepModeName(C.Step), Seconds, Ratio});
-        std::printf("%-6s %6zu %8u %-10s %-6s %10.3f %12.2f\n", G.Name,
-                    G.Cells, T, backendKindName(C.Backend),
-                    stepModeName(C.Step), Seconds, Ratio);
+        Rows.push_back(
+            {G.Name, G.Cells, T, backendKindName(B), Seconds, Ratio});
+        std::printf("%-6s %6zu %8u %-10s %10.3f %12.2f\n", G.Name, G.Cells,
+                    T, backendKindName(B), Seconds, Ratio);
         // Acceptance: at the top worker count, tasks must not lose to
         // fork-join (its per-dispatch thread spawns are pure overhead).
-        if (C.Backend == BackendKind::Tasks && C.Step == StepMode::Loops &&
-            T == ThreadCounts.back() && Ratio > 1.10)
+        if (B == BackendKind::Tasks && T == ThreadCounts.back() &&
+            Ratio > 1.10)
           TasksReachParity = false;
       }
     }

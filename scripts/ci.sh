@@ -13,10 +13,9 @@
 #            (shifted kernel views, reallocating line scratch) on every
 #            backend and tiling
 #   tsan     RelWithDebInfo with ThreadSanitizer (halt on the first
-#            report): the determinism matrix, i.e. the fork-join and
-#            spin-pool backends' parallel loops and reductions at 1-8
-#            workers.  The OpenMP backend stays out: libgomp is not
-#            instrumented.
+#            report): the determinism matrix, i.e. every backend's
+#            parallel loops and reductions at 1-8 workers.  The OpenMP
+#            backend stays out: libgomp is not instrumented.
 #
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
@@ -99,6 +98,14 @@ echo "== checkpoint overhead artifact =="
     --threads 2 --dir artifacts/checkpoint_overhead.ckpt \
     --json artifacts/BENCH_checkpoint.json
 echo "wrote artifacts/BENCH_checkpoint.json"
+
+echo "== tasks ablation artifact =="
+# A7 record: work-stealing tasks vs spin-pool and fork-join on FIG4/EXT5
+# grids.  Acceptance: tasks at the top worker count must not lose to
+# fork-join.
+./build-ci-Release/bench/ablation_tasks --cells 96 --ext5-cells 192 \
+    --steps 20 --threads 1,2,4,8 --json artifacts/BENCH_tasks.json
+echo "wrote artifacts/BENCH_tasks.json"
 
 echo "== shard smoke + ablation artifact =="
 # PR 9 record: multi-process row-block sharding.  First the elastic

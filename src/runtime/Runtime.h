@@ -34,7 +34,7 @@ enum class BackendKind {
   /// see openMpAvailable()).
   OpenMp,
   /// Work-stealing task scheduler: persistent pool, per-worker deques,
-  /// steal-half; also the engine behind the dependency-DAG step mode.
+  /// steal-half.
   Tasks,
 };
 

@@ -9,11 +9,11 @@
 /// The shard mailboxes' spin-wait: busy-poll a bounded number of
 /// iterations, then fall back to yield() so an oversubscribed host (more
 /// waiters than hardware threads) cannot starve the very thread being
-/// waited on.  SpinBarrierPool documents the rationale; its private
-/// SpinBarrierPool::spinUntil is a second copy of this loop that adds a
-/// cpuRelax() pause hint per busy iteration.  The two are not merged, so
-/// a change to the wait discipline (a deadline, a diagnostic) has to
-/// touch both.
+/// waited on.  SpinBarrierPool documents the rationale.  The pools'
+/// private SpinBarrierPool::spinUntil and TaskBackend::spinUntil are two
+/// more copies of this loop that add a cpuRelax() pause hint per busy
+/// iteration.  The three are not merged, so a change to the wait
+/// discipline (a deadline, a diagnostic) has to touch all of them.
 ///
 //===----------------------------------------------------------------------===//
 

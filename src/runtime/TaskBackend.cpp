@@ -108,27 +108,11 @@ bool TaskBackend::stealInto(unsigned W, size_t &Item) {
   return false;
 }
 
-void TaskBackend::runItem(unsigned W, size_t Item) {
-  if (Kind == JobKind::Range) {
-    size_t B = JobBegin + Item * Chunk;
-    size_t E = std::min(B + Chunk, JobEnd);
-    ParallelRegionGuard Guard;
-    Body(B, E);
-    return;
-  }
-  {
-    ParallelRegionGuard Guard;
-    DagRun(Dag->Payloads[Item]);
-  }
-  // Release successors; newly-ready tasks go onto the finishing worker's
-  // own deque (depth-first through the graph, warm data stays local —
-  // thieves re-balance whatever piles up).
-  for (uint32_t S : Dag->Succs[Item])
-    if (Remaining[S].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      WorkerDeque &D = Deques[W];
-      std::lock_guard<std::mutex> Lock(D.M);
-      D.Items.push_back(S);
-    }
+void TaskBackend::runChunk(size_t Item) {
+  size_t B = JobBegin + Item * Chunk;
+  size_t E = std::min(B + Chunk, JobEnd);
+  ParallelRegionGuard Guard;
+  Body(B, E);
 }
 
 void TaskBackend::participate(unsigned W) {
@@ -137,7 +121,7 @@ void TaskBackend::participate(unsigned W) {
     size_t Item;
     if (popOwn(W, Item) || stealInto(W, Item)) {
       Idle = 0;
-      runItem(W, Item);
+      runChunk(Item);
       // acq_rel: publishes the item's side effects to whoever observes
       // Pending reach 0 (the master's return is the completion barrier).
       Pending.fetch_sub(1, std::memory_order_acq_rel);
@@ -201,7 +185,6 @@ void TaskBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {
   size_t N = End - Begin;
   size_t C = taskChunk(N);
   size_t NumChunks = (N + C - 1) / C;
-  this->Kind = JobKind::Range;
   this->Body = Body;
   JobBegin = Begin;
   JobEnd = End;
@@ -234,69 +217,4 @@ void TaskBackend::parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) {
   // parallelFor, so each task is one or a few whole tiles and stealing
   // re-deals them under load imbalance.
   runTileGrid(TileGrid(Rows, Cols, tile()), Body);
-}
-
-void TaskBackend::runDagInline(TaskDag &D, DagNodeBody Run) {
-  // Sequential fallback for nested calls: plain worklist in dependency
-  // order on the calling thread.
-  size_t N = D.size();
-  std::vector<unsigned> Deps(D.DepCount.begin(),
-                             D.DepCount.begin() + static_cast<std::ptrdiff_t>(N));
-  std::vector<size_t> Ready;
-  for (size_t I = 0; I < N; ++I)
-    if (Deps[I] == 0)
-      Ready.push_back(I);
-  size_t Ran = 0;
-  while (!Ready.empty()) {
-    size_t Item = Ready.back();
-    Ready.pop_back();
-    Run(D.Payloads[Item]);
-    ++Ran;
-    for (uint32_t S : D.Succs[Item])
-      if (--Deps[S] == 0)
-        Ready.push_back(S);
-  }
-  assert(Ran == N && "task DAG has a cycle");
-  (void)Ran;
-}
-
-void TaskBackend::runDag(TaskDag &D, DagNodeBody Run) {
-  size_t N = D.size();
-  if (N == 0)
-    return;
-  if (inParallelRegion()) {
-    runDagInline(D, Run);
-    return;
-  }
-  countRegion();
-  static const unsigned Region = telemetry::spanId("region.task_dag");
-  telemetry::ScopedSpan Span(Region);
-  if (telemetry::enabled()) {
-    static const unsigned TasksRun = telemetry::counterId("runtime.tasks");
-    telemetry::addCounter(TasksRun, N);
-  }
-
-  if (RemainingCap < N) {
-    Remaining = std::make_unique<std::atomic<unsigned>[]>(N);
-    RemainingCap = N;
-  }
-  for (size_t I = 0; I < N; ++I)
-    Remaining[I].store(D.DepCount[I], std::memory_order_relaxed);
-
-  Kind = JobKind::Dag;
-  Dag = &D;
-  DagRun = Run;
-  Pending.store(N, std::memory_order_relaxed);
-  // Deal the initially-ready nodes round-robin so every worker has a
-  // seed to start from; the dependency releases and stealing take it
-  // from there.
-  unsigned W = 0;
-  for (size_t I = 0; I < N; ++I)
-    if (D.DepCount[I] == 0) {
-      WorkerDeque &Dq = Deques[W];
-      std::lock_guard<std::mutex> Lock(Dq.M);
-      Dq.Items.push_back(I);
-      W = (W + 1) % Threads;
-    }
-  dispatch();
 }

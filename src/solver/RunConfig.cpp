@@ -33,25 +33,6 @@ std::optional<EngineKind> sacfd::parseEngineKind(std::string_view Text) {
   return std::nullopt;
 }
 
-const char *sacfd::stepModeName(StepMode Mode) {
-  switch (Mode) {
-  case StepMode::Loops:
-    return "loops";
-  case StepMode::Dag:
-    return "dag";
-  }
-  sacfdUnreachable("covered switch");
-}
-
-std::optional<StepMode> sacfd::parseStepMode(std::string_view Text) {
-  std::string_view Name = trim(Text);
-  if (equalsLower(Name, "loops") || equalsLower(Name, "loop"))
-    return StepMode::Loops;
-  if (equalsLower(Name, "dag") || equalsLower(Name, "tasks-dag"))
-    return StepMode::Dag;
-  return std::nullopt;
-}
-
 RunConfig::RunConfig() : Threads(defaultThreadCount()) {}
 
 void RunConfig::registerSchemeFlags(CommandLine &CL) {
@@ -89,10 +70,6 @@ void RunConfig::registerBackendFlags(CommandLine &CL) {
   CL.addString("backend", BackendName,
                "serial|spin-pool|fork-join|openmp|tasks");
   CL.addUnsigned("threads", Threads, "worker threads (>= 1)");
-  StepModeName = stepModeName(Step);
-  CL.addString("step-mode", StepModeName,
-               "loops (one barrier per loop nest) | dag (task pipeline; "
-               "needs --backend=tasks --engine=fused)");
 }
 
 void RunConfig::registerScheduleFlags(CommandLine &CL) {
@@ -186,26 +163,9 @@ bool RunConfig::resolve(std::string &Error) {
       return Fail("unknown --backend value '" + BackendName +
                   "' (expected serial|spin-pool|fork-join|openmp|tasks)");
   }
-  if (!StepModeName.empty()) {
-    if (auto K = parseStepMode(StepModeName))
-      Step = *K;
-    else
-      return Fail("unknown --step-mode value '" + StepModeName +
-                  "' (expected loops|dag)");
-  }
   if (Threads == 0)
     return Fail("--threads must be at least 1 (0 workers cannot run "
                 "anything; omit the flag for auto-detection)");
-  if (Step == StepMode::Dag) {
-    if (Backend != BackendKind::Tasks)
-      return Fail(std::string("--step-mode=dag requires --backend=tasks "
-                              "(got --backend=") +
-                  backendKindName(Backend) + ")");
-    if (Engine != EngineKind::Fused)
-      return Fail(std::string("--step-mode=dag requires --engine=fused "
-                              "(got --engine=") +
-                  engineKindName(Engine) + ")");
-  }
   if (!ScheduleSpec.empty()) {
     SpecParse<Schedule> P = Schedule::parseSpec(ScheduleSpec);
     if (!P)
@@ -241,10 +201,6 @@ std::string RunConfig::executionStr() const {
   S += "/";
   S += backendKindName(Backend);
   S += "(" + std::to_string(Threads) + ")";
-  if (Step != StepMode::Loops) {
-    S += " step=";
-    S += stepModeName(Step);
-  }
   if (TileCfg.Enabled)
     S += " tile=" + TileCfg.str();
   if (!Simd)

@@ -25,7 +25,6 @@
 
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -138,61 +137,6 @@ void checkMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
     }
 }
 
-/// Like runInstrumented, but flips the fused engine into the dependency-
-/// DAG step mode before advancing.
-template <unsigned Dim>
-TelemetryDigest runDagInstrumented(const Problem<Dim> &Prob,
-                                   const SchemeConfig &Scheme, Backend &Exec,
-                                   unsigned Steps,
-                                   std::unique_ptr<FusedSolver<Dim>> &Out) {
-  telemetry::reset();
-  telemetry::setGaugeStride(1);
-  telemetry::setEnabled(true);
-  Out = std::make_unique<FusedSolver<Dim>>(Prob, Scheme, Exec);
-  EXPECT_TRUE(Out->enableDagStepping());
-  Out->advanceSteps(Steps);
-  TelemetryDigest D = digest(telemetry::snapshot());
-  telemetry::setEnabled(false);
-  return D;
-}
-
-/// DAG step mode across worker counts: fields, time and every gauge
-/// series must match the untiled serial loops reference bitwise (the
-/// gauges cover dt, the GetDT max eigenvalue and the conserved totals, so
-/// this pins the overlapped/cached reduction too).  Counters legitimately
-/// differ from loops mode (the dag has its own region/task accounting),
-/// so the full digest is instead required to be identical across worker
-/// counts within the mode.
-template <unsigned Dim>
-void checkDagMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
-                    unsigned Steps, const Tile &TileCfg = Tile::off()) {
-  auto RefExec = createBackend(BackendKind::Serial, 1);
-  std::unique_ptr<FusedSolver<Dim>> Ref;
-  TelemetryDigest RefTelem =
-      runInstrumented<FusedSolver<Dim>>(Prob, Scheme, *RefExec, Steps, Ref);
-  EXPECT_FALSE(RefTelem.Gauges.empty());
-
-  std::optional<TelemetryDigest> OneWorker;
-  for (unsigned Workers : kWorkerCounts) {
-    auto Exec = createBackend(BackendKind::Tasks, Workers,
-                              Schedule::staticBlock(), TileCfg);
-    ASSERT_NE(Exec, nullptr);
-    std::string Label = "tasks/dag(" + std::to_string(Workers) +
-                        ") tile=" + TileCfg.str();
-    std::unique_ptr<FusedSolver<Dim>> S;
-    TelemetryDigest Telem =
-        runDagInstrumented<Dim>(Prob, Scheme, *Exec, Steps, S);
-    EXPECT_TRUE(S->dagStepping()) << Label;
-    EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
-    EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
-    expectSameGauges(RefTelem, Telem, Label);
-    if (!OneWorker)
-      OneWorker = std::move(Telem);
-    else
-      expectSameTelemetry(*OneWorker, Telem, Label + " vs tasks/dag(1)");
-  }
-}
-
 /// Builds a solver with an explicit kernel build, papering over the
 /// engines' differing constructor shapes.
 template <typename SolverT, unsigned Dim>
@@ -263,38 +207,6 @@ void checkSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
     }
 }
 
-/// SIMD bit-identity under the DAG step mode, vs the serial scalar loops
-/// reference.
-template <unsigned Dim>
-void checkDagSimdMatrix(const Problem<Dim> &Prob, const SchemeConfig &Scheme,
-                        unsigned Steps, const Tile &TileCfg = Tile::off()) {
-  auto RefExec = createBackend(BackendKind::Serial, 1);
-  std::unique_ptr<FusedSolver<Dim>> Ref =
-      makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *RefExec, false);
-  Ref->advanceSteps(Steps);
-
-  // Same evolved-reference guard as the loop-mode matrix: a frozen or
-  // NaN-poisoned engine would pass pure self-comparison.
-  std::unique_ptr<FusedSolver<Dim>> Init =
-      makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *RefExec, false);
-  EXPECT_GT(maxFieldDifference(*Init, *Ref), 0.0)
-      << "scalar reference did not evolve";
-
-  for (bool Simd : {false, true})
-    for (unsigned Workers : kWorkerCounts) {
-      auto Exec = createBackend(BackendKind::Tasks, Workers,
-                                Schedule::staticBlock(), TileCfg);
-      ASSERT_NE(Exec, nullptr);
-      std::string Label = "tasks/dag(" + std::to_string(Workers) + ")" +
-                          (Simd ? " simd" : " scalar");
-      auto S = makeSimdSolver<FusedSolver<Dim>>(Prob, Scheme, *Exec, Simd);
-      EXPECT_TRUE(S->enableDagStepping()) << Label;
-      S->advanceSteps(Steps);
-      EXPECT_DOUBLE_EQ(Ref->time(), S->time()) << Label;
-      EXPECT_EQ(maxFieldDifference(*Ref, *S), 0.0) << Label;
-    }
-}
-
 /// The step gauges a fold must reproduce: the dt each step took and the
 /// GetDT maximum it came from.
 TelemetryDigest dtGauges() {
@@ -310,7 +222,7 @@ TelemetryDigest dtGauges() {
 }
 
 /// How a fold arm runs: engine mode plus backend.
-enum class FoldEngine { ArrayFused, FusedLoop, FusedDag };
+enum class FoldEngine { ArrayFused, Fused };
 
 struct FoldArm {
   FoldEngine Engine;
@@ -323,23 +235,17 @@ struct FoldArm {
 /// update sweep) against the array engine's materialized mode, which
 /// keeps every pass separate.  For every integrator — rk1, where the
 /// first stage is also the last, rk2 and rk3 — the array engine's fused
-/// mode, the fused engine's loop mode and (1D/2D) its DAG mode must
-/// reproduce the reference fields and the step.dt / step.max_eigen
-/// gauges bit for bit: serial, on a spin pool of 3 and on fork-join
-/// with 5x7 tiles (the DAG on tasks, untiled and tiled).
+/// mode and the fused engine must reproduce the reference fields and the
+/// step.dt / step.max_eigen gauges bit for bit: serial, on a spin pool
+/// of 3 and on fork-join with 5x7 tiles.
 template <unsigned Dim>
 void checkFoldsMatchMaterialized(const Problem<Dim> &Prob, SchemeConfig Scheme,
                                  unsigned Steps) {
   std::vector<FoldArm> Arms;
-  for (FoldEngine E : {FoldEngine::ArrayFused, FoldEngine::FusedLoop}) {
+  for (FoldEngine E : {FoldEngine::ArrayFused, FoldEngine::Fused}) {
     Arms.push_back({E, BackendKind::Serial, 1, Tile::off()});
     Arms.push_back({E, BackendKind::SpinPool, 3, Tile::off()});
     Arms.push_back({E, BackendKind::ForkJoin, 3, Tile::sized(5, 7)});
-  }
-  if constexpr (Dim <= 2) {
-    Arms.push_back({FoldEngine::FusedDag, BackendKind::Tasks, 1, Tile::off()});
-    Arms.push_back(
-        {FoldEngine::FusedDag, BackendKind::Tasks, 3, Tile::sized(5, 7)});
   }
 
   for (TimeIntegratorKind K :
@@ -363,22 +269,15 @@ void checkFoldsMatchMaterialized(const Problem<Dim> &Prob, SchemeConfig Scheme,
       auto Exec =
           createBackend(A.Kind, A.Workers, Schedule::staticBlock(), A.TileCfg);
       ASSERT_NE(Exec, nullptr);
-      const char *Mode = A.Engine == FoldEngine::ArrayFused  ? "array"
-                         : A.Engine == FoldEngine::FusedLoop ? "fused"
-                                                             : "fused/dag";
+      const char *Mode = A.Engine == FoldEngine::ArrayFused ? "array" : "fused";
       std::string Label = std::string(Mode) + " " + Exec->name() + "(" +
                           std::to_string(A.Workers) +
                           ") tile=" + A.TileCfg.str();
       std::unique_ptr<EulerSolver<Dim>> S;
-      if (A.Engine == FoldEngine::ArrayFused) {
+      if (A.Engine == FoldEngine::ArrayFused)
         S = std::make_unique<ArraySolver<Dim>>(Prob, Scheme, *Exec);
-      } else {
-        auto F = std::make_unique<FusedSolver<Dim>>(Prob, Scheme, *Exec);
-        if (A.Engine == FoldEngine::FusedDag) {
-          ASSERT_TRUE(F->enableDagStepping()) << Label;
-        }
-        S = std::move(F);
-      }
+      else
+        S = std::make_unique<FusedSolver<Dim>>(Prob, Scheme, *Exec);
       telemetry::reset();
       telemetry::setGaugeStride(1);
       telemetry::setEnabled(true);
@@ -430,6 +329,11 @@ TEST_F(DeterminismTest, FigureSchemeInteraction2DArraySolver) {
                               SchemeConfig::figureScheme(), 5);
 }
 
+TEST_F(DeterminismTest, FigureSchemeInteraction2DFusedSolver) {
+  checkMatrix<FusedSolver<2>>(shockInteraction2D(20, 2.2, 10.0),
+                              SchemeConfig::figureScheme(), 5);
+}
+
 TEST_F(DeterminismTest, TiledInteraction2DArraySolver) {
   // Tiled parallel execution vs the untiled serial reference: the 2D
   // runtime must be a pure reordering of the same arithmetic.
@@ -442,29 +346,6 @@ TEST_F(DeterminismTest, TiledInteraction2DFusedSolver) {
   checkMatrix<FusedSolver<2>>(shockInteraction2D(24, 2.2, 12.0),
                               SchemeConfig::benchmarkScheme(), 6,
                               Tile::sized(5, 7));
-}
-
-TEST_F(DeterminismTest, DagSod1DFusedSolver) {
-  checkDagMatrix<1>(sodProblem(128), SchemeConfig::benchmarkScheme(), 20);
-}
-
-TEST_F(DeterminismTest, DagInteraction2DFusedSolver) {
-  checkDagMatrix<2>(shockInteraction2D(24, 2.2, 12.0),
-                    SchemeConfig::benchmarkScheme(), 6);
-}
-
-TEST_F(DeterminismTest, DagFigureSchemeInteraction2DFusedSolver) {
-  // Wider stencils + limiter under the DAG pipeline: the stencil-reach
-  // dependency edges must cover the second-order reconstruction too.
-  checkDagMatrix<2>(shockInteraction2D(20, 2.2, 10.0),
-                    SchemeConfig::figureScheme(), 5);
-}
-
-TEST_F(DeterminismTest, DagTiledInteraction2DFusedSolver) {
-  // Odd tile sizes put tile seams inside the stencil reach in both axes;
-  // steal order then genuinely interleaves cross-tile chains.
-  checkDagMatrix<2>(shockInteraction2D(24, 2.2, 12.0),
-                    SchemeConfig::benchmarkScheme(), 6, Tile::sized(5, 7));
 }
 
 namespace {
@@ -494,10 +375,6 @@ TEST_F(DeterminismTest, TiledSedov2DFusedSolver) {
                               Tile::sized(5, 7));
 }
 
-TEST_F(DeterminismTest, DagSedov2DFusedSolver) {
-  checkDagMatrix<2>(sedovBlast2D(24), sedovScheme(), 5);
-}
-
 TEST_F(DeterminismTest, Riemann2DConfig3ArraySolver) {
   // Four-quadrant Riemann problem: contacts and shocks meet at the
   // center, so every quadrant seam crosses worker partitions.
@@ -516,8 +393,10 @@ TEST_F(DeterminismTest, TiledRiemann2DConfig3ArraySolver) {
                               Tile::sized(5, 7));
 }
 
-TEST_F(DeterminismTest, DagRiemann2DConfig3FusedSolver) {
-  checkDagMatrix<2>(riemann2D(24, 2, 3), SchemeConfig::figureScheme(), 5);
+TEST_F(DeterminismTest, TiledRiemann2DConfig3FusedSolver) {
+  checkMatrix<FusedSolver<2>>(riemann2D(24, 2, 3),
+                              SchemeConfig::figureScheme(), 5,
+                              Tile::sized(5, 7));
 }
 
 // LayoutSimd rows: the SoA field layout under both kernel builds.
@@ -646,22 +525,13 @@ TEST_F(DeterminismTest, LayoutSimdTiledRusanovHllInteraction2DFusedSolver) {
                                     pc1Scheme(K), 4, Tile::sized(5, 7));
 }
 
-TEST_F(DeterminismTest, LayoutSimdDagSod1DFusedSolver) {
-  checkDagSimdMatrix<1>(sodProblem(67), SchemeConfig::benchmarkScheme(), 12);
-}
-
-TEST_F(DeterminismTest, LayoutSimdDagInteraction2DFusedSolver) {
-  checkDagSimdMatrix<2>(shockInteraction2D(19, 2.2, 9.5),
-                        SchemeConfig::benchmarkScheme(), 4);
-}
-
 TEST_F(DeterminismTest, HigherOrderStagedGatherFusedMatchesArray) {
   // Both engines stage each run of faces' clamped stencil window once
   // and slide the 6-cell stencil over it; the serial array run stages
   // whole lines (and the pinned scenario hashes tie it to the historical
   // per-face gather).  WENO3 (characteristic variables) and MUSCL on
-  // fused loops, ragged tiles on a persistent pool, and the DAG pipeline
-  // must all reproduce it bitwise.  Every arm has seams at
+  // fused loops, serial and on ragged tiles on a persistent pool, must
+  // both reproduce it bitwise.  Every arm has seams at
   // CellBegin = 0 and CellEnd = N, so the window clamp runs at both line
   // ends, and the 5x7 tiles of the 19-cell grid add interior seams where
   // it must not.
@@ -673,11 +543,9 @@ TEST_F(DeterminismTest, HigherOrderStagedGatherFusedMatchesArray) {
     BackendKind Kind;
     unsigned Workers;
     Tile TileCfg;
-    bool Dag;
   };
-  const Arm Arms[] = {{BackendKind::Serial, 1, Tile::off(), false},
-                      {BackendKind::SpinPool, 4, Tile::sized(5, 7), false},
-                      {BackendKind::Tasks, 4, Tile::sized(5, 7), true}};
+  const Arm Arms[] = {{BackendKind::Serial, 1, Tile::off()},
+                      {BackendKind::SpinPool, 4, Tile::sized(5, 7)}};
   for (const SchemeConfig &Scheme : {SchemeConfig::figureScheme(), Muscl}) {
     auto RefExec = createBackend(BackendKind::Serial, 1);
     ArraySolver<2> Ref(Prob, Scheme, *RefExec);
@@ -689,12 +557,9 @@ TEST_F(DeterminismTest, HigherOrderStagedGatherFusedMatchesArray) {
       auto Exec = createBackend(A.Kind, A.Workers, Schedule::staticBlock(),
                                 A.TileCfg);
       ASSERT_NE(Exec, nullptr);
-      std::string Label = Scheme.str() + " " + Exec->name() +
-                          (A.Dag ? "/dag" : "") + " tile=" + A.TileCfg.str();
+      std::string Label =
+          Scheme.str() + " " + Exec->name() + " tile=" + A.TileCfg.str();
       FusedSolver<2> S(Prob, Scheme, *Exec);
-      if (A.Dag) {
-        ASSERT_TRUE(S.enableDagStepping()) << Label;
-      }
       S.advanceSteps(Steps);
       EXPECT_DOUBLE_EQ(Ref.time(), S.time()) << Label;
       EXPECT_EQ(maxFieldDifference(Ref, S), 0.0) << Label;

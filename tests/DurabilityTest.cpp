@@ -192,6 +192,12 @@ TEST(Durability, KillMidPayloadWrite2DThreaded) {
                            /*ExpectResumeSteps=*/10, "kill_2d_spinpool");
 }
 
+TEST(Durability, KillMidPayloadWrite2DTasks) {
+  runKillResumeScenario<2>(BackendKind::Tasks, 2, /*TotalSteps=*/30,
+                           /*Every=*/5, /*KillWriteNth=*/8,
+                           /*ExpectResumeSteps=*/10, "kill_2d_tasks");
+}
+
 TEST(Durability, KillMidPayloadWrite2DFusedEngine) {
   // The fused engine serves the GetDT maximum its last stage folded.  A
   // resume restores the field and the clock, and must not serve a dt

@@ -182,7 +182,6 @@ TEST(RunConfigResolve, RejectsBadValuesWithStructuredErrors) {
       {{"--integrator", "rk4"}, "--integrator"},
       {{"--engine", "fortran"}, "--engine"},
       {{"--backend", "gpu"}, "--backend"},
-      {{"--step-mode", "pipeline"}, "--step-mode"},
       {{"--schedule", "guided"}, "--schedule"},
       {{"--schedule", "static,0"}, "--schedule"},
       {{"--tile", "0x4"}, "--tile"},
@@ -241,14 +240,16 @@ TEST(RunConfigResolve, RejectsUnparseableUnsignedAtTheCliLayer) {
 
 TEST(RunConfigResolve, RetiredFlagsAreUnknownOptions) {
   // --layout (SoA is the only layout), --no-pool (pooling is always on),
-  // --tile-dealing (tiles are dealt by the backend under --schedule) and
-  // --execution (spelled --backend) are not options; a stale script
+  // --tile-dealing (tiles are dealt by the backend under --schedule),
+  // --execution (spelled --backend) and --step-mode (one barrier per
+  // loop nest is the only step shape) are not options; a stale script
   // naming one must fail loudly, like any other stray flag.
   const std::vector<const char *> Retired[] = {
       {"--layout", "soa"},
       {"--no-pool"},
       {"--tile-dealing", "dynamic"},
       {"--execution", "tasks"},
+      {"--step-mode", "dag"},
   };
   for (const std::vector<const char *> &Args : Retired) {
     RunConfig Cfg;
@@ -259,38 +260,6 @@ TEST(RunConfigResolve, RetiredFlagsAreUnknownOptions) {
               std::string::npos)
         << Err;
   }
-}
-
-TEST(RunConfigResolve, StepModeParsesAndShowsInExecutionStr) {
-  for (StepMode M : {StepMode::Loops, StepMode::Dag})
-    EXPECT_EQ(parseStepMode(stepModeName(M)), M);
-  EXPECT_FALSE(parseStepMode("barrier").has_value());
-
-  RunConfig Cfg;
-  std::string Error;
-  ASSERT_TRUE(parseAndResolve(Cfg,
-                              {"--engine", "fused", "--backend", "tasks",
-                               "--step-mode", "dag"},
-                              &Error))
-      << Error;
-  EXPECT_EQ(Cfg.Step, StepMode::Dag);
-  EXPECT_NE(Cfg.executionStr().find("step=dag"), std::string::npos)
-      << Cfg.executionStr();
-}
-
-TEST(RunConfigResolve, DagStepModeValidatesBackendAndEngine) {
-  RunConfig WrongBackend;
-  std::string Error;
-  EXPECT_FALSE(parseAndResolve(WrongBackend,
-                               {"--step-mode", "dag", "--engine", "fused",
-                                "--backend", "spin-pool"},
-                               &Error));
-  EXPECT_NE(Error.find("--backend=tasks"), std::string::npos) << Error;
-
-  RunConfig WrongEngine;
-  EXPECT_FALSE(parseAndResolve(
-      WrongEngine, {"--step-mode", "dag", "--backend", "tasks"}, &Error));
-  EXPECT_NE(Error.find("--engine=fused"), std::string::npos) << Error;
 }
 
 TEST(RunConfigBackend, InstallsThreadsScheduleAndTile) {
@@ -322,22 +291,6 @@ TEST(SolverFactory, BuildsEachEngine) {
     EXPECT_TRUE(Run.advanceSteps(3));
     EXPECT_EQ(Run.solver().stepCount(), 3u);
   }
-}
-
-TEST(SolverFactory, BuildsDagSteppingFusedRun) {
-  RunConfig Cfg;
-  std::string Error;
-  ASSERT_TRUE(parseAndResolve(Cfg,
-                              {"--engine", "fused", "--backend", "tasks",
-                               "--threads", "2", "--step-mode", "dag"},
-                              &Error))
-      << Error;
-  SolverRun<2> Run = makeSolverRun(riemann2D(12), Cfg);
-  auto *F = dynamic_cast<FusedSolver<2> *>(&Run.solver());
-  ASSERT_NE(F, nullptr);
-  EXPECT_TRUE(F->dagStepping()) << "factory must arm the DAG pipeline";
-  EXPECT_TRUE(Run.advanceSteps(3));
-  EXPECT_EQ(Run.solver().stepCount(), 3u);
 }
 
 TEST(SolverFactory, BuildsArmedGuard) {
