@@ -10,7 +10,9 @@
 //   - the getDt reduction;
 //   - per-face reconstruction + Riemann solve for each scheme;
 //   - the kernels:: face path (reconstructFaces, fluxFaces, and the PC1
-//     split cellPrims + fluxFaces) and stage kernels, scalar vs SIMD.
+//     split cellPrims + fluxFaces) and stage kernels, scalar vs SIMD;
+//   - the fused engine's whole 2D flux phase (the PC1 row pass) per
+//     interior cell, at the paper's two grid sizes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,9 @@
 #include "runtime/ForkJoinBackend.h"
 #include "runtime/SerialBackend.h"
 #include "runtime/SpinBarrierPool.h"
+#include "solver/FusedSolver.h"
+#include "solver/Problems.h"
+#include "telemetry/Telemetry.h"
 
 #include <benchmark/benchmark.h>
 
@@ -308,5 +313,51 @@ BENCHMARK(BM_KernelReconstructFaces)
     ->Args({1 << 14, 0})
     ->Args({1 << 14, 1})
     ->Name("BM_Kernel/reconstructFaces/weno3");
+
+//===----------------------------------------------------------------------===//
+// Fused engine flux phase
+//===----------------------------------------------------------------------===//
+
+// One RK stage's flux phase of a serial fused shock-interaction run with
+// the benchmark scheme (PC1 + HLLC): the 2D row pass that converts each
+// cell row once and solves both axes' faces into the RHS.  Timed by the
+// engine's own solver.flux span over the three stages of a step, so the
+// boundary fill and the update are excluded; ns_per_cell is that time
+// per interior cell.  The pass's rolling rows are about 90 KB at 400
+// columns and 450 KB at 2000, which is what the tiling question turns on.
+static void BM_FusedSweep2D(benchmark::State &State) {
+  const size_t Cells = static_cast<size_t>(State.range(0));
+  const double Interior = static_cast<double>(Cells * Cells);
+  SerialBackend Exec;
+  FusedSolver<2> S(shockInteraction2D(Cells), SchemeConfig::benchmarkScheme(),
+                   Exec);
+  S.advance(); // leases the step buffers and touches every page
+  const bool WasEnabled = telemetry::enabled();
+  const unsigned WasStride = telemetry::gaugeStride();
+  telemetry::setEnabled(true);
+  telemetry::setGaugeStride(0);
+  double StageNs = 0.0;
+  for (auto _ : State) {
+    telemetry::reset();
+    S.advance();
+    const telemetry::MetricsReport R = telemetry::snapshot();
+    const telemetry::SpanStats *Flux = R.findSpan("solver.flux");
+    const double Ns = Flux ? Flux->meanNs() : 0.0;
+    State.SetIterationTime(Ns * 1e-9);
+    StageNs += Ns;
+  }
+  telemetry::reset();
+  telemetry::setGaugeStride(WasStride);
+  telemetry::setEnabled(WasEnabled);
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(Cells * Cells));
+  State.counters["ns_per_cell"] =
+      StageNs / static_cast<double>(State.iterations()) / Interior;
+}
+BENCHMARK(BM_FusedSweep2D)
+    ->Arg(400)
+    ->Arg(2000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -412,10 +412,11 @@ protected:
 
   /// Feeds the "solver.steps" counter and, at the configured gauge
   /// stride, the per-step gauges: time, dt, the GetDT max eigenvalue,
-  /// and one summarize() pass — the conserved totals (mass, momentum per
-  /// axis, energy; their drift is the conservation regression's
-  /// measurement channel) and the density/pressure minima.  Every value
-  /// is bit-identical across backends and worker counts.
+  /// and one summarize() pass (the "solver.summarize" span) — the
+  /// conserved totals (mass, momentum per axis, energy; their drift is
+  /// the conservation regression's measurement channel) and the
+  /// density/pressure minima.  Every value is bit-identical across
+  /// backends and worker counts.
   void recordStepTelemetry(double Dt) {
     if (!telemetry::enabled())
       return;
@@ -442,7 +443,11 @@ protected:
     telemetry::recordGauge(GaugeTime, Steps, Time);
     telemetry::recordGauge(GaugeDt, Steps, Dt);
     telemetry::recordGauge(GaugeEv, Steps, LastMaxEigen);
-    const InteriorSummary<Dim> S = summarize();
+    static const unsigned SpanSummarize = telemetry::spanId("solver.summarize");
+    const InteriorSummary<Dim> S = [&] {
+      telemetry::ScopedSpan Span(SpanSummarize);
+      return summarize();
+    }();
     telemetry::recordGauge(GaugeMass, Steps, S.Totals.Mass);
     for (unsigned A = 0; A < Dim; ++A)
       telemetry::recordGauge(GaugeMom[A], Steps, S.Totals.Momentum[A]);

@@ -15,24 +15,27 @@
 ///     core — the left edge of Fig. 4);
 ///   - every loop nest is its own parallel region dispatched through the
 ///     Backend, the way -autopar parallelizes each DO loop independently.
-///     One 2D RK3 time step issues 24 regions (8 per stage: 4 boundary
-///     sides, RHS zeroing, 2 axis sweeps, the update); with the fork-join
-///     backend each of those pays the thread-team setup cost, which is
-///     the scaling collapse of Fig. 4.  The update loop also takes the
-///     Q^n snapshot of each run on the first stage and reduces the next
-///     step's GetDT maximum on the last, so neither is a region of its
-///     own.
+///     One 2D RK3 time step issues 18 regions (6 per stage: 4 boundary
+///     sides, the flux pass, the update); with the fork-join backend each
+///     of those pays the thread-team setup cost, which is the scaling
+///     collapse of Fig. 4.  The update loop also takes the Q^n snapshot
+///     of each run on the first stage and reduces the next step's GetDT
+///     maximum on the last, so neither is a region of its own.
 ///
 /// The loop bodies themselves are the shared kernels:: layer: snapshot,
 /// RHS zeroing, the SSP update and the GetDT reduction always run as
 /// contiguous line runs, and so do the face fluxes.  Piecewise-constant
 /// reconstruction reads cell rows straight from the field: cellPrims
 /// converts each row to primitive planes once, and fluxFaces solves a
-/// face row from two shifted views of cells and planes (line-local
-/// scratch, rolling rows along the 2D axis 0).  Every other scheme
-/// stages each line's stencil window once and runs it through
-/// reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes).  So the
-/// hot loops execute the vectorized kernel build.
+/// face row from two shifted views of cells and planes.  In 2D that is
+/// one row pass per stage serving both axes: each cell row is converted
+/// once into a rolling primitive row, which feeds the axis-0 faces above
+/// and below it and the row's own axis-1 faces, and the RHS row is zeroed
+/// and accumulated while it is in cache.  1D and 3D sweep one region per
+/// axis after a zeroing region.  Every other scheme stages each line's
+/// stencil window once and runs it through reconstructFaces + fluxFaces
+/// (EulerSolver::lineFaceFluxes).  So the hot loops execute the
+/// vectorized kernel build.
 ///
 /// The numerics (reconstruction, Riemann solver, stage table) are shared
 /// with ArraySolver, so for identical settings the two engines produce
@@ -64,7 +67,6 @@ protected:
     static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
     static const unsigned SpanFlux = telemetry::spanId("solver.flux");
     static const unsigned SpanUpdate = telemetry::spanId("solver.update");
-    size_t InteriorCount = this->Prob.Domain.interiorCount();
 
     // Both scratch buffers are leased on first use; every element read is
     // written first (Un by the first stage's update), so the uninit mode
@@ -80,23 +82,8 @@ protected:
       }
 
       {
-        // RHS zeroing plus the directional sweeps (reconstruction +
-        // Riemann fluxes + divergence, one region per axis).
         telemetry::ScopedSpan Sp(SpanFlux);
-        this->Exec.parallelFor(0, InteriorCount, [&](size_t B, size_t E) {
-          kernels::zeroState<Dim>(Res.run(B), E - B, this->SimdEnabled);
-        });
-        for (unsigned Axis = 0; Axis < Dim; ++Axis) {
-          // (line, cell-along-axis) is the 2D iteration space; the
-          // backend may tile it.  Faces are recomputed at sub-range
-          // seams, so tiled and flattened sweeps are bit-identical.
-          this->Exec.parallelFor2D(
-              this->lineCount(Axis), this->N[Axis],
-              [&, Axis](size_t LineBegin, size_t LineEnd, size_t CellBegin,
-                        size_t CellEnd) {
-                sweepRange(Axis, LineBegin, LineEnd, CellBegin, CellEnd);
-              });
-        }
+        fluxPhase();
       }
 
       // Update loop (one region): U = A*Un + B*(U + dt*Res) on interior,
@@ -127,15 +114,37 @@ private:
       Res = Field<Dim>(this->Pool, G.interiorShape(), FieldInit::Uninit);
   }
 
-  /// True when the \p Axis sweep feeds kernels::fluxFaces straight from
-  /// the field instead of staging stencil windows: the
-  /// reconstruction must be piecewise-constant (face states are the
-  /// adjacent cells), and the face rows must be contiguous in storage —
-  /// the last axis always is; a 2D axis-0 sweep is restructured into
-  /// row runs below.
-  bool fluxKernelSweep(unsigned Axis) const {
-    return kernels::fluxKernelEligible(this->Scheme.Recon) &&
-           (Axis == Dim - 1 || (Dim == 2 && Axis == 0));
+  /// One stage's flux phase: reconstruction + Riemann fluxes + divergence
+  /// into the RHS.  A 2D piecewise-constant stage is one region, the row
+  /// pass serving both axes with the RHS zeroing folded in; every other
+  /// scheme zeroes the RHS in a region of its own, then sweeps one region
+  /// per axis.  Either way the backend may tile the 2D iteration space:
+  /// faces are recomputed at sub-range seams, so tiled and flattened
+  /// sweeps are bit-identical.
+  void fluxPhase() {
+    if constexpr (Dim == 2) {
+      if (kernels::fluxKernelEligible(this->Scheme.Recon)) {
+        this->Exec.parallelFor2D(
+            this->N[0], this->N[1],
+            [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+              sweepRangeKernel2D(RB, RE, CB, CE);
+            });
+        return;
+      }
+    }
+    this->Exec.parallelFor(
+        0, this->Prob.Domain.interiorCount(), [&](size_t B, size_t E) {
+          kernels::zeroState<Dim>(Res.run(B), E - B, this->SimdEnabled);
+        });
+    for (unsigned Axis = 0; Axis < Dim; ++Axis) {
+      // (line, cell-along-axis) is the sweep's iteration space.
+      this->Exec.parallelFor2D(
+          this->lineCount(Axis), this->N[Axis],
+          [&, Axis](size_t LineBegin, size_t LineEnd, size_t CellBegin,
+                    size_t CellEnd) {
+            sweepRange(Axis, LineBegin, LineEnd, CellBegin, CellEnd);
+          });
+    }
   }
 
   /// One directional sweep over lines [LineBegin, LineEnd) x cells
@@ -151,13 +160,11 @@ private:
   /// communicated).
   void sweepRange(unsigned Axis, size_t LineBegin, size_t LineEnd,
                   size_t CellBegin, size_t CellEnd) {
-    if (fluxKernelSweep(Axis)) {
-      if (Axis == Dim - 1) {
-        sweepRangeKernelLastAxis(LineBegin, LineEnd, CellBegin, CellEnd);
-      } else {
-        if constexpr (Dim == 2)
-          sweepRangeKernelAxis0(LineBegin, LineEnd, CellBegin, CellEnd);
-      }
+    // Piecewise-constant faces of the last axis are contiguous face rows
+    // fed to kernels::fluxFaces straight from the field (the 2D case never
+    // gets here: it runs the row pass).
+    if (Axis == Dim - 1 && kernels::fluxKernelEligible(this->Scheme.Recon)) {
+      sweepRangeKernelLastAxis(LineBegin, LineEnd, CellBegin, CellEnd);
       return;
     }
 
@@ -223,54 +230,84 @@ private:
     }
   }
 
-  /// Kernel form of the 2D axis-0 sweep.  The sweep space is transposed
-  /// (lines = columns, cells = rows), so contiguous runs go across the
-  /// line range: cell row r is converted once (cellPrims) into one of
-  /// two rolling primitive rows, face row f is computed once from cell
-  /// rows f-1 and f into one of two rolling flux rows, and cell row i
-  /// consumes face rows i and i+1.  Each cell row is converted once per
-  /// sweep range, plus the row below it at a range seam.  Same face
-  /// values, same single accumulation per cell as the staged form.
-  void sweepRangeKernelAxis0(size_t LineBegin, size_t LineEnd,
-                             size_t CellBegin, size_t CellEnd) {
-    static_assert(Dim == 2, "axis-0 kernel sweep is the 2D restructure");
-    const double InvDx = 1.0 / this->Prob.Domain.dx(0);
+  /// The 2D piecewise-constant flux phase over interior rows [RB, RE) x
+  /// columns [CB, CE): one pass down the rows serving both axes.  Two
+  /// rolling primitive rows hold cells [CB-1, CE] of rows i and i+1, so
+  /// cellPrims converts each cell row once per stage (plus the row above
+  /// the block at its seam); two rolling flux rows hold axis-0 face rows
+  /// i and i+1, and one flux row holds row i's axis-1 faces.  Per row i:
+  /// convert row i+1 into the free primitive slot, solve axis-0 face row
+  /// i+1, zero RHS row i and accumulate the axis-0 difference, then solve
+  /// row i's axis-1 faces from its resident primitives and accumulate
+  /// their difference.  Every cell still accumulates 0, then -D0, then
+  /// -D1 from the same face values as the per-axis sweeps.  The seam
+  /// rows (RB-1 and RE, ghost rows included) feed axis-0 faces only, so
+  /// they are converted over columns [CB, CE) and ghost corners are never
+  /// read.
+  void sweepRangeKernel2D(size_t RB, size_t RE, size_t CB, size_t CE) {
+    static_assert(Dim == 2, "the row pass is the 2D flux phase");
+    const double InvDx0 = 1.0 / this->Prob.Domain.dx(0);
+    const double InvDx1 = 1.0 / this->Prob.Domain.dx(1);
     const Gas &G = this->Prob.G;
     const RiemannKind Kind = this->Scheme.Riemann;
     const bool Simd = this->SimdEnabled;
     const size_t S0 = this->StorageStride[0];
-    size_t W = LineEnd - LineBegin;
+    const size_t W = CE - CB;
 
-    // Storage offset of the R-side cell row of face row f: interior row
-    // f, columns [LineBegin, LineEnd).
-    auto FaceRowBase = [&](size_t F) {
-      return (this->Ng + F) * S0 + this->Ng + LineBegin;
+    // Storage offset of interior row R, column CB.  Primitive slot cell
+    // j is column CB-1+j.
+    auto RowBase = [&](size_t R) {
+      return (this->Ng + R) * S0 + this->Ng + CB;
     };
     auto Convert = [&](size_t Base, const kernels::PrimRun<Dim> &P) {
-      kernels::cellPrims<Dim>(this->U.crun(Base), P, G, Kind, W, Simd);
+      kernels::cellPrims<Dim>(this->U.crun(Base - 1), P, G, Kind, W + 2,
+                              Simd);
     };
-    auto Faces = [&](size_t F, const kernels::PrimRun<Dim> &Lo,
-                     const kernels::PrimRun<Dim> &Hi,
-                     const kernels::Run<Dim> &Out) {
-      kernels::fluxFaces<Dim>(this->U.crun(FaceRowBase(F) - S0), Lo,
-                              this->U.crun(FaceRowBase(F)), Hi, Out, G,
-                              /*Axis=*/0, Kind, W, Simd);
+    auto ConvertSeam = [&](size_t Base, const kernels::PrimRun<Dim> &P) {
+      kernels::cellPrims<Dim>(this->U.crun(Base), kernels::advance(P, 1), G,
+                              Kind, W, Simd);
+    };
+    // Axis-0 face row F, between rows F-1 (Lo) and F (Hi).
+    auto Faces0 = [&](size_t F, const kernels::PrimRun<Dim> &Lo,
+                      const kernels::PrimRun<Dim> &Hi,
+                      const kernels::Run<Dim> &Out) {
+      kernels::fluxFaces<Dim>(this->U.crun(RowBase(F) - S0),
+                              kernels::advance(Lo, 1),
+                              this->U.crun(RowBase(F)),
+                              kernels::advance(Hi, 1), Out, G, /*Axis=*/0,
+                              Kind, W, Simd);
     };
 
-    FluxScratch<Dim> Scratch = fluxScratch<Dim>(4, W);
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(5, W + 2);
     kernels::PrimRun<Dim> Prims[2] = {Scratch.prims(0), Scratch.prims(1)};
     kernels::Run<Dim> Rows[2] = {Scratch.run(2), Scratch.run(3)};
-    Convert(FaceRowBase(CellBegin) - S0, Prims[0]);
-    Convert(FaceRowBase(CellBegin), Prims[1]);
-    Faces(CellBegin, Prims[0], Prims[1], Rows[0]);
-    for (size_t I = CellBegin; I != CellEnd; ++I) {
-      size_t K = I - CellBegin;
-      // Cell row I+1 replaces row I-1, whose last face (I) is done.
-      Convert(FaceRowBase(I + 1), Prims[K % 2]);
-      Faces(I + 1, Prims[(K + 1) % 2], Prims[K % 2], Rows[(K + 1) % 2]);
-      size_t RBase = I * this->N[1] + LineBegin;
-      kernels::accumDivergence<Dim>(Res.run(RBase), Rows[K % 2],
-                                    Rows[(K + 1) % 2], InvDx, W, Simd);
+    kernels::Run<Dim> Row1 = Scratch.run(4);
+    ConvertSeam(RowBase(RB) - S0, Prims[0]);
+    Convert(RowBase(RB), Prims[1]);
+    Faces0(RB, Prims[0], Prims[1], Rows[0]);
+    for (size_t I = RB; I != RE; ++I) {
+      size_t K = I - RB;
+      // Row I+1 replaces row I-1, whose last face (I) is done; row I
+      // stays resident for its axis-1 faces.
+      const kernels::PrimRun<Dim> &Cur = Prims[(K + 1) % 2];
+      if (I + 1 == RE)
+        ConvertSeam(RowBase(I + 1), Prims[K % 2]);
+      else
+        Convert(RowBase(I + 1), Prims[K % 2]);
+      Faces0(I + 1, Cur, Prims[K % 2], Rows[(K + 1) % 2]);
+
+      kernels::Run<Dim> ResRow = Res.run(I * this->N[1] + CB);
+      kernels::zeroState<Dim>(ResRow, W, Simd);
+      kernels::accumDivergence<Dim>(ResRow, Rows[K % 2], Rows[(K + 1) % 2],
+                                    InvDx0, W, Simd);
+
+      kernels::ConstRun<Dim> Cells = this->U.crun(RowBase(I) - 1);
+      kernels::fluxFaces<Dim>(Cells, Cur, kernels::advance(Cells, 1),
+                              kernels::advance(Cur, 1), Row1, G, /*Axis=*/1,
+                              Kind, W + 1, Simd);
+      kernels::ConstRun<Dim> Lo = Row1;
+      kernels::accumDivergence<Dim>(ResRow, Lo, kernels::advance(Lo, 1),
+                                    InvDx1, W, Simd);
     }
   }
 

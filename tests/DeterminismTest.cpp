@@ -631,3 +631,64 @@ TEST_F(DeterminismTest, FoldsMatchMaterializedBlast3D) {
   checkFoldsMatchMaterialized<3>(sphericalBlast3D(9),
                                  SchemeConfig::benchmarkScheme(), 3);
 }
+
+// Row-pass seam rows: the fused engine's 2D piecewise-constant flux phase
+// is one pass down the rows serving both axes, with the row above each
+// block converted at its seam.  A ragged 23x17 interaction with unequal
+// dx puts block and tile seams mid-field (spin-pool and fork-join blocks
+// of 3, 5x7 tiles); the fused field must equal the array engine's serial
+// scalar field bit for bit on every arm, SIMD on and off.  Roe is off the
+// kernel mirror, so it runs the PrimRun overload's reference loop.
+namespace {
+void checkRowPassSeams(RiemannKind Riemann) {
+  Problem<2> Prob = shockInteraction2D(23, 2.2, 11.5);
+  Prob.Domain = Grid<2>({23, 17}, {0.0, 0.0}, {23.0, 23.0}, 2);
+  const SchemeConfig Scheme = pc1Scheme(Riemann);
+  constexpr unsigned Steps = 16;
+
+  auto RefExec = createBackend(BackendKind::Serial, 1);
+  ArraySolver<2> Ref(Prob, Scheme, *RefExec, ArrayEvalMode::Fused,
+                     /*Simd=*/false);
+  Ref.advanceSteps(Steps);
+  ArraySolver<2> Init(Prob, Scheme, *RefExec, ArrayEvalMode::Fused,
+                      /*Simd=*/false);
+  EXPECT_GT(maxFieldDifference(Init, Ref), 0.0)
+      << "array reference did not evolve";
+
+  const std::pair<BackendKind, unsigned> Arms[] = {{BackendKind::Serial, 1},
+                                                   {BackendKind::SpinPool, 3},
+                                                   {BackendKind::ForkJoin, 3}};
+  for (const Tile &TileCfg : {Tile::off(), Tile::sized(5, 7)})
+    for (auto [Kind, Workers] : Arms)
+      for (bool Simd : {false, true}) {
+        auto Exec =
+            createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
+        ASSERT_NE(Exec, nullptr);
+        std::string Label = std::string(riemannKindName(Riemann)) + " " +
+                            Exec->name() + "(" + std::to_string(Workers) +
+                            ")" + (Simd ? " simd" : " scalar") +
+                            " tile=" + TileCfg.str();
+        FusedSolver<2> S(Prob, Scheme, *Exec, Simd);
+        S.advanceSteps(Steps);
+        EXPECT_TRUE(sameBits(Ref.time(), S.time())) << Label;
+        EXPECT_EQ(fieldStateHash(Ref), fieldStateHash(S)) << Label;
+        EXPECT_EQ(maxFieldDifference(Ref, S), 0.0) << Label;
+      }
+}
+} // namespace
+
+TEST_F(DeterminismTest, RowPassSeamsRaggedInteraction2DRusanov) {
+  checkRowPassSeams(RiemannKind::Rusanov);
+}
+
+TEST_F(DeterminismTest, RowPassSeamsRaggedInteraction2DHll) {
+  checkRowPassSeams(RiemannKind::Hll);
+}
+
+TEST_F(DeterminismTest, RowPassSeamsRaggedInteraction2DHllc) {
+  checkRowPassSeams(RiemannKind::Hllc);
+}
+
+TEST_F(DeterminismTest, RowPassSeamsRaggedInteraction2DRoe) {
+  checkRowPassSeams(RiemannKind::Roe);
+}

@@ -220,9 +220,10 @@ TEST_F(TelemetryTest, SolverStageSpansAndGaugesAppear) {
 TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
   // The pass structure of one 2D RK3 step, per stage: 4 boundary sides,
   // then the array engine's 2 flux with-loops and its combine (residual,
-  // snapshot, update and GetDT folded), or the fused engine's RHS
-  // zeroing, 2 axis sweeps and update (snapshot and GetDT folded).  Only
-  // the first step's GetDT runs as a region of its own.
+  // snapshot, update and GetDT folded), or the fused engine's one row
+  // pass for both axes (RHS zeroing folded) and update (snapshot and
+  // GetDT folded).  Only the first step's GetDT runs as a region of its
+  // own.
   for (BackendKind Kind : {BackendKind::Serial, BackendKind::SpinPool}) {
     auto Exec = createBackend(Kind, Kind == BackendKind::Serial ? 1 : 2);
     ASSERT_NE(Exec, nullptr);
@@ -232,7 +233,7 @@ TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
     for (bool ArrayEngine : {true, false}) {
       SCOPED_TRACE(std::string(ArrayEngine ? "array" : "fused") + " on " +
                    Exec->name());
-      const uint64_t PerStep = ArrayEngine ? 21 : 24;
+      const uint64_t PerStep = ArrayEngine ? 21 : 18;
       std::unique_ptr<EulerSolver<2>> S;
       if (ArrayEngine)
         S = std::make_unique<ArraySolver<2>>(Prob, Scheme, *Exec);
@@ -296,6 +297,32 @@ TEST_F(TelemetryTest, StepGaugesSampleClockTotalsAndHealthExactly) {
       EXPECT_TRUE(Same(G->Samples[K].Value, Want[K].*Field))
           << Name << " at step " << Want[K].Step;
     }
+  }
+}
+
+TEST_F(TelemetryTest, SummarizeSpanRunsOncePerGaugeDueStep) {
+  // The gauges' serial interior pass is its own span, so its share of a
+  // gauged run can be read off the report.  It runs exactly once per
+  // gauge-due step, and never when gauges are off.
+  for (unsigned Stride : {2u, 0u}) {
+    SCOPED_TRACE("gauge stride " + std::to_string(Stride));
+    telemetry::reset();
+    telemetry::setGaugeStride(Stride);
+    auto Exec = createBackend(BackendKind::Serial, 1);
+    FusedSolver<2> S(shockInteraction2D(16, 2.2, 8.0),
+                     SchemeConfig::benchmarkScheme(), *Exec);
+    S.advanceSteps(6);
+    telemetry::MetricsReport R = telemetry::snapshot();
+    const telemetry::SpanStats *Span = R.findSpan("solver.summarize");
+    if (Stride == 0) {
+      EXPECT_EQ(Span, nullptr);
+      continue;
+    }
+    ASSERT_NE(Span, nullptr);
+    EXPECT_EQ(Span->Count, 3u);
+    const telemetry::GaugeSeries *Mass = R.findGauge("step.mass");
+    ASSERT_NE(Mass, nullptr);
+    EXPECT_EQ(Span->Count, Mass->Samples.size());
   }
 }
 
