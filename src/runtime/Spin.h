@@ -6,14 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shard mailboxes' spin-wait: busy-poll a bounded number of
-/// iterations, then fall back to yield() so an oversubscribed host (more
-/// waiters than hardware threads) cannot starve the very thread being
-/// waited on.  SpinBarrierPool documents the rationale.  The pools'
-/// private SpinBarrierPool::spinUntil and TaskBackend::spinUntil are two
-/// more copies of this loop that add a cpuRelax() pause hint per busy
-/// iteration.  The three are not merged, so a change to the wait
-/// discipline (a deadline, a diagnostic) has to touch all of them.
+/// The one spin-wait loop in SacFD: busy-poll a bounded number of
+/// iterations with a pause hint each, then fall back to yield() so an
+/// oversubscribed host (more waiters than hardware threads) cannot starve
+/// the very thread being waited on.  SpinBarrierPool documents the
+/// rationale.  Its dispatch and barrier waits and the shard processes'
+/// halo-mailbox and epoch waits all call spinThenYieldUntil, so a change
+/// to the wait discipline (a deadline, a diagnostic) lands here once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,16 +23,30 @@
 
 namespace sacfd {
 
-/// Spins until \p Done() is true: \p SpinLimit busy iterations, then one
-/// yield() per iteration (0 yields immediately — fully cooperative).
+/// Hint to the CPU that we are in a busy-wait loop.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spins until \p IsDone() is true: \p SpinLimit busy iterations, each
+/// with a cpuRelax(), then one yield() per iteration (0 yields
+/// immediately — fully cooperative).
 template <typename Pred>
-void spinThenYieldUntil(Pred &&Done, unsigned SpinLimit = 1u << 14) {
+void spinThenYieldUntil(Pred &&IsDone, unsigned SpinLimit = 1u << 14) {
   unsigned Spins = 0;
-  while (!Done()) {
-    if (Spins < SpinLimit)
+  while (!IsDone()) {
+    if (Spins < SpinLimit) {
       ++Spins;
-    else
+      cpuRelax();
+    } else {
+      // Oversubscription fallback: give the core away so the thread that
+      // owns the work we are waiting for can run.
       std::this_thread::yield();
+    }
   }
 }
 

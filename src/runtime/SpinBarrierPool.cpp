@@ -3,20 +3,12 @@
 #include "runtime/SpinBarrierPool.h"
 
 #include "runtime/ParallelRegion.h"
+#include "runtime/Spin.h"
 #include "support/Env.h"
 
 #include <cassert>
 
 using namespace sacfd;
-
-/// Hint to the CPU that we are in a busy-wait loop.
-static inline void cpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
 
 SpinBarrierPool::SpinBarrierPool(unsigned Threads, unsigned SpinLimit)
     : Threads(Threads), SpinLimit(SpinLimit) {
@@ -44,20 +36,6 @@ SpinBarrierPool::~SpinBarrierPool() {
     T.join();
 }
 
-template <typename Pred> void SpinBarrierPool::spinUntil(Pred &&IsDone) const {
-  unsigned Spins = 0;
-  while (!IsDone()) {
-    if (Spins < SpinLimit) {
-      ++Spins;
-      cpuRelax();
-    } else {
-      // Oversubscription fallback: give the core away so the thread that
-      // owns the work we are waiting for can run.
-      std::this_thread::yield();
-    }
-  }
-}
-
 void SpinBarrierPool::runShare(unsigned WorkerIndex, size_t Begin, size_t End,
                                RangeBody Body) const {
   // Static block partition, identical to Schedule::StaticBlock: sizes
@@ -77,10 +55,12 @@ void SpinBarrierPool::runShare(unsigned WorkerIndex, size_t Begin, size_t End,
 void SpinBarrierPool::workerMain(unsigned WorkerIndex) {
   uint64_t SeenSeq = 0;
   while (true) {
-    spinUntil([this, SeenSeq] {
-      return JobSeq.load(std::memory_order_acquire) != SeenSeq ||
-             Stopping.load(std::memory_order_acquire);
-    });
+    spinThenYieldUntil(
+        [this, SeenSeq] {
+          return JobSeq.load(std::memory_order_acquire) != SeenSeq ||
+                 Stopping.load(std::memory_order_acquire);
+        },
+        SpinLimit);
     uint64_t NewSeq = JobSeq.load(std::memory_order_acquire);
     if (NewSeq == SeenSeq) {
       assert(Stopping.load(std::memory_order_acquire) && "spurious wakeup");
@@ -129,9 +109,11 @@ void SpinBarrierPool::parallelFor(size_t Begin, size_t End, RangeBody Body) {
 
   // Barrier: wait for every helper to check in for this sequence number.
   for (unsigned W = 1; W < Threads; ++W)
-    spinUntil([this, W, Seq] {
-      return Done[W - 1].Seq.load(std::memory_order_acquire) == Seq;
-    });
+    spinThenYieldUntil(
+        [this, W, Seq] {
+          return Done[W - 1].Seq.load(std::memory_order_acquire) == Seq;
+        },
+        SpinLimit);
 }
 
 void SpinBarrierPool::parallelFor2D(size_t Rows, size_t Cols,

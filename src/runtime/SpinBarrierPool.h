@@ -79,7 +79,6 @@ private:
   void workerMain(unsigned WorkerIndex);
   void runShare(unsigned WorkerIndex, size_t Begin, size_t End,
                 RangeBody Body) const;
-  template <typename Pred> void spinUntil(Pred &&Done) const;
 
   unsigned Threads;
   unsigned SpinLimit;

@@ -35,8 +35,7 @@ namespace {
 constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
 constexpr BackendKind kAllKinds[] = {BackendKind::Serial,
                                      BackendKind::ForkJoin,
-                                     BackendKind::SpinPool,
-                                     BackendKind::Tasks};
+                                     BackendKind::SpinPool};
 
 struct Backend2DCase {
   BackendKind Kind;
