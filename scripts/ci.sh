@@ -99,6 +99,14 @@ echo "== checkpoint overhead artifact =="
     --json artifacts/BENCH_checkpoint.json
 echo "wrote artifacts/BENCH_checkpoint.json"
 
+echo "== tasks ablation artifact =="
+# A7 record: work-stealing tasks vs spin-pool and fork-join on FIG4/EXT5
+# grids.  Acceptance: tasks at the top worker count must not lose to
+# fork-join.
+./build-ci-Release/bench/ablation_tasks --cells 96 --ext5-cells 192 \
+    --steps 20 --threads 1,2,4,8 --json artifacts/BENCH_tasks.json
+echo "wrote artifacts/BENCH_tasks.json"
+
 echo "== shard smoke + ablation artifact =="
 # PR 9 record: multi-process row-block sharding.  First the elastic
 # recovery end-to-end (kill one shard mid-run, resume from its own

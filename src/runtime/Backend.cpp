@@ -22,7 +22,7 @@ void Backend::parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) {
 
 void Backend::runTileGrid(const TileGrid &G, RangeBody2D Body) {
   // The tile range goes through the backend's native partitioner, so
-  // fork-join deals tiles under its --schedule.
+  // fork-join and tasks deal tiles under their --schedule.
   parallelFor(0, G.count(), [&](size_t Begin, size_t End) {
     for (size_t T = Begin; T < End; ++T) {
       TileRect R = G.rect(T);

@@ -6,6 +6,7 @@
 #include "runtime/OmpBackend.h"
 #include "runtime/SerialBackend.h"
 #include "runtime/SpinBarrierPool.h"
+#include "runtime/TaskBackend.h"
 #include "support/Error.h"
 #include "support/StrUtil.h"
 
@@ -21,6 +22,8 @@ const char *sacfd::backendKindName(BackendKind Kind) {
     return "fork-join";
   case BackendKind::OpenMp:
     return "openmp";
+  case BackendKind::Tasks:
+    return "tasks";
   }
   sacfdUnreachable("covered switch");
 }
@@ -37,6 +40,8 @@ std::optional<BackendKind> sacfd::parseBackendKind(std::string_view Text) {
     return BackendKind::ForkJoin;
   if (equalsLower(Name, "openmp") || equalsLower(Name, "omp"))
     return BackendKind::OpenMp;
+  if (equalsLower(Name, "tasks") || equalsLower(Name, "task"))
+    return BackendKind::Tasks;
   return std::nullopt;
 }
 
@@ -57,6 +62,9 @@ std::unique_ptr<Backend> sacfd::createBackend(BackendKind Kind,
     break;
   case BackendKind::OpenMp:
     B = createOmpBackend(Threads);
+    break;
+  case BackendKind::Tasks:
+    B = std::make_unique<TaskBackend>(Threads, Sched);
     break;
   }
   if (B)

@@ -3,21 +3,13 @@
 #include "runtime/TaskBackend.h"
 
 #include "runtime/ParallelRegion.h"
+#include "runtime/Spin.h"
 #include "support/Env.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace sacfd;
-
-/// Hint to the CPU that we are in a busy-wait loop.
-static inline void cpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
 
 TaskBackend::TaskBackend(unsigned Threads, Schedule Sched, unsigned SpinLimit)
     : Threads(Threads), Sched(Sched), SpinLimit(SpinLimit) {
@@ -41,18 +33,6 @@ TaskBackend::~TaskBackend() {
   Stopping.store(true, std::memory_order_release);
   for (std::thread &T : Workers)
     T.join();
-}
-
-template <typename Pred> void TaskBackend::spinUntil(Pred &&IsDone) const {
-  unsigned Spins = 0;
-  while (!IsDone()) {
-    if (Spins < SpinLimit) {
-      ++Spins;
-      cpuRelax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
 }
 
 size_t TaskBackend::taskChunk(size_t N) const {
@@ -137,10 +117,12 @@ void TaskBackend::participate(unsigned W) {
 void TaskBackend::workerMain(unsigned W) {
   uint64_t SeenSeq = 0;
   while (true) {
-    spinUntil([this, SeenSeq] {
-      return JobSeq.load(std::memory_order_acquire) != SeenSeq ||
-             Stopping.load(std::memory_order_acquire);
-    });
+    spinThenYieldUntil(
+        [this, SeenSeq] {
+          return JobSeq.load(std::memory_order_acquire) != SeenSeq ||
+                 Stopping.load(std::memory_order_acquire);
+        },
+        SpinLimit);
     uint64_t NewSeq = JobSeq.load(std::memory_order_acquire);
     if (NewSeq == SeenSeq) {
       assert(Stopping.load(std::memory_order_acquire) && "spurious wakeup");
@@ -161,9 +143,11 @@ void TaskBackend::dispatch() {
   // after the item body), but they can still be scanning for work, and
   // the next dispatch must not reseed the deques under them.
   for (unsigned W = 1; W < Threads; ++W)
-    spinUntil([this, W, Seq] {
-      return Done[W - 1].Seq.load(std::memory_order_acquire) == Seq;
-    });
+    spinThenYieldUntil(
+        [this, W, Seq] {
+          return Done[W - 1].Seq.load(std::memory_order_acquire) == Seq;
+        },
+        SpinLimit);
 }
 
 void TaskBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {

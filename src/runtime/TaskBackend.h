@@ -88,7 +88,6 @@ private:
   bool stealInto(unsigned W, size_t &Item);
   void dispatch();
   size_t taskChunk(size_t N) const;
-  template <typename Pred> void spinUntil(Pred &&IsDone) const;
 
   unsigned Threads;
   Schedule Sched;

@@ -35,7 +35,8 @@ namespace {
 constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
 constexpr BackendKind kAllKinds[] = {BackendKind::Serial,
                                      BackendKind::ForkJoin,
-                                     BackendKind::SpinPool};
+                                     BackendKind::SpinPool,
+                                     BackendKind::Tasks};
 
 struct Backend2DCase {
   BackendKind Kind;

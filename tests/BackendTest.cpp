@@ -14,6 +14,7 @@
 #include "runtime/Runtime.h"
 #include "runtime/SerialBackend.h"
 #include "runtime/SpinBarrierPool.h"
+#include "runtime/TaskBackend.h"
 
 #include <gtest/gtest.h>
 
@@ -195,7 +196,12 @@ INSTANTIATE_TEST_SUITE_P(
         BackendCase{BackendKind::ForkJoin, 4, Schedule::staticChunk(5)},
         BackendCase{BackendKind::ForkJoin, 4, Schedule::dynamic()},
         BackendCase{BackendKind::ForkJoin, 4, Schedule::dynamic(3)},
-        BackendCase{BackendKind::ForkJoin, 8, Schedule::dynamic()}),
+        BackendCase{BackendKind::ForkJoin, 8, Schedule::dynamic()},
+        BackendCase{BackendKind::Tasks, 1, Schedule::staticBlock()},
+        BackendCase{BackendKind::Tasks, 2, Schedule::staticBlock()},
+        BackendCase{BackendKind::Tasks, 4, Schedule::staticBlock()},
+        BackendCase{BackendKind::Tasks, 4, Schedule::staticChunk(5)},
+        BackendCase{BackendKind::Tasks, 8, Schedule::staticBlock()}),
     [](const ::testing::TestParamInfo<BackendCase> &Info) {
       return Info.param.label();
     });
@@ -323,6 +329,37 @@ TEST(ForkJoinBackend, UsesFreshThreadsPerDispatch) {
   EXPECT_TRUE(Seen.count(Main)) << "master must take part in the team";
 }
 
+TEST(TaskBackend, ReusesWorkersAcrossDispatches) {
+  TaskBackend Pool(4);
+  std::set<std::thread::id> Round1, Round2;
+  std::mutex M;
+  auto Collect = [&M](std::set<std::thread::id> &Set) {
+    return [&Set, &M](size_t, size_t) {
+      std::lock_guard<std::mutex> Lock(M);
+      Set.insert(std::this_thread::get_id());
+    };
+  };
+  Pool.parallelFor(0, 4096, Collect(Round1));
+  Pool.parallelFor(0, 4096, Collect(Round2));
+  // Stealing means not every worker necessarily runs a chunk, but every
+  // participating thread must come from the one persistent 4-thread team
+  // — across both dispatches, never more than 4 distinct ids.
+  std::set<std::thread::id> Union = Round1;
+  Union.insert(Round2.begin(), Round2.end());
+  EXPECT_GE(Union.size(), 1u);
+  EXPECT_LE(Union.size(), 4u) << "persistent pool must reuse its threads";
+}
+
+TEST(TaskBackend, AdaptsSpinLimitToOversubscription) {
+  unsigned Hw = std::thread::hardware_concurrency();
+  if (Hw == 0)
+    GTEST_SKIP() << "hardware concurrency unknown";
+  TaskBackend Oversubscribed(Hw + 2);
+  EXPECT_EQ(Oversubscribed.spinLimit(), 0u);
+  TaskBackend Forced(Hw + 2, Schedule::staticBlock(), /*SpinLimit=*/128);
+  EXPECT_EQ(Forced.spinLimit(), 128u);
+}
+
 TEST(RuntimeFactory, ParsesBackendNames) {
   EXPECT_EQ(parseBackendKind("serial"), BackendKind::Serial);
   EXPECT_EQ(parseBackendKind("spin-pool"), BackendKind::SpinPool);
@@ -331,17 +368,15 @@ TEST(RuntimeFactory, ParsesBackendNames) {
   EXPECT_EQ(parseBackendKind("FORTRAN"), BackendKind::ForkJoin);
   EXPECT_EQ(parseBackendKind("openmp"), BackendKind::OpenMp);
   EXPECT_EQ(parseBackendKind("omp"), BackendKind::OpenMp);
-  // No backend answers to "tasks"/"task", so a script naming it fails
-  // loudly instead of running on some other backend.
-  EXPECT_FALSE(parseBackendKind("tasks").has_value());
-  EXPECT_FALSE(parseBackendKind("task").has_value());
+  EXPECT_EQ(parseBackendKind("tasks"), BackendKind::Tasks);
+  EXPECT_EQ(parseBackendKind("task"), BackendKind::Tasks);
   EXPECT_FALSE(parseBackendKind("cuda").has_value());
 }
 
 TEST(RuntimeFactory, NamesRoundTrip) {
   for (BackendKind K :
        {BackendKind::Serial, BackendKind::SpinPool, BackendKind::ForkJoin,
-        BackendKind::OpenMp})
+        BackendKind::OpenMp, BackendKind::Tasks})
     EXPECT_EQ(parseBackendKind(backendKindName(K)), K);
 }
 

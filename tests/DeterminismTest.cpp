@@ -36,7 +36,8 @@ namespace {
 
 constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
 constexpr BackendKind kParallelKinds[] = {BackendKind::ForkJoin,
-                                          BackendKind::SpinPool};
+                                          BackendKind::SpinPool,
+                                          BackendKind::Tasks};
 
 struct TelemetryDigest {
   std::vector<std::pair<std::string, uint64_t>> Counters;
