@@ -28,8 +28,8 @@ using namespace sacfd;
 namespace {
 
 /// Median per-step seconds of a run, and of that the median per-step
-/// time in the gauges' serial interior pass (the "solver.summarize"
-/// span; 0 while telemetry is off).
+/// time in the gauges' interior pass (the "solver.summarize" span, one
+/// backend region; 0 while telemetry is off).
 struct StepCost {
   double Step = 0.0;
   double Summarize = 0.0;
@@ -116,7 +116,7 @@ int main(int Argc, const char **Argv) {
 
   double Overhead = Enabled / Disabled - 1.0;
   std::printf("# overhead: %.2f%% (target < 2%%)\n", Overhead * 100.0);
-  // How much of the overhead is the gauges' serial pass over the field.
+  // How much of the overhead is the gauges' pass over the field.
   std::printf("# solver.summarize: %.4f ms/step = %.2f%% of the disabled "
               "step\n",
               On.Summarize * 1e3, On.Summarize / Disabled * 100.0);

@@ -14,8 +14,10 @@
 #            backend and tiling
 #   tsan     RelWithDebInfo with ThreadSanitizer (halt on the first
 #            report): the determinism matrix, i.e. every backend's
-#            parallel loops and reductions at 1-8 workers.  The OpenMP
-#            backend stays out: libgomp is not instrumented.
+#            parallel loops and reductions at 1-8 workers, then the
+#            HealthScan tests (the interior health pass's per-slab
+#            partials on every backend).  The OpenMP backend stays out:
+#            libgomp is not instrumented.
 #
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
@@ -61,6 +63,10 @@ for TYPE in Debug Release asan tsan; do
   esac
   (cd "$BUILD" && TSAN_OPTIONS=halt_on_error=1 \
       ctest --output-on-failure -j "$JOBS" ${LABELS:+-L "$LABELS"})
+  if [ "$TYPE" = tsan ]; then
+    (cd "$BUILD" && TSAN_OPTIONS=halt_on_error=1 \
+        ctest --output-on-failure -j "$JOBS" -R '^HealthScan\.')
+  fi
 done
 
 echo "== scenario regression matrix =="

@@ -17,8 +17,9 @@
 /// pressure aborted Debug runs and silently produced NaN in Release
 /// builds.  Unstable schemes *do* produce transiently unphysical states
 /// mid-step, so the helpers now clamp instead: detection belongs to the
-/// field health scan (solver/StepGuard.h), which observes the stored
-/// states between steps.
+/// interior health pass (EulerSolver::summarize, run by the step guard
+/// in solver/StepGuard.h), which observes the stored states between
+/// steps.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -28,6 +28,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 namespace sacfd {
 
@@ -154,8 +155,8 @@ template <unsigned Dim> Cons<Dim> toCons(const Prim<Dim> &W, const Gas &G) {
 /// Total function: a non-positive density yields non-finite velocity /
 /// pressure components instead of aborting (Debug) or being undefined
 /// (Release).  Callers that must not see such states check
-/// isPhysicalState() first; the solver-level detector is the health scan
-/// in solver/StepGuard.h.
+/// isPhysicalState() first; the solver-level detector is the interior
+/// health pass (EulerSolver::summarize).
 template <unsigned Dim> Prim<Dim> toPrim(const Cons<Dim> &Q, const Gas &G) {
   Prim<Dim> W;
   W.Rho = Q.Rho;
@@ -168,21 +169,39 @@ template <unsigned Dim> Prim<Dim> toPrim(const Cons<Dim> &Q, const Gas &G) {
   return W;
 }
 
+/// One cell against the admissible set: \c Flagged when a component is
+/// not finite, the density is below \p DensityFloor or the pressure is
+/// below \p PressureFloor.  \c P is toPrim's pressure (kinetic energy
+/// 0.5 * sum m_d * (m_d / rho), Eq. 3) for a finite cell with rho > 0 and
+/// -inf otherwise, so a vacuum or negative-density cell never reads as
+/// healthy through a 0/0 velocity.  The interior health pass
+/// (EulerSolver::summarize), the step guard's floors and isPhysicalState
+/// all classify through this one rule.
+struct CellClass {
+  bool Finite;
+  double P;
+  bool Flagged;
+};
+
+template <unsigned Dim>
+inline CellClass classifyCell(const Cons<Dim> &Q, const Gas &G,
+                              double DensityFloor, double PressureFloor) {
+  bool Finite = true;
+  for (unsigned K = 0; K < NumVars<Dim>; ++K)
+    Finite = Finite && std::isfinite(Q.comp(K));
+  const double P = Finite && Q.Rho > 0.0
+                       ? toPrim(Q, G).P
+                       : -std::numeric_limits<double>::infinity();
+  return {Finite, P,
+          !Finite || Q.Rho < DensityFloor || !(P >= PressureFloor)};
+}
+
 /// True when the conserved state is finite with positive density and
 /// non-negative pressure — the admissible set the schemes assume.  The
 /// step guard scans for violations between steps.
 template <unsigned Dim>
 bool isPhysicalState(const Cons<Dim> &Q, const Gas &G) {
-  for (unsigned K = 0; K < NumVars<Dim>; ++K)
-    if (!std::isfinite(Q.comp(K)))
-      return false;
-  if (!(Q.Rho > 0.0))
-    return false;
-  double Mom2 = 0.0;
-  for (unsigned D = 0; D < Dim; ++D)
-    Mom2 += Q.Mom[D] * Q.Mom[D];
-  return Gas::physicalState(Q.Rho,
-                            G.pressure(Q.Rho, 0.5 * Mom2 / Q.Rho, Q.E));
+  return !classifyCell(Q, G, 0.0, 0.0).Flagged;
 }
 
 /// Fastest signal speed |u_axis| + c of a cell; the building block of the

@@ -10,19 +10,20 @@ using namespace sacfd;
 Backend::~Backend() = default;
 
 void Backend::parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) {
-  // Legacy row-flattening shim: the row range is the 1D iteration space
-  // and every body invocation spans all columns.  Region accounting is
-  // inherited from parallelFor, so exactly one region is counted.
   if (Rows == 0 || Cols == 0)
     return;
-  parallelFor(0, Rows, [&](size_t Begin, size_t End) {
-    Body(Begin, End, 0, Cols);
-  });
-}
-
-void Backend::runTileGrid(const TileGrid &G, RangeBody2D Body) {
-  // The tile range goes through the backend's native partitioner, so
-  // fork-join and tasks deal tiles under their --schedule.
+  if (!tile().Enabled || inParallelRegion()) {
+    // Row flattening: the row range is the 1D iteration space and every
+    // body invocation spans all columns.  A nested call runs inline.
+    parallelFor(0, Rows, [&](size_t Begin, size_t End) {
+      Body(Begin, End, 0, Cols);
+    });
+    return;
+  }
+  // One parallelFor over the tile range: one counted region covers the
+  // whole 2D space, and whole tiles are dealt by the backend's own
+  // partitioner and --schedule.
+  TileGrid G(Rows, Cols, tile());
   parallelFor(0, G.count(), [&](size_t Begin, size_t End) {
     for (size_t T = Begin; T < End; ++T) {
       TileRect R = G.rect(T);

@@ -52,11 +52,11 @@ using RangeBody2D = FunctionRef<void(size_t RowBegin, size_t RowEnd,
 /// contract holds (blocking, disjoint sub-rectangles, nested calls run
 /// inline), and exactly one region is counted per non-empty call, so
 /// region counts — and the "runtime.regions" telemetry counter — are
-/// identical whether a loop runs tiled or flattened.  The base-class
-/// implementation is the legacy row-flattening shim: the row range goes
-/// through parallelFor and every body invocation spans all columns.
-/// Backends with a native implementation honor the configured Tile
-/// (see setTile) to deal cache-sized tiles instead.
+/// identical whether a loop runs tiled or flattened.  It is one
+/// implementation for every backend, built on parallelFor: with tiling
+/// off (or nested) the row range is flattened and every body invocation
+/// spans all columns; with a Tile configured (see setTile) the
+/// cache-sized tiles of a TileGrid are dealt as one 1D tile range.
 class Backend {
 public:
   virtual ~Backend();
@@ -65,8 +65,8 @@ public:
   virtual void parallelFor(size_t Begin, size_t End, RangeBody Body) = 0;
 
   /// Executes Body over the (Rows x Cols) rectangle, partitioned across
-  /// workers.  Default: row-flattening shim over parallelFor.
-  virtual void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body);
+  /// workers: row-flattened, or tile by tile when a Tile is configured.
+  void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body);
 
   /// \returns the number of workers participating in parallelFor,
   /// including the calling thread.
@@ -102,12 +102,6 @@ protected:
       telemetry::addCounter(Regions);
     }
   }
-
-  /// Executes every tile of \p G as one parallelFor over the tile range,
-  /// so whole tiles are dealt by this backend's own partitioner (and
-  /// schedule).  Shared by the native parallelFor2D overrides; issues
-  /// exactly one counted 1D region (none for an empty grid).
-  void runTileGrid(const TileGrid &G, RangeBody2D Body);
 
 private:
   std::atomic<uint64_t> RegionCount{0};

@@ -15,8 +15,10 @@
 /// order — are independent of the schedule, so floating-point results are
 /// reproducible run to run.  This is the same discipline the engines use
 /// for their GetDT reductions; BlockReduce packages it for consumers that
-/// fold arbitrary state (the step guard's health scan folds a struct of
-/// minima plus an offender list).
+/// fold arbitrary state (the step guard's floor pass sums the cells it
+/// clamped).  The interior health pass (EulerSolver::summarize) does not
+/// use it: its sums must not depend on the worker count, so it folds one
+/// partial per axis-0 slab instead of one per worker.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -44,19 +44,6 @@ void ForkJoinBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {
     runStatic(Begin, End, Body);
 }
 
-void ForkJoinBackend::parallelFor2D(size_t Rows, size_t Cols,
-                                    RangeBody2D Body) {
-  if (Rows == 0 || Cols == 0)
-    return;
-  if (!tile().Enabled || inParallelRegion()) {
-    Backend::parallelFor2D(Rows, Cols, Body);
-    return;
-  }
-  // One team fork-join covers the whole tile range — the per-region cost
-  // is paid once regardless of the tile count.
-  runTileGrid(TileGrid(Rows, Cols, tile()), Body);
-}
-
 void ForkJoinBackend::runStatic(size_t Begin, size_t End, RangeBody Body) {
   size_t N = End - Begin;
   std::vector<std::vector<IterationChunk>> Plan =

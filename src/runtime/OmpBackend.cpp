@@ -58,18 +58,6 @@ public:
     }
   }
 
-  void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) override {
-    if (Rows == 0 || Cols == 0)
-      return;
-    if (!tile().Enabled || inParallelRegion()) {
-      Backend::parallelFor2D(Rows, Cols, Body);
-      return;
-    }
-    // One `omp parallel` covers the whole tile range via the shared tile
-    // dealer, so the region cost matches the 1D path.
-    runTileGrid(TileGrid(Rows, Cols, tile()), Body);
-  }
-
   unsigned workerCount() const override { return Threads; }
   const char *name() const override { return "openmp"; }
 

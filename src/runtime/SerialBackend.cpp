@@ -19,25 +19,3 @@ void SerialBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {
   ParallelRegionGuard Guard;
   Body(Begin, End);
 }
-
-void SerialBackend::parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) {
-  if (Rows == 0 || Cols == 0)
-    return;
-  if (!tile().Enabled) {
-    Backend::parallelFor2D(Rows, Cols, Body);
-    return;
-  }
-  if (inParallelRegion()) {
-    Body(0, Rows, 0, Cols);
-    return;
-  }
-  countRegion();
-  static const unsigned Region = telemetry::spanId("region.serial");
-  telemetry::ScopedSpan Span(Region);
-  ParallelRegionGuard Guard;
-  TileGrid G(Rows, Cols, tile());
-  for (size_t T = 0, E = G.count(); T < E; ++T) {
-    TileRect R = G.rect(T);
-    Body(R.RowBegin, R.RowEnd, R.ColBegin, R.ColEnd);
-  }
-}

@@ -25,7 +25,6 @@ namespace sacfd {
 class SerialBackend final : public Backend {
 public:
   void parallelFor(size_t Begin, size_t End, RangeBody Body) override;
-  void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) override;
   unsigned workerCount() const override { return 1; }
   const char *name() const override { return "serial"; }
 };

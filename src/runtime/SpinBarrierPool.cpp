@@ -116,15 +116,3 @@ void SpinBarrierPool::parallelFor(size_t Begin, size_t End, RangeBody Body) {
         SpinLimit);
 }
 
-void SpinBarrierPool::parallelFor2D(size_t Rows, size_t Cols,
-                                    RangeBody2D Body) {
-  if (Rows == 0 || Cols == 0)
-    return;
-  if (!tile().Enabled || inParallelRegion()) {
-    Backend::parallelFor2D(Rows, Cols, Body);
-    return;
-  }
-  // Tiles go through the pool's broadcast slot as a 1D tile range, so one
-  // dispatch (two shared-memory round trips) covers the whole 2D space.
-  runTileGrid(TileGrid(Rows, Cols, tile()), Body);
-}

@@ -63,7 +63,6 @@ public:
   SpinBarrierPool &operator=(const SpinBarrierPool &) = delete;
 
   void parallelFor(size_t Begin, size_t End, RangeBody Body) override;
-  void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) override;
   unsigned workerCount() const override { return Threads; }
   const char *name() const override { return "spin-pool"; }
 

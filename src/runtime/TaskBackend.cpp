@@ -190,15 +190,3 @@ void TaskBackend::parallelFor(size_t Begin, size_t End, RangeBody Body) {
   dispatch();
 }
 
-void TaskBackend::parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) {
-  if (Rows == 0 || Cols == 0)
-    return;
-  if (!tile().Enabled || inParallelRegion()) {
-    Backend::parallelFor2D(Rows, Cols, Body);
-    return;
-  }
-  // Tiles become the task granule: the tile range goes through
-  // parallelFor, so each task is one or a few whole tiles and stealing
-  // re-deals them under load imbalance.
-  runTileGrid(TileGrid(Rows, Cols, tile()), Body);
-}

@@ -60,7 +60,6 @@ public:
   TaskBackend &operator=(const TaskBackend &) = delete;
 
   void parallelFor(size_t Begin, size_t End, RangeBody Body) override;
-  void parallelFor2D(size_t Rows, size_t Cols, RangeBody2D Body) override;
   unsigned workerCount() const override { return Threads; }
   const char *name() const override { return "tasks"; }
 

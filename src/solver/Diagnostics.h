@@ -22,8 +22,9 @@
 
 namespace sacfd {
 
-/// Integrates Q over the interior (sum times cell volume), serially for
-/// exact reproducibility.  The same pass feeds the step.mass /
+/// Integrates Q over the interior (sum times cell volume) through the
+/// interior pass (EulerSolver::summarize), bit-identical on every backend
+/// and worker count.  The same pass feeds the step.mass /
 /// step.momentum* / step.energy gauges.
 template <unsigned Dim>
 ConservedTotals<Dim> conservedTotals(const EulerSolver<Dim> &Solver) {
@@ -31,10 +32,12 @@ ConservedTotals<Dim> conservedTotals(const EulerSolver<Dim> &Solver) {
 }
 
 /// Smallest density/pressure over the interior, and finiteness — the
-/// values the step.min_density / step.min_pressure gauges sample.
+/// values the step.min_density / step.min_pressure gauges sample.  A
+/// cell with rho <= 0 reads as pressure -inf; the minima are NaN when any
+/// cell is not finite.
 template <unsigned Dim>
 FieldHealth<Dim> fieldHealth(const EulerSolver<Dim> &Solver) {
-  return Solver.summarize().Health;
+  return Solver.summarize().reportMinima();
 }
 
 /// Total variation of the density field (1D): sum |rho_{i+1} - rho_i|.

@@ -45,6 +45,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace sacfd {
 
@@ -56,18 +57,31 @@ template <unsigned Dim> struct ConservedTotals {
   double Energy = 0.0;
 };
 
-/// Smallest density/pressure over the interior, and finiteness (the
-/// minima are NaN when any cell is not finite).
+/// What one interior pass (EulerSolver::summarize) learns about the
+/// field: the conserved totals, the density/pressure minima over the
+/// finite cells, finiteness, and the cells outside the admissible set
+/// under the pass's floors (classifyCell).
 template <unsigned Dim> struct FieldHealth {
-  double MinDensity = 0.0;
-  double MinPressure = 0.0;
-  bool AllFinite = true;
-};
-
-/// Both results of one serial interior pass (EulerSolver::summarize).
-template <unsigned Dim> struct InteriorSummary {
   ConservedTotals<Dim> Totals;
-  FieldHealth<Dim> Health;
+  double MinDensity = std::numeric_limits<double>::infinity();
+  double MinPressure = std::numeric_limits<double>::infinity();
+  bool AllFinite = true;
+  /// Cells violating finiteness or the floors.
+  size_t BadCells = 0;
+  /// Linear interior indices of the first offenders, ascending and
+  /// capped at the pass's MaxOffenders.
+  std::vector<size_t> Offenders;
+
+  bool healthy() const { return BadCells == 0; }
+
+  /// The minima as fieldHealth() and the step.* gauges report them: NaN
+  /// when any cell is not finite ("min density 1.0" over a NaN field
+  /// would mislead).
+  FieldHealth &reportMinima() {
+    if (!AllFinite)
+      MinDensity = MinPressure = std::numeric_limits<double>::quiet_NaN();
+    return *this;
+  }
 };
 
 /// Abstract Euler solver: owns the field and the time loop; engines
@@ -203,50 +217,88 @@ public:
       apply(nextStep(Time, EndTime, [this] { return computeDt(); }));
   }
 
-  /// One serial pass over the interior in row-major order: the conserved
-  /// totals (sum times cell volume) and the density/pressure minima.
-  /// Serial for exact reproducibility — the values are bit-identical
-  /// across backends and worker counts.
-  InteriorSummary<Dim> summarize() const {
-    const Grid<Dim> &G = Prob.Domain;
-    InteriorSummary<Dim> S;
-    ConservedTotals<Dim> &T = S.Totals;
-    FieldHealth<Dim> &H = S.Health;
-    H.MinDensity = std::numeric_limits<double>::infinity();
-    H.MinPressure = std::numeric_limits<double>::infinity();
-    // Lines along the last axis are contiguous runs, enumerated in
-    // row-major order of the remaining axes.
+  /// The one interior pass: conserved totals (sum times cell volume),
+  /// finiteness, the density/pressure minima over the finite cells and
+  /// the cells classifyCell flags under \p DensityFloor / \p
+  /// PressureFloor (the first \p MaxOffenders of them by linear index).
+  /// The defaults (0, 0) are the admissible set itself; conservedTotals,
+  /// fieldHealth and the step.* gauges use them, the step guard passes
+  /// its floors.  One parallelFor region: each axis-0 slab (the whole
+  /// line in 1D) folds its cells in row-major order into its own partial,
+  /// and the partials merge serially in slab order, so every result is
+  /// bit-identical across backends, worker counts and tile specs.  The
+  /// partials buffer is reused across calls, so concurrent calls on one
+  /// solver are not allowed.
+  FieldHealth<Dim> summarize(double DensityFloor = 0.0,
+                             double PressureFloor = 0.0,
+                             unsigned MaxOffenders = 0) const {
     const unsigned Axis = Dim - 1;
-    for (size_t Line = 0, Lines = lineCount(Axis); Line < Lines; ++Line) {
-      kernels::ConstRun<Dim> R = U.crun(lineStorageBase(Axis, Line));
-      for (size_t I = 0; I < N[Axis]; ++I) {
-        const Cons<Dim> Q = kernels::loadCons<Dim>(R, I);
-        T.Mass += Q.Rho;
-        for (unsigned A = 0; A < Dim; ++A)
-          T.Momentum[A] += Q.Mom[A];
-        T.Energy += Q.E;
-        for (unsigned K = 0; K < NumVars<Dim>; ++K)
-          if (!std::isfinite(Q.comp(K)))
-            H.AllFinite = false;
-        const Prim<Dim> W = toPrim(Q, Prob.G);
-        H.MinDensity = std::min(H.MinDensity, W.Rho);
-        H.MinPressure = std::min(H.MinPressure, W.P);
+    const size_t Blocks = Dim == 1 ? 1 : N[0];
+    const size_t LinesPerBlock = lineCount(Axis) / Blocks;
+    SlabPartials.resize(Blocks);
+    Exec.parallelFor(0, Blocks, [&](size_t BB, size_t BE) {
+      for (size_t B = BB; B != BE; ++B) {
+        // Fold into locals: running stores into the shared partials
+        // would false-share between workers and may alias the field.
+        ConservedTotals<Dim> T;
+        double MinRho = std::numeric_limits<double>::infinity();
+        double MinP = MinRho;
+        bool AllFinite = true;
+        size_t Bad = 0;
+        std::vector<size_t> &Offenders = SlabPartials[B].Offenders;
+        Offenders.clear();
+        for (size_t Line = B * LinesPerBlock; Line != (B + 1) * LinesPerBlock;
+             ++Line) {
+          kernels::ConstRun<Dim> R = U.crun(lineStorageBase(Axis, Line));
+          for (size_t I = 0; I < N[Axis]; ++I) {
+            const Cons<Dim> Q = kernels::loadCons<Dim>(R, I);
+            T.Mass += Q.Rho;
+            for (unsigned A = 0; A < Dim; ++A)
+              T.Momentum[A] += Q.Mom[A];
+            T.Energy += Q.E;
+            const CellClass C =
+                classifyCell(Q, Prob.G, DensityFloor, PressureFloor);
+            if (C.Finite) {
+              MinRho = std::min(MinRho, Q.Rho);
+              MinP = std::min(MinP, C.P);
+            } else {
+              AllFinite = false;
+            }
+            if (C.Flagged && Bad++ < MaxOffenders)
+              Offenders.push_back(Line * N[Axis] + I);
+          }
+        }
+        FieldHealth<Dim> &P = SlabPartials[B];
+        P.Totals = T;
+        P.MinDensity = MinRho;
+        P.MinPressure = MinP;
+        P.AllFinite = AllFinite;
+        P.BadCells = Bad;
       }
+    });
+
+    FieldHealth<Dim> H;
+    for (const FieldHealth<Dim> &P : SlabPartials) {
+      H.Totals.Mass += P.Totals.Mass;
+      for (unsigned A = 0; A < Dim; ++A)
+        H.Totals.Momentum[A] += P.Totals.Momentum[A];
+      H.Totals.Energy += P.Totals.Energy;
+      H.MinDensity = std::min(H.MinDensity, P.MinDensity);
+      H.MinPressure = std::min(H.MinPressure, P.MinPressure);
+      H.AllFinite = H.AllFinite && P.AllFinite;
+      H.BadCells += P.BadCells;
+      for (size_t Cell : P.Offenders)
+        if (H.Offenders.size() < MaxOffenders)
+          H.Offenders.push_back(Cell);
     }
     double Volume = 1.0;
     for (unsigned A = 0; A < Dim; ++A)
-      Volume *= G.dx(A);
-    T.Mass *= Volume;
+      Volume *= Prob.Domain.dx(A);
+    H.Totals.Mass *= Volume;
     for (unsigned A = 0; A < Dim; ++A)
-      T.Momentum[A] *= Volume;
-    T.Energy *= Volume;
-    if (!H.AllFinite) {
-      // Minima over a partly non-finite field would be misleading ("min
-      // density 1.0" over a NaN field), so report NaN.
-      H.MinDensity = std::numeric_limits<double>::quiet_NaN();
-      H.MinPressure = std::numeric_limits<double>::quiet_NaN();
-    }
-    return S;
+      H.Totals.Momentum[A] *= Volume;
+    H.Totals.Energy *= Volume;
+    return H;
   }
 
   /// Engine name for reports ("array" / "fused").
@@ -412,7 +464,8 @@ protected:
 
   /// Feeds the "solver.steps" counter and, at the configured gauge
   /// stride, the per-step gauges: time, dt, the GetDT max eigenvalue,
-  /// and one summarize() pass (the "solver.summarize" span) — the
+  /// and one summarize() pass (the "solver.summarize" span, one backend
+  /// region) — the
   /// conserved totals (mass, momentum per axis, energy; their drift is
   /// the conservation regression's measurement channel) and the
   /// density/pressure minima.  Every value is bit-identical across
@@ -444,16 +497,17 @@ protected:
     telemetry::recordGauge(GaugeDt, Steps, Dt);
     telemetry::recordGauge(GaugeEv, Steps, LastMaxEigen);
     static const unsigned SpanSummarize = telemetry::spanId("solver.summarize");
-    const InteriorSummary<Dim> S = [&] {
+    FieldHealth<Dim> H = [&] {
       telemetry::ScopedSpan Span(SpanSummarize);
       return summarize();
     }();
-    telemetry::recordGauge(GaugeMass, Steps, S.Totals.Mass);
+    H.reportMinima();
+    telemetry::recordGauge(GaugeMass, Steps, H.Totals.Mass);
     for (unsigned A = 0; A < Dim; ++A)
-      telemetry::recordGauge(GaugeMom[A], Steps, S.Totals.Momentum[A]);
-    telemetry::recordGauge(GaugeEnergy, Steps, S.Totals.Energy);
-    telemetry::recordGauge(GaugeMinRho, Steps, S.Health.MinDensity);
-    telemetry::recordGauge(GaugeMinP, Steps, S.Health.MinPressure);
+      telemetry::recordGauge(GaugeMom[A], Steps, H.Totals.Momentum[A]);
+    telemetry::recordGauge(GaugeEnergy, Steps, H.Totals.Energy);
+    telemetry::recordGauge(GaugeMinRho, Steps, H.MinDensity);
+    telemetry::recordGauge(GaugeMinP, Steps, H.MinPressure);
 
     // Pool stats are a pure function of the step structure (acquisitions
     // happen only on the driving thread), so these gauges stay
@@ -505,6 +559,8 @@ protected:
   bool MaxEigenCached = false;
   /// Optional pre-BC ghost fill (shard halo exchange); empty by default.
   GhostFillHook GhostHook;
+  /// summarize()'s per-slab partials, reused across calls.
+  mutable std::vector<FieldHealth<Dim>> SlabPartials;
 };
 
 } // namespace sacfd

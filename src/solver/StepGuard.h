@@ -15,8 +15,9 @@
 /// than aborts; the guard is the matching detection-and-recovery layer:
 ///
 ///   1. After every window of `Every` accepted steps, scan the interior
-///      for finiteness and positivity (a deterministic blockReduce
-///      through the Backend — the parallel form of fieldHealth()).
+///      for finiteness and positivity under the floors (the solver's one
+///      interior pass, EulerSolver::summarize — the same pass behind
+///      fieldHealth() and the step.* gauges).
 ///   2. On breakdown, restore the snapshot taken at the last verified
 ///      healthy point, halve the dt scale, and retry — up to MaxRetries
 ///      times with exponential backoff.
@@ -70,84 +71,6 @@ struct GuardConfig {
   /// Cap on offending-cell indices kept per scan/report.
   unsigned MaxReportedCells = 8;
 };
-
-/// Result of one parallel health scan over the interior.
-struct HealthScan {
-  double MinDensity = std::numeric_limits<double>::infinity();
-  double MinPressure = std::numeric_limits<double>::infinity();
-  bool AllFinite = true;
-  /// Cells violating finiteness or the floors.
-  size_t BadCells = 0;
-  /// Linear interior indices of the first offenders (capped, in
-  /// ascending order — deterministic for a fixed worker count).
-  std::vector<size_t> Offenders;
-
-  bool healthy() const { return BadCells == 0; }
-};
-
-/// Scans the interior of \p Solver for breakdown: non-finite components,
-/// density below \p DensityFloor, or pressure below \p PressureFloor.
-/// Minima are taken over the finite cells.  Dispatched through \p Exec as
-/// a deterministic block reduction; never calls toPrim (whose velocity
-/// division would poison the scan on rho <= 0).
-template <unsigned Dim>
-HealthScan scanFieldHealth(const EulerSolver<Dim> &Solver, Backend &Exec,
-                           double DensityFloor, double PressureFloor,
-                           unsigned MaxOffenders = 8) {
-  const Grid<Dim> &G = Solver.problem().Domain;
-  const Gas &Gas_ = Solver.problem().G;
-  Shape Interior = G.interiorShape();
-  size_t N = Interior.count();
-
-  auto FoldBlock = [&](size_t Lo, size_t Hi) {
-    HealthScan S;
-    Index Iv = Interior.delinearize(Lo);
-    for (size_t L = Lo; L != Hi; ++L) {
-      const Cons<Dim> Q = Solver.field().at(G.toStorage(Iv));
-      bool Finite = true;
-      for (unsigned K = 0; K < NumVars<Dim>; ++K)
-        if (!std::isfinite(Q.comp(K)))
-          Finite = false;
-
-      double P = -std::numeric_limits<double>::infinity();
-      if (Finite) {
-        S.MinDensity = std::min(S.MinDensity, Q.Rho);
-        if (Q.Rho > 0.0) {
-          double Mom2 = 0.0;
-          for (unsigned D = 0; D < Dim; ++D)
-            Mom2 += Q.Mom[D] * Q.Mom[D];
-          P = Gas_.pressure(Q.Rho, 0.5 * Mom2 / Q.Rho, Q.E);
-        }
-        S.MinPressure = std::min(S.MinPressure, P);
-      } else {
-        S.AllFinite = false;
-      }
-
-      if (!Finite || Q.Rho < DensityFloor || !(P >= PressureFloor)) {
-        ++S.BadCells;
-        if (S.Offenders.size() < MaxOffenders)
-          S.Offenders.push_back(L);
-      }
-      Interior.increment(Iv);
-    }
-    return S;
-  };
-
-  auto MergeFn = [MaxOffenders](HealthScan A, HealthScan B) {
-    A.MinDensity = std::min(A.MinDensity, B.MinDensity);
-    A.MinPressure = std::min(A.MinPressure, B.MinPressure);
-    A.AllFinite = A.AllFinite && B.AllFinite;
-    A.BadCells += B.BadCells;
-    for (size_t Cell : B.Offenders) {
-      if (A.Offenders.size() >= MaxOffenders)
-        break;
-      A.Offenders.push_back(Cell);
-    }
-    return A;
-  };
-
-  return blockReduce(N, Exec, HealthScan(), FoldBlock, MergeFn);
-}
 
 /// How the guard resolved one scan window.
 enum class GuardAction {
@@ -314,7 +237,7 @@ public:
     if (Cfg.AllowFloor) {
       double FirstDt = runWindow(ClampTime);
       DtHist.push_back(FirstDt);
-      HealthScan Before = scan();
+      FieldHealth<Dim> Before = scan();
       if (Before.healthy()) {
         // The extra dt halving alone rescued the replay; this is a late
         // retry, not a floor recovery -- no cells were touched.
@@ -385,7 +308,7 @@ public:
   size_t flooredCellsTotal() const { return TotalFlooredCells; }
   double dtScale() const { return Scale; }
   const std::vector<BreakdownReport> &reports() const { return Reports; }
-  const HealthScan &lastScan() const { return LastScan; }
+  const FieldHealth<Dim> &lastScan() const { return LastScan; }
   EulerSolver<Dim> &solver() { return S; }
   const EulerSolver<Dim> &solver() const { return S; }
 
@@ -420,12 +343,12 @@ private:
     return FirstDt;
   }
 
-  HealthScan scan() const {
+  FieldHealth<Dim> scan() const {
     countGuard("guard.scans");
     static const unsigned SpanScan = telemetry::spanId("guard.scan");
     telemetry::ScopedSpan Span(SpanScan);
-    return scanFieldHealth(S, S.backend(), Cfg.DensityFloor,
-                           Cfg.PressureFloor, Cfg.MaxReportedCells);
+    return S.summarize(Cfg.DensityFloor, Cfg.PressureFloor,
+                       Cfg.MaxReportedCells);
   }
 
   /// Bumps the named guard counter.  Guard events are rare (a handful per
@@ -470,22 +393,10 @@ private:
       Index Iv = Interior.delinearize(Lo);
       for (size_t L = Lo; L != Hi; ++L) {
         const Index Storage = G.toStorage(Iv);
-        Cons<Dim> Q = U.at(Storage);
-        bool Finite = true;
-        for (unsigned K = 0; K < NumVars<Dim>; ++K)
-          if (!std::isfinite(Q.comp(K)))
-            Finite = false;
-
-        double P = -std::numeric_limits<double>::infinity();
-        if (Finite && Q.Rho > 0.0) {
-          double Mom2 = 0.0;
-          for (unsigned D = 0; D < Dim; ++D)
-            Mom2 += Q.Mom[D] * Q.Mom[D];
-          P = Gas_.pressure(Q.Rho, 0.5 * Mom2 / Q.Rho, Q.E);
-        }
-
-        if (!Finite || Q.Rho < Cfg.DensityFloor ||
-            !(P >= Cfg.PressureFloor)) {
+        const Cons<Dim> Q = U.at(Storage);
+        const auto [Finite, P, Flagged] =
+            classifyCell(Q, Gas_, Cfg.DensityFloor, Cfg.PressureFloor);
+        if (Flagged) {
           // Clamp to twice the floors: the rescan recomputes pressure
           // from the rebuilt E, and with kinetic energy much larger than
           // the floor the EOS roundtrip can lose an ulp — a cell floored
@@ -538,7 +449,7 @@ private:
     }
   }
 
-  BreakdownReport makeReport(const HealthScan &Scan,
+  BreakdownReport makeReport(const FieldHealth<Dim> &Scan,
                              const std::vector<double> &DtHist,
                              BreakdownResolution Resolution) const {
     BreakdownReport R;
@@ -578,7 +489,7 @@ private:
   unsigned TotalRetries = 0;
   unsigned TotalFloorEvents = 0;
   size_t TotalFlooredCells = 0;
-  HealthScan LastScan;
+  FieldHealth<Dim> LastScan;
   std::vector<BreakdownReport> Reports;
   std::vector<Fault> Faults;
 

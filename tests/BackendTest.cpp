@@ -236,7 +236,8 @@ TEST_P(BackendContractTest, BlockReduceEmptyRangeReturnsIdentity) {
 TEST_P(BackendContractTest, BlockReduceMergesInBlockOrder) {
   // A non-commutative merge (string concatenation of block sub-ranges)
   // exposes the merge order: it must be ascending block order, identical
-  // across repeated runs — the determinism the health scan relies on.
+  // across repeated runs — the determinism the guard's floor pass relies
+  // on.
   auto B = makeBackend();
   auto Run = [&B]() {
     return blockReduce(

@@ -1,6 +1,6 @@
 //===- tests/StepGuardTest.cpp - Breakdown detection/recovery tests -------===//
 //
-// Exercises the step guard end to end: the parallel health scan, the
+// Exercises the step guard end to end: the interior health pass, the
 // snapshot/rollback/dt-backoff loop, floor recovery, fault injection,
 // structured breakdown reports, and the emergency checkpoint hook.  The
 // CFL=10 Sod runs are the acceptance scenario: they break the unguarded
@@ -10,8 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "io/Checkpoint.h"
+#include "runtime/Runtime.h"
 #include "runtime/SerialBackend.h"
-#include "runtime/SpinBarrierPool.h"
 #include "solver/ArraySolver.h"
 #include "solver/Diagnostics.h"
 #include "solver/FusedSolver.h"
@@ -22,8 +22,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 using namespace sacfd;
 
@@ -51,6 +54,28 @@ void poisonCell(EulerSolver<Dim> &S, size_t Linear) {
   S.field().set(Storage, Q);
 }
 
+/// Overwrites one interior cell of \p S with density \p Rho, momentum
+/// \p Mom along every axis and total energy \p E.
+template <unsigned Dim>
+void setCell(EulerSolver<Dim> &S, size_t Linear, double Rho, double Mom,
+             double E) {
+  const Grid<Dim> &G = S.problem().Domain;
+  Cons<Dim> Q;
+  Q.Rho = Rho;
+  for (unsigned D = 0; D < Dim; ++D)
+    Q.Mom[D] = Mom;
+  Q.E = E;
+  S.field().set(G.toStorage(G.interiorShape().delinearize(Linear)), Q);
+}
+
+/// The guard's scan: the interior pass under the default guard floors.
+template <unsigned Dim>
+FieldHealth<Dim> guardScan(const EulerSolver<Dim> &S,
+                           unsigned MaxOffenders = 8) {
+  const GuardConfig Cfg;
+  return S.summarize(Cfg.DensityFloor, Cfg.PressureFloor, MaxOffenders);
+}
+
 /// The acceptance scenario: Sod at CFL = 10 (20x the stable step).
 SchemeConfig cfl10Scheme() {
   SchemeConfig SC = SchemeConfig::figureScheme();
@@ -68,31 +93,82 @@ TEST(HealthScan, MatchesSerialFieldHealthOnHealthyField) {
   ArraySolver<1> S(sodProblem(64), SchemeConfig::figureScheme(), Exec);
   S.advanceSteps(5);
   FieldHealth<1> H = fieldHealth(S);
-  HealthScan Scan = scanFieldHealth(S, Exec, 1e-10, 1e-10);
+  FieldHealth<1> Scan = guardScan(S);
   EXPECT_TRUE(Scan.healthy());
   EXPECT_TRUE(Scan.AllFinite);
   EXPECT_EQ(Scan.MinDensity, H.MinDensity);
   EXPECT_EQ(Scan.MinPressure, H.MinPressure);
 }
 
+TEST(HealthScan, VacuumCellReadsAsNegativeInfinityPressure) {
+  // A finite cell with rho = 0: its velocity is 0/0, so a pressure taken
+  // through toPrim is NaN and a std::min chain would silently keep the
+  // healthy minimum.  The one cell rule reads it as p = -inf instead,
+  // for the diagnostics and the guard alike.
+  ArraySolver<1> S(sodProblem(64), SchemeConfig::figureScheme(), Exec);
+  S.advanceSteps(5);
+  setCell(S, 30, 0.0, 0.0, 0.25);
+  FieldHealth<1> H = fieldHealth(S);
+  EXPECT_TRUE(H.AllFinite);
+  EXPECT_EQ(H.MinPressure, -std::numeric_limits<double>::infinity());
+  FieldHealth<1> Scan = guardScan(S);
+  EXPECT_EQ(Scan.BadCells, 1u);
+  ASSERT_EQ(Scan.Offenders.size(), 1u);
+  EXPECT_EQ(Scan.Offenders[0], 30u);
+}
+
 TEST(HealthScan, DeterministicAcrossWorkerCounts) {
-  ArraySolver<2> S(shockInteraction2D(24), SchemeConfig::figureScheme(),
-                   Exec);
-  S.advanceSteps(3);
-  HealthScan Serial = scanFieldHealth(S, Exec, 1e-10, 1e-10);
-  SpinBarrierPool Pool(4);
-  HealthScan Parallel = scanFieldHealth(S, Pool, 1e-10, 1e-10);
-  // Bit-identical minima: the block merge is order-deterministic.
-  EXPECT_EQ(Serial.MinDensity, Parallel.MinDensity);
-  EXPECT_EQ(Serial.MinPressure, Parallel.MinPressure);
-  EXPECT_EQ(Serial.BadCells, Parallel.BadCells);
+  // The pass folds one partial per axis-0 slab and merges them in slab
+  // order, a decomposition that depends only on the grid: totals, minima
+  // and offenders must match the serial flat result bit for bit on every
+  // backend, worker count and tile spec.
+  ArraySolver<2> Ref(shockInteraction2D(24), SchemeConfig::figureScheme(),
+                     Exec);
+  Ref.advanceSteps(3);
+  poisonCell(Ref, 5);
+  setCell(Ref, 24 * 11 + 3, 0.0, 0.0, 0.25);
+  setCell(Ref, 24 * 23 + 20, 1.0, 0.0, -1.0);
+  std::vector<Cons<2>> Snapshot(Ref.field().size());
+  Ref.field().exportTo(Snapshot.data());
+  const FieldHealth<2> Want = guardScan(Ref);
+  ASSERT_EQ(Want.BadCells, 3u);
+  ASSERT_EQ(Want.Offenders,
+            (std::vector<size_t>{5, 24 * 11 + 3, 24 * 23 + 20}));
+
+  auto SameBits = [](const auto &A, const auto &B) {
+    return std::memcmp(&A, &B, sizeof(A)) == 0;
+  };
+  for (const Tile &T : {Tile::off(), Tile::sized(5, 7)})
+    for (BackendKind Kind : {BackendKind::Serial, BackendKind::SpinPool,
+                             BackendKind::ForkJoin})
+      for (unsigned Workers = 1; Workers <= 4; ++Workers) {
+        if (Kind == BackendKind::Serial && Workers > 1)
+          continue;
+        auto Backend_ =
+            createBackend(Kind, Workers, Schedule::staticBlock(), T);
+        ASSERT_NE(Backend_, nullptr);
+        SCOPED_TRACE(std::string(Backend_->name()) + "(" +
+                     std::to_string(Workers) + ") tile=" + T.str());
+        ArraySolver<2> S(shockInteraction2D(24),
+                         SchemeConfig::figureScheme(), *Backend_);
+        S.field().importFrom(Snapshot.data());
+        const FieldHealth<2> Got = guardScan(S);
+        EXPECT_TRUE(SameBits(Got.Totals.Mass, Want.Totals.Mass));
+        EXPECT_TRUE(SameBits(Got.Totals.Momentum, Want.Totals.Momentum));
+        EXPECT_TRUE(SameBits(Got.Totals.Energy, Want.Totals.Energy));
+        EXPECT_TRUE(SameBits(Got.MinDensity, Want.MinDensity));
+        EXPECT_TRUE(SameBits(Got.MinPressure, Want.MinPressure));
+        EXPECT_EQ(Got.AllFinite, Want.AllFinite);
+        EXPECT_EQ(Got.BadCells, Want.BadCells);
+        EXPECT_EQ(Got.Offenders, Want.Offenders);
+      }
 }
 
 TEST(HealthScan, FindsPoisonedCells) {
   ArraySolver<1> S(sodProblem(64), SchemeConfig::figureScheme(), Exec);
   poisonCell(S, 17);
   poisonCell(S, 40);
-  HealthScan Scan = scanFieldHealth(S, Exec, 1e-10, 1e-10);
+  FieldHealth<1> Scan = guardScan(S);
   EXPECT_FALSE(Scan.healthy());
   EXPECT_FALSE(Scan.AllFinite);
   EXPECT_EQ(Scan.BadCells, 2u);
@@ -108,7 +184,7 @@ TEST(HealthScan, FlagsNegativePressureWithoutNan) {
   Cons<1> Q = S.field().at(G.toStorage(Index{10}));
   Q.E = -1.0;
   S.field().set(G.toStorage(Index{10}), Q);
-  HealthScan Scan = scanFieldHealth(S, Exec, 1e-10, 1e-10);
+  FieldHealth<1> Scan = guardScan(S);
   EXPECT_FALSE(Scan.healthy());
   EXPECT_TRUE(Scan.AllFinite) << "the cell is finite, just unphysical";
   EXPECT_EQ(Scan.BadCells, 1u);
@@ -119,7 +195,7 @@ TEST(HealthScan, OffenderListIsCapped) {
   ArraySolver<1> S(sodProblem(64), SchemeConfig::figureScheme(), Exec);
   for (size_t I = 0; I < 20; ++I)
     poisonCell(S, I);
-  HealthScan Scan = scanFieldHealth(S, Exec, 1e-10, 1e-10, /*Max=*/4);
+  FieldHealth<1> Scan = guardScan(S, /*MaxOffenders=*/4);
   EXPECT_EQ(Scan.BadCells, 20u);
   EXPECT_EQ(Scan.Offenders.size(), 4u);
 }
@@ -174,7 +250,7 @@ TEST(StepGuard, RecoversFromTransientFault) {
   EXPECT_EQ(Guard.retriesTotal(), 1u);
   EXPECT_EQ(Guard.floorsTotal(), 0u);
   EXPECT_TRUE(Guard.reports().empty()) << "a retry is not a breakdown";
-  EXPECT_TRUE(scanFieldHealth(S, Exec, 1e-10, 1e-10).healthy());
+  EXPECT_TRUE(guardScan(S).healthy());
 }
 
 TEST(StepGuard, DtScaleRecoversAfterHealthyWindows) {
