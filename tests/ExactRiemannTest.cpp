@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 using namespace sacfd;
 
@@ -29,6 +30,12 @@ struct ToroCase {
   Prim<1> L, R;
   double PStar, UStar;
 };
+
+// Print a case by name. Without this, GoogleTest prints the raw bytes of
+// the struct, whose first field is a string-literal address that moves
+// with every load of the binary, so the test names changed from build to
+// build.
+void PrintTo(const ToroCase &C, std::ostream *OS) { *OS << C.Name; }
 
 class ToroTableTest : public ::testing::TestWithParam<ToroCase> {};
 
