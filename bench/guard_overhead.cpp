@@ -12,6 +12,11 @@
 // The scan is a single parallel reduction over the interior, so the
 // healthy-path overhead should shrink roughly like 1/K with cadence.
 //
+// One untimed warm-up solve runs first, then the --iters repetitions
+// are interleaved round-robin across every configuration (median per
+// configuration wins), so warm-up and drift over the run hit every row
+// alike instead of inflating whichever configuration runs first.
+//
 //===----------------------------------------------------------------------===//
 
 #include "solver/Problems.h"
@@ -20,23 +25,17 @@
 #include "support/Timer.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 using namespace sacfd;
 
 namespace {
 
-/// Median-of-Iters per-step seconds of one configuration.  \p Run gets a
-/// fresh solver each iteration and returns the step count it took.
-template <typename RunFn>
-double measurePerStep(unsigned Iters, RunFn &&Run) {
-  TimingSamples PerStep;
-  for (unsigned I = 0; I < Iters; ++I) {
-    WallTimer T;
-    unsigned Steps = Run();
-    PerStep.add(T.seconds() / Steps);
-  }
-  return PerStep.median();
-}
+struct Configuration {
+  std::string Label;
+  RunConfig Cfg;
+};
 
 } // namespace
 
@@ -75,55 +74,57 @@ int main(int Argc, const char **Argv) {
   Problem<2> Prob = shockInteraction2D(static_cast<size_t>(Cells), 2.2,
                                        static_cast<double>(Cells) / 2.0);
 
-  std::printf("# guard_overhead: %dx%d, %u steps, %s, median of %u\n",
+  std::printf("# guard_overhead: %dx%d, %u steps, %s, median of %u "
+              "interleaved\n",
               Cells, Cells, Steps, Cfg.executionStr().c_str(), Iters);
   std::printf("%-24s %12s %12s %10s\n", "configuration", "step[ms]",
               "steps/s", "vs base");
 
-  // Baseline: no guard at all.  Cost is compared per step actually
-  // taken, because guarded runs round the step count up to whole
-  // windows.
-  double BasePerStep = measurePerStep(Iters, [&] {
-    SolverRun<2> Run = makeSolverRun(Prob, Cfg);
-    Run.advanceSteps(Steps);
-    return Run.solver().stepCount();
-  });
-  std::printf("%-24s %12.4f %12.1f %10s\n", "unguarded",
-              BasePerStep * 1e3, 1.0 / BasePerStep, "1.00x");
-
+  // The baseline has no guard at all.  Cost is compared per step
+  // actually taken, because guarded runs round the step count up to
+  // whole windows.
+  std::vector<Configuration> Configs = {{"unguarded", Cfg}};
   // Healthy-path overhead at several scan cadences.
   for (unsigned Every : {1u, 2u, 4u, 8u}) {
     RunConfig GuardedCfg = Cfg;
     GuardedCfg.Guard.Enabled = true;
     GuardedCfg.Guard.Every = Every;
-    double PerStep = measurePerStep(Iters, [&] {
-      SolverRun<2> Run = makeSolverRun(Prob, GuardedCfg);
-      Run.advanceSteps(Steps);
-      return Run.solver().stepCount();
-    });
-    char Label[32];
-    std::snprintf(Label, sizeof(Label), "guarded every=%u", Every);
-    std::printf("%-24s %12.4f %12.1f %9.2fx\n", Label, PerStep * 1e3,
-                1.0 / PerStep, PerStep / BasePerStep);
+    Configs.push_back({"guarded every=" + std::to_string(Every), GuardedCfg});
   }
-
   // Recovery: a persistent fault halfway through forces the guard all
   // the way down the retry ladder and into the floor stage.
-  {
-    RunConfig RecoveryCfg = Cfg;
-    RecoveryCfg.Guard.Enabled = true;
-    RecoveryCfg.Guard.PoisonStep = Steps / 2;
-    RecoveryCfg.Guard.PoisonCells = 4;
-    std::string Detail;
-    double PerStep = measurePerStep(Iters, [&] {
-      SolverRun<2> Run = makeSolverRun(Prob, RecoveryCfg);
-      Run.advanceSteps(Steps);
+  RunConfig RecoveryCfg = Cfg;
+  RecoveryCfg.Guard.Enabled = true;
+  RecoveryCfg.Guard.PoisonStep = Steps / 2;
+  RecoveryCfg.Guard.PoisonCells = 4;
+  Configs.push_back({"recovery (1 breakdown)", RecoveryCfg});
+
+  // Seconds per step of one fresh solve; a guarded solve leaves its
+  // guard's summary in Detail.
+  std::string Detail;
+  auto RunOnce = [&](const RunConfig &C) {
+    WallTimer T;
+    SolverRun<2> Run = makeSolverRun(Prob, C);
+    Run.advanceSteps(Steps);
+    double PerStep = T.seconds() / Run.solver().stepCount();
+    if (Run.guard())
       Detail = Run.guard()->summary();
-      return Run.solver().stepCount();
-    });
-    std::printf("%-24s %12.4f %12.1f %9.2fx\n", "recovery (1 breakdown)",
-                PerStep * 1e3, 1.0 / PerStep, PerStep / BasePerStep);
-    std::printf("# recovery detail: %s\n", Detail.c_str());
+    return PerStep;
+  };
+
+  RunOnce(Cfg); // untimed warm-up
+  std::vector<TimingSamples> PerStep(Configs.size());
+  for (unsigned I = 0; I < Iters; ++I)
+    for (size_t C = 0; C < Configs.size(); ++C)
+      PerStep[C].add(RunOnce(Configs[C].Cfg));
+
+  const double BasePerStep = PerStep[0].median();
+  for (size_t C = 0; C < Configs.size(); ++C) {
+    double Med = PerStep[C].median();
+    std::printf("%-24s %12.4f %12.1f %9.2fx\n", Configs[C].Label.c_str(),
+                Med * 1e3, 1.0 / Med, Med / BasePerStep);
   }
+  // The recovery configuration runs last in every round.
+  std::printf("# recovery detail: %s\n", Detail.c_str());
   return 0;
 }

@@ -11,7 +11,7 @@
 //   - per-face reconstruction + Riemann solve for each scheme;
 //   - the kernels:: face path (reconstructFaces, fluxFaces, and the PC1
 //     split cellPrims + fluxFaces) and stage kernels, scalar vs SIMD;
-//   - the fused engine's whole 2D flux phase (the PC1 row pass) per
+//   - the fused engine's whole 2D stage (the PC1 row pass) per
 //     interior cell, at the paper's two grid sizes.
 //
 //===----------------------------------------------------------------------===//
@@ -318,13 +318,14 @@ BENCHMARK(BM_KernelReconstructFaces)
 // Fused engine flux phase
 //===----------------------------------------------------------------------===//
 
-// One RK stage's flux phase of a serial fused shock-interaction run with
-// the benchmark scheme (PC1 + HLLC): the 2D row pass that converts each
-// cell row once and solves both axes' faces into the RHS.  Timed by the
-// engine's own solver.flux span over the three stages of a step, so the
-// boundary fill and the update are excluded; ns_per_cell is that time
-// per interior cell.  The pass's rolling rows are about 90 KB at 400
-// columns and 450 KB at 2000, which is what the tiling question turns on.
+// One whole RK stage of a serial fused shock-interaction run with the
+// benchmark scheme (PC1 + HLLC): the 2D row pass that converts each cell
+// row once, solves both axes' faces into a row-local RHS and writes the
+// SSP update out of place (plus GetDT on the last stage).  Timed by the
+// engine's own solver.flux span over the three stages of a step, so only
+// the boundary fill is excluded; ns_per_cell is that time per interior
+// cell.  The pass's rolling rows are about 110 KB at 400 columns and
+// 540 KB at 2000, which is what the tiling question turns on.
 static void BM_FusedSweep2D(benchmark::State &State) {
   const size_t Cells = static_cast<size_t>(State.range(0));
   const double Interior = static_cast<double>(Cells * Cells);

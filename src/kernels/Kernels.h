@@ -230,9 +230,9 @@ bool simdAccelerated();
   void copyState(const ConstRun<Dim> &Src, const Run<Dim> &Dst, size_t N);     \
   template <unsigned Dim> void zeroState(const Run<Dim> &Dst, size_t N);       \
   template <unsigned Dim>                                                      \
-  void sspUpdate(const Run<Dim> &U, const ConstRun<Dim> &Un,                   \
-                 const ConstRun<Dim> &Res, double A, double B, double Dt,      \
-                 size_t N);                                                    \
+  void sspUpdate(const Run<Dim> &Out, const ConstRun<Dim> &Un,                 \
+                 const ConstRun<Dim> &X, const ConstRun<Dim> &Res, double A,   \
+                 double B, double Dt, size_t N);                               \
   template <unsigned Dim>                                                      \
   double maxEigen(const ConstRun<Dim> &U, const Gas &G, const double *InvDx,   \
                   double Acc, size_t N);                                       \
@@ -281,12 +281,22 @@ inline void zeroState(const Run<Dim> &Dst, size_t N, bool Simd) {
   (Simd ? simdimpl::zeroState<Dim> : scalarimpl::zeroState<Dim>)(Dst, N);
 }
 
+/// Out = Un*A + (X + Res*Dt)*B.  \p Out may alias \p Un or \p X cell for
+/// cell (never at an offset).
+template <unsigned Dim>
+inline void sspUpdate(const Run<Dim> &Out, const ConstRun<Dim> &Un,
+                      const ConstRun<Dim> &X, const ConstRun<Dim> &Res,
+                      double A, double B, double Dt, size_t N, bool Simd) {
+  (Simd ? simdimpl::sspUpdate<Dim> : scalarimpl::sspUpdate<Dim>)(
+      Out, Un, X, Res, A, B, Dt, N);
+}
+
+/// The in-place form: U = Un*A + (U + Res*Dt)*B.
 template <unsigned Dim>
 inline void sspUpdate(const Run<Dim> &U, const ConstRun<Dim> &Un,
                       const ConstRun<Dim> &Res, double A, double B, double Dt,
                       size_t N, bool Simd) {
-  (Simd ? simdimpl::sspUpdate<Dim> : scalarimpl::sspUpdate<Dim>)(U, Un, Res, A,
-                                                                 B, Dt, N);
+  sspUpdate<Dim>(U, Un, U, Res, A, B, Dt, N, Simd);
 }
 
 template <unsigned Dim>

@@ -359,11 +359,14 @@ protected:
   /// The per-stage ghost fill both engines call: the ghost-fill hook
   /// first (halo exchange), then the physical boundary conditions.  Both
   /// engines route their applyBoundaries calls through here so a sharded
-  /// sub-solver exchanges halos exactly once per stage.
-  void fillGhosts(double FillTime) {
+  /// sub-solver exchanges halos exactly once per stage.  The overload
+  /// fills a storage-shaped stage field \p F instead of U (an engine whose
+  /// stages read scratch fields out of place).
+  void fillGhosts(double FillTime) { fillGhosts(U, FillTime); }
+  void fillGhosts(Field<Dim> &F, double FillTime) {
     if (GhostHook)
-      GhostHook(U, FillTime);
-    applyBoundaries(U, Prob.Domain, Prob.Boundary, Exec, FillTime);
+      GhostHook(F, FillTime);
+    applyBoundaries(F, Prob.Domain, Prob.Boundary, Exec, FillTime);
   }
 
   /// Line decomposition shared by the engines and the kernel routing: a

@@ -10,36 +10,43 @@
 ///
 /// This engine is the performance shape of the paper's Fortran-90 code
 /// under an auto-parallelizing compiler:
-///   - hand-fused stride-arithmetic loops, no intermediate whole-array
-///     temporaries beyond the per-axis flux line buffer (fast on one
-///     core — the left edge of Fig. 4);
+///   - hand-fused stride-arithmetic loops (fast on one core — the left
+///     edge of Fig. 4).  The 2D piecewise-constant stage keeps no
+///     whole-field temporaries at all: it writes its output out of place
+///     into a stage field, so there is no residual field and no Q^n
+///     snapshot;
 ///   - every loop nest is its own parallel region dispatched through the
 ///     Backend, the way -autopar parallelizes each DO loop independently.
-///     One 2D RK3 time step issues 18 regions (6 per stage: 4 boundary
-///     sides, the flux pass, the update); with the fork-join backend each
-///     of those pays the thread-team setup cost, which is the scaling
-///     collapse of Fig. 4.  The update loop also takes the Q^n snapshot
-///     of each run on the first stage and reduces the next step's GetDT
-///     maximum on the last, so neither is a region of its own.
+///     One 2D RK3 time step issues 15 regions (5 per stage: 4 boundary
+///     sides and the row pass, which is the whole stage); with the
+///     fork-join backend each of those pays the thread-team setup cost,
+///     which is the scaling collapse of Fig. 4.
 ///
-/// The loop bodies themselves are the shared kernels:: layer: snapshot,
-/// RHS zeroing, the SSP update and the GetDT reduction always run as
+/// The loop bodies themselves are the shared kernels:: layer: RHS
+/// zeroing, the SSP update and the GetDT reduction always run as
 /// contiguous line runs, and so do the face fluxes.  Piecewise-constant
 /// reconstruction reads cell rows straight from the field: cellPrims
 /// converts each row to primitive planes once, and fluxFaces solves a
 /// face row from two shifted views of cells and planes.  In 2D that is
 /// one row pass per stage serving both axes: each cell row is converted
 /// once into a rolling primitive row, which feeds the axis-0 faces above
-/// and below it and the row's own axis-1 faces, and the RHS row is zeroed
-/// and accumulated while it is in cache.  1D and 3D sweep one region per
-/// axis after a zeroing region.  Every other scheme stages each line's
-/// stencil window once and runs it through reconstructFaces + fluxFaces
+/// and below it and the row's own axis-1 faces; the RHS row is zeroed
+/// and accumulated while it is in cache, and the updated row is written
+/// (and its GetDT maximum folded on the last stage) right after.  1D, 3D
+/// and every reconstructed scheme keep the per-axis structure: a zeroing
+/// region, one sweep region per axis into a whole-field RHS, and an
+/// update region that takes the Q^n snapshot on the first stage and
+/// reduces GetDT on the last.  Reconstructed schemes stage each line's
+/// stencil window once and run it through reconstructFaces + fluxFaces
 /// (EulerSolver::lineFaceFluxes).  So the hot loops execute the
 /// vectorized kernel build.
 ///
 /// The numerics (reconstruction, Riemann solver, stage table) are shared
 /// with ArraySolver, so for identical settings the two engines produce
-/// bit-identical fields.
+/// bit-identical interior fields.  Ghost cells are the one difference:
+/// after a 2D piecewise-constant step U's ghosts hold the step's
+/// first-stage fill (later stages fill their stage field's ghosts), while
+/// every other path leaves the last stage's fill.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,6 +71,15 @@ public:
 
 protected:
   void stepWithDt(double Dt) override {
+    const std::span<const SspStage> Stages =
+        sspStages(this->Scheme.Integrator);
+    if constexpr (Dim == 2) {
+      if (kernels::fluxKernelEligible(this->Scheme.Recon)) {
+        stepRowPasses(Stages, Dt);
+        return;
+      }
+    }
+
     static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
     static const unsigned SpanFlux = telemetry::spanId("solver.flux");
     static const unsigned SpanUpdate = telemetry::spanId("solver.update");
@@ -73,8 +89,6 @@ protected:
     // applies.
     acquireStepBuffers();
 
-    const std::span<const SspStage> Stages =
-        sspStages(this->Scheme.Integrator);
     for (size_t S = 0; S < Stages.size(); ++S) {
       {
         telemetry::ScopedSpan Sp(SpanBoundary);
@@ -114,24 +128,70 @@ private:
       Res = Field<Dim>(this->Pool, G.interiorShape(), FieldInit::Uninit);
   }
 
-  /// One stage's flux phase: reconstruction + Riemann fluxes + divergence
-  /// into the RHS.  A 2D piecewise-constant stage is one region, the row
-  /// pass serving both axes with the RHS zeroing folded in; every other
-  /// scheme zeroes the RHS in a region of its own, then sweeps one region
-  /// per axis.  Either way the backend may tile the 2D iteration space:
-  /// faces are recomputed at sub-range seams, so tiled and flattened
-  /// sweeps are bit-identical.
-  void fluxPhase() {
-    if constexpr (Dim == 2) {
-      if (kernels::fluxKernelEligible(this->Scheme.Recon)) {
-        this->Exec.parallelFor2D(
-            this->N[0], this->N[1],
-            [&](size_t RB, size_t RE, size_t CB, size_t CE) {
-              sweepRangeKernel2D(RB, RE, CB, CE);
-            });
-        return;
+  /// One 2D piecewise-constant step: per stage, the ghost fill of the
+  /// stage input and one row pass that is the whole stage (fluxes, RHS
+  /// row, SSP update, and on the last stage the GetDT maximum).  Stages
+  /// write out of place, so Q^n is U itself until the last stage and
+  /// neither a snapshot nor a whole-field residual exists: stage S reads
+  /// In and writes the scratch field it does not read, and the last stage
+  /// of a multi-stage step writes U cell by cell (reading U only at its
+  /// own cell, as Q^n).  RK3 runs U -> A -> B -> U, RK2 U -> A -> U; RK1's
+  /// single stage writes A and one more region copies A's interior into
+  /// U.  U's ghost cells therefore keep the step's first-stage fill.
+  void stepRowPasses(std::span<const SspStage> Stages, double Dt) {
+    static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
+    static const unsigned SpanFlux = telemetry::spanId("solver.flux");
+    static const unsigned SpanUpdate = telemetry::spanId("solver.update");
+
+    // Every scratch cell a stage reads is written first: the interior by
+    // the previous stage, the ghosts by this stage's fill.
+    const size_t Count = Stages.size();
+    for (size_t K = 0; K < (Count > 2 ? 2 : 1); ++K)
+      if (StageFields[K].shape() != this->U.shape())
+        StageFields[K] =
+            Field<Dim>(this->Pool, this->U.shape(), FieldInit::Uninit);
+
+    Field<Dim> *In = &this->U;
+    double EvMax = 0.0;
+    for (size_t S = 0; S < Count; ++S) {
+      const bool Last = S + 1 == Count;
+      Field<Dim> *Out = Last && Count > 1       ? &this->U
+                        : In == &StageFields[0] ? &StageFields[1]
+                                                : &StageFields[0];
+      {
+        telemetry::ScopedSpan Sp(SpanBoundary);
+        this->fillGhosts(*In, this->Time);
       }
+      telemetry::ScopedSpan Sp(SpanFlux);
+      EvMax = blockReduce2D(
+          this->N[0], this->N[1], this->Exec, 0.0,
+          [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+            return stageRows2D(Stages[S], Last, Dt, *In, *Out, RB, RE, CB,
+                               CE);
+          },
+          [](double X, double Y) { return std::max(X, Y); });
+      In = Out;
     }
+    if (In != &this->U) {
+      // RK1: the one stage wrote A.
+      telemetry::ScopedSpan Sp(SpanUpdate);
+      this->Exec.parallelFor(0, this->N[0], [&](size_t RB, size_t RE) {
+        for (size_t R = RB; R != RE; ++R) {
+          size_t Base = this->lineStorageBase(1, R);
+          kernels::copyState<Dim>(In->crun(Base), this->U.run(Base),
+                                  this->N[1], this->SimdEnabled);
+        }
+      });
+    }
+    this->cacheMaxEigen(EvMax);
+  }
+
+  /// One stage's flux phase on the per-axis path (1D, 3D and every
+  /// reconstructed scheme): the RHS is zeroed in a region of its own, then
+  /// one region sweeps each axis.  The backend may tile the 2D iteration
+  /// space: faces are recomputed at sub-range seams, so tiled and
+  /// flattened sweeps are bit-identical.
+  void fluxPhase() {
     this->Exec.parallelFor(
         0, this->Prob.Domain.interiorCount(), [&](size_t B, size_t E) {
           kernels::zeroState<Dim>(Res.run(B), E - B, this->SimdEnabled);
@@ -230,22 +290,29 @@ private:
     }
   }
 
-  /// The 2D piecewise-constant flux phase over interior rows [RB, RE) x
-  /// columns [CB, CE): one pass down the rows serving both axes.  Two
-  /// rolling primitive rows hold cells [CB-1, CE] of rows i and i+1, so
-  /// cellPrims converts each cell row once per stage (plus the row above
-  /// the block at its seam); two rolling flux rows hold axis-0 face rows
-  /// i and i+1, and one flux row holds row i's axis-1 faces.  Per row i:
-  /// convert row i+1 into the free primitive slot, solve axis-0 face row
-  /// i+1, zero RHS row i and accumulate the axis-0 difference, then solve
-  /// row i's axis-1 faces from its resident primitives and accumulate
-  /// their difference.  Every cell still accumulates 0, then -D0, then
-  /// -D1 from the same face values as the per-axis sweeps.  The seam
-  /// rows (RB-1 and RE, ghost rows included) feed axis-0 faces only, so
-  /// they are converted over columns [CB, CE) and ghost corners are never
-  /// read.
-  void sweepRangeKernel2D(size_t RB, size_t RE, size_t CB, size_t CE) {
-    static_assert(Dim == 2, "the row pass is the 2D flux phase");
+  /// One 2D piecewise-constant stage over interior rows [RB, RE) x
+  /// columns [CB, CE): one pass down the rows serving both axes, reading
+  /// \p In and writing the same cells of \p Out.  Two rolling primitive
+  /// rows hold cells [CB-1, CE] of rows i and i+1, so cellPrims converts
+  /// each cell row once per stage (plus the row above the block at its
+  /// seam); two rolling flux rows hold axis-0 face rows i and i+1, and one
+  /// flux row holds row i's axis-1 faces.  Per row i: convert row i+1
+  /// into the free primitive slot, solve axis-0 face row i+1, zero the
+  /// RHS row and accumulate the axis-0 difference, solve row i's axis-1
+  /// faces from its resident primitives and accumulate their difference,
+  /// then write Out row i = A*U + B*(In + dt*RHS) (U is Q^n) and, on the
+  /// \p Last stage, fold the updated row's max CFL eigenvalue.  Every
+  /// cell still accumulates 0, then -D0, then -D1 from the same face
+  /// values as the per-axis sweeps.  The seam rows (RB-1 and RE, ghost
+  /// rows included) feed axis-0 faces only, so they are converted over
+  /// columns [CB, CE) and ghost corners are never read.  A block reads
+  /// only In (and U at its own cells) and writes only its own Out cells,
+  /// so blocks and tiles have no seam hazards.  \returns the block's
+  /// maximum (0 unless \p Last).
+  double stageRows2D(const SspStage &St, bool Last, double Dt,
+                     const Field<Dim> &In, Field<Dim> &Out, size_t RB,
+                     size_t RE, size_t CB, size_t CE) {
+    static_assert(Dim == 2, "the row pass is the 2D stage");
     const double InvDx0 = 1.0 / this->Prob.Domain.dx(0);
     const double InvDx1 = 1.0 / this->Prob.Domain.dx(1);
     const Gas &G = this->Prob.G;
@@ -260,31 +327,31 @@ private:
       return (this->Ng + R) * S0 + this->Ng + CB;
     };
     auto Convert = [&](size_t Base, const kernels::PrimRun<Dim> &P) {
-      kernels::cellPrims<Dim>(this->U.crun(Base - 1), P, G, Kind, W + 2,
-                              Simd);
+      kernels::cellPrims<Dim>(In.crun(Base - 1), P, G, Kind, W + 2, Simd);
     };
     auto ConvertSeam = [&](size_t Base, const kernels::PrimRun<Dim> &P) {
-      kernels::cellPrims<Dim>(this->U.crun(Base), kernels::advance(P, 1), G,
-                              Kind, W, Simd);
+      kernels::cellPrims<Dim>(In.crun(Base), kernels::advance(P, 1), G, Kind,
+                              W, Simd);
     };
     // Axis-0 face row F, between rows F-1 (Lo) and F (Hi).
     auto Faces0 = [&](size_t F, const kernels::PrimRun<Dim> &Lo,
                       const kernels::PrimRun<Dim> &Hi,
-                      const kernels::Run<Dim> &Out) {
-      kernels::fluxFaces<Dim>(this->U.crun(RowBase(F) - S0),
-                              kernels::advance(Lo, 1),
-                              this->U.crun(RowBase(F)),
-                              kernels::advance(Hi, 1), Out, G, /*Axis=*/0,
+                      const kernels::Run<Dim> &Flux) {
+      kernels::fluxFaces<Dim>(In.crun(RowBase(F) - S0),
+                              kernels::advance(Lo, 1), In.crun(RowBase(F)),
+                              kernels::advance(Hi, 1), Flux, G, /*Axis=*/0,
                               Kind, W, Simd);
     };
 
-    FluxScratch<Dim> Scratch = fluxScratch<Dim>(5, W + 2);
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(6, W + 2);
     kernels::PrimRun<Dim> Prims[2] = {Scratch.prims(0), Scratch.prims(1)};
     kernels::Run<Dim> Rows[2] = {Scratch.run(2), Scratch.run(3)};
     kernels::Run<Dim> Row1 = Scratch.run(4);
+    kernels::Run<Dim> ResRow = Scratch.run(5);
     ConvertSeam(RowBase(RB) - S0, Prims[0]);
     Convert(RowBase(RB), Prims[1]);
     Faces0(RB, Prims[0], Prims[1], Rows[0]);
+    double Acc = 0.0;
     for (size_t I = RB; I != RE; ++I) {
       size_t K = I - RB;
       // Row I+1 replaces row I-1, whose last face (I) is done; row I
@@ -296,19 +363,27 @@ private:
         Convert(RowBase(I + 1), Prims[K % 2]);
       Faces0(I + 1, Cur, Prims[K % 2], Rows[(K + 1) % 2]);
 
-      kernels::Run<Dim> ResRow = Res.run(I * this->N[1] + CB);
       kernels::zeroState<Dim>(ResRow, W, Simd);
       kernels::accumDivergence<Dim>(ResRow, Rows[K % 2], Rows[(K + 1) % 2],
                                     InvDx0, W, Simd);
 
-      kernels::ConstRun<Dim> Cells = this->U.crun(RowBase(I) - 1);
+      const size_t Base = RowBase(I);
+      kernels::ConstRun<Dim> Cells = In.crun(Base - 1);
       kernels::fluxFaces<Dim>(Cells, Cur, kernels::advance(Cells, 1),
                               kernels::advance(Cur, 1), Row1, G, /*Axis=*/1,
                               Kind, W + 1, Simd);
       kernels::ConstRun<Dim> Lo = Row1;
       kernels::accumDivergence<Dim>(ResRow, Lo, kernels::advance(Lo, 1),
                                     InvDx1, W, Simd);
+
+      kernels::sspUpdate<Dim>(Out.run(Base), this->U.crun(Base),
+                              In.crun(Base), ResRow, St.PrevWeight,
+                              St.StageWeight, Dt, W, Simd);
+      if (Last)
+        Acc = kernels::maxEigen<Dim>(Out.crun(Base), G, this->InvSpacing, Acc,
+                                     W, Simd);
     }
+    return Acc;
   }
 
   /// Stage \p St over lines [LB, LE) x cells [CB, CE) of the update
@@ -336,10 +411,12 @@ private:
     return Acc;
   }
 
-  /// Snapshot (QN) and RHS scratch, leased from the solver pool on first
+  /// The per-axis path's snapshot (QN) and RHS scratch, and the 2D row
+  /// pass's stage fields A and B, leased from the solver pool on first
   /// step and held for the solver's lifetime.
   Field<Dim> Un;
   Field<Dim> Res;
+  Field<Dim> StageFields[2];
 };
 
 } // namespace sacfd

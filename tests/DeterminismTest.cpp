@@ -632,13 +632,15 @@ TEST_F(DeterminismTest, FoldsMatchMaterializedBlast3D) {
                                  SchemeConfig::benchmarkScheme(), 3);
 }
 
-// Row-pass seam rows: the fused engine's 2D piecewise-constant flux phase
-// is one pass down the rows serving both axes, with the row above each
-// block converted at its seam.  A ragged 23x17 interaction with unequal
-// dx puts block and tile seams mid-field (spin-pool and fork-join blocks
-// of 3, 5x7 tiles); the fused field must equal the array engine's serial
-// scalar field bit for bit on every arm, SIMD on and off.  Roe is off the
-// kernel mirror, so it runs the PrimRun overload's reference loop.
+// Row-pass seam rows: the fused engine's 2D piecewise-constant stage is
+// one pass down the rows serving both axes and writing the stage output
+// out of place, with the row above each block converted at its seam.  A
+// ragged 23x17 interaction with unequal dx puts block and tile seams
+// mid-field (spin-pool and fork-join blocks of 3, 5x7 tiles); the fused
+// field must equal the array engine's serial scalar field bit for bit on
+// every arm, SIMD on and off, and its full storage (ghosts included) must
+// equal the serial flat scalar fused arm's.  Roe is off the kernel
+// mirror, so it runs the PrimRun overload's reference loop.
 namespace {
 void checkRowPassSeams(RiemannKind Riemann) {
   Problem<2> Prob = shockInteraction2D(23, 2.2, 11.5);
@@ -658,6 +660,7 @@ void checkRowPassSeams(RiemannKind Riemann) {
   const std::pair<BackendKind, unsigned> Arms[] = {{BackendKind::Serial, 1},
                                                    {BackendKind::SpinPool, 3},
                                                    {BackendKind::ForkJoin, 3}};
+  std::vector<Cons<2>> FirstStorage;
   for (const Tile &TileCfg : {Tile::off(), Tile::sized(5, 7)})
     for (auto [Kind, Workers] : Arms)
       for (bool Simd : {false, true}) {
@@ -673,6 +676,18 @@ void checkRowPassSeams(RiemannKind Riemann) {
         EXPECT_TRUE(sameBits(Ref.time(), S.time())) << Label;
         EXPECT_EQ(fieldStateHash(Ref), fieldStateHash(S)) << Label;
         EXPECT_EQ(maxFieldDifference(Ref, S), 0.0) << Label;
+
+        // Full storage, ghosts included, against the first arm (serial,
+        // flat, scalar): U must never end a step holding a stage scratch
+        // field's ghost cells.
+        std::vector<Cons<2>> Storage(S.field().size());
+        S.field().exportTo(Storage.data());
+        if (FirstStorage.empty())
+          FirstStorage = Storage;
+        EXPECT_EQ(std::memcmp(Storage.data(), FirstStorage.data(),
+                              Storage.size() * sizeof(Cons<2>)),
+                  0)
+            << Label;
       }
 }
 } // namespace

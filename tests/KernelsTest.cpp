@@ -119,25 +119,50 @@ void expectBitEqualUpToNaN(const std::vector<Cons<Dim>> &Want,
 }
 
 // -------------------------------------------------------------------------
-// sspUpdate: scalar == simd == the engines' Cons arithmetic.
+// sspUpdate: scalar == simd == the engines' Cons arithmetic, with the
+// output distinct from its inputs, aliasing the stage input X (the
+// in-place form) and aliasing the snapshot Un (the fused engine's last
+// stage writes U, which is also its Q^n).
 
 template <unsigned Dim> void checkSspUpdate(uint64_t Seed, bool Broken) {
   const double A = 0.75, B = 0.25, Dt = 1.3e-3;
   for (size_t N : kLengths) {
-    auto U0 = randomStates<Dim>(N, Seed, Broken);
+    auto X = randomStates<Dim>(N, Seed, Broken);
     auto Un = randomStates<Dim>(N, Seed + 1, Broken);
     auto Rs = randomStates<Dim>(N, Seed + 2, Broken);
+    auto Junk = randomStates<Dim>(N, Seed + 3, Broken);
 
     // Reference: the ArraySolver update expression.
     std::vector<Cons<Dim>> Ref(N);
     for (size_t I = 0; I < N; ++I)
-      Ref[I] = Un[I] * A + (U0[I] + Rs[I] * Dt) * B;
+      Ref[I] = Un[I] * A + (X[I] + Rs[I] * Dt) * B;
 
     for (bool Simd : {false, true}) {
-      Buffers<Dim> Bu(U0), Bn(Un), Br(Rs);
-      sspUpdate<Dim>(Bu.run(), Bn.crun(), Br.crun(), A, B, Dt, N, Simd);
-      expectBitEqual(Ref, Bu, N,
-                     "sspUpdate simd=" + std::to_string(Simd));
+      const std::string Tag = " simd=" + std::to_string(Simd);
+      {
+        Buffers<Dim> Bo(Junk), Bn(Un), Bx(X), Br(Rs);
+        sspUpdate<Dim>(Bo.run(), Bn.crun(), Bx.crun(), Br.crun(), A, B, Dt, N,
+                       Simd);
+        expectBitEqual(Ref, Bo, N, "sspUpdate Out distinct" + Tag);
+      }
+      {
+        Buffers<Dim> Bn(Un), Bx(X), Br(Rs);
+        sspUpdate<Dim>(Bx.run(), Bn.crun(), Bx.crun(), Br.crun(), A, B, Dt, N,
+                       Simd);
+        expectBitEqual(Ref, Bx, N, "sspUpdate Out == X" + Tag);
+      }
+      {
+        Buffers<Dim> Bn(Un), Bx(X), Br(Rs);
+        sspUpdate<Dim>(Bn.run(), Bn.crun(), Bx.crun(), Br.crun(), A, B, Dt, N,
+                       Simd);
+        expectBitEqual(Ref, Bn, N, "sspUpdate Out == Un" + Tag);
+      }
+      {
+        // The in-place forward: Out = X.
+        Buffers<Dim> Bn(Un), Bx(X), Br(Rs);
+        sspUpdate<Dim>(Bx.run(), Bn.crun(), Br.crun(), A, B, Dt, N, Simd);
+        expectBitEqual(Ref, Bx, N, "sspUpdate in place" + Tag);
+      }
     }
   }
 }
