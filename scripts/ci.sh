@@ -69,6 +69,12 @@ for TYPE in Debug Release asan tsan; do
   fi
 done
 
+echo "== test-name stability =="
+# ctest names embed gtest's parameter dump, so a name that changes from
+# run to run breaks every comparison of test lists: list each test binary
+# three times and fail on any difference.
+scripts/check_test_names.sh build-ci-Release
+
 echo "== scenario regression matrix =="
 # The workload gallery gate: every registered scenario's pinned run must
 # reproduce its checked-in reference hash on both engines (label covers

@@ -22,9 +22,13 @@
 ///                after with-loop folding — the paper's "collating many
 ///                small operations into fewer larger operations").  Each
 ///                stage is the per-axis flux with-loops plus one combine
-///                with-loop that also folds the residual, the Q^n snapshot
-///                (first stage) and the next step's GetDT reduction (last
-///                stage), so no residual field or snapshot pass exists.
+///                with-loop that also folds the residual and the next
+///                step's GetDT reduction (last stage), so no residual
+///                field exists.  Like a with-loop, a stage defines a new
+///                array: it reads its input and writes its output out of
+///                place through the shared stage driver
+///                (EulerSolver::runStages), Q^n is U itself, and no
+///                snapshot exists.
 ///                The per-stage arithmetic runs through the shared
 ///                kernels:: layer, so contiguous runs take the vectorized
 ///                build — this mode models the optimized compiler output.
@@ -33,10 +37,15 @@
 ///                rows from shifted views of them, in line-local scratch:
 ///                no whole-field primitive array exists.
 ///   Materialized every intermediate array is allocated and filled (the
-///                naive lowering; ablation A1 measures the gap)
+///                naive lowering; ablation A1 measures the gap).  It keeps
+///                its own stage loop: an AoS Q^n snapshot, then every
+///                stage fills U's ghosts and updates U in place.
 ///
-/// Both modes produce bit-identical fields: the kernels mirror the
+/// Both modes produce bit-identical interiors: the kernels mirror the
 /// reference expressions term for term (see kernels/KernelsTU.inc).
+/// Fused mode matches the fused engine on full storage, ghosts included
+/// (U's ghosts hold the step's first-stage fill); materialized mode
+/// leaves the last stage's fill.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,55 +121,43 @@ private:
   // Fused mode: every stage routed through the kernels:: layer.
   //===--------------------------------------------------------------------===//
 
+  /// One step as whole-field stages: per stage, the flux with-loops of
+  /// the stage input and the combine.  The combine reads only the fluxes
+  /// (and U and In at its own cells), so a stage may write its input.
   void stepFused(double Dt) {
-    static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
     static const unsigned SpanFlux = telemetry::spanId("solver.flux");
     static const unsigned SpanUpdate = telemetry::spanId("solver.update");
-
-    // Q^n for the convex Runge-Kutta combinations, filled row by row by
-    // the first stage's combine before it overwrites U.  Only interior
-    // cells are written or read, so it is leased uninitialized.
-    Field<Dim> Un(this->Pool, this->U.shape(), FieldInit::Uninit);
-
-    const std::span<const SspStage> Stages =
-        sspStages(this->Scheme.Integrator);
-    for (size_t S = 0; S < Stages.size(); ++S) {
-      {
-        telemetry::ScopedSpan Sp(SpanBoundary);
-        this->fillGhosts(this->Time);
-      }
+    auto Body = [&](const Field<Dim> &In, Field<Dim> &Out,
+                    const SspStage &St, bool Last) {
       std::array<Field<Dim>, Dim> Flux;
       {
         // Reconstruction + Riemann fluxes, one with-loop per axis.
         telemetry::ScopedSpan Sp(SpanFlux);
         for (unsigned A = 0; A < Dim; ++A)
-          Flux[A] = fluxAlongFused(A);
+          Flux[A] = fluxAlongFused(In, A);
       }
-      telemetry::ScopedSpan UpdateSpan(SpanUpdate);
-      const bool Last = S + 1 == Stages.size();
-      double EvMax = combineFused(Flux, Un, Stages[S], Dt, S == 0, Last);
-      if (Last)
-        this->cacheMaxEigen(EvMax);
-    }
+      telemetry::ScopedSpan Sp(SpanUpdate);
+      return combineFused(Flux, In, Out, St, Dt, Last);
+    };
+    this->runStages(/*WholeField=*/true, Body);
   }
 
   /// The stage's combine with-loop over the interior rows (lines along
   /// the last axis).  Per row run it folds what the unfused formulation
   /// runs as separate whole-field passes:
-  ///   - the residual L(U) = -sum_axis dF_axis/dx_axis, built in a
+  ///   - the residual L(In) = -sum_axis dF_axis/dx_axis, built in a
   ///     thread-local scratch row: zero, then the axis-ordered divergence
   ///     accumulations — the same per-cell sequence as the materialized
   ///     sum, so fields stay bit-identical;
-  ///   - on the \p First stage, the Q^n snapshot U -> Un of the row;
-  ///   - the modarray U = A * Un + B * (U + dt * Res);
+  ///   - the modarray Out = A * U + B * (In + dt * Res), U being Q^n;
   ///   - on the \p Last stage, the GetDT max eigenvalue of the updated
   ///     row.
   /// The with-loop is a blockReduce2D fold over the same space and blocks
   /// as the from-scratch GetDT, the way sac2c folds a with-loop into the
   /// reduction consuming it.  \returns the maximum (0 unless \p Last).
-  double combineFused(const std::array<Field<Dim>, Dim> &Flux, Field<Dim> &Un,
-                      const SspStage &Stage, double Dt, bool First,
-                      bool Last) {
+  double combineFused(const std::array<Field<Dim>, Dim> &Flux,
+                      const Field<Dim> &In, Field<Dim> &Out,
+                      const SspStage &Stage, double Dt, bool Last) {
     constexpr unsigned LineAxis = Dim - 1;
     const Shape Interior = this->Prob.Domain.interiorShape();
     const bool Simd = this->SimdEnabled;
@@ -202,26 +199,23 @@ private:
                   this->InvSpacing[Ax], Len, Simd);
             }
             size_t SBase = this->lineStorageBase(LineAxis, Line) + CB;
-            if (First)
-              kernels::copyState<Dim>(this->U.crun(SBase), Un.run(SBase), Len,
-                                      Simd);
-            kernels::sspUpdate<Dim>(this->U.run(SBase), Un.crun(SBase), Res, A,
-                                    B, Dt, Len, Simd);
+            kernels::sspUpdate<Dim>(Out.run(SBase), this->U.crun(SBase),
+                                    In.crun(SBase), Res, A, B, Dt, Len, Simd);
             if (Last)
-              Acc = this->runMaxEigen(SBase, Len, Acc);
+              Acc = this->runMaxEigen(Out, SBase, Len, Acc);
           }
           return Acc;
         },
         [](double X, double Y) { return std::max(X, Y); });
   }
 
-  /// Numerical flux field over the face index space of \p Axis (interior
-  /// shape extended by one along the axis).  Piecewise-constant
+  /// Numerical flux field of \p In over the face index space of \p Axis
+  /// (interior shape extended by one along the axis).  Piecewise-constant
   /// reconstruction takes the kernel path — whole face rows through
   /// cellPrims + kernels::fluxFaces, vectorized on unit-stride runs;
   /// every other scheme runs the staged-window with-loop
   /// (stencilFluxWithLoop).
-  Field<Dim> fluxAlongFused(unsigned Axis) {
+  Field<Dim> fluxAlongFused(const Field<Dim> &In, unsigned Axis) {
     const Gas &Gas_ = this->Prob.G;
     const SchemeConfig &SC = this->Scheme;
     const Grid<Dim> &G = this->Prob.Domain;
@@ -258,7 +252,7 @@ private:
           // its RowLen + 1 cells, the faces from two shifted views.
           kernels::PrimRun<Dim> P = fluxScratch<Dim>(1, RowLen + 1).prims(0);
           for (size_t R = RB; R != RE; ++R) {
-            kernels::ConstRun<Dim> Cells = this->U.crun(RowBase(R) - 1);
+            kernels::ConstRun<Dim> Cells = In.crun(RowBase(R) - 1);
             kernels::cellPrims<Dim>(Cells, P, Gas_, SC.Riemann, RowLen + 1,
                                     Simd);
             kernels::fluxFaces<Dim>(Cells, P, kernels::advance(Cells, 1),
@@ -281,13 +275,13 @@ private:
             if (R != RB && SBase - AxisStride == PrevBase)
               Lo ^= 1;
             else
-              kernels::cellPrims<Dim>(this->U.crun(SBase - AxisStride),
+              kernels::cellPrims<Dim>(In.crun(SBase - AxisStride),
                                       P[Lo], Gas_, SC.Riemann, RowLen, Simd);
-            kernels::cellPrims<Dim>(this->U.crun(SBase), P[Lo ^ 1], Gas_,
+            kernels::cellPrims<Dim>(In.crun(SBase), P[Lo ^ 1], Gas_,
                                     SC.Riemann, RowLen, Simd);
             PrevBase = SBase;
-            kernels::fluxFaces<Dim>(this->U.crun(SBase - AxisStride), P[Lo],
-                                    this->U.crun(SBase), P[Lo ^ 1],
+            kernels::fluxFaces<Dim>(In.crun(SBase - AxisStride), P[Lo],
+                                    In.crun(SBase), P[Lo ^ 1],
                                     Out.run(R * RowLen), Gas_, Axis,
                                     SC.Riemann, RowLen, Simd);
           }
@@ -296,8 +290,8 @@ private:
           // cell row is shared and each face converts its own states.
           for (size_t R = RB; R != RE; ++R) {
             size_t SBase = RowBase(R);
-            kernels::fluxFaces<Dim>(this->U.crun(SBase - AxisStride),
-                                    this->U.crun(SBase), Out.run(R * RowLen),
+            kernels::fluxFaces<Dim>(In.crun(SBase - AxisStride),
+                                    In.crun(SBase), Out.run(R * RowLen),
                                     Gas_, Axis, SC.Riemann, RowLen, Simd);
           }
         }
@@ -305,14 +299,15 @@ private:
       return Out;
     }
 
-    stencilFluxWithLoop(Axis, Faces, [&](size_t Linear, const Cons<Dim> &F) {
+    stencilFluxWithLoop(In, Axis, Faces, [&](size_t Linear, const Cons<Dim> &F) {
       Out.store(Linear, F);
     });
     return Out;
   }
 
   /// The genarray with-loop of the paper over the face space \p Faces
-  /// of \p Axis: reconstruct each face from its 6-cell stencil along the
+  /// of \p Axis of \p In: reconstruct each face from its 6-cell stencil
+  /// along the
   /// axis, solve the face Riemann problem, and hand the flux to
   /// \p Emit(FaceLinear, Flux).  Each block the backend deals (a tile
   /// in 2D, so --tile applies) is cut into runs of faces along one line;
@@ -321,13 +316,14 @@ private:
   /// shared with the fused engine).  A face's stencil does not depend on
   /// the run it falls in, so any blocking writes bit-identical fluxes.
   template <typename EmitFn>
-  void stencilFluxWithLoop(unsigned Axis, const Shape &Faces, EmitFn Emit) {
+  void stencilFluxWithLoop(const Field<Dim> &In, unsigned Axis,
+                           const Shape &Faces, EmitFn Emit) {
     // Faces [FaceBegin, FaceBegin + Len) of line Line, the first of
     // which sits at face-space offset OutBase, the rest OutStride apart.
     auto Run = [&](size_t Line, size_t FaceBegin, size_t Len, size_t OutBase,
                    size_t OutStride) {
       kernels::ConstRun<Dim> Flux =
-          this->lineFaceFluxes(Axis, Line, FaceBegin, Len);
+          this->lineFaceFluxes(In, Axis, Line, FaceBegin, Len);
       for (size_t F = 0; F < Len; ++F)
         Emit(OutBase + F * OutStride, kernels::loadCons<Dim>(Flux, F));
     };
@@ -394,7 +390,7 @@ private:
     for (const SspStage &Stage : sspStages(this->Scheme.Integrator)) {
       {
         telemetry::ScopedSpan S(SpanBoundary);
-        this->fillGhosts(this->Time);
+        this->fillGhosts(this->U, this->Time);
       }
       FieldPool::Lease<Cons<Dim>> ResL;
       {
@@ -426,10 +422,10 @@ private:
     FieldPool::Lease<Cons<Dim>> Out =
         this->Pool.template acquireUninit<Cons<Dim>>(Faces);
     Cons<Dim> *Data = Out->data();
-    stencilFluxWithLoop(Axis, Faces, [Data](size_t Linear,
-                                            const Cons<Dim> &F) {
-      Data[Linear] = F;
-    });
+    stencilFluxWithLoop(this->U, Axis, Faces,
+                        [Data](size_t Linear, const Cons<Dim> &F) {
+                          Data[Linear] = F;
+                        });
     return Out;
   }
 

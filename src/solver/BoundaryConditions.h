@@ -35,7 +35,6 @@
 #ifndef SACFD_SOLVER_BOUNDARYCONDITIONS_H
 #define SACFD_SOLVER_BOUNDARYCONDITIONS_H
 
-#include "array/NDArray.h"
 #include "array/WithLoop.h"
 #include "euler/State.h"
 #include "runtime/Backend.h"
@@ -127,31 +126,11 @@ template <unsigned Dim> struct BoundarySpec {
 
 namespace detail {
 
-/// Uniform element access over the two field containers the fill works
-/// on: the SoA Field and plain NDArray staging buffers.
-template <unsigned Dim>
-inline Cons<Dim> ghostLoad(const NDArray<Cons<Dim>> &U, const Index &I) {
-  return U.at(I);
-}
-template <unsigned Dim>
-inline void ghostStore(NDArray<Cons<Dim>> &U, const Index &I,
-                       const Cons<Dim> &Q) {
-  U.at(I) = Q;
-}
-template <unsigned Dim>
-inline Cons<Dim> ghostLoad(const Field<Dim> &U, const Index &I) {
-  return U.at(I);
-}
-template <unsigned Dim>
-inline void ghostStore(Field<Dim> &U, const Index &I, const Cons<Dim> &Q) {
-  U.set(I, Q);
-}
-
 /// Fills the ghost layers of one side.  \p Tangential iterates the full
 /// tangential storage extent when \p IncludeTangentialGhosts (second-axis
 /// pass, so corners get defined values).
-template <unsigned Dim, typename FieldT>
-void applyBoundarySide(FieldT &U, const Grid<Dim> &G,
+template <unsigned Dim>
+void applyBoundarySide(Field<Dim> &U, const Grid<Dim> &G,
                        const BoundarySpec<Dim> &Spec, unsigned Axis,
                        bool High, bool IncludeTangentialGhosts,
                        Backend &Exec, double Time) {
@@ -197,28 +176,28 @@ void applyBoundarySide(FieldT &U, const Grid<Dim> &G,
       switch (Seg.Kind) {
       case BcKind::Transmissive:
         Source.Coord[Axis] = High ? NgS + N - 1 : NgS;
-        ghostStore(U, Ghost, ghostLoad(U, Source));
+        U.set(Ghost, U.at(Source));
         break;
       case BcKind::Reflective: {
         Source.Coord[Axis] =
             High ? NgS + N - 1 - (Layer - 1) : NgS + (Layer - 1);
-        Cons<Dim> Mirrored = ghostLoad(U, Source);
+        Cons<Dim> Mirrored = U.at(Source);
         Mirrored.Mom[Axis] = -Mirrored.Mom[Axis];
-        ghostStore(U, Ghost, Mirrored);
+        U.set(Ghost, Mirrored);
         break;
       }
       case BcKind::Inflow:
-        ghostStore(U, Ghost, Seg.InflowState);
+        U.set(Ghost, Seg.InflowState);
         break;
       case BcKind::Periodic:
         // Low ghost layer g copies interior cell N-g; high layer g
         // copies interior cell g-1.
         Source.Coord[Axis] = High ? NgS + (Layer - 1) : NgS + N - Layer;
-        ghostStore(U, Ghost, ghostLoad(U, Source));
+        U.set(Ghost, U.at(Source));
         break;
       case BcKind::Prescribed:
         assert(Seg.StateAt && "Prescribed segment without a state function");
-        ghostStore(U, Ghost, Seg.StateAt(TangentialCoord, Time));
+        U.set(Ghost, Seg.StateAt(TangentialCoord, Time));
         break;
       case BcKind::Halo:
         // Filled by the shard halo exchange before this pass.
@@ -240,8 +219,8 @@ void applyBoundarySide(FieldT &U, const Grid<Dim> &G,
 /// clock at the start of the step for every RK stage fill of that step —
 /// a deliberate (documented) first-order-in-time treatment that keeps
 /// both engines bit-identical.
-template <unsigned Dim, typename FieldT>
-void applyBoundaries(FieldT &U, const Grid<Dim> &G,
+template <unsigned Dim>
+void applyBoundaries(Field<Dim> &U, const Grid<Dim> &G,
                      const BoundarySpec<Dim> &Spec, Backend &Exec,
                      double Time = 0.0) {
   assert(U.shape() == G.storageShape() && "field/grid mismatch");

@@ -12,11 +12,12 @@
 /// two implementations of the same numerical method; both derive from
 /// EulerSolver, which owns the field, the clock and the step executor.
 /// The engines implement reduceMaxEigen() (the GetDT reduction) and
-/// stepWithDt() (one full multi-stage time step); computeDt() serves the
-/// maximum the last step's final stage already reduced when it can (see
-/// cacheMaxEigen).  For identical scheme settings the
-/// two engines produce bit-identical fields — the executable form of the
-/// paper's claim that the SaC code is a faithful port.
+/// stepWithDt() (one full multi-stage time step, through the one stage
+/// driver runStages); computeDt() serves the maximum the last step's
+/// final stage already reduced when it can (see cacheMaxEigen).  For
+/// identical scheme settings the two engines produce bit-identical
+/// fields — the executable form of the paper's claim that the SaC code
+/// is a faithful port.
 ///
 /// Every stepping loop in SacFD — advance/advanceTo/advanceSteps here,
 /// the step guard's windows, SolverRun, shard workers — asks nextStep()
@@ -44,6 +45,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -319,10 +321,66 @@ public:
   FieldPool &fieldPool() { return Pool; }
 
 protected:
-  /// One full multi-stage step with the given dt.  An engine whose final
-  /// stage reduces the updated field's max eigenvalue hands it to
-  /// cacheMaxEigen.
+  /// One full multi-stage step with the given dt: an engine's stage body
+  /// through runStages (array materialized mode keeps its own loop).
   virtual void stepWithDt(double Dt) = 0;
+
+  /// The SSP stage driver of both engines.  Q^n is U itself.  Per stage
+  /// it picks the stage input In and output Out, fills In's ghosts, and
+  /// calls \p Body(In, Out, Stage, Last), which writes Out = A*U + B*(In
+  /// + dt*L(In)) on the interior and, on the Last stage, returns Out's
+  /// max CFL eigenvalue (the next step's GetDT, see cacheMaxEigen).
+  ///
+  /// A \p WholeField body completes its residual before its update runs,
+  /// so it may write its own input: RK3 runs U -> A -> A -> U, RK2 U -> A
+  /// -> U and RK1 U in place.  A body that updates rows while later rows
+  /// still read In (the 2D row pass) may not: RK3 runs U -> A -> B -> U,
+  /// and RK1 writes A, then one region copies A's interior into U.
+  /// Either way U's ghosts hold the step's first-stage fill.  The stage
+  /// fields are leased for the step; every cell a stage reads is written
+  /// first (the interior by the previous stage, the ghosts by the fill).
+  template <typename BodyFn> void runStages(bool WholeField, BodyFn Body) {
+    static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
+    static const unsigned SpanUpdate = telemetry::spanId("solver.update");
+    const std::span<const SspStage> Stages = sspStages(Scheme.Integrator);
+    const size_t Count = Stages.size();
+    // A whole-field body needs one stage field (none when RK1 runs in
+    // place); the row body alternates between two (one for RK1 and RK2).
+    Field<Dim> Scratch[2];
+    const size_t Leased =
+        WholeField ? (Count > 1 ? 1 : 0) : (Count > 2 ? 2 : 1);
+    for (size_t K = 0; K < Leased; ++K)
+      Scratch[K] = Field<Dim>(Pool, U.shape(), FieldInit::Uninit);
+
+    Field<Dim> *In = &U;
+    double EvMax = 0.0;
+    for (size_t S = 0; S < Count; ++S) {
+      const bool Last = S + 1 == Count;
+      Field<Dim> *Out = &Scratch[0];
+      if (Last && (Count > 1 || WholeField))
+        Out = &U;
+      else if (!WholeField && In == &Scratch[0])
+        Out = &Scratch[1];
+      {
+        telemetry::ScopedSpan Sp(SpanBoundary);
+        fillGhosts(*In, Time);
+      }
+      EvMax = Body(*In, *Out, Stages[S], Last);
+      In = Out;
+    }
+    if (In != &U) {
+      constexpr unsigned LineAxis = Dim - 1;
+      telemetry::ScopedSpan Sp(SpanUpdate);
+      Exec.parallelFor(0, lineCount(LineAxis), [&](size_t LB, size_t LE) {
+        for (size_t Line = LB; Line != LE; ++Line) {
+          size_t Base = lineStorageBase(LineAxis, Line);
+          kernels::copyState<Dim>(In->crun(Base), U.run(Base), N[LineAxis],
+                                  SimdEnabled);
+        }
+      });
+    }
+    cacheMaxEigen(EvMax);
+  }
 
   /// The GetDT reduction from scratch: the max CFL eigenvalue over the
   /// interior, line by line through the maxEigen kernel (blockReduce2D over
@@ -335,17 +393,18 @@ protected:
             size_t CellEnd) {
           double Acc = 0.0;
           for (size_t Line = LineBegin; Line != LineEnd; ++Line)
-            Acc = runMaxEigen(lineStorageBase(LineAxis, Line) + CellBegin,
+            Acc = runMaxEigen(U, lineStorageBase(LineAxis, Line) + CellBegin,
                               CellEnd - CellBegin, Acc);
           return Acc;
         },
         [](double A, double B) { return std::max(A, B); });
   }
 
-  /// Max CFL eigenvalue of the \p Len contiguous cells at storage offset
-  /// \p Base, folded onto \p Acc (the GetDT kernel body).
-  double runMaxEigen(size_t Base, size_t Len, double Acc) const {
-    return kernels::maxEigen<Dim>(U.crun(Base), Prob.G, InvSpacing, Acc, Len,
+  /// Max CFL eigenvalue of the \p Len contiguous cells of \p F at storage
+  /// offset \p Base, folded onto \p Acc (the GetDT kernel body).
+  double runMaxEigen(const Field<Dim> &F, size_t Base, size_t Len,
+                     double Acc) const {
+    return kernels::maxEigen<Dim>(F.crun(Base), Prob.G, InvSpacing, Acc, Len,
                                   SimdEnabled);
   }
 
@@ -356,13 +415,10 @@ protected:
     MaxEigenCached = true;
   }
 
-  /// The per-stage ghost fill both engines call: the ghost-fill hook
-  /// first (halo exchange), then the physical boundary conditions.  Both
-  /// engines route their applyBoundaries calls through here so a sharded
-  /// sub-solver exchanges halos exactly once per stage.  The overload
-  /// fills a storage-shaped stage field \p F instead of U (an engine whose
-  /// stages read scratch fields out of place).
-  void fillGhosts(double FillTime) { fillGhosts(U, FillTime); }
+  /// The per-stage ghost fill of a storage-shaped field \p F (U or a
+  /// stage field): the ghost-fill hook first (halo exchange), then the
+  /// physical boundary conditions.  Every stage fill goes through here, so
+  /// a sharded sub-solver exchanges halos exactly once per stage.
   void fillGhosts(Field<Dim> &F, double FillTime) {
     if (GhostHook)
       GhostHook(F, FillTime);
@@ -413,23 +469,24 @@ protected:
 
   /// The face path both engines share for every reconstruction but the
   /// piecewise-constant kernel sweeps: the fluxes of faces [FaceBegin,
-  /// FaceBegin + Faces) of line \p Line along \p Axis.  The line's
-  /// stencil window is staged once into SoA planes (stageLineWindow),
-  /// kernels::reconstructFaces turns it into the faces' left/right states
-  /// and kernels::fluxFaces solves their Riemann problems, all on
-  /// unit-stride runs, so the SIMD build vectorizes the whole path.  The
-  /// window and the three face rows are one per-worker-thread, grown-only
-  /// scratch (fluxScratch); the returned flux row is valid until the
-  /// calling thread's next call.
-  kernels::ConstRun<Dim> lineFaceFluxes(unsigned Axis, size_t Line,
-                                        size_t FaceBegin, size_t Faces) const {
+  /// FaceBegin + Faces) of line \p Line along \p Axis of the stage input
+  /// \p In.  The line's stencil window is staged once into SoA planes
+  /// (stageLineWindow), kernels::reconstructFaces turns it into the
+  /// faces' left/right states and kernels::fluxFaces solves their Riemann
+  /// problems, all on unit-stride runs, so the SIMD build vectorizes the
+  /// whole path.  The window and the three face rows are one
+  /// per-worker-thread, grown-only scratch (fluxScratch); the returned
+  /// flux row is valid until the calling thread's next call.
+  kernels::ConstRun<Dim> lineFaceFluxes(const Field<Dim> &In, unsigned Axis,
+                                        size_t Line, size_t FaceBegin,
+                                        size_t Faces) const {
     const size_t Len = Faces + 5;
     FluxScratch<Dim> Scratch = fluxScratch<Dim>(4, Len);
     kernels::Run<Dim> Win = Scratch.run(0);
     kernels::Run<Dim> L = Scratch.run(1);
     kernels::Run<Dim> R = Scratch.run(2);
     kernels::Run<Dim> F = Scratch.run(3);
-    stageLineWindow(Axis, Line, FaceBegin, Len, Win);
+    stageLineWindow(In, Axis, Line, FaceBegin, Len, Win);
     kernels::reconstructFaces<Dim>(Win, L, R, Prob.G, Axis, Scheme.Recon,
                                    Scheme.Limiter, Scheme.Vars, Faces,
                                    SimdEnabled);
@@ -438,14 +495,15 @@ protected:
     return F;
   }
 
-  /// Stages \p Len window cells of line \p Line along \p Axis into the
-  /// SoA planes \p Dst: window cell K is the cell at axis offset
+  /// Stages \p Len window cells of line \p Line along \p Axis of \p In
+  /// into the SoA planes \p Dst: window cell K is the cell at axis offset
   /// FaceBegin + K - 3 from interior 0, clamped into storage (outermost
   /// cells are never read by the implemented schemes), so face
   /// FaceBegin + f's 6-cell stencil is window cells f..f+5.  Staging
   /// loads each cell's planes once instead of six times.
-  void stageLineWindow(unsigned Axis, size_t Line, size_t FaceBegin,
-                       size_t Len, const kernels::Run<Dim> &Dst) const {
+  void stageLineWindow(const Field<Dim> &In, unsigned Axis, size_t Line,
+                       size_t FaceBegin, size_t Len,
+                       const kernels::Run<Dim> &Dst) const {
     const std::ptrdiff_t AxisStride =
         static_cast<std::ptrdiff_t>(StorageStride[Axis]);
     const std::ptrdiff_t Lo = -static_cast<std::ptrdiff_t>(Ng);
@@ -454,7 +512,7 @@ protected:
     const std::ptrdiff_t Base =
         static_cast<std::ptrdiff_t>(lineStorageBase(Axis, Line));
     const std::ptrdiff_t First = static_cast<std::ptrdiff_t>(FaceBegin) - 3;
-    kernels::ConstRun<Dim> Src = U.crun();
+    kernels::ConstRun<Dim> Src = In.crun();
     for (unsigned K = 0; K < NumVars<Dim>; ++K) {
       const double *S = Src.C[K] + Base;
       double *D = Dst.C[K];

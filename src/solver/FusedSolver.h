@@ -11,10 +11,7 @@
 /// This engine is the performance shape of the paper's Fortran-90 code
 /// under an auto-parallelizing compiler:
 ///   - hand-fused stride-arithmetic loops (fast on one core — the left
-///     edge of Fig. 4).  The 2D piecewise-constant stage keeps no
-///     whole-field temporaries at all: it writes its output out of place
-///     into a stage field, so there is no residual field and no Q^n
-///     snapshot;
+///     edge of Fig. 4);
 ///   - every loop nest is its own parallel region dispatched through the
 ///     Backend, the way -autopar parallelizes each DO loop independently.
 ///     One 2D RK3 time step issues 15 regions (5 per stage: 4 boundary
@@ -22,31 +19,35 @@
 ///     fork-join backend each of those pays the thread-team setup cost,
 ///     which is the scaling collapse of Fig. 4.
 ///
+/// Stages run through the shared driver EulerSolver::runStages: each
+/// stage reads a stage input and writes its output out of place, Q^n is U
+/// itself, and no Q^n snapshot exists.
+///
 /// The loop bodies themselves are the shared kernels:: layer: RHS
 /// zeroing, the SSP update and the GetDT reduction always run as
 /// contiguous line runs, and so do the face fluxes.  Piecewise-constant
-/// reconstruction reads cell rows straight from the field: cellPrims
-/// converts each row to primitive planes once, and fluxFaces solves a
-/// face row from two shifted views of cells and planes.  In 2D that is
-/// one row pass per stage serving both axes: each cell row is converted
-/// once into a rolling primitive row, which feeds the axis-0 faces above
-/// and below it and the row's own axis-1 faces; the RHS row is zeroed
-/// and accumulated while it is in cache, and the updated row is written
-/// (and its GetDT maximum folded on the last stage) right after.  1D, 3D
-/// and every reconstructed scheme keep the per-axis structure: a zeroing
-/// region, one sweep region per axis into a whole-field RHS, and an
-/// update region that takes the Q^n snapshot on the first stage and
-/// reduces GetDT on the last.  Reconstructed schemes stage each line's
-/// stencil window once and run it through reconstructFaces + fluxFaces
-/// (EulerSolver::lineFaceFluxes).  So the hot loops execute the
-/// vectorized kernel build.
+/// reconstruction reads cell rows straight from the stage input:
+/// cellPrims converts each row to primitive planes once, and fluxFaces
+/// solves a face row from two shifted views of cells and planes.  In 2D
+/// that is one row pass per stage serving both axes: each cell row is
+/// converted once into a rolling primitive row, which feeds the axis-0
+/// faces above and below it and the row's own axis-1 faces; the RHS row
+/// is zeroed and accumulated while it is in cache, and the updated row is
+/// written (and its GetDT maximum folded on the last stage) right after.
+/// The row pass keeps no whole-field temporary but its stage fields, and
+/// since later rows still read the input, it never writes its input.
+/// 1D, 3D and every reconstructed scheme keep the per-axis structure: a
+/// zeroing region, one sweep region per axis into a whole-field RHS, and
+/// an update region that reduces GetDT on the last stage; its residual is
+/// complete before the update, so a stage may write its own input.
+/// Reconstructed schemes stage each line's stencil window once and run it
+/// through reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes).  So
+/// the hot loops execute the vectorized kernel build.
 ///
-/// The numerics (reconstruction, Riemann solver, stage table) are shared
-/// with ArraySolver, so for identical settings the two engines produce
-/// bit-identical interior fields.  Ghost cells are the one difference:
-/// after a 2D piecewise-constant step U's ghosts hold the step's
-/// first-stage fill (later stages fill their stage field's ghosts), while
-/// every other path leaves the last stage's fill.
+/// The numerics (reconstruction, Riemann solver, stage table) and the
+/// stage driver are shared with ArraySolver, so for identical settings
+/// the two engines produce bit-identical fields, ghost cells included:
+/// after a step U's ghosts hold the step's first-stage fill.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,127 +72,62 @@ public:
 
 protected:
   void stepWithDt(double Dt) override {
-    const std::span<const SspStage> Stages =
-        sspStages(this->Scheme.Integrator);
+    static const unsigned SpanFlux = telemetry::spanId("solver.flux");
+    static const unsigned SpanUpdate = telemetry::spanId("solver.update");
+    auto MaxOf = [](double X, double Y) { return std::max(X, Y); };
+
     if constexpr (Dim == 2) {
       if (kernels::fluxKernelEligible(this->Scheme.Recon)) {
-        stepRowPasses(Stages, Dt);
+        // The row pass is the whole stage; it may not write its input.
+        auto RowPass = [&](const Field<Dim> &In, Field<Dim> &Out,
+                           const SspStage &St, bool Last) {
+          telemetry::ScopedSpan Sp(SpanFlux);
+          return blockReduce2D(
+              this->N[0], this->N[1], this->Exec, 0.0,
+              [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+                return stageRows2D(St, Last, Dt, In, Out, RB, RE, CB, CE);
+              },
+              MaxOf);
+        };
+        this->runStages(/*WholeField=*/false, RowPass);
         return;
       }
     }
 
-    static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
-    static const unsigned SpanFlux = telemetry::spanId("solver.flux");
-    static const unsigned SpanUpdate = telemetry::spanId("solver.update");
-
-    // Both scratch buffers are leased on first use; every element read is
-    // written first (Un by the first stage's update), so the uninit mode
-    // applies.
-    acquireStepBuffers();
-
-    for (size_t S = 0; S < Stages.size(); ++S) {
-      {
-        telemetry::ScopedSpan Sp(SpanBoundary);
-        this->fillGhosts(this->Time);
-      }
-
+    // Every RHS element is written by the zeroing region before it is read.
+    const Shape Interior = this->Prob.Domain.interiorShape();
+    if (Res.shape() != Interior)
+      Res = Field<Dim>(this->Pool, Interior, FieldInit::Uninit);
+    auto PerAxis = [&](const Field<Dim> &In, Field<Dim> &Out,
+                       const SspStage &St, bool Last) {
       {
         telemetry::ScopedSpan Sp(SpanFlux);
-        fluxPhase();
+        fluxPhase(In);
       }
-
-      // Update loop (one region): U = A*Un + B*(U + dt*Res) on interior,
-      // folded with the snapshot (first stage) and GetDT (last stage).
-      // Runs over the 2D (line, cell) space so the backend can tile it;
-      // per-element results are grouping-independent and the max chain is
-      // exact, and the blocks are those of the from-scratch GetDT.
+      // Update loop (one region): Out = A*U + B*(In + dt*Res) on the
+      // interior, folded with GetDT on the last stage.  Runs over the 2D
+      // (line, cell) space so the backend can tile it; per-element results
+      // are grouping-independent and the max chain is exact, and the
+      // blocks are those of the from-scratch GetDT.
       constexpr unsigned LineAxis = Dim - 1;
-      const bool First = S == 0, Last = S + 1 == Stages.size();
-      telemetry::ScopedSpan UpdateSpan(SpanUpdate);
-      double EvMax = blockReduce2D(
+      telemetry::ScopedSpan Sp(SpanUpdate);
+      return blockReduce2D(
           this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
           [&](size_t LB, size_t LE, size_t CB, size_t CE) {
-            return updateRange(Stages[S], First, Last, Dt, LB, LE, CB, CE);
+            return updateRange(St, Last, Dt, In, Out, LB, LE, CB, CE);
           },
-          [](double X, double Y) { return std::max(X, Y); });
-      if (Last)
-        this->cacheMaxEigen(EvMax);
-    }
+          MaxOf);
+    };
+    this->runStages(/*WholeField=*/true, PerAxis);
   }
 
 private:
-  void acquireStepBuffers() {
-    const Grid<Dim> &G = this->Prob.Domain;
-    if (Un.shape() != this->U.shape())
-      Un = Field<Dim>(this->Pool, this->U.shape(), FieldInit::Uninit);
-    if (Res.shape() != G.interiorShape())
-      Res = Field<Dim>(this->Pool, G.interiorShape(), FieldInit::Uninit);
-  }
-
-  /// One 2D piecewise-constant step: per stage, the ghost fill of the
-  /// stage input and one row pass that is the whole stage (fluxes, RHS
-  /// row, SSP update, and on the last stage the GetDT maximum).  Stages
-  /// write out of place, so Q^n is U itself until the last stage and
-  /// neither a snapshot nor a whole-field residual exists: stage S reads
-  /// In and writes the scratch field it does not read, and the last stage
-  /// of a multi-stage step writes U cell by cell (reading U only at its
-  /// own cell, as Q^n).  RK3 runs U -> A -> B -> U, RK2 U -> A -> U; RK1's
-  /// single stage writes A and one more region copies A's interior into
-  /// U.  U's ghost cells therefore keep the step's first-stage fill.
-  void stepRowPasses(std::span<const SspStage> Stages, double Dt) {
-    static const unsigned SpanBoundary = telemetry::spanId("solver.boundary");
-    static const unsigned SpanFlux = telemetry::spanId("solver.flux");
-    static const unsigned SpanUpdate = telemetry::spanId("solver.update");
-
-    // Every scratch cell a stage reads is written first: the interior by
-    // the previous stage, the ghosts by this stage's fill.
-    const size_t Count = Stages.size();
-    for (size_t K = 0; K < (Count > 2 ? 2 : 1); ++K)
-      if (StageFields[K].shape() != this->U.shape())
-        StageFields[K] =
-            Field<Dim>(this->Pool, this->U.shape(), FieldInit::Uninit);
-
-    Field<Dim> *In = &this->U;
-    double EvMax = 0.0;
-    for (size_t S = 0; S < Count; ++S) {
-      const bool Last = S + 1 == Count;
-      Field<Dim> *Out = Last && Count > 1       ? &this->U
-                        : In == &StageFields[0] ? &StageFields[1]
-                                                : &StageFields[0];
-      {
-        telemetry::ScopedSpan Sp(SpanBoundary);
-        this->fillGhosts(*In, this->Time);
-      }
-      telemetry::ScopedSpan Sp(SpanFlux);
-      EvMax = blockReduce2D(
-          this->N[0], this->N[1], this->Exec, 0.0,
-          [&](size_t RB, size_t RE, size_t CB, size_t CE) {
-            return stageRows2D(Stages[S], Last, Dt, *In, *Out, RB, RE, CB,
-                               CE);
-          },
-          [](double X, double Y) { return std::max(X, Y); });
-      In = Out;
-    }
-    if (In != &this->U) {
-      // RK1: the one stage wrote A.
-      telemetry::ScopedSpan Sp(SpanUpdate);
-      this->Exec.parallelFor(0, this->N[0], [&](size_t RB, size_t RE) {
-        for (size_t R = RB; R != RE; ++R) {
-          size_t Base = this->lineStorageBase(1, R);
-          kernels::copyState<Dim>(In->crun(Base), this->U.run(Base),
-                                  this->N[1], this->SimdEnabled);
-        }
-      });
-    }
-    this->cacheMaxEigen(EvMax);
-  }
-
   /// One stage's flux phase on the per-axis path (1D, 3D and every
-  /// reconstructed scheme): the RHS is zeroed in a region of its own, then
-  /// one region sweeps each axis.  The backend may tile the 2D iteration
-  /// space: faces are recomputed at sub-range seams, so tiled and
-  /// flattened sweeps are bit-identical.
-  void fluxPhase() {
+  /// reconstructed scheme): the RHS of the stage input \p In is zeroed in
+  /// a region of its own, then one region sweeps each axis.  The backend
+  /// may tile the 2D iteration space: faces are recomputed at sub-range
+  /// seams, so tiled and flattened sweeps are bit-identical.
+  void fluxPhase(const Field<Dim> &In) {
     this->Exec.parallelFor(
         0, this->Prob.Domain.interiorCount(), [&](size_t B, size_t E) {
           kernels::zeroState<Dim>(Res.run(B), E - B, this->SimdEnabled);
@@ -202,13 +138,13 @@ private:
           this->lineCount(Axis), this->N[Axis],
           [&, Axis](size_t LineBegin, size_t LineEnd, size_t CellBegin,
                     size_t CellEnd) {
-            sweepRange(Axis, LineBegin, LineEnd, CellBegin, CellEnd);
+            sweepRange(In, Axis, LineBegin, LineEnd, CellBegin, CellEnd);
           });
     }
   }
 
-  /// One directional sweep over lines [LineBegin, LineEnd) x cells
-  /// [CellBegin, CellEnd): per line, compute all bounding face fluxes
+  /// One directional sweep of \p In over lines [LineBegin, LineEnd) x
+  /// cells [CellBegin, CellEnd): per line, compute all bounding face fluxes
   /// into a scratch row, then accumulate the flux differences into
   /// the RHS (accumDivergence along the last axis, a strided per-cell
   /// loop along the others).  This is the fused Fortran structure:
@@ -218,13 +154,13 @@ private:
   /// stencils regardless of the sub-range, so tiled and flattened sweeps
   /// are bit-identical (sub-range boundary faces are recomputed, not
   /// communicated).
-  void sweepRange(unsigned Axis, size_t LineBegin, size_t LineEnd,
-                  size_t CellBegin, size_t CellEnd) {
+  void sweepRange(const Field<Dim> &In, unsigned Axis, size_t LineBegin,
+                  size_t LineEnd, size_t CellBegin, size_t CellEnd) {
     // Piecewise-constant faces of the last axis are contiguous face rows
     // fed to kernels::fluxFaces straight from the field (the 2D case never
     // gets here: it runs the row pass).
     if (Axis == Dim - 1 && kernels::fluxKernelEligible(this->Scheme.Recon)) {
-      sweepRangeKernelLastAxis(LineBegin, LineEnd, CellBegin, CellEnd);
+      sweepRangeKernelLastAxis(In, LineBegin, LineEnd, CellBegin, CellEnd);
       return;
     }
 
@@ -234,7 +170,7 @@ private:
     size_t LocalFaces = (CellEnd - CellBegin) + 1;
     for (size_t Line = LineBegin; Line != LineEnd; ++Line) {
       kernels::ConstRun<Dim> Flux =
-          this->lineFaceFluxes(Axis, Line, CellBegin, LocalFaces);
+          this->lineFaceFluxes(In, Axis, Line, CellBegin, LocalFaces);
       size_t RBase = this->lineInteriorBase(Axis, Line);
       if (Axis == Dim - 1) {
         // The line's cells are contiguous in the RHS too.
@@ -262,8 +198,9 @@ private:
   /// then one accumDivergence run into the RHS.  Face values and the
   /// per-cell accumulation are bit-identical to the staged form — the
   /// kernels mirror numericalFlux term for term.
-  void sweepRangeKernelLastAxis(size_t LineBegin, size_t LineEnd,
-                                size_t CellBegin, size_t CellEnd) {
+  void sweepRangeKernelLastAxis(const Field<Dim> &In, size_t LineBegin,
+                                size_t LineEnd, size_t CellBegin,
+                                size_t CellEnd) {
     constexpr unsigned Axis = Dim - 1;
     const double InvDx = 1.0 / this->Prob.Domain.dx(Axis);
     const Gas &G = this->Prob.G;
@@ -277,7 +214,7 @@ private:
       size_t Base = this->lineStorageBase(Axis, Line) + CellBegin;
       // Face f (local) sits between storage cells Base+f-1 and Base+f;
       // cell Base-1 is the ghost neighbor when CellBegin == 0.
-      kernels::ConstRun<Dim> Cells = this->U.crun(Base - 1);
+      kernels::ConstRun<Dim> Cells = In.crun(Base - 1);
       kernels::cellPrims<Dim>(Cells, Prims, G, Kind, LocalFaces + 1, Simd);
       kernels::fluxFaces<Dim>(Cells, Prims, kernels::advance(Cells, 1),
                               kernels::advance(Prims, 1), FluxRow, G, Axis,
@@ -380,43 +317,37 @@ private:
                               In.crun(Base), ResRow, St.PrevWeight,
                               St.StageWeight, Dt, W, Simd);
       if (Last)
-        Acc = kernels::maxEigen<Dim>(Out.crun(Base), G, this->InvSpacing, Acc,
-                                     W, Simd);
+        Acc = this->runMaxEigen(Out, Base, W, Acc);
     }
     return Acc;
   }
 
   /// Stage \p St over lines [LB, LE) x cells [CB, CE) of the update
-  /// space (lines along the last axis), one kernel run per line: on the
-  /// \p First stage the run is copied into Un before it is overwritten,
-  /// then U = A*Un + B*(U + dt*Res), and on the \p Last stage the updated
-  /// run's max CFL eigenvalue is folded in (the next step's GetDT).
-  /// \returns that maximum (0 unless \p Last).
-  double updateRange(const SspStage &St, bool First, bool Last, double Dt,
-                     size_t LB, size_t LE, size_t CB, size_t CE) {
+  /// space (lines along the last axis), one kernel run per line: Out =
+  /// A*U + B*(In + dt*Res), and on the \p Last stage the updated run's max
+  /// CFL eigenvalue is folded in (the next step's GetDT).  Out may be In
+  /// or U: each cell reads only itself.  \returns that maximum (0 unless
+  /// \p Last).
+  double updateRange(const SspStage &St, bool Last, double Dt,
+                     const Field<Dim> &In, Field<Dim> &Out, size_t LB,
+                     size_t LE, size_t CB, size_t CE) {
     constexpr unsigned LineAxis = Dim - 1;
     double Acc = 0.0;
     for (size_t Line = LB; Line != LE; ++Line) {
       size_t SBase = this->lineStorageBase(LineAxis, Line) + CB;
       size_t RBase = Line * this->N[LineAxis] + CB;
-      if (First)
-        kernels::copyState<Dim>(this->U.crun(SBase), Un.run(SBase), CE - CB,
-                                this->SimdEnabled);
-      kernels::sspUpdate<Dim>(this->U.run(SBase), Un.crun(SBase),
-                              Res.crun(RBase), St.PrevWeight, St.StageWeight,
-                              Dt, CE - CB, this->SimdEnabled);
+      kernels::sspUpdate<Dim>(Out.run(SBase), this->U.crun(SBase),
+                              In.crun(SBase), Res.crun(RBase), St.PrevWeight,
+                              St.StageWeight, Dt, CE - CB, this->SimdEnabled);
       if (Last)
-        Acc = this->runMaxEigen(SBase, CE - CB, Acc);
+        Acc = this->runMaxEigen(Out, SBase, CE - CB, Acc);
     }
     return Acc;
   }
 
-  /// The per-axis path's snapshot (QN) and RHS scratch, and the 2D row
-  /// pass's stage fields A and B, leased from the solver pool on first
-  /// step and held for the solver's lifetime.
-  Field<Dim> Un;
+  /// The per-axis path's RHS scratch, leased from the solver pool on the
+  /// first step and held for the solver's lifetime.
   Field<Dim> Res;
-  Field<Dim> StageFields[2];
 };
 
 } // namespace sacfd

@@ -34,12 +34,13 @@ Cons<2> cons2(double Rho, double U, double V, double P) {
 /// states indexed 0..3.
 struct Field1D {
   Grid<1> Gr{{4}, {0.0}, {1.0}, 2};
-  NDArray<Cons<1>> U{Gr.storageShape()};
+  FieldPool Pool;
+  Field<1> U{Pool, Gr.storageShape()};
 
   Field1D() {
     for (std::ptrdiff_t I = 0; I < 4; ++I)
-      U.at(Gr.toStorage(Index{I})) =
-          cons1(1.0 + static_cast<double>(I), 0.5, 2.0);
+      U.set(Gr.toStorage(Index{I}),
+            cons1(1.0 + static_cast<double>(I), 0.5, 2.0));
   }
 };
 
@@ -115,15 +116,16 @@ namespace {
 /// 6x6 grid on [0,1]^2 with 2 ghosts, interior marked by position.
 struct Field2D {
   Grid<2> Gr{{6, 6}, {0.0, 0.0}, {1.0, 1.0}, 2};
-  NDArray<Cons<2>> U{Gr.storageShape()};
+  FieldPool Pool;
+  Field<2> U{Pool, Gr.storageShape()};
 
   Field2D() {
     for (std::ptrdiff_t I = 0; I < 6; ++I)
       for (std::ptrdiff_t J = 0; J < 6; ++J)
-        U.at(Gr.toStorage(Index{I, J})) =
-            cons2(1.0 + 0.1 * static_cast<double>(I) +
-                      0.01 * static_cast<double>(J),
-                  0.3, -0.2, 1.5);
+        U.set(Gr.toStorage(Index{I, J}),
+              cons2(1.0 + 0.1 * static_cast<double>(I) +
+                        0.01 * static_cast<double>(J),
+                    0.3, -0.2, 1.5));
   }
 };
 
@@ -139,7 +141,7 @@ TEST(Boundary2D, AllGhostCellsGetDefinedValues) {
   do {
     bool Interior = Iv[0] >= 2 && Iv[0] < 8 && Iv[1] >= 2 && Iv[1] < 8;
     if (!Interior)
-      F.U.at(Iv) = cons2(std::nan(""), 0, 0, 1);
+      F.U.set(Iv, cons2(std::nan(""), 0, 0, 1));
   } while (St.increment(Iv));
 
   applyBoundaries(F.U, F.Gr, BoundarySpec<2>::uniform(BcKind::Transmissive),
@@ -254,8 +256,8 @@ TEST(Boundary2D, IdenticalAcrossBackends) {
   applyBoundaries(C.U, C.Gr, Spec, *Fork);
 
   for (size_t I = 0; I < A.U.size(); ++I) {
-    EXPECT_TRUE(A.U[I] == B.U[I]) << "cell " << I;
-    EXPECT_TRUE(A.U[I] == C.U[I]) << "cell " << I;
+    EXPECT_TRUE(A.U.load(I) == B.U.load(I)) << "cell " << I;
+    EXPECT_TRUE(A.U.load(I) == C.U.load(I)) << "cell " << I;
   }
 }
 

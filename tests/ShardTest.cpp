@@ -12,11 +12,12 @@
 //
 // The ghost-row suite compares each shard's full local storage against
 // the single-process storage.  Internal halo ghost rows are excluded
-// from the direct comparison: both runs fill ghosts at the *top* of each
-// RK stage, so after the final update a physical ghost row holds the
-// same stale fill in both runs, but the single-process counterpart of an
-// internal halo row is an interior cell the final update refreshed.
-// Interior bit-identity (the hash checks) covers those rows instead.
+// from the direct comparison: both runs step through the one stage
+// driver, which fills the ghosts of each RK stage's input, so after a
+// step U's physical ghost rows hold the same first-stage fill in both
+// runs, but the single-process counterpart of an internal halo row is an
+// interior cell the final update refreshed.  Interior bit-identity (the
+// hash checks) covers those rows instead.
 //
 //===----------------------------------------------------------------------===//
 

@@ -83,7 +83,10 @@ RunConfig serialConfig() {
   return Cfg;
 }
 
-Landing landWith(Driver D, double End) {
+/// Lands with driver \p D on \p End.  A checkpointed driver writes to a
+/// directory of its own per case (\p CaseName), so rows run in parallel
+/// never clear each other's generations.
+Landing landWith(const char *CaseName, Driver D, double End) {
   if (D == Shards) {
     ShardOptions Opt;
     Opt.Shards = 2;
@@ -101,7 +104,7 @@ Landing landWith(Driver D, double End) {
   const bool Checkpointed = D == Periodic || D == GuardedPeriodic;
   if (Checkpointed) {
     Cfg.Checkpoint.Dir = std::string(::testing::TempDir()) +
-                         "/step-driver-" + DriverNames[D];
+                         "/step-driver-" + CaseName + "_" + DriverNames[D];
     std::filesystem::remove_all(Cfg.Checkpoint.Dir);
     Cfg.Checkpoint.Every = 2;
   }
@@ -166,7 +169,7 @@ TEST_P(StepDriverTest, LandsOnTheSolverAdvanceToState) {
   } else {
     ASSERT_GT(std::get<1>(Want), WarmSteps);
   }
-  EXPECT_EQ(landWith(D, End), Want);
+  EXPECT_EQ(landWith(Case.Name, D, End), Want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
