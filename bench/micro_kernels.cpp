@@ -11,8 +11,9 @@
 //   - per-face reconstruction + Riemann solve for each scheme;
 //   - the kernels:: face path (reconstructFaces, fluxFaces, and the PC1
 //     split cellPrims + fluxFaces) and stage kernels, scalar vs SIMD;
-//   - the fused engine's whole 2D stage (the PC1 row pass) per
-//     interior cell, at the paper's two grid sizes.
+//   - the fused engine's whole 2D stage (the row pass) per interior
+//     cell: PC1 at the paper's two grid sizes, WENO3 on the double Mach
+//     reflection (320x80) and the 400x400 interaction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -318,20 +319,17 @@ BENCHMARK(BM_KernelReconstructFaces)
 // Fused engine flux phase
 //===----------------------------------------------------------------------===//
 
-// One whole RK stage of a serial fused shock-interaction run with the
-// benchmark scheme (PC1 + HLLC): the 2D row pass that converts each cell
-// row once, solves both axes' faces into a row-local RHS and writes the
-// SSP update out of place (plus GetDT on the last stage).  Timed by the
-// engine's own solver.flux span over the three stages of a step, so only
-// the boundary fill is excluded; ns_per_cell is that time per interior
-// cell.  The pass's rolling rows are about 110 KB at 400 columns and
-// 540 KB at 2000, which is what the tiling question turns on.
-static void BM_FusedSweep2D(benchmark::State &State) {
-  const size_t Cells = static_cast<size_t>(State.range(0));
-  const double Interior = static_cast<double>(Cells * Cells);
+// One whole RK stage of a serial fused run: the 2D row pass that solves
+// both axes' faces into a row-local RHS and writes the SSP update out of
+// place (plus GetDT on the last stage).  Timed by the engine's own
+// solver.flux span over the three stages of a step, so only the boundary
+// fill is excluded; ns_per_cell is that time per interior cell.
+static void fusedSweep2D(benchmark::State &State, Problem<2> Prob,
+                         const SchemeConfig &Scheme) {
+  const double Interior =
+      static_cast<double>(Prob.Domain.cells(0) * Prob.Domain.cells(1));
   SerialBackend Exec;
-  FusedSolver<2> S(shockInteraction2D(Cells), SchemeConfig::benchmarkScheme(),
-                   Exec);
+  FusedSolver<2> S(std::move(Prob), Scheme, Exec);
   S.advance(); // leases the step buffers and touches every page
   const bool WasEnabled = telemetry::enabled();
   const unsigned WasStride = telemetry::gaugeStride();
@@ -351,13 +349,43 @@ static void BM_FusedSweep2D(benchmark::State &State) {
   telemetry::setGaugeStride(WasStride);
   telemetry::setEnabled(WasEnabled);
   State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Cells * Cells));
+                          static_cast<int64_t>(Interior));
   State.counters["ns_per_cell"] =
       StageNs / static_cast<double>(State.iterations()) / Interior;
+}
+
+// The benchmark scheme (PC1 + HLLC) on the shock interaction: the row
+// pass converts each cell row once into rolling primitive rows.  Those
+// rows are about 110 KB at 400 columns and 540 KB at 2000, which is what
+// the tiling question turns on.
+static void BM_FusedSweep2D(benchmark::State &State) {
+  fusedSweep2D(State, shockInteraction2D(static_cast<size_t>(State.range(0))),
+               SchemeConfig::benchmarkScheme());
 }
 BENCHMARK(BM_FusedSweep2D)
     ->Arg(400)
     ->Arg(2000)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The figure scheme (WENO3 characteristic + HLLC): the row pass reads
+// each face row's stencils straight from the stage field.  320x80 is
+// the double Mach reflection at CFL 0.3 (perfbench's dmr-durable grid),
+// 400x400 the shock interaction.
+static void BM_FusedSweep2DWeno3(benchmark::State &State, bool DoubleMach) {
+  SchemeConfig Scheme = SchemeConfig::figureScheme();
+  if (DoubleMach)
+    Scheme.Cfl = 0.3;
+  fusedSweep2D(State,
+               DoubleMach ? doubleMachReflection(80) : shockInteraction2D(400),
+               Scheme);
+}
+BENCHMARK_CAPTURE(BM_FusedSweep2DWeno3, double_mach_320x80, true)
+    ->Name("BM_FusedSweep2D/weno3/double_mach_320x80")
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FusedSweep2DWeno3, interaction_400, false)
+    ->Name("BM_FusedSweep2D/weno3/interaction_400")
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -18,9 +18,14 @@
 /// engines translate their index spaces into runs, and this layer owns
 /// the arithmetic.
 ///
-/// The face path of a reconstructed scheme is two kernels: a line's
-/// staged stencil window goes through reconstructFaces (face L/R
-/// states) and then fluxFaces (the Riemann solver), both over SoA runs.
+/// The face path of a reconstructed scheme is two kernels:
+/// reconstructFaces (face L/R states) and then fluxFaces (the Riemann
+/// solver), both over SoA runs.  reconstructFaces takes a run of faces'
+/// stencils as StencilRuns, one run per stencil cell indexed by face, so
+/// a caller points them wherever the cells already sit: the fused 2D row
+/// pass at rows (axis 0, lanes across columns) or shifted views of a row
+/// (axis 1) of the stage field, with no copy; the per-line path (1D, 3D,
+/// the array engine) at shifted views of a staged window.
 /// Piecewise-constant reconstruction has no face states of its own, so
 /// its faces split the other way: cellPrims converts each cell of a line
 /// to its primitive planes once, and the PrimRun overload of fluxFaces
@@ -49,6 +54,7 @@
 #include "numerics/Reconstruction.h"
 #include "numerics/RiemannSolvers.h"
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <type_traits>
@@ -201,10 +207,33 @@ inline void storeCons(const Run<Dim> &R, size_t I, const Cons<Dim> &Q) {
 /// piecewise-constant reconstruction makes a face's L/R states the two
 /// adjacent cells, so the whole face line is two shifted runs (and
 /// cellPrims can convert each cell once for both its faces).  Every
-/// other reconstruction stages the line's stencil window and runs
-/// reconstructFaces first (EulerSolver::lineFaceFluxes).
+/// other reconstruction runs reconstructFaces first.
 constexpr bool fluxKernelEligible(ReconstructionKind Recon) {
   return Recon == ReconstructionKind::PiecewiseConstant;
+}
+
+/// The stencil of a run of faces along one axis: stencil cell s of face
+/// f (the 6-cell window of numerics/Reconstruction.h, with the face
+/// between cells 2 and 3) is element f of run s.  Only the runs
+/// stencilSpan names are read, so a caller may leave the others empty.
+template <unsigned Dim> using StencilRuns = std::array<ConstRun<Dim>, 6>;
+
+/// The stencil cells [First, Last] a reconstruction reads.
+struct StencilSpan {
+  unsigned First, Last;
+};
+constexpr StencilSpan stencilSpan(ReconstructionKind Kind) {
+  switch (Kind) {
+  case ReconstructionKind::PiecewiseConstant:
+    return {2, 3};
+  case ReconstructionKind::Tvd2:
+  case ReconstructionKind::Tvd3:
+  case ReconstructionKind::Weno3:
+    return {1, 4};
+  case ReconstructionKind::Weno5:
+    break;
+  }
+  return {0, 5};
 }
 
 /// True when fluxFaces runs the branch-free SIMD mirror for \p Kind —
@@ -244,7 +273,7 @@ bool simdAccelerated();
                  const Run<Dim> &F, const Gas &G, unsigned Axis,               \
                  RiemannKind Kind, size_t N);                                  \
   template <unsigned Dim>                                                      \
-  void reconstructFaces(const ConstRun<Dim> &Win, const Run<Dim> &L,           \
+  void reconstructFaces(const StencilRuns<Dim> &Stencil, const Run<Dim> &L,    \
                         const Run<Dim> &R, const Gas &G, unsigned Axis,        \
                         ReconstructionKind Kind, LimiterKind Limiter,          \
                         ReconstructVariables Vars, size_t N);
@@ -353,22 +382,36 @@ inline void fluxFaces(const ConstRun<Dim> &L, const PrimRun<Dim> &PL,
     scalarimpl::fluxFaces<Dim>(L, R, F, G, Axis, Kind, N);
 }
 
-/// Face states of \p N consecutive faces along \p Axis from a staged
-/// stencil window: \p Win holds N + 5 cells, and face f's 6-cell stencil
-/// (numerics/Reconstruction.h) is window cells f..f+5.  Writes face f's
-/// conservative left/right states to \p L and \p R, bit-identical to
-/// reconstructFaceStates on that stencil.
+/// Face states of \p N faces along \p Axis from their stencil runs:
+/// face f's 6-cell stencil (numerics/Reconstruction.h) is element f of
+/// \p Stencil[0..5], of which only stencilSpan(Kind) is read.  Writes
+/// face f's conservative left/right states to \p L and \p R,
+/// bit-identical to reconstructFaceStates on that stencil.
 template <unsigned Dim>
-inline void reconstructFaces(const ConstRun<Dim> &Win, const Run<Dim> &L,
-                             const Run<Dim> &R, const Gas &G, unsigned Axis,
+inline void reconstructFaces(const StencilRuns<Dim> &Stencil,
+                             const Run<Dim> &L, const Run<Dim> &R,
+                             const Gas &G, unsigned Axis,
                              ReconstructionKind Kind, LimiterKind Limiter,
                              ReconstructVariables Vars, size_t N, bool Simd) {
   // The branch-free SIMD mirror covers the characteristic projection;
   // Primitive-variable mode (an ablation) stays on the reference loop.
   bool Vector = Simd && Vars == ReconstructVariables::Characteristic;
   (Vector ? simdimpl::reconstructFaces<Dim>
-          : scalarimpl::reconstructFaces<Dim>)(Win, L, R, G, Axis, Kind,
+          : scalarimpl::reconstructFaces<Dim>)(Stencil, L, R, G, Axis, Kind,
                                                Limiter, Vars, N);
+}
+
+/// The window form: \p Win holds N + 5 cells and face f's stencil is
+/// window cells f..f+5, passed as six shifted views of the window.
+template <unsigned Dim>
+inline void reconstructFaces(const ConstRun<Dim> &Win, const Run<Dim> &L,
+                             const Run<Dim> &R, const Gas &G, unsigned Axis,
+                             ReconstructionKind Kind, LimiterKind Limiter,
+                             ReconstructVariables Vars, size_t N, bool Simd) {
+  StencilRuns<Dim> Stencil;
+  for (unsigned C = 0; C < Stencil.size(); ++C)
+    Stencil[C] = advance(Win, C);
+  reconstructFaces<Dim>(Stencil, L, R, G, Axis, Kind, Limiter, Vars, N, Simd);
 }
 
 } // namespace kernels

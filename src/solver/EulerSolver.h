@@ -467,8 +467,10 @@ protected:
     return Base;
   }
 
-  /// The face path both engines share for every reconstruction but the
-  /// piecewise-constant kernel sweeps: the fluxes of faces [FaceBegin,
+  /// The per-line face path of the array engine and of the fused
+  /// engine's 1D and 3D sweeps, for every reconstruction but their
+  /// piecewise-constant kernel sweeps (the fused 2D row pass reads its
+  /// stencils from the field instead): the fluxes of faces [FaceBegin,
   /// FaceBegin + Faces) of line \p Line along \p Axis of the stage input
   /// \p In.  The line's stencil window is staged once into SoA planes
   /// (stageLineWindow), kernels::reconstructFaces turns it into the

@@ -25,24 +25,27 @@
 ///
 /// The loop bodies themselves are the shared kernels:: layer: RHS
 /// zeroing, the SSP update and the GetDT reduction always run as
-/// contiguous line runs, and so do the face fluxes.  Piecewise-constant
-/// reconstruction reads cell rows straight from the stage input:
-/// cellPrims converts each row to primitive planes once, and fluxFaces
-/// solves a face row from two shifted views of cells and planes.  In 2D
-/// that is one row pass per stage serving both axes: each cell row is
-/// converted once into a rolling primitive row, which feeds the axis-0
-/// faces above and below it and the row's own axis-1 faces; the RHS row
-/// is zeroed and accumulated while it is in cache, and the updated row is
-/// written (and its GetDT maximum folded on the last stage) right after.
-/// The row pass keeps no whole-field temporary but its stage fields, and
-/// since later rows still read the input, it never writes its input.
-/// 1D, 3D and every reconstructed scheme keep the per-axis structure: a
-/// zeroing region, one sweep region per axis into a whole-field RHS, and
-/// an update region that reduces GetDT on the last stage; its residual is
-/// complete before the update, so a stage may write its own input.
-/// Reconstructed schemes stage each line's stencil window once and run it
-/// through reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes).  So
-/// the hot loops execute the vectorized kernel build.
+/// contiguous line runs, and so do the face fluxes.  Every 2D scheme runs
+/// one row pass per stage serving both axes: the RHS row is zeroed and
+/// accumulated while it is in cache, and the updated row is written (and
+/// its GetDT maximum folded on the last stage) right after.  Its face rows
+/// read cells straight from the stage input.  Piecewise-constant
+/// reconstruction converts each cell row once into a rolling primitive
+/// row (cellPrims), which feeds the axis-0 faces above and below it and
+/// the row's own axis-1 faces, and fluxFaces solves a face row from two
+/// shifted views of cells and planes.  A reconstructed scheme passes its
+/// stencils to reconstructFaces as runs over the input's rows (axis 0,
+/// lanes across columns) or shifted views of one row (axis 1), with no
+/// copy, and fluxFaces solves the face states.  The row pass keeps no
+/// whole-field temporary but its stage fields, and since later rows still
+/// read the input, it never writes its input.
+/// 1D and 3D keep the per-axis structure: a zeroing region, one sweep
+/// region per axis into a whole-field RHS, and an update region that
+/// reduces GetDT on the last stage; its residual is complete before the
+/// update, so a stage may write its own input.  There a reconstructed
+/// scheme stages each line's stencil window once and runs it through
+/// reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes).  So the
+/// hot loops execute the vectorized kernel build.
 ///
 /// The numerics (reconstruction, Riemann solver, stage table) and the
 /// stage driver are shared with ArraySolver, so for identical settings
@@ -73,61 +76,67 @@ public:
 protected:
   void stepWithDt(double Dt) override {
     static const unsigned SpanFlux = telemetry::spanId("solver.flux");
-    static const unsigned SpanUpdate = telemetry::spanId("solver.update");
     auto MaxOf = [](double X, double Y) { return std::max(X, Y); };
 
     if constexpr (Dim == 2) {
-      if (kernels::fluxKernelEligible(this->Scheme.Recon)) {
-        // The row pass is the whole stage; it may not write its input.
-        auto RowPass = [&](const Field<Dim> &In, Field<Dim> &Out,
-                           const SspStage &St, bool Last) {
-          telemetry::ScopedSpan Sp(SpanFlux);
-          return blockReduce2D(
-              this->N[0], this->N[1], this->Exec, 0.0,
-              [&](size_t RB, size_t RE, size_t CB, size_t CE) {
-                return stageRows2D(St, Last, Dt, In, Out, RB, RE, CB, CE);
-              },
-              MaxOf);
-        };
-        this->runStages(/*WholeField=*/false, RowPass);
-        return;
-      }
-    }
-
-    // Every RHS element is written by the zeroing region before it is read.
-    const Shape Interior = this->Prob.Domain.interiorShape();
-    if (Res.shape() != Interior)
-      Res = Field<Dim>(this->Pool, Interior, FieldInit::Uninit);
-    auto PerAxis = [&](const Field<Dim> &In, Field<Dim> &Out,
-                       const SspStage &St, bool Last) {
-      {
+      // The row pass is the whole stage for every scheme; it may not
+      // write its input.
+      const bool Stencils =
+          this->Scheme.Recon != ReconstructionKind::PiecewiseConstant;
+      auto RowPass = [&](const Field<Dim> &In, Field<Dim> &Out,
+                         const SspStage &St, bool Last) {
         telemetry::ScopedSpan Sp(SpanFlux);
-        fluxPhase(In);
-      }
-      // Update loop (one region): Out = A*U + B*(In + dt*Res) on the
-      // interior, folded with GetDT on the last stage.  Runs over the 2D
-      // (line, cell) space so the backend can tile it; per-element results
-      // are grouping-independent and the max chain is exact, and the
-      // blocks are those of the from-scratch GetDT.
-      constexpr unsigned LineAxis = Dim - 1;
-      telemetry::ScopedSpan Sp(SpanUpdate);
-      return blockReduce2D(
-          this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
-          [&](size_t LB, size_t LE, size_t CB, size_t CE) {
-            return updateRange(St, Last, Dt, In, Out, LB, LE, CB, CE);
-          },
-          MaxOf);
-    };
-    this->runStages(/*WholeField=*/true, PerAxis);
+        return blockReduce2D(
+            this->N[0], this->N[1], this->Exec, 0.0,
+            [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+              return Stencils
+                         ? stageRows2D<true>(St, Last, Dt, In, Out, RB, RE,
+                                             CB, CE)
+                         : stageRows2D<false>(St, Last, Dt, In, Out, RB, RE,
+                                              CB, CE);
+            },
+            MaxOf);
+      };
+      this->runStages(/*WholeField=*/false, RowPass);
+    } else {
+      static const unsigned SpanUpdate = telemetry::spanId("solver.update");
+      // Every RHS element is written by the zeroing region before it is
+      // read.
+      const Shape Interior = this->Prob.Domain.interiorShape();
+      if (Res.shape() != Interior)
+        Res = Field<Dim>(this->Pool, Interior, FieldInit::Uninit);
+      auto PerAxis = [&](const Field<Dim> &In, Field<Dim> &Out,
+                         const SspStage &St, bool Last) {
+        {
+          telemetry::ScopedSpan Sp(SpanFlux);
+          fluxPhase(In);
+        }
+        // Update loop (one region): Out = A*U + B*(In + dt*Res) on the
+        // interior, folded with GetDT on the last stage.  Runs over the
+        // (line, cell) space so the backend can tile it; per-element
+        // results are grouping-independent and the max chain is exact,
+        // and the blocks are those of the from-scratch GetDT.
+        constexpr unsigned LineAxis = Dim - 1;
+        telemetry::ScopedSpan Sp(SpanUpdate);
+        return blockReduce2D(
+            this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
+            [&](size_t LB, size_t LE, size_t CB, size_t CE) {
+              return updateRange(St, Last, Dt, In, Out, LB, LE, CB, CE);
+            },
+            MaxOf);
+      };
+      this->runStages(/*WholeField=*/true, PerAxis);
+    }
   }
 
 private:
-  /// One stage's flux phase on the per-axis path (1D, 3D and every
-  /// reconstructed scheme): the RHS of the stage input \p In is zeroed in
-  /// a region of its own, then one region sweeps each axis.  The backend
-  /// may tile the 2D iteration space: faces are recomputed at sub-range
-  /// seams, so tiled and flattened sweeps are bit-identical.
+  /// One stage's flux phase on the per-axis path (1D and 3D): the RHS of
+  /// the stage input \p In is zeroed in a region of its own, then one
+  /// region sweeps each axis.  The backend may tile the 2D iteration
+  /// space: faces are recomputed at sub-range seams, so tiled and
+  /// flattened sweeps are bit-identical.
   void fluxPhase(const Field<Dim> &In) {
+    static_assert(Dim != 2, "a 2D stage is the row pass");
     this->Exec.parallelFor(
         0, this->Prob.Domain.interiorCount(), [&](size_t B, size_t E) {
           kernels::zeroState<Dim>(Res.run(B), E - B, this->SimdEnabled);
@@ -157,8 +166,7 @@ private:
   void sweepRange(const Field<Dim> &In, unsigned Axis, size_t LineBegin,
                   size_t LineEnd, size_t CellBegin, size_t CellEnd) {
     // Piecewise-constant faces of the last axis are contiguous face rows
-    // fed to kernels::fluxFaces straight from the field (the 2D case never
-    // gets here: it runs the row pass).
+    // fed to kernels::fluxFaces straight from the field.
     if (Axis == Dim - 1 && kernels::fluxKernelEligible(this->Scheme.Recon)) {
       sweepRangeKernelLastAxis(In, LineBegin, LineEnd, CellBegin, CellEnd);
       return;
@@ -227,25 +235,34 @@ private:
     }
   }
 
-  /// One 2D piecewise-constant stage over interior rows [RB, RE) x
-  /// columns [CB, CE): one pass down the rows serving both axes, reading
-  /// \p In and writing the same cells of \p Out.  Two rolling primitive
-  /// rows hold cells [CB-1, CE] of rows i and i+1, so cellPrims converts
-  /// each cell row once per stage (plus the row above the block at its
-  /// seam); two rolling flux rows hold axis-0 face rows i and i+1, and one
-  /// flux row holds row i's axis-1 faces.  Per row i: convert row i+1
-  /// into the free primitive slot, solve axis-0 face row i+1, zero the
-  /// RHS row and accumulate the axis-0 difference, solve row i's axis-1
-  /// faces from its resident primitives and accumulate their difference,
-  /// then write Out row i = A*U + B*(In + dt*RHS) (U is Q^n) and, on the
-  /// \p Last stage, fold the updated row's max CFL eigenvalue.  Every
-  /// cell still accumulates 0, then -D0, then -D1 from the same face
-  /// values as the per-axis sweeps.  The seam rows (RB-1 and RE, ghost
-  /// rows included) feed axis-0 faces only, so they are converted over
-  /// columns [CB, CE) and ghost corners are never read.  A block reads
-  /// only In (and U at its own cells) and writes only its own Out cells,
-  /// so blocks and tiles have no seam hazards.  \returns the block's
-  /// maximum (0 unless \p Last).
+  /// One 2D stage over interior rows [RB, RE) x columns [CB, CE): one
+  /// pass down the rows serving both axes, reading \p In and writing the
+  /// same cells of \p Out.  Two rolling flux rows hold axis-0 face rows i
+  /// and i+1, and one flux row holds row i's axis-1 faces.  Per row i:
+  /// solve axis-0 face row i+1, zero the RHS row and accumulate the
+  /// axis-0 difference, solve row i's axis-1 faces and accumulate their
+  /// difference, then write Out row i = A*U + B*(In + dt*RHS) (U is Q^n)
+  /// and, on the \p Last stage, fold the updated row's max CFL
+  /// eigenvalue.  Every cell accumulates 0, then -D0, then -D1 from the
+  /// same face values as the per-axis sweeps.
+  ///
+  /// \p Stencils picks how a face row is solved.  Piecewise constant
+  /// (false): two rolling primitive rows hold cells [CB-1, CE] of rows i
+  /// and i+1, so cellPrims converts each cell row once per stage (plus
+  /// the row above the block at its seam), and fluxFaces reads two
+  /// shifted views of cells and planes; the seam rows (RB-1 and RE,
+  /// ghost rows included) feed axis-0 faces only, so they are converted
+  /// over columns [CB, CE).  A reconstructed scheme (true) copies
+  /// nothing: every stencil already sits in \p In, so reconstructFaces
+  /// reads axis-0 face row F's stencil from rows F-3+s at column CB
+  /// (lanes across columns) and row i's axis-1 stencils from row i
+  /// shifted by s-3 columns, and fluxFaces solves the face states.  With
+  /// the grid's ghost layers every cell a stencilSpan run reads lies in
+  /// storage, so nothing is clamped.  Either way no ghost corner is
+  /// read.  A block reads only In (and U at its own cells) and writes
+  /// only its own Out cells, so blocks and tiles have no seam hazards.
+  /// \returns the block's maximum (0 unless \p Last).
+  template <bool Stencils>
   double stageRows2D(const SspStage &St, bool Last, double Dt,
                      const Field<Dim> &In, Field<Dim> &Out, size_t RB,
                      size_t RE, size_t CB, size_t CE) {
@@ -253,7 +270,8 @@ private:
     const double InvDx0 = 1.0 / this->Prob.Domain.dx(0);
     const double InvDx1 = 1.0 / this->Prob.Domain.dx(1);
     const Gas &G = this->Prob.G;
-    const RiemannKind Kind = this->Scheme.Riemann;
+    const SchemeConfig &SC = this->Scheme;
+    const RiemannKind Kind = SC.Riemann;
     const bool Simd = this->SimdEnabled;
     const size_t S0 = this->StorageStride[0];
     const size_t W = CE - CB;
@@ -263,52 +281,76 @@ private:
     auto RowBase = [&](size_t R) {
       return (this->Ng + R) * S0 + this->Ng + CB;
     };
-    auto Convert = [&](size_t Base, const kernels::PrimRun<Dim> &P) {
-      kernels::cellPrims<Dim>(In.crun(Base - 1), P, G, Kind, W + 2, Simd);
-    };
-    auto ConvertSeam = [&](size_t Base, const kernels::PrimRun<Dim> &P) {
-      kernels::cellPrims<Dim>(In.crun(Base), kernels::advance(P, 1), G, Kind,
-                              W, Simd);
-    };
-    // Axis-0 face row F, between rows F-1 (Lo) and F (Hi).
-    auto Faces0 = [&](size_t F, const kernels::PrimRun<Dim> &Lo,
-                      const kernels::PrimRun<Dim> &Hi,
-                      const kernels::Run<Dim> &Flux) {
-      kernels::fluxFaces<Dim>(In.crun(RowBase(F) - S0),
-                              kernels::advance(Lo, 1), In.crun(RowBase(F)),
-                              kernels::advance(Hi, 1), Flux, G, /*Axis=*/0,
-                              Kind, W, Simd);
-    };
 
     FluxScratch<Dim> Scratch = fluxScratch<Dim>(6, W + 2);
+    // Piecewise constant: the rolling primitive rows.  Reconstructed: the
+    // face-state rows.
     kernels::PrimRun<Dim> Prims[2] = {Scratch.prims(0), Scratch.prims(1)};
+    kernels::Run<Dim> FaceL = Scratch.run(0), FaceR = Scratch.run(1);
     kernels::Run<Dim> Rows[2] = {Scratch.run(2), Scratch.run(3)};
     kernels::Run<Dim> Row1 = Scratch.run(4);
     kernels::Run<Dim> ResRow = Scratch.run(5);
-    ConvertSeam(RowBase(RB) - S0, Prims[0]);
-    Convert(RowBase(RB), Prims[1]);
-    Faces0(RB, Prims[0], Prims[1], Rows[0]);
+    // The \p Faces faces along \p Axis whose stencil cell s is element f
+    // of the run at Base + (s-3)*Step.
+    auto StencilFaces = [&](size_t Base, size_t Step, unsigned Axis,
+                            size_t Faces, const kernels::Run<Dim> &Flux) {
+      const kernels::StencilSpan Span = kernels::stencilSpan(SC.Recon);
+      kernels::StencilRuns<Dim> Stencil;
+      for (unsigned C = Span.First; C <= Span.Last; ++C)
+        Stencil[C] = In.crun(Base + C * Step - 3 * Step);
+      kernels::reconstructFaces<Dim>(Stencil, FaceL, FaceR, G, Axis, SC.Recon,
+                                     SC.Limiter, SC.Vars, Faces, Simd);
+      kernels::fluxFaces<Dim>(FaceL, FaceR, Flux, G, Axis, Kind, Faces, Simd);
+    };
+    // Axis-0 face row RB+J, between rows F-1 and F, into Rows[J % 2].
+    // Piecewise constant: row F goes into the primitive slot (J+1) % 2
+    // first, beside row F-1 in slot J % 2 (converted here too when it is
+    // the block's seam row RB-1); a seam row feeds axis-0 faces only, so
+    // it is converted over columns [CB, CE).
+    auto FaceRow0 = [&](size_t J) {
+      const size_t F = RB + J, Hi = RowBase(F), Lo = Hi - S0;
+      if constexpr (Stencils) {
+        StencilFaces(Hi, S0, /*Axis=*/0, W, Rows[J % 2]);
+      } else {
+        const kernels::PrimRun<Dim> &PLo = Prims[J % 2];
+        const kernels::PrimRun<Dim> &PHi = Prims[(J + 1) % 2];
+        if (J == 0)
+          kernels::cellPrims<Dim>(In.crun(Lo), kernels::advance(PLo, 1), G,
+                                  Kind, W, Simd);
+        if (F == RE)
+          kernels::cellPrims<Dim>(In.crun(Hi), kernels::advance(PHi, 1), G,
+                                  Kind, W, Simd);
+        else
+          kernels::cellPrims<Dim>(In.crun(Hi - 1), PHi, G, Kind, W + 2, Simd);
+        kernels::fluxFaces<Dim>(In.crun(Lo), kernels::advance(PLo, 1),
+                                In.crun(Hi), kernels::advance(PHi, 1),
+                                Rows[J % 2], G, /*Axis=*/0, Kind, W, Simd);
+      }
+    };
+
+    FaceRow0(0);
     double Acc = 0.0;
     for (size_t I = RB; I != RE; ++I) {
       size_t K = I - RB;
-      // Row I+1 replaces row I-1, whose last face (I) is done; row I
-      // stays resident for its axis-1 faces.
-      const kernels::PrimRun<Dim> &Cur = Prims[(K + 1) % 2];
-      if (I + 1 == RE)
-        ConvertSeam(RowBase(I + 1), Prims[K % 2]);
-      else
-        Convert(RowBase(I + 1), Prims[K % 2]);
-      Faces0(I + 1, Cur, Prims[K % 2], Rows[(K + 1) % 2]);
+      // Face row I+1 replaces face row I-1, whose last cell row (I-1) is
+      // done (and, piecewise constant, primitive row I+1 replaces row
+      // I-1; row I stays resident for its axis-1 faces).
+      FaceRow0(K + 1);
 
       kernels::zeroState<Dim>(ResRow, W, Simd);
       kernels::accumDivergence<Dim>(ResRow, Rows[K % 2], Rows[(K + 1) % 2],
                                     InvDx0, W, Simd);
 
       const size_t Base = RowBase(I);
-      kernels::ConstRun<Dim> Cells = In.crun(Base - 1);
-      kernels::fluxFaces<Dim>(Cells, Cur, kernels::advance(Cells, 1),
-                              kernels::advance(Cur, 1), Row1, G, /*Axis=*/1,
-                              Kind, W + 1, Simd);
+      if constexpr (Stencils) {
+        StencilFaces(Base, 1, /*Axis=*/1, W + 1, Row1);
+      } else {
+        const kernels::PrimRun<Dim> &Cur = Prims[(K + 1) % 2];
+        kernels::ConstRun<Dim> Cells = In.crun(Base - 1);
+        kernels::fluxFaces<Dim>(Cells, Cur, kernels::advance(Cells, 1),
+                                kernels::advance(Cur, 1), Row1, G,
+                                /*Axis=*/1, Kind, W + 1, Simd);
+      }
       kernels::ConstRun<Dim> Lo = Row1;
       kernels::accumDivergence<Dim>(ResRow, Lo, kernels::advance(Lo, 1),
                                     InvDx1, W, Simd);
@@ -345,8 +387,8 @@ private:
     return Acc;
   }
 
-  /// The per-axis path's RHS scratch, leased from the solver pool on the
-  /// first step and held for the solver's lifetime.
+  /// The per-axis path's RHS scratch (1D and 3D), leased from the solver
+  /// pool on the first step and held for the solver's lifetime.
   Field<Dim> Res;
 };
 

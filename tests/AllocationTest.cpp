@@ -90,9 +90,10 @@ TEST(AllocationTest, SteadyStateStepsAllocateNothing2D) {
 }
 
 TEST(AllocationTest, SteadyStateStepsAllocateNothingSoA) {
-  // The higher-order gather over SoA planes: the fused engine stages each
-  // line's stencil window into a per-thread, grown-only row (beside its
-  // face-flux row), which must be sized once in warmup and then reused.
+  // The higher-order face path over SoA planes: the fused row pass keeps
+  // its face-state, flux and RHS rows in a per-thread, grown-only
+  // scratch (the array engine also stages each line's stencil window
+  // there), which must be sized once in warmup and then reused.
   SchemeConfig Weno3 = SchemeConfig::figureScheme();
   SerialBackend Serial;
   expectZeroSteadyStateAllocs(shockInteraction2D(16), Serial,

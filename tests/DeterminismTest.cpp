@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -526,15 +527,17 @@ TEST_F(DeterminismTest, LayoutSimdTiledRusanovHllInteraction2DFusedSolver) {
 }
 
 TEST_F(DeterminismTest, HigherOrderStagedGatherFusedMatchesArray) {
-  // Both engines stage each run of faces' clamped stencil window once
-  // and slide the 6-cell stencil over it; the serial array run stages
-  // whole lines (and the pinned scenario hashes tie it to the historical
-  // per-face gather).  WENO3 (characteristic variables) and MUSCL on
-  // fused loops, serial and on ragged tiles on a persistent pool, must
-  // both reproduce it bitwise.  Every arm has seams at
-  // CellBegin = 0 and CellEnd = N, so the window clamp runs at both line
-  // ends, and the 5x7 tiles of the 19-cell grid add interior seams where
-  // it must not.
+  // The array engine stages each run of faces' clamped stencil window
+  // once and slides the 6-cell stencil over it; the serial array run
+  // stages whole lines (and the pinned scenario hashes tie it to the
+  // historical per-face gather).  The fused row pass reads the same
+  // stencils straight from the stage field's rows, unclamped.  WENO3
+  // (characteristic variables) and MUSCL on fused loops, serial and on
+  // ragged tiles on a persistent pool, must both reproduce it bitwise.
+  // Every arm has block edges at the domain boundary, where the array
+  // window clamps and the row pass reads ghost rows and columns, and the
+  // 5x7 tiles of the 19-cell grid add interior seams where the row pass
+  // reads its neighbours' cells.
   Problem<2> Prob = shockInteraction2D(19, 2.2, 9.5);
   SchemeConfig Muscl = SchemeConfig::figureScheme();
   Muscl.Recon = ReconstructionKind::Tvd2;
@@ -632,63 +635,79 @@ TEST_F(DeterminismTest, FoldsMatchMaterializedBlast3D) {
                                  SchemeConfig::benchmarkScheme(), 3);
 }
 
-// Row-pass seam rows: the fused engine's 2D piecewise-constant stage is
+// Row-pass seam rows: the fused engine's 2D stage, for every scheme, is
 // one pass down the rows serving both axes and writing the stage output
-// out of place, with the row above each block converted at its seam.  A
-// ragged 23x17 interaction with unequal dx puts block and tile seams
-// mid-field (spin-pool and fork-join blocks of 3, 5x7 tiles); the fused
-// field must equal the array engine's serial scalar field bit for bit on
-// every arm, SIMD on and off, and its full storage (ghosts included) must
-// equal the serial flat scalar fused arm's.  Roe is off the kernel
-// mirror, so it runs the PrimRun overload's reference loop.
+// out of place.  Piecewise constant converts the row above each block at
+// its seam; a reconstructed scheme reads its stencils straight from the
+// stage input, 3 rows and columns past the block.  A ragged 23x17
+// interaction with unequal dx puts block and tile seams mid-field
+// (spin-pool and fork-join blocks of 3, 5x7 tiles).  Each row runs its
+// Riemann solver under PC1, TVD2 MinMod, TVD3 Superbee, WENO3 and WENO5,
+// on a grid with the scheme's ghost layers (3 for WENO5; PC1 keeps 2):
+// the fused field must equal the array engine's serial scalar field bit
+// for bit on every arm, SIMD on and off, and so must its full storage,
+// ghosts included.  Roe is off the kernel mirror, so it runs the
+// reference loops.
 namespace {
 void checkRowPassSeams(RiemannKind Riemann) {
-  Problem<2> Prob = shockInteraction2D(23, 2.2, 11.5);
-  Prob.Domain = Grid<2>({23, 17}, {0.0, 0.0}, {23.0, 23.0}, 2);
-  const SchemeConfig Scheme = pc1Scheme(Riemann);
+  const std::pair<ReconstructionKind, LimiterKind> Schemes[] = {
+      {ReconstructionKind::PiecewiseConstant, LimiterKind::MinMod},
+      {ReconstructionKind::Tvd2, LimiterKind::MinMod},
+      {ReconstructionKind::Tvd3, LimiterKind::Superbee},
+      {ReconstructionKind::Weno3, LimiterKind::MinMod},
+      {ReconstructionKind::Weno5, LimiterKind::MinMod}};
   constexpr unsigned Steps = 16;
-
-  auto RefExec = createBackend(BackendKind::Serial, 1);
-  ArraySolver<2> Ref(Prob, Scheme, *RefExec, ArrayEvalMode::Fused,
-                     /*Simd=*/false);
-  Ref.advanceSteps(Steps);
-  ArraySolver<2> Init(Prob, Scheme, *RefExec, ArrayEvalMode::Fused,
-                      /*Simd=*/false);
-  EXPECT_GT(maxFieldDifference(Init, Ref), 0.0)
-      << "array reference did not evolve";
-
   const std::pair<BackendKind, unsigned> Arms[] = {{BackendKind::Serial, 1},
                                                    {BackendKind::SpinPool, 3},
                                                    {BackendKind::ForkJoin, 3}};
-  std::vector<Cons<2>> FirstStorage;
-  for (const Tile &TileCfg : {Tile::off(), Tile::sized(5, 7)})
-    for (auto [Kind, Workers] : Arms)
-      for (bool Simd : {false, true}) {
-        auto Exec =
-            createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
-        ASSERT_NE(Exec, nullptr);
-        std::string Label = std::string(riemannKindName(Riemann)) + " " +
-                            Exec->name() + "(" + std::to_string(Workers) +
-                            ")" + (Simd ? " simd" : " scalar") +
-                            " tile=" + TileCfg.str();
-        FusedSolver<2> S(Prob, Scheme, *Exec, Simd);
-        S.advanceSteps(Steps);
-        EXPECT_TRUE(sameBits(Ref.time(), S.time())) << Label;
-        EXPECT_EQ(fieldStateHash(Ref), fieldStateHash(S)) << Label;
-        EXPECT_EQ(maxFieldDifference(Ref, S), 0.0) << Label;
+  for (auto [Recon, Limiter] : Schemes) {
+    SchemeConfig Scheme = pc1Scheme(Riemann);
+    Scheme.Recon = Recon;
+    Scheme.Limiter = Limiter;
+    Problem<2> Prob = shockInteraction2D(23, 2.2, 11.5);
+    Prob.Domain = Grid<2>({23, 17}, {0.0, 0.0}, {23.0, 23.0},
+                          std::max(2u, ghostCells(Recon)));
 
-        // Full storage, ghosts included, against the first arm (serial,
-        // flat, scalar): U must never end a step holding a stage scratch
-        // field's ghost cells.
-        std::vector<Cons<2>> Storage(S.field().size());
-        S.field().exportTo(Storage.data());
-        if (FirstStorage.empty())
-          FirstStorage = Storage;
-        EXPECT_EQ(std::memcmp(Storage.data(), FirstStorage.data(),
-                              Storage.size() * sizeof(Cons<2>)),
-                  0)
-            << Label;
-      }
+    auto RefExec = createBackend(BackendKind::Serial, 1);
+    ArraySolver<2> Ref(Prob, Scheme, *RefExec, ArrayEvalMode::Fused,
+                       /*Simd=*/false);
+    Ref.advanceSteps(Steps);
+    ArraySolver<2> Init(Prob, Scheme, *RefExec, ArrayEvalMode::Fused,
+                        /*Simd=*/false);
+    EXPECT_GT(maxFieldDifference(Init, Ref), 0.0)
+        << Scheme.str() << ": array reference did not evolve";
+    EXPECT_TRUE(fieldHealth(Ref).AllFinite)
+        << Scheme.str() << ": array reference broke down";
+    std::vector<Cons<2>> RefStorage(Ref.field().size());
+    Ref.field().exportTo(RefStorage.data());
+
+    for (const Tile &TileCfg : {Tile::off(), Tile::sized(5, 7)})
+      for (auto [Kind, Workers] : Arms)
+        for (bool Simd : {false, true}) {
+          auto Exec =
+              createBackend(Kind, Workers, Schedule::staticBlock(), TileCfg);
+          ASSERT_NE(Exec, nullptr);
+          std::string Label = Scheme.str() + " " + Exec->name() + "(" +
+                              std::to_string(Workers) + ")" +
+                              (Simd ? " simd" : " scalar") +
+                              " tile=" + TileCfg.str();
+          FusedSolver<2> S(Prob, Scheme, *Exec, Simd);
+          S.advanceSteps(Steps);
+          EXPECT_TRUE(sameBits(Ref.time(), S.time())) << Label;
+          EXPECT_EQ(fieldStateHash(Ref), fieldStateHash(S)) << Label;
+          EXPECT_EQ(maxFieldDifference(Ref, S), 0.0) << Label;
+
+          // Full storage, ghosts included: U must never end a step
+          // holding a stage scratch field's ghost cells.
+          std::vector<Cons<2>> Storage(S.field().size());
+          S.field().exportTo(Storage.data());
+          ASSERT_EQ(Storage.size(), RefStorage.size()) << Label;
+          EXPECT_EQ(std::memcmp(Storage.data(), RefStorage.data(),
+                                Storage.size() * sizeof(Cons<2>)),
+                    0)
+              << Label;
+        }
+  }
 }
 } // namespace
 

@@ -257,7 +257,9 @@ TEST(Kernels, FluxHllBrokenStates) {
 // -------------------------------------------------------------------------
 // reconstructFaces: scalar == simd == reconstructFaceStates on each
 // face's 6-cell stencil, for every scheme x limiter, every axis, ragged
-// run lengths.
+// run lengths, in both forms: the window form (face f's stencil is window
+// cells f..f+5) and the stencil-run form over rows of a 2D SoA buffer,
+// which must also equal the window form.
 
 struct ReconScheme {
   ReconstructionKind Kind;
@@ -332,20 +334,48 @@ checkReconstructFaces(ReconScheme Scheme, ReconstructVariables Vars,
             Finite += std::isfinite(V);
           }
       }
+      // The stencil-run form's buffer: row s holds stencil cell s of every
+      // face (window cells s..s+N-1), rows Pitch cells apart, as the
+      // fused row pass points runs at field rows.  The gap cells are NaN,
+      // so a read outside a face's stencil shows in its output.
+      const size_t Pitch = N + 3;
+      Cons<Dim> Gap;
+      for (unsigned K = 0; K < NumVars<Dim>; ++K)
+        Gap.setComp(K, std::numeric_limits<double>::quiet_NaN());
+      std::vector<Cons<Dim>> Rows(6 * Pitch, Gap);
+      for (unsigned C = 0; C < 6; ++C)
+        for (size_t I = 0; I < N; ++I)
+          Rows[C * Pitch + I] = Win[I + C];
       for (bool Simd : {false, true}) {
         Buffers<Dim> Bw(Win), Bl{std::vector<Cons<Dim>>(N)},
             Br{std::vector<Cons<Dim>>(N)};
         reconstructFaces<Dim>(Bw.crun(), Bl.run(), Br.run(), G, Axis,
                               Scheme.Kind, Scheme.Limiter, Vars, N, Simd);
+        // Only the runs the scheme reads are formed; the others stay
+        // empty, so reading one would fault.
+        Buffers<Dim> Bs(Rows), Sl{std::vector<Cons<Dim>>(N)},
+            Sr{std::vector<Cons<Dim>>(N)};
+        StencilRuns<Dim> Stencil;
+        const StencilSpan Span = stencilSpan(Scheme.Kind);
+        for (unsigned C = Span.First; C <= Span.Last; ++C)
+          Stencil[C] = advance(Bs.crun(), static_cast<ptrdiff_t>(C * Pitch));
+        reconstructFaces<Dim>(Stencil, Sl.run(), Sr.run(), G, Axis,
+                              Scheme.Kind, Scheme.Limiter, Vars, N, Simd);
+        std::vector<Cons<Dim>> WinL(N), WinR(N);
+        for (size_t I = 0; I < N; ++I) {
+          WinL[I] = Bl.at(I);
+          WinR[I] = Br.at(I);
+        }
         std::string What = Name + " simd=" + std::to_string(Simd) +
                            " axis=" + std::to_string(Axis);
-        if (NaNAgnostic) {
-          expectBitEqualUpToNaN(RefL, Bl, N, What + " L");
-          expectBitEqualUpToNaN(RefR, Br, N, What + " R");
-        } else {
-          expectBitEqual(RefL, Bl, N, What + " L");
-          expectBitEqual(RefR, Br, N, What + " R");
-        }
+        auto Expect = NaNAgnostic ? expectBitEqualUpToNaN<Dim>
+                                  : expectBitEqual<Dim>;
+        Expect(RefL, Bl, N, What + " L");
+        Expect(RefR, Br, N, What + " R");
+        Expect(RefL, Sl, N, What + " stencil L");
+        Expect(RefR, Sr, N, What + " stencil R");
+        Expect(WinL, Sl, N, What + " stencil L vs window");
+        Expect(WinR, Sr, N, What + " stencil R vs window");
       }
     }
   }

@@ -223,6 +223,8 @@ TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
   // snapshot, update and GetDT folded), or the fused engine's one row
   // pass, which is the whole stage (both axes, the RHS row, the update
   // written out of place, and GetDT on the last stage; no snapshot).
+  // The figure scheme (WENO3) runs the same passes as PC1 on both
+  // engines: the fused row pass reads its stencils from the stage input.
   // Only the first step's GetDT runs as a region of its own.  Gauges are
   // due at every step here, and the gauges' interior pass
   // (solver.summarize) is one more region per step.
@@ -230,31 +232,33 @@ TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
     auto Exec = createBackend(Kind, Kind == BackendKind::Serial ? 1 : 2);
     ASSERT_NE(Exec, nullptr);
     Problem<2> Prob = shockInteraction2D(16, 2.2, 8.0);
-    SchemeConfig Scheme = SchemeConfig::benchmarkScheme();
-    ASSERT_EQ(Scheme.Integrator, TimeIntegratorKind::SspRk3);
-    for (bool ArrayEngine : {true, false}) {
-      SCOPED_TRACE(std::string(ArrayEngine ? "array" : "fused") + " on " +
-                   Exec->name());
-      const uint64_t PerStep = ArrayEngine ? 21 : 15;
-      std::unique_ptr<EulerSolver<2>> S;
-      if (ArrayEngine)
-        S = std::make_unique<ArraySolver<2>>(Prob, Scheme, *Exec);
-      else
-        S = std::make_unique<FusedSolver<2>>(Prob, Scheme, *Exec);
-      S->advance();
-      telemetry::reset();
-      const uint64_t Before = Exec->regionsDispatched();
-      constexpr unsigned Steps = 3;
-      S->advanceSteps(Steps);
-      EXPECT_EQ(Exec->regionsDispatched() - Before, Steps * (PerStep + 1));
+    for (const SchemeConfig &Scheme :
+         {SchemeConfig::benchmarkScheme(), SchemeConfig::figureScheme()}) {
+      ASSERT_EQ(Scheme.Integrator, TimeIntegratorKind::SspRk3);
+      for (bool ArrayEngine : {true, false}) {
+        SCOPED_TRACE(std::string(ArrayEngine ? "array" : "fused") + " " +
+                     Scheme.str() + " on " + Exec->name());
+        const uint64_t PerStep = ArrayEngine ? 21 : 15;
+        std::unique_ptr<EulerSolver<2>> S;
+        if (ArrayEngine)
+          S = std::make_unique<ArraySolver<2>>(Prob, Scheme, *Exec);
+        else
+          S = std::make_unique<FusedSolver<2>>(Prob, Scheme, *Exec);
+        S->advance();
+        telemetry::reset();
+        const uint64_t Before = Exec->regionsDispatched();
+        constexpr unsigned Steps = 3;
+        S->advanceSteps(Steps);
+        EXPECT_EQ(Exec->regionsDispatched() - Before, Steps * (PerStep + 1));
 
-      telemetry::MetricsReport R = telemetry::snapshot();
-      const telemetry::CounterTotal *Regions =
-          R.findCounter("runtime.regions");
-      ASSERT_NE(Regions, nullptr);
-      EXPECT_EQ(Regions->Total, Steps * (PerStep + 1));
-      EXPECT_EQ(R.findSpan("solver.get_dt"), nullptr);
-      EXPECT_EQ(R.findSpan("solver.snapshot"), nullptr);
+        telemetry::MetricsReport R = telemetry::snapshot();
+        const telemetry::CounterTotal *Regions =
+            R.findCounter("runtime.regions");
+        ASSERT_NE(Regions, nullptr);
+        EXPECT_EQ(Regions->Total, Steps * (PerStep + 1));
+        EXPECT_EQ(R.findSpan("solver.get_dt"), nullptr);
+        EXPECT_EQ(R.findSpan("solver.snapshot"), nullptr);
+      }
     }
   }
 }
