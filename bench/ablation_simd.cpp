@@ -264,13 +264,17 @@ bool writeJson(const std::string &Path, size_t KernelCells, size_t Cells,
 int main(int Argc, const char **Argv) {
   bool Full = false;
   bool Gate = false;
-  int Cells = 96;
+  // One thread on a 200^2 grid: end-to-end walls long enough to compare
+  // across changes (4 threads on 96^2 timed 8-40 ms walls whose SIMD
+  // speedups spread 2x between runs of one binary).
+  int Cells = 200;
   unsigned Steps = 20;
   unsigned Repeats = 2;
   unsigned KernelReps = 200;
   std::string JsonPath;
   RunConfig Cfg;
   Cfg.Scheme = SchemeConfig::benchmarkScheme();
+  Cfg.Threads = 1;
 
   CommandLine CL("ablation_simd",
                  "A8: per-kernel scalar-vs-SIMD speedups plus the "

@@ -16,8 +16,9 @@
 #            report): the determinism matrix, i.e. every backend's
 #            parallel loops and reductions at 1-8 workers, then the
 #            HealthScan tests (the interior health pass's per-slab
-#            partials on every backend).  The OpenMP backend stays out:
-#            libgomp is not instrumented.
+#            partials on every backend) and the Boundary tests (the
+#            one-region ghost fill's slab writers on every backend).  The
+#            OpenMP backend stays out: libgomp is not instrumented.
 #
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
@@ -65,7 +66,7 @@ for TYPE in Debug Release asan tsan; do
       ctest --output-on-failure -j "$JOBS" ${LABELS:+-L "$LABELS"})
   if [ "$TYPE" = tsan ]; then
     (cd "$BUILD" && TSAN_OPTIONS=halt_on_error=1 \
-        ctest --output-on-failure -j "$JOBS" -R '^HealthScan\.')
+        ctest --output-on-failure -j "$JOBS" -R '^HealthScan\.|^Boundary')
   fi
 done
 

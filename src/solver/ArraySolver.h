@@ -20,11 +20,14 @@
 /// Two evaluation modes model the SaC compiler's optimization level:
 ///   Fused        with-loops compose whole pipelines per pass (sac2c
 ///                after with-loop folding — the paper's "collating many
-///                small operations into fewer larger operations").  Each
-///                stage is the per-axis flux with-loops plus one combine
-///                with-loop that also folds the residual and the next
-///                step's GetDT reduction (last stage), so no residual
-///                field exists.  Like a with-loop, a stage defines a new
+///                small operations into fewer larger operations").  A 2D
+///                stage is three with-loops: the ghost fill (every side
+///                in one region), one flux with-loop that yields both
+///                axes' flux fields, and one combine with-loop that also
+///                folds the residual and the next step's GetDT
+///                reduction (last stage), so no residual field exists;
+///                1D and 3D run one flux with-loop per axis.  Like a
+///                with-loop, a stage defines a new
 ///                array: it reads its input and writes its output out of
 ///                place through the shared stage driver
 ///                (EulerSolver::runStages), Q^n is U itself, and no
@@ -32,8 +35,10 @@
 ///                The per-stage arithmetic runs through the shared
 ///                kernels:: layer, so contiguous runs take the vectorized
 ///                build — this mode models the optimized compiler output.
-///                Its piecewise-constant flux with-loop converts each
-///                cell row to primitives once (cellPrims) and solves face
+///                Its piecewise-constant 2D flux with-loop converts each
+///                cell to primitives once per stage (cellPrims, into two
+///                rolling rows that feed the axis-0 faces above and below
+///                a row and the row's own axis-1 faces) and solves face
 ///                rows from shifted views of them, in line-local scratch:
 ///                no whole-field primitive array exists.
 ///   Materialized every intermediate array is allocated and filled (the
@@ -121,7 +126,7 @@ private:
   // Fused mode: every stage routed through the kernels:: layer.
   //===--------------------------------------------------------------------===//
 
-  /// One step as whole-field stages: per stage, the flux with-loops of
+  /// One step as whole-field stages: per stage, the flux with-loop(s) of
   /// the stage input and the combine.  The combine reads only the fluxes
   /// (and U and In at its own cells), so a stage may write its input.
   void stepFused(double Dt) {
@@ -131,10 +136,14 @@ private:
                     const SspStage &St, bool Last) {
       std::array<Field<Dim>, Dim> Flux;
       {
-        // Reconstruction + Riemann fluxes, one with-loop per axis.
+        // Reconstruction + Riemann fluxes: one with-loop for both axes
+        // in 2D, one per axis otherwise.
         telemetry::ScopedSpan Sp(SpanFlux);
-        for (unsigned A = 0; A < Dim; ++A)
-          Flux[A] = fluxAlongFused(In, A);
+        if constexpr (Dim == 2)
+          Flux = fluxBothAxes2D(In);
+        else
+          for (unsigned A = 0; A < Dim; ++A)
+            Flux[A] = fluxAlongFused(In, A);
       }
       telemetry::ScopedSpan Sp(SpanUpdate);
       return combineFused(Flux, In, Out, St, Dt, Last);
@@ -209,13 +218,100 @@ private:
         [](double X, double Y) { return std::max(X, Y); });
   }
 
+  /// Both flux fields of the 2D stage input \p In from one with-loop: a
+  /// parallelFor2D over the (N0+1) x (N1+1) rectangle bounding both face
+  /// spaces, whose element (F, C) stands for axis-0 face (F, C) when C <
+  /// N1 and axis-1 face (F, C) when F < N0, so each face is computed by
+  /// exactly one block.  The with-loop yields two arrays, the way sac2c
+  /// fuses with-loops over a shared generator.
+  ///
+  /// Piecewise constant: down each block's face rows F, two rolling
+  /// primitive rows hold cell rows F-1 and F over columns [CB-1, CE-1]
+  /// (cellPrims converts each cell row once per block, plus the row above
+  /// the block at its seam); axis-0 face row F reads both, row F's axis-1
+  /// faces read row F, and kernels::fluxFaces solves each face row from
+  /// two shifted views of cells and planes.  The seam row and the ghost
+  /// row past the last face row feed axis-0 faces only, so they are
+  /// converted over columns [CB, min(CE, N1)) and no ghost corner is
+  /// read.  Every other scheme runs a staged-window run per line of the
+  /// block (faceRun).  A face's inputs do not depend on the block it
+  /// falls in, so any blocking writes bit-identical fluxes.
+  std::array<Field<Dim>, Dim> fluxBothAxes2D(const Field<Dim> &In) {
+    static_assert(Dim == 2, "the one-with-loop flux is the 2D stage's");
+    const Gas &G = this->Prob.G;
+    const RiemannKind Kind = this->Scheme.Riemann;
+    const bool Simd = this->SimdEnabled;
+    const size_t N0 = this->N[0], N1 = this->N[1];
+    const size_t S0 = this->StorageStride[0];
+    std::array<Field<Dim>, Dim> Flux = {
+        Field<Dim>(this->Pool, Shape({N0 + 1, N1}), FieldInit::Uninit),
+        Field<Dim>(this->Pool, Shape({N0, N1 + 1}), FieldInit::Uninit)};
+
+    if (!kernels::fluxKernelEligible(this->Scheme.Recon)) {
+      auto Emit0 = [&](size_t Linear, const Cons<Dim> &F) {
+        Flux[0].store(Linear, F);
+      };
+      auto Emit1 = [&](size_t Linear, const Cons<Dim> &F) {
+        Flux[1].store(Linear, F);
+      };
+      this->Exec.parallelFor2D(
+          N0 + 1, N1 + 1, [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+            for (size_t R = RB; R < std::min(RE, N0); ++R)
+              faceRun(In, 1, R, CB, CE - CB, R * (N1 + 1) + CB, 1, Emit1);
+            for (size_t C = CB; C < std::min(CE, N1); ++C)
+              faceRun(In, 0, C, RB, RE - RB, RB * N1 + C, N1, Emit0);
+          });
+      return Flux;
+    }
+
+    this->Exec.parallelFor2D(
+        N0 + 1, N1 + 1, [&](size_t RB, size_t RE, size_t CB, size_t CE) {
+          const size_t W1 = CE - CB;
+          const size_t W0 = std::min(CE, N1) - std::min(CB, N1);
+          FluxScratch<Dim> Scratch = fluxScratch<Dim>(2, W1 + 1);
+          // Primitive slot cell j is column CB-1+j.
+          kernels::PrimRun<Dim> P[2] = {Scratch.prims(0), Scratch.prims(1)};
+          for (size_t F = RB; F != RE; ++F) {
+            const size_t J = F - RB;
+            const kernels::PrimRun<Dim> &PLo = P[J % 2];
+            const kernels::PrimRun<Dim> &PHi = P[(J + 1) % 2];
+            // Storage offsets of cell rows F and F-1 at column CB.
+            const size_t Hi = (this->Ng + F) * S0 + this->Ng + CB;
+            const size_t Lo = Hi - S0;
+            if (J == 0 && W0 != 0)
+              kernels::cellPrims<Dim>(In.crun(Lo), kernels::advance(PLo, 1),
+                                      G, Kind, W0, Simd);
+            if (F < N0)
+              kernels::cellPrims<Dim>(In.crun(Hi - 1), PHi, G, Kind, W1 + 1,
+                                      Simd);
+            else if (W0 != 0)
+              kernels::cellPrims<Dim>(In.crun(Hi), kernels::advance(PHi, 1),
+                                      G, Kind, W0, Simd);
+            if (W0 != 0)
+              kernels::fluxFaces<Dim>(In.crun(Lo), kernels::advance(PLo, 1),
+                                      In.crun(Hi), kernels::advance(PHi, 1),
+                                      Flux[0].run(F * N1 + CB), G,
+                                      /*Axis=*/0, Kind, W0, Simd);
+            if (F < N0) {
+              kernels::ConstRun<Dim> Cells = In.crun(Hi - 1);
+              kernels::fluxFaces<Dim>(Cells, PHi, kernels::advance(Cells, 1),
+                                      kernels::advance(PHi, 1),
+                                      Flux[1].run(F * (N1 + 1) + CB), G,
+                                      /*Axis=*/1, Kind, W1, Simd);
+            }
+          }
+        });
+    return Flux;
+  }
+
   /// Numerical flux field of \p In over the face index space of \p Axis
-  /// (interior shape extended by one along the axis).  Piecewise-constant
-  /// reconstruction takes the kernel path — whole face rows through
-  /// cellPrims + kernels::fluxFaces, vectorized on unit-stride runs;
-  /// every other scheme runs the staged-window with-loop
-  /// (stencilFluxWithLoop).
+  /// (interior shape extended by one along the axis), for 1D and 3D.
+  /// Piecewise-constant reconstruction takes the kernel path — whole face
+  /// rows through cellPrims + kernels::fluxFaces, vectorized on
+  /// unit-stride runs; every other scheme runs the staged-window
+  /// with-loop (stencilFluxWithLoop).
   Field<Dim> fluxAlongFused(const Field<Dim> &In, unsigned Axis) {
+    static_assert(Dim != 2, "a 2D stage runs fluxBothAxes2D");
     const Gas &Gas_ = this->Prob.G;
     const SchemeConfig &SC = this->Scheme;
     const Grid<Dim> &G = this->Prob.Domain;
@@ -261,7 +357,7 @@ private:
                                     SC.Riemann, RowLen, Simd);
           }
         } else if (Axis + 2 == Dim) {
-          // Consecutive face rows step along the axis, so the R-side
+          // 3D axis 1: consecutive face rows step along the axis, so the R-side
           // cell row of one is the L-side row of the next: two rolling
           // primitive rows convert each cell row once per block (plus
           // where a row of the block does not follow on, such as the
@@ -305,6 +401,20 @@ private:
     return Out;
   }
 
+  /// Faces [\p FaceBegin, FaceBegin + \p Len) of line \p Line along \p
+  /// Axis of \p In through the staged-window path
+  /// (EulerSolver::lineFaceFluxes), handed to \p Emit(FaceLinear, Flux)
+  /// from face-space offset \p OutBase, \p OutStride apart.
+  template <typename EmitFn>
+  void faceRun(const Field<Dim> &In, unsigned Axis, size_t Line,
+               size_t FaceBegin, size_t Len, size_t OutBase, size_t OutStride,
+               EmitFn &Emit) const {
+    kernels::ConstRun<Dim> Flux =
+        this->lineFaceFluxes(In, Axis, Line, FaceBegin, Len);
+    for (size_t F = 0; F < Len; ++F)
+      Emit(OutBase + F * OutStride, kernels::loadCons<Dim>(Flux, F));
+  }
+
   /// The genarray with-loop of the paper over the face space \p Faces
   /// of \p Axis of \p In: reconstruct each face from its 6-cell stencil
   /// along the
@@ -318,14 +428,9 @@ private:
   template <typename EmitFn>
   void stencilFluxWithLoop(const Field<Dim> &In, unsigned Axis,
                            const Shape &Faces, EmitFn Emit) {
-    // Faces [FaceBegin, FaceBegin + Len) of line Line, the first of
-    // which sits at face-space offset OutBase, the rest OutStride apart.
     auto Run = [&](size_t Line, size_t FaceBegin, size_t Len, size_t OutBase,
                    size_t OutStride) {
-      kernels::ConstRun<Dim> Flux =
-          this->lineFaceFluxes(In, Axis, Line, FaceBegin, Len);
-      for (size_t F = 0; F < Len; ++F)
-        Emit(OutBase + F * OutStride, kernels::loadCons<Dim>(Flux, F));
+      faceRun(In, Axis, Line, FaceBegin, Len, OutBase, OutStride, Emit);
     };
     if constexpr (Dim == 1) {
       this->Exec.parallelFor(0, Faces.count(), [&](size_t B, size_t E) {

@@ -25,22 +25,23 @@
 /// coordinate — exactly the paper's left/bottom boundaries, which are
 /// part channel exit and part solid wall (Fig. 2).
 ///
-/// Ghost filling is a data-parallel loop over the tangential index space
-/// and is executed through the Backend, so each side contributes one
-/// parallel region per application — part of the per-step region count
-/// whose cost the FIG4 experiment measures.
+/// A fill of every side is one parallel region per application
+/// (BoundaryFill: one work item per interior axis-0 slab plus one for
+/// the axis-0 ghost slabs, segment lookups planned once, ghost layers
+/// written as contiguous row copies) — part of the per-step region count whose cost the FIG4
+/// experiment measures.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SACFD_SOLVER_BOUNDARYCONDITIONS_H
 #define SACFD_SOLVER_BOUNDARYCONDITIONS_H
 
-#include "array/WithLoop.h"
 #include "euler/State.h"
 #include "runtime/Backend.h"
 #include "solver/Field.h"
 #include "solver/Grid.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <functional>
@@ -124,96 +125,207 @@ template <unsigned Dim> struct BoundarySpec {
   }
 };
 
-namespace detail {
-
-/// Fills the ghost layers of one side.  \p Tangential iterates the full
-/// tangential storage extent when \p IncludeTangentialGhosts (second-axis
-/// pass, so corners get defined values).
-template <unsigned Dim>
-void applyBoundarySide(Field<Dim> &U, const Grid<Dim> &G,
-                       const BoundarySpec<Dim> &Spec, unsigned Axis,
-                       bool High, bool IncludeTangentialGhosts,
-                       Backend &Exec, double Time) {
-  const unsigned Ng = G.ghost();
-  const unsigned SideIndex = boundarySide(Axis, High);
-  const std::ptrdiff_t N = static_cast<std::ptrdiff_t>(G.cells(Axis));
-  const std::ptrdiff_t NgS = static_cast<std::ptrdiff_t>(Ng);
-
-  // Tangential iteration space (rank Dim-1; a single point in 1D).
-  Shape TangentialSpace = Shape::uniform(Dim == 1 ? 1 : Dim - 1, 1);
-  std::array<unsigned, Dim> TangentialAxes = {};
-  unsigned NumTangential = 0;
-  for (unsigned A = 0; A < Dim; ++A) {
-    if (A == Axis)
-      continue;
-    size_t Extent = IncludeTangentialGhosts
-                        ? G.cells(A) + 2 * static_cast<size_t>(Ng)
-                        : G.cells(A);
-    TangentialSpace.dim(NumTangential) = Extent;
-    TangentialAxes[NumTangential++] = A;
+/// The ghost fill of one grid under one boundary spec, planned once.
+///
+/// apply() is one parallel region over the axis-0 storage slabs (the
+/// whole storage in 1D).  Work item 0 holds every axis-0 ghost slab: it
+/// fills the low, then the high axis-0 ghost layers over the interior
+/// tangential extent, then runs the axis-1..Dim-1 passes on each of its
+/// slabs.  Work item k >= 1 is interior slab k-1 and runs only those
+/// passes.  An axis-A pass (low side, then high side, axis by axis) fills
+/// the slab's axis-A ghost layers over the full storage extent of the
+/// other axes, so corner ghosts receive the composition of both
+/// conditions (wall mirror of an inflow column, etc.).  The axis-0 pass
+/// reads only cells interior along every other axis, which no axis >= 1
+/// pass writes, and an axis >= 1 pass reads only its own slab, so the
+/// work items have no seam hazards and every ghost cell ends with the
+/// value of the sequential axis-by-axis fill.
+///
+/// Copying kinds move whole runs of a component plane per ghost layer
+/// (contiguous along the last axis); Inflow broadcasts its state;
+/// Prescribed calls StateAt once per tangential column per fill and
+/// writes the state to every layer of that column; Halo cells are left
+/// to the ghost-fill hook that ran before.
+///
+/// The segment of a ghost column is looked up in a per-side table built
+/// at construction, indexed by the storage index of the side's last
+/// tangential axis: that axis's cell centre picks the segment (in 3D the
+/// other tangential axis plays no part), and ghost indices clamp to the
+/// nearest segment.  The plan keeps pointers into \p Spec, which must
+/// outlive it unchanged.
+template <unsigned Dim> class BoundaryFill {
+public:
+  BoundaryFill(const Grid<Dim> &G, const BoundarySpec<Dim> &Spec)
+      : Ng(G.ghost()) {
+    const Shape Storage = G.storageShape();
+    for (unsigned A = 0; A < Dim; ++A) {
+      N[A] = G.cells(A);
+      Extent[A] = Storage.dim(A);
+    }
+    Stride[Dim - 1] = 1;
+    for (unsigned A = Dim - 1; A-- > 0;)
+      Stride[A] = Stride[A + 1] * Extent[A + 1];
+    for (unsigned Axis = 0; Axis < Dim; ++Axis)
+      for (bool High : {false, true}) {
+        const unsigned SideIndex = boundarySide(Axis, High);
+        std::vector<Column> &Cols = Table[SideIndex];
+        if constexpr (Dim == 1) {
+          Cols.push_back({&Spec.segmentAt(SideIndex, 0.0), 0.0});
+        } else {
+          const unsigned P = pickAxis(Axis);
+          const std::ptrdiff_t NgS = static_cast<std::ptrdiff_t>(Ng);
+          for (size_t S = 0; S < Extent[P]; ++S) {
+            double T = G.cellCenter(P, static_cast<std::ptrdiff_t>(S) - NgS);
+            Cols.push_back({&Spec.segmentAt(SideIndex, T), T});
+          }
+        }
+      }
   }
 
-  forEachIndex(TangentialSpace, Exec, [&](const Index &TIx, size_t) {
-    // Build the storage index template for this tangential position and
-    // find the segment from the physical tangential coordinate.
-    Index Storage;
-    Storage.Rank = Dim;
-    double TangentialCoord = 0.0;
-    for (unsigned T = 0; T < NumTangential; ++T) {
-      unsigned A = TangentialAxes[T];
-      std::ptrdiff_t Interior =
-          IncludeTangentialGhosts ? TIx.Coord[T] - NgS : TIx.Coord[T];
-      Storage.Coord[A] = Interior + NgS;
-      TangentialCoord = G.cellCenter(A, Interior);
-    }
-    const BcSegment<Dim> &Seg = Spec.segmentAt(SideIndex, TangentialCoord);
-
-    for (std::ptrdiff_t Layer = 1; Layer <= NgS; ++Layer) {
-      Index Ghost = Storage;
-      Index Source = Storage;
-      Ghost.Coord[Axis] = High ? NgS + N - 1 + Layer : NgS - Layer;
-
-      switch (Seg.Kind) {
-      case BcKind::Transmissive:
-        Source.Coord[Axis] = High ? NgS + N - 1 : NgS;
-        U.set(Ghost, U.at(Source));
-        break;
-      case BcKind::Reflective: {
-        Source.Coord[Axis] =
-            High ? NgS + N - 1 - (Layer - 1) : NgS + (Layer - 1);
-        Cons<Dim> Mirrored = U.at(Source);
-        Mirrored.Mom[Axis] = -Mirrored.Mom[Axis];
-        U.set(Ghost, Mirrored);
-        break;
+  /// Fills every ghost layer of \p U (storage-shaped for the planned
+  /// grid).  \p Time feeds Prescribed segments only.
+  void apply(Field<Dim> &U, Backend &Exec, double Time) const {
+    kernels::Run<Dim> R = U.run();
+    const size_t Items = Dim == 1 ? 1 : 1 + N[0];
+    Exec.parallelFor(0, Items, [&](size_t B, size_t E) {
+      for (size_t Item = B; Item != E; ++Item) {
+        if (Item != 0) {
+          tangentialPasses(R, Ng + Item - 1, Time);
+          continue;
+        }
+        for (bool High : {false, true}) {
+          if constexpr (Dim == 1) {
+            fillSide(R, 0, High, 0, 0, 1, Time);
+          } else {
+            // Axis-0 layers over the interior of the other axes: runs
+            // along the last axis, one per middle-axis row in 3D.
+            const size_t Rows = Dim == 3 ? N[1] : 1;
+            for (size_t Row = 0; Row != Rows; ++Row)
+              fillSide(R, 0, High, Dim == 3 ? (Ng + Row) * Stride[1] : 0, Ng,
+                       Ng + N[Dim - 1], Time);
+          }
+        }
+        if constexpr (Dim > 1)
+          for (size_t Layer = 0; Layer != Ng; ++Layer) {
+            tangentialPasses(R, Layer, Time);
+            tangentialPasses(R, Ng + N[0] + Layer, Time);
+          }
       }
-      case BcKind::Inflow:
-        U.set(Ghost, Seg.InflowState);
-        break;
-      case BcKind::Periodic:
-        // Low ghost layer g copies interior cell N-g; high layer g
-        // copies interior cell g-1.
-        Source.Coord[Axis] = High ? NgS + (Layer - 1) : NgS + N - Layer;
-        U.set(Ghost, U.at(Source));
+    });
+  }
+
+private:
+  struct Column {
+    const BcSegment<Dim> *Seg;
+    /// Tangential coordinate passed to StateAt.
+    double Coord;
+  };
+
+  /// The tangential axis whose cell centre picks a side's segment: the
+  /// last axis other than \p Axis.
+  static constexpr unsigned pickAxis(unsigned Axis) {
+    return Axis == Dim - 1 ? Dim - 2 : Dim - 1;
+  }
+
+  /// The axis-1..Dim-1 passes on axis-0 storage slab \p Slab.
+  void tangentialPasses(const kernels::Run<Dim> &R, size_t Slab,
+                        double Time) const {
+    for (unsigned Axis = 1; Axis < Dim; ++Axis)
+      for (bool High : {false, true}) {
+        if constexpr (Dim == 2)
+          fillSide(R, Axis, High, 0, Slab, Slab + 1, Time);
+        else
+          fillSide(R, Axis, High, Slab * Stride[0], 0,
+                   Extent[pickAxis(Axis)], Time);
+      }
+  }
+
+  /// Fills the ghost layers of side (\p Axis, \p High) over columns
+  /// [\p CB, \p CE) of the side's pick axis: the cell at storage
+  /// coordinate K along Axis in column C sits at Base + K * Stride[Axis]
+  /// + C * Stride[pickAxis(Axis)].  Columns run in stretches of one
+  /// segment.
+  void fillSide(const kernels::Run<Dim> &R, unsigned Axis, bool High,
+                size_t Base, size_t CB, size_t CE, double Time) const {
+    const std::vector<Column> &Cols = Table[boundarySide(Axis, High)];
+    const size_t SA = Stride[Axis];
+    size_t SC = 0;
+    if constexpr (Dim > 1)
+      SC = Stride[pickAxis(Axis)];
+    const size_t Len = N[Axis];
+    // Storage coordinate along Axis of ghost layer L (1-based) and of
+    // the cell it copies.
+    auto GhostAt = [&](size_t L) { return High ? Ng + Len - 1 + L : Ng - L; };
+    for (size_t C = CB; C != CE;) {
+      const BcSegment<Dim> &Seg = *Cols[C].Seg;
+      size_t End = C + 1;
+      while (End != CE && Cols[End].Seg == &Seg)
+        ++End;
+      const size_t Count = End - C;
+      switch (Seg.Kind) {
+      case BcKind::Halo:
+        // Filled by the ghost-fill hook before this pass.
         break;
       case BcKind::Prescribed:
         assert(Seg.StateAt && "Prescribed segment without a state function");
-        U.set(Ghost, Seg.StateAt(TangentialCoord, Time));
+        for (size_t K = C; K != End; ++K) {
+          const Cons<Dim> Q = Seg.StateAt(Cols[K].Coord, Time);
+          for (size_t L = 1; L <= Ng; ++L)
+            kernels::storeCons<Dim>(R, Base + GhostAt(L) * SA + K * SC, Q);
+        }
         break;
-      case BcKind::Halo:
-        // Filled by the shard halo exchange before this pass.
+      case BcKind::Inflow:
+        for (size_t L = 1; L <= Ng; ++L)
+          for (unsigned V = 0; V < NumVars<Dim>; ++V) {
+            double *D = R.C[V] + Base + GhostAt(L) * SA + C * SC;
+            const double X = Seg.InflowState.comp(V);
+            for (size_t K = 0; K != Count; ++K)
+              D[K * SC] = X;
+          }
+        break;
+      case BcKind::Transmissive:
+      case BcKind::Reflective:
+      case BcKind::Periodic:
+        for (size_t L = 1; L <= Ng; ++L) {
+          size_t Src;
+          if (Seg.Kind == BcKind::Transmissive)
+            Src = High ? Ng + Len - 1 : Ng;
+          else if (Seg.Kind == BcKind::Reflective)
+            Src = High ? Ng + Len - L : Ng + L - 1;
+          else // Periodic: low layer L copies interior cell N-L, high
+               // layer L interior cell L-1.
+            Src = High ? Ng + L - 1 : Ng + Len - L;
+          for (unsigned V = 0; V < NumVars<Dim>; ++V) {
+            double *D = R.C[V] + Base + GhostAt(L) * SA + C * SC;
+            const double *S = R.C[V] + Base + Src * SA + C * SC;
+            if (Seg.Kind == BcKind::Reflective && V == 1 + Axis)
+              for (size_t K = 0; K != Count; ++K)
+                D[K * SC] = -S[K * SC];
+            else if (SC == 1)
+              std::copy_n(S, Count, D);
+            else
+              for (size_t K = 0; K != Count; ++K)
+                D[K * SC] = S[K * SC];
+          }
+        }
         break;
       }
+      C = End;
     }
-  });
-}
+  }
 
-} // namespace detail
+  size_t N[Dim] = {};
+  size_t Extent[Dim] = {};
+  size_t Stride[Dim] = {};
+  size_t Ng = 0;
+  /// Per side, one entry per storage index of the side's pick axis (a
+  /// single entry in 1D).
+  std::array<std::vector<Column>, 2 * Dim> Table;
+};
 
-/// Fills every ghost layer of \p U according to \p Spec.
-///
-/// Passes run axis by axis; later axes iterate the full tangential
-/// storage extent so corner ghosts receive the composition of both
-/// conditions (wall mirror of an inflow column, etc.).
+/// Fills every ghost layer of \p U according to \p Spec: plans a
+/// BoundaryFill and applies it (one parallel region).  Engines keep
+/// their plan and apply it per stage.
 ///
 /// \p Time feeds Prescribed segments only.  Engines pass the solver
 /// clock at the start of the step for every RK stage fill of that step —
@@ -224,13 +336,7 @@ void applyBoundaries(Field<Dim> &U, const Grid<Dim> &G,
                      const BoundarySpec<Dim> &Spec, Backend &Exec,
                      double Time = 0.0) {
   assert(U.shape() == G.storageShape() && "field/grid mismatch");
-  for (unsigned Axis = 0; Axis < Dim; ++Axis) {
-    bool IncludeTangentialGhosts = Axis > 0;
-    detail::applyBoundarySide(U, G, Spec, Axis, /*High=*/false,
-                              IncludeTangentialGhosts, Exec, Time);
-    detail::applyBoundarySide(U, G, Spec, Axis, /*High=*/true,
-                              IncludeTangentialGhosts, Exec, Time);
-  }
+  BoundaryFill<Dim>(G, Spec).apply(U, Exec, Time);
 }
 
 } // namespace sacfd

@@ -93,6 +93,7 @@ public:
   EulerSolver(Problem<Dim> Prob, SchemeConfig Scheme, Backend &Exec,
               bool Simd = true)
       : Prob(std::move(Prob)), Scheme(Scheme), Exec(Exec),
+        Fill(this->Prob.Domain, this->Prob.Boundary),
         U(Pool, this->Prob.Domain.storageShape()), SimdEnabled(Simd) {
     assert(this->Prob.Domain.ghost() >= ghostCells(Scheme.Recon) &&
            "grid ghost layers insufficient for the reconstruction");
@@ -417,12 +418,13 @@ protected:
 
   /// The per-stage ghost fill of a storage-shaped field \p F (U or a
   /// stage field): the ghost-fill hook first (halo exchange), then the
-  /// physical boundary conditions.  Every stage fill goes through here, so
-  /// a sharded sub-solver exchanges halos exactly once per stage.
+  /// physical boundary conditions (one region, see BoundaryFill).  Every
+  /// stage fill goes through here, so a sharded sub-solver exchanges
+  /// halos exactly once per stage.
   void fillGhosts(Field<Dim> &F, double FillTime) {
     if (GhostHook)
       GhostHook(F, FillTime);
-    applyBoundaries(F, Prob.Domain, Prob.Boundary, Exec, FillTime);
+    Fill.apply(F, Exec, FillTime);
   }
 
   /// Line decomposition shared by the engines and the kernel routing: a
@@ -590,12 +592,14 @@ protected:
         U.set(G.toStorage(Iv), toCons(Prob.InitialState(X), Prob.G));
       } while (Interior.increment(Iv));
     }
-    applyBoundaries(U, G, Prob.Boundary, Exec, Time);
+    Fill.apply(U, Exec, Time);
   }
 
   Problem<Dim> Prob;
   SchemeConfig Scheme;
   Backend &Exec;
+  /// The ghost fill of Prob's grid and boundary spec, planned once.
+  BoundaryFill<Dim> Fill;
   /// Declared before U and before any derived-class lease members: leases
   /// (destroyed in derived destructors, before this) return their buffers
   /// here, so the pool must be destroyed last.

@@ -14,10 +14,10 @@
 ///     edge of Fig. 4);
 ///   - every loop nest is its own parallel region dispatched through the
 ///     Backend, the way -autopar parallelizes each DO loop independently.
-///     One 2D RK3 time step issues 15 regions (5 per stage: 4 boundary
-///     sides and the row pass, which is the whole stage); with the
-///     fork-join backend each of those pays the thread-team setup cost,
-///     which is the scaling collapse of Fig. 4.
+///     One 2D RK3 time step issues 6 regions (2 per stage: the ghost
+///     fill of every side and the row pass, which is the whole stage);
+///     with the fork-join backend each of those pays the thread-team
+///     setup cost, which is the scaling collapse of Fig. 4.
 ///
 /// Stages run through the shared driver EulerSolver::runStages: each
 /// stage reads a stage input and writes its output out of place, Q^n is U

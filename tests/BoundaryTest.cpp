@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace sacfd;
 
@@ -277,4 +282,246 @@ TEST(BoundarySpec, SegmentLookupClampsOutOfRange) {
   // Corner-ghost coordinates outside [0, 1) clamp to nearest segment.
   EXPECT_EQ(Spec.segmentAt(0, -0.1).Kind, BcKind::Inflow);
   EXPECT_EQ(Spec.segmentAt(0, 1.2).Kind, BcKind::Reflective);
+}
+
+//===----------------------------------------------------------------------===//
+// The one-region fill against the sequential two-pass rule
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The sequential per-cell fill the one-region BoundaryFill replaces,
+/// kept here as the reference: axis by axis, low side then high side;
+/// the axis-0 pass covers the interior tangential extent, later axes the
+/// full storage extent, and the last tangential axis's cell centre picks
+/// the segment.  Prescribed evaluates its state once per ghost cell.
+template <unsigned Dim>
+void twoPassSide(Field<Dim> &U, const Grid<Dim> &G,
+                 const BoundarySpec<Dim> &Spec, unsigned Axis, bool High,
+                 double Time) {
+  const bool AllTangential = Axis > 0;
+  const std::ptrdiff_t N = static_cast<std::ptrdiff_t>(G.cells(Axis));
+  const std::ptrdiff_t Ng = static_cast<std::ptrdiff_t>(G.ghost());
+  Shape Space = Shape::uniform(Dim == 1 ? 1 : Dim - 1, 1);
+  std::array<unsigned, Dim> Axes = {};
+  unsigned NumTangential = 0;
+  for (unsigned A = 0; A < Dim; ++A) {
+    if (A == Axis)
+      continue;
+    Space.dim(NumTangential) =
+        AllTangential ? G.cells(A) + 2 * G.ghost() : G.cells(A);
+    Axes[NumTangential++] = A;
+  }
+  Index T = Space.delinearize(0);
+  do {
+    Index Storage;
+    Storage.Rank = Dim;
+    double Coord = 0.0;
+    for (unsigned K = 0; K < NumTangential; ++K) {
+      std::ptrdiff_t Interior = AllTangential ? T.Coord[K] - Ng : T.Coord[K];
+      Storage.Coord[Axes[K]] = Interior + Ng;
+      Coord = G.cellCenter(Axes[K], Interior);
+    }
+    const BcSegment<Dim> &Seg = Spec.segmentAt(boundarySide(Axis, High), Coord);
+    for (std::ptrdiff_t L = 1; L <= Ng; ++L) {
+      Index Ghost = Storage, Source = Storage;
+      Ghost.Coord[Axis] = High ? Ng + N - 1 + L : Ng - L;
+      switch (Seg.Kind) {
+      case BcKind::Transmissive:
+        Source.Coord[Axis] = High ? Ng + N - 1 : Ng;
+        U.set(Ghost, U.at(Source));
+        break;
+      case BcKind::Reflective: {
+        Source.Coord[Axis] = High ? Ng + N - 1 - (L - 1) : Ng + (L - 1);
+        Cons<Dim> Q = U.at(Source);
+        Q.Mom[Axis] = -Q.Mom[Axis];
+        U.set(Ghost, Q);
+        break;
+      }
+      case BcKind::Inflow:
+        U.set(Ghost, Seg.InflowState);
+        break;
+      case BcKind::Periodic:
+        Source.Coord[Axis] = High ? Ng + (L - 1) : Ng + N - L;
+        U.set(Ghost, U.at(Source));
+        break;
+      case BcKind::Prescribed:
+        U.set(Ghost, Seg.StateAt(Coord, Time));
+        break;
+      case BcKind::Halo:
+        break;
+      }
+    }
+  } while (Space.increment(T));
+}
+
+template <unsigned Dim>
+void twoPassFill(Field<Dim> &U, const Grid<Dim> &G,
+                 const BoundarySpec<Dim> &Spec, double Time) {
+  for (unsigned Axis = 0; Axis < Dim; ++Axis) {
+    twoPassSide(U, G, Spec, Axis, /*High=*/false, Time);
+    twoPassSide(U, G, Spec, Axis, /*High=*/true, Time);
+  }
+}
+
+/// A distinct, finite state for every storage cell, ghosts included, so
+/// a ghost the fill leaves alone keeps a value no other cell holds.
+template <unsigned Dim> void markStorage(Field<Dim> &U) {
+  for (size_t I = 0; I < U.size(); ++I) {
+    Cons<Dim> Q;
+    double X = static_cast<double>(I);
+    Q.Rho = 1.0 + 0.01 * X;
+    for (unsigned A = 0; A < Dim; ++A)
+      Q.Mom[A] = 0.3 * static_cast<double>(A + 1) - 0.002 * X;
+    Q.E = 4.0 + 0.03 * X;
+    U.store(I, Q);
+  }
+}
+
+template <unsigned Dim> Cons<Dim> frozenState(double Rho) {
+  Cons<Dim> Q;
+  Q.Rho = Rho;
+  for (unsigned A = 0; A < Dim; ++A)
+    Q.Mom[A] = 0.7 * Rho + static_cast<double>(A);
+  Q.E = 9.0 * Rho;
+  return Q;
+}
+
+/// A pure Prescribed state of (tangential coordinate, time).
+template <unsigned Dim> BcSegment<Dim> prescribedSegment() {
+  BcSegment<Dim> Seg;
+  Seg.Kind = BcKind::Prescribed;
+  Seg.StateAt = [](double T, double Time) {
+    return frozenState<Dim>(T < 0.4 + Time ? 2.0 + T : 1.0 + Time);
+  };
+  return Seg;
+}
+
+/// Every BcKind: each uniform, the Fig. 2 split sides (part inflow, part
+/// wall) beside Prescribed and transmissive sides, and shard interfaces
+/// (Halo on both axis-0 sides).
+template <unsigned Dim>
+std::vector<std::pair<std::string, BoundarySpec<Dim>>> fillSpecs() {
+  std::vector<std::pair<std::string, BoundarySpec<Dim>>> Specs;
+  const std::pair<const char *, BcKind> Uniform[] = {
+      {"transmissive", BcKind::Transmissive},
+      {"reflective", BcKind::Reflective},
+      {"periodic", BcKind::Periodic},
+      {"halo", BcKind::Halo}};
+  for (auto [Name, K] : Uniform)
+    Specs.push_back({std::string("uniform ") + Name,
+                     BoundarySpec<Dim>::uniform(K)});
+  BcSegment<Dim> Inflow;
+  Inflow.Kind = BcKind::Inflow;
+  Inflow.InflowState = frozenState<Dim>(3.0);
+  BoundarySpec<Dim> AllInflow;
+  for (auto &S : AllInflow.Side)
+    S = {Inflow};
+  Specs.push_back({"uniform inflow", AllInflow});
+  BoundarySpec<Dim> AllPrescribed;
+  for (auto &S : AllPrescribed.Side)
+    S = {prescribedSegment<Dim>()};
+  Specs.push_back({"uniform prescribed", AllPrescribed});
+
+  // The paper's left and bottom sides: inflow below a tangential
+  // coordinate of 0.5, wall above; the top is Prescribed.
+  BoundarySpec<Dim> Split = BoundarySpec<Dim>::uniform(BcKind::Transmissive);
+  BcSegment<Dim> Exit = Inflow, Wall;
+  Exit.TangentialLo = 0.0;
+  Exit.TangentialHi = 0.5;
+  Wall.Kind = BcKind::Reflective;
+  Wall.TangentialLo = 0.5;
+  Split.Side[boundarySide(0, false)] = {Exit, Wall};
+  if constexpr (Dim > 1) {
+    Split.Side[boundarySide(1, false)] = {Exit, Wall};
+    Split.setSide(boundarySide(1, true), prescribedSegment<Dim>());
+  }
+  Specs.push_back({"split sides", Split});
+
+  BoundarySpec<Dim> Shard = Split;
+  BcSegment<Dim> Halo;
+  Halo.Kind = BcKind::Halo;
+  Shard.setSide(boundarySide(0, false), Halo);
+  Shard.setSide(boundarySide(0, true), Halo);
+  Specs.push_back({"shard halo sides", Shard});
+  return Specs;
+}
+
+/// For Ng 1..3, every spec of fillSpecs and Prescribed times 0 and 0.35:
+/// applyBoundaries on serial, spin-pool(3) and fork-join(3) must leave
+/// full storage (ghosts and corners included) byte-identical to the
+/// two-pass rule.  Cells the rule does not write (Halo) keep their marks.
+template <unsigned Dim>
+void checkFillMatchesTwoPassRule(std::array<size_t, Dim> Cells) {
+  SerialBackend Serial;
+  auto Pool = createBackend(BackendKind::SpinPool, 3);
+  auto Fork = createBackend(BackendKind::ForkJoin, 3);
+  Backend *Backends[] = {&Serial, Pool.get(), Fork.get()};
+  std::array<double, Dim> Lo, Hi;
+  for (unsigned A = 0; A < Dim; ++A) {
+    Lo[A] = 0.0;
+    Hi[A] = 1.0 + static_cast<double>(A);
+  }
+  for (unsigned Ng = 1; Ng <= 3; ++Ng) {
+    Grid<Dim> Gr(Cells, Lo, Hi, Ng);
+    for (const auto &[Name, Spec] : fillSpecs<Dim>())
+      for (double Time : {0.0, 0.35}) {
+        FieldPool FP;
+        Field<Dim> Want(FP, Gr.storageShape());
+        markStorage(Want);
+        twoPassFill(Want, Gr, Spec, Time);
+        std::vector<Cons<Dim>> WantStorage(Want.size());
+        Want.exportTo(WantStorage.data());
+        for (Backend *Exec : Backends) {
+          SCOPED_TRACE(Name + " Ng=" + std::to_string(Ng) +
+                       " t=" + std::to_string(Time) + " on " + Exec->name());
+          Field<Dim> Got(FP, Gr.storageShape());
+          markStorage(Got);
+          const uint64_t Regions = Exec->regionsDispatched();
+          applyBoundaries(Got, Gr, Spec, *Exec, Time);
+          EXPECT_EQ(Exec->regionsDispatched() - Regions, 1u);
+          std::vector<Cons<Dim>> GotStorage(Got.size());
+          Got.exportTo(GotStorage.data());
+          EXPECT_EQ(std::memcmp(GotStorage.data(), WantStorage.data(),
+                                GotStorage.size() * sizeof(Cons<Dim>)),
+                    0);
+        }
+      }
+  }
+}
+
+} // namespace
+
+TEST(BoundaryFill, OneRegionMatchesTwoPassRule1D) {
+  checkFillMatchesTwoPassRule<1>({5});
+}
+
+TEST(BoundaryFill, OneRegionMatchesTwoPassRule2D) {
+  checkFillMatchesTwoPassRule<2>({7, 5});
+}
+
+TEST(BoundaryFill, OneRegionMatchesTwoPassRule3D) {
+  checkFillMatchesTwoPassRule<3>({5, 4, 6});
+}
+
+TEST(BoundaryFill, PrescribedEvaluatesOncePerColumnPerFill) {
+  // The top side of a 6x6 grid with 3 ghost layers: one StateAt call per
+  // tangential storage column (6 + 2*3), not one per ghost cell.
+  Grid<2> Gr({6, 6}, {0.0, 0.0}, {1.0, 1.0}, 3);
+  FieldPool FP;
+  Field<2> U(FP, Gr.storageShape());
+  std::atomic<unsigned> Calls{0};
+  BoundarySpec<2> Spec = BoundarySpec<2>::uniform(BcKind::Transmissive);
+  BcSegment<2> Top = prescribedSegment<2>();
+  Top.StateAt = [&Calls](double T, double Time) {
+    Calls.fetch_add(1, std::memory_order_relaxed);
+    return frozenState<2>(1.0 + T + Time);
+  };
+  Spec.setSide(boundarySide(1, true), Top);
+  auto Pool = createBackend(BackendKind::SpinPool, 3);
+  BoundaryFill<2> Fill(Gr, Spec);
+  Fill.apply(U, *Pool, 0.0);
+  EXPECT_EQ(Calls.load(), 12u);
+  Fill.apply(U, *Pool, 0.5);
+  EXPECT_EQ(Calls.load(), 24u);
 }

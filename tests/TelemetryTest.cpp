@@ -218,13 +218,13 @@ TEST_F(TelemetryTest, SolverStageSpansAndGaugesAppear) {
 }
 
 TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
-  // The pass structure of one 2D RK3 step, per stage: 4 boundary sides,
-  // then the array engine's 2 flux with-loops and its combine (residual,
-  // snapshot, update and GetDT folded), or the fused engine's one row
-  // pass, which is the whole stage (both axes, the RHS row, the update
-  // written out of place, and GetDT on the last stage; no snapshot).
-  // The figure scheme (WENO3) runs the same passes as PC1 on both
-  // engines: the fused row pass reads its stencils from the stage input.
+  // The pass structure of one 2D RK3 step, per stage: one ghost-fill
+  // region (every side, corners included), then the array engine's one
+  // flux with-loop (both axes' flux fields) and its combine (residual,
+  // update and GetDT folded), or the fused engine's one row pass, which
+  // is the whole stage (both axes, the RHS row, the update written out
+  // of place, and GetDT on the last stage; no snapshot).  The figure
+  // scheme (WENO3) runs the same passes as PC1 on both engines.
   // Only the first step's GetDT runs as a region of its own.  Gauges are
   // due at every step here, and the gauges' interior pass
   // (solver.summarize) is one more region per step.
@@ -238,7 +238,7 @@ TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
       for (bool ArrayEngine : {true, false}) {
         SCOPED_TRACE(std::string(ArrayEngine ? "array" : "fused") + " " +
                      Scheme.str() + " on " + Exec->name());
-        const uint64_t PerStep = ArrayEngine ? 21 : 15;
+        const uint64_t PerStep = ArrayEngine ? 9 : 6;
         std::unique_ptr<EulerSolver<2>> S;
         if (ArrayEngine)
           S = std::make_unique<ArraySolver<2>>(Prob, Scheme, *Exec);
