@@ -269,7 +269,7 @@ int main(int Argc, const char **Argv) {
   // speedups spread 2x between runs of one binary).
   int Cells = 200;
   unsigned Steps = 20;
-  unsigned Repeats = 2;
+  unsigned Repeats = 3;
   unsigned KernelReps = 200;
   std::string JsonPath;
   RunConfig Cfg;
@@ -295,7 +295,6 @@ int main(int Argc, const char **Argv) {
   if (Full) {
     Cells = 256;
     Steps = 60;
-    Repeats = 3;
     KernelReps = 1000;
   }
   if (Repeats == 0)

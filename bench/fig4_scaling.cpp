@@ -25,7 +25,7 @@ int main(int Argc, const char **Argv) {
   bool Full = false;
   int Cells = 192;
   unsigned Steps = 60;
-  unsigned Repeats = 1;
+  unsigned Repeats = 3;
   std::string Threads = "1,2,4";
 
   ScalingOptions Opt;

@@ -6,7 +6,6 @@
 #include "runtime/OmpBackend.h"
 #include "runtime/SerialBackend.h"
 #include "runtime/SpinBarrierPool.h"
-#include "runtime/TaskBackend.h"
 #include "support/Error.h"
 #include "support/StrUtil.h"
 
@@ -22,8 +21,6 @@ const char *sacfd::backendKindName(BackendKind Kind) {
     return "fork-join";
   case BackendKind::OpenMp:
     return "openmp";
-  case BackendKind::Tasks:
-    return "tasks";
   }
   sacfdUnreachable("covered switch");
 }
@@ -40,8 +37,6 @@ std::optional<BackendKind> sacfd::parseBackendKind(std::string_view Text) {
     return BackendKind::ForkJoin;
   if (equalsLower(Name, "openmp") || equalsLower(Name, "omp"))
     return BackendKind::OpenMp;
-  if (equalsLower(Name, "tasks") || equalsLower(Name, "task"))
-    return BackendKind::Tasks;
   return std::nullopt;
 }
 
@@ -62,9 +57,6 @@ std::unique_ptr<Backend> sacfd::createBackend(BackendKind Kind,
     break;
   case BackendKind::OpenMp:
     B = createOmpBackend(Threads);
-    break;
-  case BackendKind::Tasks:
-    B = std::make_unique<TaskBackend>(Threads, Sched);
     break;
   }
   if (B)

@@ -33,23 +33,19 @@ enum class BackendKind {
   /// Real OpenMP regions (cross-check baseline; build-dependent —
   /// see openMpAvailable()).
   OpenMp,
-  /// Work-stealing task scheduler: persistent pool, per-worker deques,
-  /// steal-half.
-  Tasks,
 };
 
 /// \returns the stable name used in reports and CLI flags.
 const char *backendKindName(BackendKind Kind);
 
 /// Parses "serial", "spin-pool"/"sac", "fork-join"/"fortran",
-/// "openmp"/"omp", "tasks"/"task".
+/// "openmp"/"omp".
 std::optional<BackendKind> parseBackendKind(std::string_view Text);
 
 /// Creates a backend of \p Kind with \p Threads workers.
 ///
-/// \param Sched honored by ForkJoin (iteration partitioning) and Tasks
-/// (an explicit chunk size sets the task granularity); the spin pool is
-/// always static-block partitioned, like SaC's runtime.
+/// \param Sched honored by ForkJoin (iteration partitioning); the spin
+/// pool is always static-block partitioned, like SaC's runtime.
 /// \param TileCfg rank-2 tiling policy installed on the backend
 /// (Backend::setTile); off by default for legacy row-flattened loops.
 /// \returns nullptr only for BackendKind::OpenMp in builds without

@@ -107,7 +107,7 @@ staticPartition(size_t N, unsigned Workers, const Schedule &Sched);
 /// (Rows, Cols) space into Rows x Cols tiles of the given dimensions
 /// (0 = resolve an automatic cache-friendly size).  The row-major tile
 /// range is then dealt to workers by the backend's own 1D partitioner,
-/// under its Schedule where it honors one (fork-join, tasks):
+/// under its Schedule where it honors one (fork-join):
 /// `--tile RxC --schedule dynamic` deals tiles dynamically.
 struct Tile {
   bool Enabled = false;

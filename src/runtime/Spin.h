@@ -10,12 +10,11 @@
 /// iterations with a pause hint each, then fall back to yield() so an
 /// oversubscribed host (more waiters than hardware threads) cannot starve
 /// the very thread being waited on.  SpinBarrierPool documents the
-/// rationale.  Its dispatch and barrier waits, TaskBackend's wake and
-/// check-in waits and the shard processes' halo-mailbox and epoch waits
-/// all call spinThenYieldUntil, so a change to the wait discipline (a
-/// deadline, a diagnostic) lands here once.  TaskBackend's work-seeking
-/// loop keeps its own idle counter, reset on every found item, and shares
-/// only cpuRelax().
+/// rationale.  Its dispatch and barrier waits, the shard workers'
+/// halo-mailbox and epoch waits and the shard coordinator's ready and
+/// ack waits all call spinThenYieldUntil; no other loop in src/ yields,
+/// so a change to the wait discipline (a deadline, a diagnostic) lands
+/// here once.
 ///
 //===----------------------------------------------------------------------===//
 

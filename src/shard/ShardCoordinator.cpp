@@ -19,7 +19,6 @@
 #include <limits>
 #include <memory>
 #include <set>
-#include <thread>
 #include <unistd.h>
 
 namespace sacfd {
@@ -268,18 +267,17 @@ bool ShardCoordinator::forkWorker(unsigned K) {
 
 bool ShardCoordinator::waitReady(unsigned K) {
   ShardSlot *Slot = Layout.slot(Region.data(), K);
-  unsigned Spins = 0;
-  while (!Slot->Ready.load(std::memory_order_acquire)) {
+  bool Died = false;
+  spinThenYieldUntil([&] {
+    if (Slot->Ready.load(std::memory_order_acquire))
+      return true;
     if (Pids[K] > 0 && pollExited(Pids[K])) {
       Pids[K] = -1;
-      return false;
+      Died = true;
     }
-    if (Spins < (1u << 14))
-      ++Spins;
-    else
-      std::this_thread::yield();
-  }
-  return true;
+    return Died;
+  });
+  return !Died;
 }
 
 bool ShardCoordinator::start() {
@@ -379,8 +377,10 @@ ShardCoordinator::CmdResult ShardCoordinator::command(ShardCmd Cmd,
 ShardCoordinator::CmdResult ShardCoordinator::waitAcks() {
   for (unsigned K = 0; K < Opt.Shards; ++K) {
     ShardSlot *Slot = Layout.slot(Region.data(), K);
-    unsigned Spins = 0;
-    while (Slot->AckEpoch.load(std::memory_order_acquire) != Epoch) {
+    CmdResult Failed = CmdResult::Done;
+    spinThenYieldUntil([&] {
+      if (Slot->AckEpoch.load(std::memory_order_acquire) == Epoch)
+        return true;
       // Poll every live pid, not just the shard whose ack is awaited: a
       // shard that dies mid-AdvanceDt before publishing its halo slab
       // wedges a *neighbor* inside its mailbox spin, so the ack that
@@ -391,18 +391,17 @@ ShardCoordinator::CmdResult ShardCoordinator::waitAcks() {
       for (unsigned J = 0; J < Opt.Shards; ++J) {
         if (Pids[J] > 0 && pollExited(Pids[J])) {
           Pids[J] = -1;
-          CmdResult R = handleDeath(J);
-          if (R != CmdResult::Done)
-            return R;
+          Failed = handleDeath(J);
+          if (Failed != CmdResult::Done)
+            return true;
           // Targeted restart done — the replacement re-drives the epoch
           // (unwedging any waiting neighbors); keep waiting for acks.
         }
       }
-      if (Spins < (1u << 14))
-        ++Spins;
-      else
-        std::this_thread::yield();
-    }
+      return false;
+    });
+    if (Failed != CmdResult::Done)
+      return Failed;
   }
   return CmdResult::Done;
 }

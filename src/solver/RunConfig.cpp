@@ -68,7 +68,7 @@ void RunConfig::registerEngineFlag(CommandLine &CL) {
 void RunConfig::registerBackendFlags(CommandLine &CL) {
   BackendName = backendKindName(Backend);
   CL.addString("backend", BackendName,
-               "serial|spin-pool|fork-join|openmp|tasks");
+               "serial|spin-pool|fork-join|openmp");
   CL.addUnsigned("threads", Threads, "worker threads (>= 1)");
 }
 
@@ -161,7 +161,7 @@ bool RunConfig::resolve(std::string &Error) {
       Backend = *K;
     else
       return Fail("unknown --backend value '" + BackendName +
-                  "' (expected serial|spin-pool|fork-join|openmp|tasks)");
+                  "' (expected serial|spin-pool|fork-join|openmp)");
   }
   if (Threads == 0)
     return Fail("--threads must be at least 1 (0 workers cannot run "

@@ -35,8 +35,7 @@ namespace {
 constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
 constexpr BackendKind kAllKinds[] = {BackendKind::Serial,
                                      BackendKind::ForkJoin,
-                                     BackendKind::SpinPool,
-                                     BackendKind::Tasks};
+                                     BackendKind::SpinPool};
 
 struct Backend2DCase {
   BackendKind Kind;
@@ -57,9 +56,7 @@ struct Backend2DCase {
   }
 };
 
-/// The conformance matrix.  The task backend has no rows here: its
-/// parallelFor2D is the shared body over its parallelFor, which the
-/// BackendContractTest rows cover.
+/// The conformance matrix.
 std::vector<Backend2DCase> allCases() {
   std::vector<Backend2DCase> Cases;
   const std::pair<Tile, Schedule> Tilings[] = {

@@ -37,8 +37,7 @@ namespace {
 
 constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
 constexpr BackendKind kParallelKinds[] = {BackendKind::ForkJoin,
-                                          BackendKind::SpinPool,
-                                          BackendKind::Tasks};
+                                          BackendKind::SpinPool};
 
 struct TelemetryDigest {
   std::vector<std::pair<std::string, uint64_t>> Counters;

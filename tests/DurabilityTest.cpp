@@ -192,12 +192,6 @@ TEST(Durability, KillMidPayloadWrite2DThreaded) {
                            /*ExpectResumeSteps=*/10, "kill_2d_spinpool");
 }
 
-TEST(Durability, KillMidPayloadWrite2DTasks) {
-  runKillResumeScenario<2>(BackendKind::Tasks, 2, /*TotalSteps=*/30,
-                           /*Every=*/5, /*KillWriteNth=*/8,
-                           /*ExpectResumeSteps=*/10, "kill_2d_tasks");
-}
-
 TEST(Durability, KillMidPayloadWrite2DForkJoin) {
   runKillResumeScenario<2>(BackendKind::ForkJoin, 2, /*TotalSteps=*/30,
                            /*Every=*/5, /*KillWriteNth=*/8,

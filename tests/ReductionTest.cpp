@@ -104,9 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ReduceCase{BackendKind::SpinPool, 2},
                       ReduceCase{BackendKind::SpinPool, 4},
                       ReduceCase{BackendKind::ForkJoin, 2},
-                      ReduceCase{BackendKind::ForkJoin, 4},
-                      ReduceCase{BackendKind::Tasks, 2},
-                      ReduceCase{BackendKind::Tasks, 4}),
+                      ReduceCase{BackendKind::ForkJoin, 4}),
     [](const ::testing::TestParamInfo<ReduceCase> &Info) {
       return Info.param.label();
     });
@@ -126,8 +124,7 @@ TEST(ReductionDeterminism, MaxIsExactAcrossAllConfigurations) {
   }
   auto Serial = createBackend(BackendKind::Serial, 1);
   double Ref = maxval(A, *Serial);
-  for (BackendKind K : {BackendKind::SpinPool, BackendKind::ForkJoin,
-                        BackendKind::Tasks})
+  for (BackendKind K : {BackendKind::SpinPool, BackendKind::ForkJoin})
     for (unsigned T : {1u, 2u, 3u, 4u, 7u}) {
       auto B = createBackend(K, T);
       EXPECT_EQ(maxval(A, *B), Ref)
@@ -147,9 +144,7 @@ TEST(ReductionDeterminism, SumIsStableForFixedWorkerCount) {
   for (unsigned T : {2u, 4u}) {
     auto Pool = createBackend(BackendKind::SpinPool, T);
     auto Fork = createBackend(BackendKind::ForkJoin, T);
-    auto Task = createBackend(BackendKind::Tasks, T);
     EXPECT_EQ(sum(A, *Pool), sum(A, *Fork)) << "threads=" << T;
-    EXPECT_EQ(sum(A, *Pool), sum(A, *Task)) << "threads=" << T;
     // And stable across repeated runs.
     EXPECT_EQ(sum(A, *Pool), sum(A, *Pool));
   }

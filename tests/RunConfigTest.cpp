@@ -182,6 +182,7 @@ TEST(RunConfigResolve, RejectsBadValuesWithStructuredErrors) {
       {{"--integrator", "rk4"}, "--integrator"},
       {{"--engine", "fortran"}, "--engine"},
       {{"--backend", "gpu"}, "--backend"},
+      {{"--backend", "tasks"}, "--backend"},
       {{"--schedule", "guided"}, "--schedule"},
       {{"--schedule", "static,0"}, "--schedule"},
       {{"--tile", "0x4"}, "--tile"},
