@@ -143,11 +143,16 @@ std::vector<KernelRow> benchKernels(size_t Cells, unsigned Reps,
     else
       Rows.back().SimdSec = Sec;
   }
-  // WENO3 characteristic face states from a staged window of Cells + 5.
+  // WENO3 characteristic face states from a staged window of Cells + 5,
+  // its face neighbours' plane pass included (the window form runs it).
   SoaField2 Win(Cells + 5);
+  NDArray<double> PrimBuf(Shape{static_cast<size_t>(kernels::NumPrimVars<2>),
+                                paddedCount(Cells + 1)});
+  kernels::PrimRun<2> P =
+      kernels::primRun<2>(PrimBuf.data(), paddedCount(Cells + 1), 0);
   for (bool Simd : {false, true}) {
     double Sec = timeKernel(Reps, Repeats, [&] {
-      kernels::reconstructFaces<2>(Win.crun(), F.run(), Un.run(), G, 0,
+      kernels::reconstructFaces<2>(Win.crun(), P, F.run(), Un.run(), G, 0,
                                    ReconstructionKind::Weno3,
                                    LimiterKind::MinMod,
                                    ReconstructVariables::Characteristic,

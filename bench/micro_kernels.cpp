@@ -293,14 +293,19 @@ BENCHMARK(BM_KernelAccumDivergence)
     ->Name("BM_Kernel/accumDivergence");
 
 // The higher-order face path's first kernel: WENO3 characteristic face
-// states from a staged window (N faces read N + 5 cells).
+// states from a staged window (N faces read N + 5 cells), with the pass
+// that converts the window's N + 1 face neighbours into planes.
 static void BM_KernelReconstructFaces(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const bool Simd = State.range(1) != 0;
   Gas G;
   SoaField2 Win(N + 5), L(N), R(N);
+  NDArray<double> PrimBuf(
+      Shape{static_cast<size_t>(kernels::NumPrimVars<2>), paddedCount(N + 1)});
+  kernels::PrimRun<2> P =
+      kernels::primRun<2>(PrimBuf.data(), paddedCount(N + 1), 0);
   for (auto _ : State) {
-    kernels::reconstructFaces<2>(Win.crun(), L.run(), R.run(), G, 0,
+    kernels::reconstructFaces<2>(Win.crun(), P, L.run(), R.run(), G, 0,
                                  ReconstructionKind::Weno3,
                                  LimiterKind::MinMod,
                                  ReconstructVariables::Characteristic, N,
@@ -314,6 +319,31 @@ BENCHMARK(BM_KernelReconstructFaces)
     ->Args({1 << 14, 0})
     ->Args({1 << 14, 1})
     ->Name("BM_Kernel/reconstructFaces/weno3");
+
+// The reconstruction plane pass alone: the face-neighbour primitives of
+// N cells (velocities, sqrt(rho), h).  Items are cells; off the SIMD
+// dispatch the pass writes nothing, so only the SIMD row is timed;
+// s_per_cell prints as a time per cell (4.1ns = 4.1 ns/cell).
+static void BM_KernelReconPrims(benchmark::State &State) {
+  const size_t N = static_cast<size_t>(State.range(0));
+  Gas G;
+  SoaField2 U(N);
+  NDArray<double> PrimBuf(
+      Shape{static_cast<size_t>(kernels::NumPrimVars<2>), paddedCount(N)});
+  kernels::PrimRun<2> P = kernels::primRun<2>(PrimBuf.data(), paddedCount(N), 0);
+  for (auto _ : State) {
+    kernels::cellPrims<2>(U.crun(), P, G, ReconstructVariables::Characteristic,
+                          N, /*Simd=*/true);
+    benchmark::DoNotOptimize(PrimBuf.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(N));
+  State.counters["s_per_cell"] = benchmark::Counter(
+      static_cast<double>(State.iterations()) * static_cast<double>(N),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert,
+      benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_KernelReconPrims)->Arg(1 << 14)->Name("BM_Kernel/reconPrims");
 
 //===----------------------------------------------------------------------===//
 // Fused engine flux phase

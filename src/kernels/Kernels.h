@@ -18,20 +18,25 @@
 /// engines translate their index spaces into runs, and this layer owns
 /// the arithmetic.
 ///
-/// The face path of a reconstructed scheme is two kernels:
-/// reconstructFaces (face L/R states) and then fluxFaces (the Riemann
-/// solver), both over SoA runs.  reconstructFaces takes a run of faces'
-/// stencils as StencilRuns, one run per stencil cell indexed by face, so
-/// a caller points them wherever the cells already sit: the fused 2D row
-/// pass at rows (axis 0, lanes across columns) or shifted views of a row
-/// (axis 1) of the stage field, with no copy; the per-line path (1D, 3D,
-/// the array engine) at shifted views of a staged window.
+/// The face path of a reconstructed scheme is three kernels: cellPrims
+/// (the reconstruction plane set of each face neighbour), reconstructFaces
+/// (face L/R states) and then fluxFaces (the Riemann solver), all over
+/// SoA runs.  reconstructFaces takes a run of faces' stencils as
+/// StencilRuns, one run per stencil cell indexed by face, so a caller
+/// points them wherever the cells already sit: the fused 2D row pass at
+/// rows (axis 0, lanes across columns) or shifted views of a row (axis 1)
+/// of the stage field, with no copy; the per-line path (1D, 3D, the array
+/// engine) at shifted views of a staged window.  Its characteristic
+/// projection needs the two face neighbours' velocities, sqrt(rho) and h:
+/// cellPrims converts each cell once into planes, and reconstructFaces
+/// reads them as two PrimRuns (stencil cells 2 and 3), so the divides and
+/// square roots of a cell run once per row, not once per adjacent face.
 /// Piecewise-constant reconstruction has no face states of its own, so
-/// its faces split the other way: cellPrims converts each cell of a line
-/// to its primitive planes once, and the PrimRun overload of fluxFaces
-/// solves every face from two shifted views of those planes.  An
-/// interior cell touches two faces; this way its divides and square
-/// roots run once, not twice.
+/// its faces split straight into the solver: cellPrims converts each
+/// cell of a line to the solver's primitive planes once, and the PrimRun
+/// overload of fluxFaces solves every face from two shifted views of
+/// those planes.  Either way an interior cell touches two faces per axis
+/// and is converted once.
 ///
 /// Each kernel exists twice, in scalarimpl:: (compiled with vectorization
 /// disabled — the honest scalar baseline) and simdimpl:: (compiled with
@@ -161,7 +166,9 @@ template <unsigned Dim> struct PrimPlane {
 
 /// Unit-stride view of a run of cells' primitive planes: one pointer per
 /// plane, at the run's first cell.  Written by cellPrims, read by the
-/// PrimRun overload of fluxFaces.
+/// PrimRun overload of fluxFaces (the solver's plane set) or by
+/// reconstructFaces (the reconstruction plane set: the velocities,
+/// SqrtRho and H).
 template <unsigned Dim> struct PrimRun {
   double *C[NumPrimVars<Dim>] = {};
 };
@@ -245,6 +252,15 @@ constexpr bool fluxMirrored(RiemannKind Kind, bool Simd) {
   return Simd && Kind != RiemannKind::Roe;
 }
 
+/// True when reconstructFaces runs the branch-free SIMD mirror: the
+/// characteristic projection under the SIMD dispatch.  Primitive-variable
+/// mode (an ablation), and every scheme under `--no-simd`, run the
+/// reference loop; for those the reconstruction cellPrims writes nothing
+/// and reconstructFaces ignores its planes.
+constexpr bool reconMirrored(ReconstructVariables Vars, bool Simd) {
+  return Simd && Vars == ReconstructVariables::Characteristic;
+}
+
 /// True when this build compiled simdimpl:: with host-ISA acceleration
 /// (the -march/-fopenmp-simd TU); false means simdimpl is a plain
 /// recompile and `--no-simd` is only a dispatch formality.
@@ -271,19 +287,19 @@ bool simdAccelerated();
   template <unsigned Dim>                                                      \
   void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,               \
                  const Run<Dim> &F, const Gas &G, unsigned Axis,               \
-                 RiemannKind Kind, size_t N);                                  \
-  template <unsigned Dim>                                                      \
-  void reconstructFaces(const StencilRuns<Dim> &Stencil, const Run<Dim> &L,    \
-                        const Run<Dim> &R, const Gas &G, unsigned Axis,        \
-                        ReconstructionKind Kind, LimiterKind Limiter,          \
-                        ReconstructVariables Vars, size_t N);
+                 RiemannKind Kind, size_t N);
 
 namespace scalarimpl {
 SACFD_KERNELS_DECLARE
+template <unsigned Dim>
+void reconstructFaces(const StencilRuns<Dim> &Stencil, const Run<Dim> &L,
+                      const Run<Dim> &R, const Gas &G, unsigned Axis,
+                      ReconstructionKind Kind, LimiterKind Limiter,
+                      ReconstructVariables Vars, size_t N);
 }
 namespace simdimpl {
 SACFD_KERNELS_DECLARE
-// The per-cell split exists only as a mirror: the reference loop has
+// The per-cell splits exist only as mirrors: the reference loops have
 // nothing to split (public wrappers below).
 template <unsigned Dim>
 void cellPrims(const ConstRun<Dim> &U, const PrimRun<Dim> &P, const Gas &G,
@@ -293,6 +309,14 @@ void fluxFaces(const ConstRun<Dim> &L, const PrimRun<Dim> &PL,
                const ConstRun<Dim> &R, const PrimRun<Dim> &PR,
                const Run<Dim> &F, const Gas &G, unsigned Axis,
                RiemannKind Kind, size_t N);
+template <unsigned Dim>
+void reconPrims(const ConstRun<Dim> &U, const PrimRun<Dim> &P, const Gas &G,
+                size_t N);
+template <unsigned Dim>
+void reconstructFaces(const StencilRuns<Dim> &Stencil, const PrimRun<Dim> &PL,
+                      const PrimRun<Dim> &PR, const Run<Dim> &L,
+                      const Run<Dim> &R, const Gas &G, unsigned Axis,
+                      ReconstructionKind Kind, LimiterKind Limiter, size_t N);
 }
 #undef SACFD_KERNELS_DECLARE
 
@@ -382,36 +406,62 @@ inline void fluxFaces(const ConstRun<Dim> &L, const PrimRun<Dim> &PL,
     scalarimpl::fluxFaces<Dim>(L, R, F, G, Axis, Kind, N);
 }
 
+/// The reconstruction plane set of cellPrims: the velocity, SqrtRho and
+/// H planes of \p N cells, the face-neighbour primitives the
+/// characteristic projection reads.  Writes nothing unless
+/// reconMirrored(Vars, Simd), so an engine can pair it with
+/// reconstructFaces below unconditionally.
+template <unsigned Dim>
+inline void cellPrims(const ConstRun<Dim> &U, const PrimRun<Dim> &P,
+                      const Gas &G, ReconstructVariables Vars, size_t N,
+                      bool Simd) {
+  if (reconMirrored(Vars, Simd))
+    simdimpl::reconPrims<Dim>(U, P, G, N);
+}
+
 /// Face states of \p N faces along \p Axis from their stencil runs:
 /// face f's 6-cell stencil (numerics/Reconstruction.h) is element f of
-/// \p Stencil[0..5], of which only stencilSpan(Kind) is read.  Writes
-/// face f's conservative left/right states to \p L and \p R,
-/// bit-identical to reconstructFaceStates on that stencil.
+/// \p Stencil[0..5], of which only stencilSpan(Kind) is read, and the
+/// reconstruction cellPrims planes of its stencil cells 2 and 3 (the
+/// face neighbours) are element f of \p PL and \p PR.  Writes face f's
+/// conservative left/right states to \p L and \p R, bit-identical to
+/// reconstructFaceStates on that stencil.  When !reconMirrored(Vars,
+/// Simd) it runs the reference loop and never reads the planes; nor does
+/// piecewise-constant reconstruction, whose face states are copies.
 template <unsigned Dim>
 inline void reconstructFaces(const StencilRuns<Dim> &Stencil,
+                             const PrimRun<Dim> &PL, const PrimRun<Dim> &PR,
                              const Run<Dim> &L, const Run<Dim> &R,
                              const Gas &G, unsigned Axis,
                              ReconstructionKind Kind, LimiterKind Limiter,
                              ReconstructVariables Vars, size_t N, bool Simd) {
-  // The branch-free SIMD mirror covers the characteristic projection;
-  // Primitive-variable mode (an ablation) stays on the reference loop.
-  bool Vector = Simd && Vars == ReconstructVariables::Characteristic;
-  (Vector ? simdimpl::reconstructFaces<Dim>
-          : scalarimpl::reconstructFaces<Dim>)(Stencil, L, R, G, Axis, Kind,
-                                               Limiter, Vars, N);
+  if (reconMirrored(Vars, Simd))
+    simdimpl::reconstructFaces<Dim>(Stencil, PL, PR, L, R, G, Axis, Kind,
+                                    Limiter, N);
+  else
+    scalarimpl::reconstructFaces<Dim>(Stencil, L, R, G, Axis, Kind, Limiter,
+                                      Vars, N);
 }
 
 /// The window form: \p Win holds N + 5 cells and face f's stencil is
-/// window cells f..f+5, passed as six shifted views of the window.
+/// window cells f..f+5, passed as six shifted views of the window.  \p P
+/// is scratch planes for N + 1 cells: window cells [2, N + 3) are
+/// converted into them once, and face f reads two shifted views of them
+/// (cells f + 2 and f + 3), so each interior cell is converted once for
+/// both of its faces.
 template <unsigned Dim>
-inline void reconstructFaces(const ConstRun<Dim> &Win, const Run<Dim> &L,
-                             const Run<Dim> &R, const Gas &G, unsigned Axis,
+inline void reconstructFaces(const ConstRun<Dim> &Win, const PrimRun<Dim> &P,
+                             const Run<Dim> &L, const Run<Dim> &R,
+                             const Gas &G, unsigned Axis,
                              ReconstructionKind Kind, LimiterKind Limiter,
                              ReconstructVariables Vars, size_t N, bool Simd) {
   StencilRuns<Dim> Stencil;
   for (unsigned C = 0; C < Stencil.size(); ++C)
     Stencil[C] = advance(Win, C);
-  reconstructFaces<Dim>(Stencil, L, R, G, Axis, Kind, Limiter, Vars, N, Simd);
+  if (Kind != ReconstructionKind::PiecewiseConstant)
+    cellPrims<Dim>(Stencil[2], P, G, Vars, N + 1, Simd);
+  reconstructFaces<Dim>(Stencil, P, advance(P, 1), L, R, G, Axis, Kind,
+                        Limiter, Vars, N, Simd);
 }
 
 } // namespace kernels

@@ -79,20 +79,35 @@ struct FaceScalars {
   double R;
 };
 
+/// The unnormalized weight of weno3Biased's {i, i+1} sub-stencil (ideal
+/// weight d1 = 2/3, smoothness indicator (Up - U0)^2).  A face's two
+/// sides square the same jump with opposite signs, and (a-b)*(a-b) and
+/// (b-a)*(b-a) are the same bits for every non-NaN pair, so a caller
+/// reconstructing both sides may compute it once.
+inline double weno3UpperWeight(double U0, double Up) {
+  constexpr double Eps = 1e-6;
+  double B1 = (Up - U0) * (Up - U0);
+  return (2.0 / 3.0) / ((Eps + B1) * (Eps + B1));
+}
+
+/// weno3Biased with the {i, i+1} weight \p A1 = weno3UpperWeight(U0, Up)
+/// already computed.
+inline double weno3Biased(double Um, double U0, double Up, double A1) {
+  // Candidate polynomials evaluated at the face.
+  double P0 = -0.5 * Um + 1.5 * U0; // stencil {i-1, i}
+  double P1 = 0.5 * U0 + 0.5 * Up;  // stencil {i, i+1}
+  // Smoothness indicator and ideal weight (d0 = 1/3) of {i-1, i}.
+  double B0 = (U0 - Um) * (U0 - Um);
+  constexpr double Eps = 1e-6;
+  double A0 = (1.0 / 3.0) / ((Eps + B0) * (Eps + B0));
+  return (A0 * P0 + A1 * P1) / (A0 + A1);
+}
+
 /// One-sided 3rd-order WENO reconstruction toward the right face of the
 /// middle cell, from the ordered window (Um, U0, Up) = (upwind, cell,
 /// downwind).
 inline double weno3Biased(double Um, double U0, double Up) {
-  // Candidate polynomials evaluated at the face.
-  double P0 = -0.5 * Um + 1.5 * U0; // stencil {i-1, i}
-  double P1 = 0.5 * U0 + 0.5 * Up;  // stencil {i, i+1}
-  // Smoothness indicators and ideal weights (d0 = 1/3, d1 = 2/3).
-  double B0 = (U0 - Um) * (U0 - Um);
-  double B1 = (Up - U0) * (Up - U0);
-  constexpr double Eps = 1e-6;
-  double A0 = (1.0 / 3.0) / ((Eps + B0) * (Eps + B0));
-  double A1 = (2.0 / 3.0) / ((Eps + B1) * (Eps + B1));
-  return (A0 * P0 + A1 * P1) / (A0 + A1);
+  return weno3Biased(Um, U0, Up, weno3UpperWeight(U0, Up));
 }
 
 /// One-sided 5th-order WENO reconstruction toward the right face of the

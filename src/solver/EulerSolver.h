@@ -475,25 +475,28 @@ protected:
   /// stencils from the field instead): the fluxes of faces [FaceBegin,
   /// FaceBegin + Faces) of line \p Line along \p Axis of the stage input
   /// \p In.  The line's stencil window is staged once into SoA planes
-  /// (stageLineWindow), kernels::reconstructFaces turns it into the
-  /// faces' left/right states and kernels::fluxFaces solves their Riemann
-  /// problems, all on unit-stride runs, so the SIMD build vectorizes the
-  /// whole path.  The window and the three face rows are one
-  /// per-worker-thread, grown-only scratch (fluxScratch); the returned
-  /// flux row is valid until the calling thread's next call.
+  /// (stageLineWindow).  The window form of kernels::reconstructFaces
+  /// converts its face neighbours, window cells [2, Faces + 3), once into
+  /// primitive planes and turns the window into the faces' left/right
+  /// states from two shifted views of them; kernels::fluxFaces solves
+  /// their Riemann problems.  All of it runs on unit-stride runs, so the
+  /// SIMD build vectorizes the whole path.  The window, the planes and
+  /// the three face rows are one per-worker-thread, grown-only scratch
+  /// (fluxScratch); the returned flux row is valid until the calling
+  /// thread's next call.
   kernels::ConstRun<Dim> lineFaceFluxes(const Field<Dim> &In, unsigned Axis,
                                         size_t Line, size_t FaceBegin,
                                         size_t Faces) const {
     const size_t Len = Faces + 5;
-    FluxScratch<Dim> Scratch = fluxScratch<Dim>(4, Len);
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(5, Len);
     kernels::Run<Dim> Win = Scratch.run(0);
     kernels::Run<Dim> L = Scratch.run(1);
     kernels::Run<Dim> R = Scratch.run(2);
     kernels::Run<Dim> F = Scratch.run(3);
     stageLineWindow(In, Axis, Line, FaceBegin, Len, Win);
-    kernels::reconstructFaces<Dim>(Win, L, R, Prob.G, Axis, Scheme.Recon,
-                                   Scheme.Limiter, Scheme.Vars, Faces,
-                                   SimdEnabled);
+    kernels::reconstructFaces<Dim>(Win, Scratch.prims(4), L, R, Prob.G, Axis,
+                                   Scheme.Recon, Scheme.Limiter, Scheme.Vars,
+                                   Faces, SimdEnabled);
     kernels::fluxFaces<Dim>(L, R, F, Prob.G, Axis, Scheme.Riemann, Faces,
                             SimdEnabled);
     return F;

@@ -29,22 +29,24 @@
 /// one row pass per stage serving both axes: the RHS row is zeroed and
 /// accumulated while it is in cache, and the updated row is written (and
 /// its GetDT maximum folded on the last stage) right after.  Its face rows
-/// read cells straight from the stage input.  Piecewise-constant
-/// reconstruction converts each cell row once into a rolling primitive
-/// row (cellPrims), which feeds the axis-0 faces above and below it and
-/// the row's own axis-1 faces, and fluxFaces solves a face row from two
-/// shifted views of cells and planes.  A reconstructed scheme passes its
-/// stencils to reconstructFaces as runs over the input's rows (axis 0,
-/// lanes across columns) or shifted views of one row (axis 1), with no
-/// copy, and fluxFaces solves the face states.  The row pass keeps no
+/// read cells straight from the stage input.  Every scheme converts each
+/// cell row once into a rolling primitive row (cellPrims), which feeds
+/// the axis-0 faces above and below it and the row's own axis-1 faces.
+/// Piecewise constant, fluxFaces solves a face row from two shifted views
+/// of cells and planes.  A reconstructed scheme passes its stencils to
+/// reconstructFaces as runs over the input's rows (axis 0, lanes across
+/// columns) or shifted views of one row (axis 1), with the face
+/// neighbours' planes beside them, and fluxFaces solves the face states.
+/// The row pass keeps no
 /// whole-field temporary but its stage fields, and since later rows still
 /// read the input, it never writes its input.
 /// 1D and 3D keep the per-axis structure: a zeroing region, one sweep
 /// region per axis into a whole-field RHS, and an update region that
 /// reduces GetDT on the last stage; its residual is complete before the
 /// update, so a stage may write its own input.  There a reconstructed
-/// scheme stages each line's stencil window once and runs it through
-/// reconstructFaces + fluxFaces (EulerSolver::lineFaceFluxes).  So the
+/// scheme stages each line's stencil window once, converts its face
+/// neighbours once, and runs it through reconstructFaces + fluxFaces
+/// (EulerSolver::lineFaceFluxes).  So the
 /// hot loops execute the vectorized kernel build.
 ///
 /// The numerics (reconstruction, Riemann solver, stage table) and the
@@ -246,21 +248,22 @@ private:
   /// eigenvalue.  Every cell accumulates 0, then -D0, then -D1 from the
   /// same face values as the per-axis sweeps.
   ///
-  /// \p Stencils picks how a face row is solved.  Piecewise constant
-  /// (false): two rolling primitive rows hold cells [CB-1, CE] of rows i
-  /// and i+1, so cellPrims converts each cell row once per stage (plus
-  /// the row above the block at its seam), and fluxFaces reads two
-  /// shifted views of cells and planes; the seam rows (RB-1 and RE,
-  /// ghost rows included) feed axis-0 faces only, so they are converted
-  /// over columns [CB, CE).  A reconstructed scheme (true) copies
-  /// nothing: every stencil already sits in \p In, so reconstructFaces
-  /// reads axis-0 face row F's stencil from rows F-3+s at column CB
-  /// (lanes across columns) and row i's axis-1 stencils from row i
-  /// shifted by s-3 columns, and fluxFaces solves the face states.  With
-  /// the grid's ghost layers every cell a stencilSpan run reads lies in
-  /// storage, so nothing is clamped.  Either way no ghost corner is
-  /// read.  A block reads only In (and U at its own cells) and writes
-  /// only its own Out cells, so blocks and tiles have no seam hazards.
+  /// Two rolling primitive rows hold cells [CB-1, CE] of rows i and
+  /// i+1, so cellPrims converts each cell row once per stage (plus the
+  /// row above the block at its seam); the seam rows (RB-1 and RE, ghost
+  /// rows included) feed axis-0 faces only, so they are converted over
+  /// columns [CB, CE).  \p Stencils picks the plane set and how a face
+  /// row is solved.  Piecewise constant (false): the solver's planes, and
+  /// fluxFaces reads two shifted views of cells and planes.  A
+  /// reconstructed scheme (true): the reconstruction planes of the face
+  /// neighbours, and reconstructFaces reads axis-0 face row F's stencil
+  /// from rows F-3+s at column CB (lanes across columns) and row i's
+  /// axis-1 stencils from row i shifted by s-3 columns, straight from
+  /// \p In, then fluxFaces solves the face states.  With the grid's ghost
+  /// layers every cell a stencilSpan run reads lies in storage, so
+  /// nothing is clamped.  Either way no ghost corner is read.  A block
+  /// reads only In (and U at its own cells) and writes only its own Out
+  /// cells, so blocks and tiles have no seam hazards.
   /// \returns the block's maximum (0 unless \p Last).
   template <bool Stencils>
   double stageRows2D(const SspStage &St, bool Last, double Dt,
@@ -282,50 +285,58 @@ private:
       return (this->Ng + R) * S0 + this->Ng + CB;
     };
 
-    FluxScratch<Dim> Scratch = fluxScratch<Dim>(6, W + 2);
-    // Piecewise constant: the rolling primitive rows.  Reconstructed: the
-    // face-state rows.
+    // A reconstructed scheme adds its two face-state rows.
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(Stencils ? 8 : 6, W + 2);
     kernels::PrimRun<Dim> Prims[2] = {Scratch.prims(0), Scratch.prims(1)};
-    kernels::Run<Dim> FaceL = Scratch.run(0), FaceR = Scratch.run(1);
     kernels::Run<Dim> Rows[2] = {Scratch.run(2), Scratch.run(3)};
     kernels::Run<Dim> Row1 = Scratch.run(4);
     kernels::Run<Dim> ResRow = Scratch.run(5);
-    // The \p Faces faces along \p Axis whose stencil cell s is element f
-    // of the run at Base + (s-3)*Step.
-    auto StencilFaces = [&](size_t Base, size_t Step, unsigned Axis,
-                            size_t Faces, const kernels::Run<Dim> &Flux) {
-      const kernels::StencilSpan Span = kernels::stencilSpan(SC.Recon);
-      kernels::StencilRuns<Dim> Stencil;
-      for (unsigned C = Span.First; C <= Span.Last; ++C)
-        Stencil[C] = In.crun(Base + C * Step - 3 * Step);
-      kernels::reconstructFaces<Dim>(Stencil, FaceL, FaceR, G, Axis, SC.Recon,
-                                     SC.Limiter, SC.Vars, Faces, Simd);
-      kernels::fluxFaces<Dim>(FaceL, FaceR, Flux, G, Axis, Kind, Faces, Simd);
+    auto CellPrims = [&](size_t Base, const kernels::PrimRun<Dim> &P,
+                         size_t Cells) {
+      if constexpr (Stencils)
+        kernels::cellPrims<Dim>(In.crun(Base), P, G, SC.Vars, Cells, Simd);
+      else
+        kernels::cellPrims<Dim>(In.crun(Base), P, G, Kind, Cells, Simd);
     };
-    // Axis-0 face row RB+J, between rows F-1 and F, into Rows[J % 2].
-    // Piecewise constant: row F goes into the primitive slot (J+1) % 2
-    // first, beside row F-1 in slot J % 2 (converted here too when it is
-    // the block's seam row RB-1); a seam row feeds axis-0 faces only, so
-    // it is converted over columns [CB, CE).
+    // The \p Faces faces along \p Axis between cells Base-Step and Base
+    // (planes \p PL and \p PR) into \p Flux: a reconstructed face's
+    // stencil cell s is element f of the run at Base + (s-3)*Step.
+    auto SolveFaces = [&](size_t Base, size_t Step, unsigned Axis,
+                          size_t Faces, const kernels::PrimRun<Dim> &PL,
+                          const kernels::PrimRun<Dim> &PR,
+                          const kernels::Run<Dim> &Flux) {
+      if constexpr (Stencils) {
+        kernels::Run<Dim> FaceL = Scratch.run(6), FaceR = Scratch.run(7);
+        const kernels::StencilSpan Span = kernels::stencilSpan(SC.Recon);
+        kernels::StencilRuns<Dim> Stencil;
+        for (unsigned C = Span.First; C <= Span.Last; ++C)
+          Stencil[C] = In.crun(Base + C * Step - 3 * Step);
+        kernels::reconstructFaces<Dim>(Stencil, PL, PR, FaceL, FaceR, G, Axis,
+                                       SC.Recon, SC.Limiter, SC.Vars, Faces,
+                                       Simd);
+        kernels::fluxFaces<Dim>(FaceL, FaceR, Flux, G, Axis, Kind, Faces,
+                                Simd);
+      } else {
+        kernels::fluxFaces<Dim>(In.crun(Base - Step), PL, In.crun(Base), PR,
+                                Flux, G, Axis, Kind, Faces, Simd);
+      }
+    };
+    // Axis-0 face row RB+J, between rows F-1 and F, into Rows[J % 2]: row
+    // F goes into the primitive slot (J+1) % 2 first, beside row F-1 in
+    // slot J % 2 (converted here too when it is the block's seam row
+    // RB-1).
     auto FaceRow0 = [&](size_t J) {
       const size_t F = RB + J, Hi = RowBase(F), Lo = Hi - S0;
-      if constexpr (Stencils) {
-        StencilFaces(Hi, S0, /*Axis=*/0, W, Rows[J % 2]);
-      } else {
-        const kernels::PrimRun<Dim> &PLo = Prims[J % 2];
-        const kernels::PrimRun<Dim> &PHi = Prims[(J + 1) % 2];
-        if (J == 0)
-          kernels::cellPrims<Dim>(In.crun(Lo), kernels::advance(PLo, 1), G,
-                                  Kind, W, Simd);
-        if (F == RE)
-          kernels::cellPrims<Dim>(In.crun(Hi), kernels::advance(PHi, 1), G,
-                                  Kind, W, Simd);
-        else
-          kernels::cellPrims<Dim>(In.crun(Hi - 1), PHi, G, Kind, W + 2, Simd);
-        kernels::fluxFaces<Dim>(In.crun(Lo), kernels::advance(PLo, 1),
-                                In.crun(Hi), kernels::advance(PHi, 1),
-                                Rows[J % 2], G, /*Axis=*/0, Kind, W, Simd);
-      }
+      const kernels::PrimRun<Dim> &PLo = Prims[J % 2];
+      const kernels::PrimRun<Dim> &PHi = Prims[(J + 1) % 2];
+      if (J == 0)
+        CellPrims(Lo, kernels::advance(PLo, 1), W);
+      if (F == RE)
+        CellPrims(Hi, kernels::advance(PHi, 1), W);
+      else
+        CellPrims(Hi - 1, PHi, W + 2);
+      SolveFaces(Hi, S0, /*Axis=*/0, W, kernels::advance(PLo, 1),
+                 kernels::advance(PHi, 1), Rows[J % 2]);
     };
 
     FaceRow0(0);
@@ -333,8 +344,8 @@ private:
     for (size_t I = RB; I != RE; ++I) {
       size_t K = I - RB;
       // Face row I+1 replaces face row I-1, whose last cell row (I-1) is
-      // done (and, piecewise constant, primitive row I+1 replaces row
-      // I-1; row I stays resident for its axis-1 faces).
+      // done (and primitive row I+1 replaces row I-1; row I stays
+      // resident for its axis-1 faces).
       FaceRow0(K + 1);
 
       kernels::zeroState<Dim>(ResRow, W, Simd);
@@ -342,15 +353,9 @@ private:
                                     InvDx0, W, Simd);
 
       const size_t Base = RowBase(I);
-      if constexpr (Stencils) {
-        StencilFaces(Base, 1, /*Axis=*/1, W + 1, Row1);
-      } else {
-        const kernels::PrimRun<Dim> &Cur = Prims[(K + 1) % 2];
-        kernels::ConstRun<Dim> Cells = In.crun(Base - 1);
-        kernels::fluxFaces<Dim>(Cells, Cur, kernels::advance(Cells, 1),
-                                kernels::advance(Cur, 1), Row1, G,
-                                /*Axis=*/1, Kind, W + 1, Simd);
-      }
+      const kernels::PrimRun<Dim> &Cur = Prims[(K + 1) % 2];
+      SolveFaces(Base, 1, /*Axis=*/1, W + 1, Cur, kernels::advance(Cur, 1),
+                 Row1);
       kernels::ConstRun<Dim> Lo = Row1;
       kernels::accumDivergence<Dim>(ResRow, Lo, kernels::advance(Lo, 1),
                                     InvDx1, W, Simd);

@@ -36,6 +36,13 @@
 using namespace sacfd;
 using namespace sacfd::kernels;
 
+namespace sacfd::testprobe {
+// KernelsSimdProbe.cpp: per element, (A-B)^2, (B-A)^2,
+// weno3UpperWeight(A, B) and weno3UpperWeight(B, A).
+void squaredJumps(const double *A, const double *B, double *AB, double *BA,
+                  double *WAB, double *WBA, size_t N);
+}
+
 namespace {
 
 // Ragged lengths: below, at, and astride every plausible vector width.
@@ -254,12 +261,28 @@ TEST(Kernels, FluxHllBrokenStates) {
   checkFluxFaces<2>(RiemannKind::Hll, 80, true);
 }
 
+/// Padded primitive planes for \p N cells, filled with a sentinel.
+template <unsigned Dim> struct PrimBuffers {
+  static constexpr double Sentinel = 12345.5;
+  std::vector<double> Data;
+  size_t Plane;
+
+  explicit PrimBuffers(size_t N)
+      : Data(NumPrimVars<Dim> * paddedCount(N), Sentinel),
+        Plane(paddedCount(N)) {}
+  PrimRun<Dim> run() { return primRun<Dim>(Data.data(), Plane, 0); }
+};
+
 // -------------------------------------------------------------------------
 // reconstructFaces: scalar == simd == reconstructFaceStates on each
 // face's 6-cell stencil, for every scheme x limiter, every axis, ragged
 // run lengths, in both forms: the window form (face f's stencil is window
-// cells f..f+5) and the stencil-run form over rows of a 2D SoA buffer,
-// which must also equal the window form.
+// cells f..f+5, its face neighbours' planes two shifted views of one
+// plane run the form fills itself) and the stencil-run form over rows of
+// a 2D SoA buffer, fed the planes of stencil rows 2 and 3 from two
+// separate cellPrims runs, which must also equal the window form.  The
+// SIMD dispatch reads the face neighbours from those planes only; off
+// it, the planes stay unwritten sentinels and are never read.
 
 struct ReconScheme {
   ReconstructionKind Kind;
@@ -349,8 +372,10 @@ checkReconstructFaces(ReconScheme Scheme, ReconstructVariables Vars,
       for (bool Simd : {false, true}) {
         Buffers<Dim> Bw(Win), Bl{std::vector<Cons<Dim>>(N)},
             Br{std::vector<Cons<Dim>>(N)};
-        reconstructFaces<Dim>(Bw.crun(), Bl.run(), Br.run(), G, Axis,
-                              Scheme.Kind, Scheme.Limiter, Vars, N, Simd);
+        PrimBuffers<Dim> Pw(N + 1);
+        reconstructFaces<Dim>(Bw.crun(), Pw.run(), Bl.run(), Br.run(), G,
+                              Axis, Scheme.Kind, Scheme.Limiter, Vars, N,
+                              Simd);
         // Only the runs the scheme reads are formed; the others stay
         // empty, so reading one would fault.
         Buffers<Dim> Bs(Rows), Sl{std::vector<Cons<Dim>>(N)},
@@ -359,8 +384,12 @@ checkReconstructFaces(ReconScheme Scheme, ReconstructVariables Vars,
         const StencilSpan Span = stencilSpan(Scheme.Kind);
         for (unsigned C = Span.First; C <= Span.Last; ++C)
           Stencil[C] = advance(Bs.crun(), static_cast<ptrdiff_t>(C * Pitch));
-        reconstructFaces<Dim>(Stencil, Sl.run(), Sr.run(), G, Axis,
-                              Scheme.Kind, Scheme.Limiter, Vars, N, Simd);
+        PrimBuffers<Dim> PL(N), PR(N);
+        cellPrims<Dim>(Stencil[2], PL.run(), G, Vars, N, Simd);
+        cellPrims<Dim>(Stencil[3], PR.run(), G, Vars, N, Simd);
+        reconstructFaces<Dim>(Stencil, PL.run(), PR.run(), Sl.run(), Sr.run(),
+                              G, Axis, Scheme.Kind, Scheme.Limiter, Vars, N,
+                              Simd);
         std::vector<Cons<Dim>> WinL(N), WinR(N);
         for (size_t I = 0; I < N; ++I) {
           WinL[I] = Bl.at(I);
@@ -382,9 +411,13 @@ checkReconstructFaces(ReconScheme Scheme, ReconstructVariables Vars,
   return {NaNs, Finite};
 }
 
-// Ragged run lengths 1..9: windows of 6..14 cells.
+// Ragged run lengths 1..9: windows of 6..14 cells.  Piecewise constant
+// rides along: its face states are copies, which read no planes.
 template <unsigned Dim> void checkReconstructAllSchemes(uint64_t Seed) {
-  for (ReconScheme S : reconSchemes())
+  std::vector<ReconScheme> Schemes = reconSchemes();
+  Schemes.push_back({ReconstructionKind::PiecewiseConstant,
+                     LimiterKind::MinMod});
+  for (ReconScheme S : Schemes)
     checkReconstructFaces<Dim>(S, ReconstructVariables::Characteristic,
                                randomStates<Dim>(14, Seed, false));
 }
@@ -424,18 +457,6 @@ TEST(Kernels, ReconstructFacesPrimitiveVariables) {
 // run.  Faces come from two shifted views of one cell run and its
 // primitive planes, the aliasing the engines use, and must equal both
 // numericalFlux and the face-state fluxFaces on the same views.
-
-/// Padded primitive planes for \p N cells, filled with a sentinel.
-template <unsigned Dim> struct PrimBuffers {
-  static constexpr double Sentinel = 12345.5;
-  std::vector<double> Data;
-  size_t Plane;
-
-  explicit PrimBuffers(size_t N)
-      : Data(NumPrimVars<Dim> * paddedCount(N), Sentinel),
-        Plane(paddedCount(N)) {}
-  PrimRun<Dim> run() { return primRun<Dim>(Data.data(), Plane, 0); }
-};
 
 /// Which arm of hllcFlux face (\p Ql, \p Qr) takes: 0 SL >= 0, 1 SR <= 0,
 /// 2 S* >= 0, 3 otherwise (reference expressions).
@@ -531,8 +552,10 @@ TEST(Kernels, FluxSplitBitIdentity3D) { checkFluxSplitMatrix<3>(163); }
 
 TEST(Kernels, CellPrimsWritesNothingOffTheMirror) {
   // Roe and the scalar dispatch run the reference loop: the planes are
-  // neither written nor needed.
+  // neither written nor needed.  Likewise the reconstruction plane set
+  // under primitive variables or the scalar dispatch.
   constexpr unsigned Dim = 2;
+  using PP = PrimPlane<Dim>;
   Gas G;
   auto Cells = randomStates<Dim>(17, 167, false);
   Buffers<Dim> Bc(Cells);
@@ -544,6 +567,72 @@ TEST(Kernels, CellPrimsWritesNothingOffTheMirror) {
     for (double V : P.Data)
       ASSERT_EQ(V, PrimBuffers<Dim>::Sentinel)
           << riemannKindName(Kind) << " simd=" << Simd;
+  }
+  for (auto [Vars, Simd] :
+       {std::pair{ReconstructVariables::Primitive, true},
+        std::pair{ReconstructVariables::Primitive, false},
+        std::pair{ReconstructVariables::Characteristic, false}}) {
+    PrimBuffers<Dim> P(17);
+    cellPrims<Dim>(Bc.crun(), P.run(), G, Vars, 17, Simd);
+    for (double V : P.Data)
+      ASSERT_EQ(V, PrimBuffers<Dim>::Sentinel)
+          << "reconstruction vars=" << static_cast<int>(Vars)
+          << " simd=" << Simd;
+  }
+  // On the mirror the reconstruction set is the velocities, SqrtRho and
+  // H, and no other plane.
+  PrimBuffers<Dim> P(17);
+  cellPrims<Dim>(Bc.crun(), P.run(), G, ReconstructVariables::Characteristic,
+                 17, true);
+  for (unsigned K = 0; K < NumPrimVars<Dim>; ++K) {
+    bool Written = K < Dim || K == PP::SqrtRho || K == PP::H;
+    for (size_t I = 0; I < P.Plane; ++I)
+      ASSERT_EQ(P.Data[K * P.Plane + I] != PrimBuffers<Dim>::Sentinel,
+                Written && I < 17)
+          << "plane " << K << " cell " << I;
+  }
+}
+
+// The premise of the SIMD WENO3 body's shared weight: a face's two sides
+// square the same jump with opposite signs, so (a-b)*(a-b) and
+// (b-a)*(b-a), and weno3UpperWeight either way round, must be the same
+// bits.  The probe is compiled with the SIMD kernel TU's flags.  NaN
+// operands are left out: two NaNs of different payloads may propagate
+// either one, which only the NaN-agnostic rows above accept.
+TEST(Kernels, Weno3SharedJumpIsSymmetric) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double Max = std::numeric_limits<double>::max();
+  const double Sub = std::numeric_limits<double>::denorm_min();
+  const double Low = std::numeric_limits<double>::min();
+  std::vector<double> Edge = {0.0,  -0.0, Sub,  -Sub, 3 * Sub, Low / 3,
+                              -Low, Low,  Max,  -Max, Inf,     -Inf,
+                              1.0,  -1.0, 1e-3, 1e300};
+  std::vector<double> A, B;
+  for (double X : Edge)
+    for (double Y : Edge) {
+      A.push_back(X);
+      B.push_back(Y);
+    }
+  std::mt19937_64 Rng(173);
+  std::uniform_real_distribution<double> Mag(-300.0, 300.0);
+  std::uniform_real_distribution<double> Near(-1.0, 1.0);
+  for (int I = 0; I < 4000; ++I) {
+    double X = std::pow(10.0, Mag(Rng)) * (Rng() % 2 ? 1.0 : -1.0);
+    // Half the pairs nearly cancel, the other half span all decades.
+    double Y = I % 2 ? X * (1.0 + 1e-12 * Near(Rng))
+                     : std::pow(10.0, Mag(Rng)) * Near(Rng);
+    A.push_back(X);
+    B.push_back(Y);
+  }
+  const size_t N = A.size();
+  std::vector<double> AB(N), BA(N), WAB(N), WBA(N);
+  testprobe::squaredJumps(A.data(), B.data(), AB.data(), BA.data(), WAB.data(),
+                          WBA.data(), N);
+  for (size_t I = 0; I < N; ++I) {
+    ASSERT_EQ(std::memcmp(&AB[I], &BA[I], sizeof(double)), 0)
+        << "(a-b)^2 vs (b-a)^2 at a=" << A[I] << " b=" << B[I];
+    ASSERT_EQ(std::memcmp(&WAB[I], &WBA[I], sizeof(double)), 0)
+        << "weno3UpperWeight at a=" << A[I] << " b=" << B[I];
   }
 }
 
