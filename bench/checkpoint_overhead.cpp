@@ -8,9 +8,10 @@
 //               is < 5% overhead here
 //   every=10    an aggressively short cadence, to show the scaling
 //
-// Each checkpoint is a full atomic header+payload+manifest write through
-// the CheckpointStore (fsync included), so the measured overhead is the
-// real durability price, not just the serialization.  --json writes the
+// Each checkpoint is a full atomic header+payload write through the
+// CheckpointStore (both fsyncs included; the first one of a run also
+// stamps the manifest), so the measured overhead is the real durability
+// price, not just the serialization.  --json writes the
 // table as a machine-readable artifact (artifacts/BENCH_checkpoint.json
 // in CI).
 //

@@ -25,7 +25,7 @@ using namespace sacfd;
 namespace {
 
 constexpr uint64_t CheckpointMagic = 0x53414346'44434B50ull; // "SACFDCKP"
-constexpr uint32_t VersionV2 = 2;
+constexpr uint32_t FormatVersion = 3;
 
 struct AxisRecord {
   uint64_t Cells;
@@ -47,19 +47,19 @@ struct HeaderPrefix {
 };
 static_assert(sizeof(HeaderPrefix) == 112, "frozen on-disk layout");
 
-/// v2 = prefix + payload byte count + two FNV-1a checksums.  The header
-/// checksum covers every byte of the header before itself.
-struct HeaderV2 {
+/// v3 = prefix + payload byte count + two checkpointChecksum()s.  The
+/// header checksum covers every byte of the header before itself.
+struct Header {
   HeaderPrefix P;
   uint64_t PayloadBytes;
   uint64_t PayloadChecksum;
   uint64_t HeaderChecksum;
 };
-static_assert(sizeof(HeaderV2) == sizeof(HeaderPrefix) + 24,
+static_assert(sizeof(Header) == sizeof(HeaderPrefix) + 24,
               "frozen on-disk layout");
 
-uint64_t headerChecksum(const HeaderV2 &H) {
-  return fnv1a(&H, offsetof(HeaderV2, HeaderChecksum));
+uint64_t headerChecksum(const Header &H) {
+  return checkpointChecksum(&H, offsetof(Header, HeaderChecksum));
 }
 
 /// RAII FILE handle.
@@ -76,7 +76,7 @@ HeaderPrefix makePrefix(const EulerSolver<Dim> &S) {
   const Grid<Dim> &G = S.problem().Domain;
   HeaderPrefix H = {};
   H.Magic = CheckpointMagic;
-  H.Version = VersionV2;
+  H.Version = FormatVersion;
   H.Rank = Dim;
   H.Ghost = G.ghost();
   H.Steps = S.stepCount();
@@ -149,6 +149,35 @@ long fileSize(std::FILE *F) {
 
 } // namespace
 
+uint64_t sacfd::checkpointChecksum(const void *Data, size_t Bytes) {
+  constexpr size_t Lanes = 8;
+  const auto *P = static_cast<const unsigned char *>(Data);
+  uint64_t H[Lanes];
+  for (size_t J = 0; J < Lanes; ++J)
+    H[J] = FnvOffsetBasis + J;
+  auto Fold = [](uint64_t &Lane, uint64_t W) { Lane = (Lane ^ W) * FnvPrime; };
+  auto Word = [P](size_t I) {
+    uint64_t W;
+    std::memcpy(&W, P + I * sizeof(W), sizeof(W));
+    return W;
+  };
+
+  const size_t Words = Bytes / sizeof(uint64_t);
+  size_t I = 0;
+  for (; I + Lanes <= Words; I += Lanes)
+    for (size_t J = 0; J < Lanes; ++J)
+      Fold(H[J], Word(I + J));
+  for (; I < Words; ++I)
+    Fold(H[I % Lanes], Word(I));
+  for (size_t B = Words * sizeof(uint64_t); B < Bytes; ++B)
+    Fold(H[Words % Lanes], P[B]);
+
+  uint64_t Sum = FnvOffsetBasis;
+  for (uint64_t Lane : H)
+    Fold(Sum, Lane);
+  return Sum;
+}
+
 const char *sacfd::checkpointErrorName(CheckpointError E) {
   switch (E) {
   case CheckpointError::None:
@@ -209,10 +238,10 @@ CheckpointStatus sacfd::saveCheckpoint(const std::string &Path,
   S.field().exportTo(U.data());
   size_t PayloadBytes = U.size() * sizeof(Cons<Dim>);
 
-  HeaderV2 H = {};
+  Header H = {};
   H.P = makePrefix(S);
   H.PayloadBytes = PayloadBytes;
-  H.PayloadChecksum = fnv1a(U.data(), PayloadBytes);
+  H.PayloadChecksum = checkpointChecksum(U.data(), PayloadBytes);
   H.HeaderChecksum = headerChecksum(H);
 
   // Stage into a temp file next to the target so the final rename stays
@@ -298,7 +327,7 @@ CheckpointStatus sacfd::loadCheckpoint(const std::string &Path,
     return CheckpointStatus::make(CheckpointError::BadMagic,
                                   Path + " is not a SacFD checkpoint");
 
-  HeaderV2 H = {};
+  Header H = {};
   H.P.Magic = Magic;
   if (iofault::freadChecked(reinterpret_cast<char *>(&H.P) + sizeof(Magic),
                             sizeof(HeaderPrefix) - sizeof(Magic), 1,
@@ -306,17 +335,17 @@ CheckpointStatus sacfd::loadCheckpoint(const std::string &Path,
     return CheckpointStatus::make(CheckpointError::Truncated,
                                   Path + " ends inside the header");
 
-  if (H.P.Version != VersionV2)
+  if (H.P.Version != FormatVersion)
     return CheckpointStatus::make(
         CheckpointError::VersionSkew,
         Path + " is format v" + std::to_string(H.P.Version) +
-            "; this build reads v2");
+            "; this build reads v" + std::to_string(FormatVersion));
 
   if (iofault::freadChecked(&H.PayloadBytes,
-                            sizeof(HeaderV2) - sizeof(HeaderPrefix), 1,
+                            sizeof(Header) - sizeof(HeaderPrefix), 1,
                             File.get()) != 1)
     return CheckpointStatus::make(CheckpointError::Truncated,
-                                  Path + " ends inside the v2 header");
+                                  Path + " ends inside the header tail");
   // Integrity before compatibility: a corrupt header must not be
   // reported as a geometry mismatch.
   if (headerChecksum(H) != H.HeaderChecksum)
@@ -335,7 +364,7 @@ CheckpointStatus sacfd::loadCheckpoint(const std::string &Path,
 
   // Exact size validation, both directions: a short payload and trailing
   // garbage are equally disqualifying for a bit-identical restart.
-  if (uint64_t Expected = sizeof(HeaderV2) + ExpectedPayload;
+  if (uint64_t Expected = sizeof(Header) + ExpectedPayload;
       FileBytes != Expected) {
     std::string Detail =
         FileBytes < Expected
@@ -355,7 +384,8 @@ CheckpointStatus sacfd::loadCheckpoint(const std::string &Path,
                             File.get()) != Staged.size())
     return CheckpointStatus::make(CheckpointError::Truncated,
                                   "payload read of " + Path + " came short");
-  if (fnv1a(Staged.data(), ExpectedPayload) != H.PayloadChecksum)
+  if (checkpointChecksum(Staged.data(), ExpectedPayload) !=
+      H.PayloadChecksum)
     return CheckpointStatus::make(CheckpointError::ChecksumMismatch,
                                   "payload checksum mismatch in " + Path);
 

@@ -101,8 +101,8 @@ void CheckpointStore::sweepOrphanedTmp() {
 
 std::vector<CheckpointStore::Generation>
 CheckpointStore::generations() const {
-  // Steps -> path; the map both dedups the manifest ∪ scan union and
-  // yields the ascending order we reverse into newest-first.
+  // Steps -> path; the map yields the ascending order we reverse into
+  // newest-first.
   std::map<unsigned, std::string> Found;
 
   std::error_code Ec;
@@ -110,19 +110,6 @@ CheckpointStore::generations() const {
     std::string Name = E.path().filename().string();
     if (std::optional<unsigned> Steps = stepsOfGenerationName(Name))
       Found.emplace(*Steps, E.path().string());
-  }
-
-  std::ifstream Manifest(manifestPath());
-  std::string Line;
-  while (std::getline(Manifest, Line)) {
-    std::string_view Name = trim(Line);
-    if (Name.empty() || Name.front() == '#')
-      continue;
-    if (std::optional<unsigned> Steps = stepsOfGenerationName(Name)) {
-      std::string Path = Root + "/" + std::string(Name);
-      if (!Found.count(*Steps) && fs::exists(Path, Ec))
-        Found.emplace(*Steps, std::move(Path));
-    }
   }
 
   std::vector<Generation> Gens;
@@ -144,6 +131,7 @@ std::string CheckpointStore::runId() const {
 
 CheckpointStatus CheckpointStore::claim(std::string Id) {
   RunId = std::move(Id);
+  ManifestDue = true;
   std::error_code Ec;
   for (const Generation &G : generations())
     fs::remove(G.Path, Ec);
@@ -169,7 +157,7 @@ std::string CheckpointStore::newRunId() {
   return Buf;
 }
 
-CheckpointStatus CheckpointStore::rotate() {
+void CheckpointStore::prune() {
   std::vector<Generation> Gens = generations();
 
   for (size_t I = Keep; I < Gens.size(); ++I) {
@@ -177,8 +165,9 @@ CheckpointStatus CheckpointStore::rotate() {
     if (fs::remove(Gens[I].Path, Ec))
       countStore("checkpoint.generations_pruned");
   }
-  Gens.resize(std::min<size_t>(Gens.size(), Keep));
+}
 
+CheckpointStatus CheckpointStore::writeManifest() {
   // The manifest gets the same torn-write protection as the checkpoints
   // themselves: stage, flush, fsync, rename.
   std::string Manifest = manifestPath();
@@ -191,11 +180,10 @@ CheckpointStatus CheckpointStore::rotate() {
                                       "); the checkpoint itself is on disk");
   };
 
-  std::string Text = "# sacfd checkpoint manifest, newest first\n";
+  std::string Text =
+      "# sacfd checkpoint store; its generations are the ckpt-*.sacfd files\n";
   if (!RunId.empty())
     Text += std::string(RunPrefix) + RunId + "\n";
-  for (const Generation &G : Gens)
-    Text += generationFileName(G.Steps) + "\n";
 
   std::FILE *F = iofault::fopenChecked(Tmp.c_str(), "wb");
   if (!F)
@@ -222,7 +210,12 @@ CheckpointStatus CheckpointStore::write(const EulerSolver<Dim> &S) {
   if (CheckpointStatus St = saveCheckpointWithRetry(Path, S, Retry);
       !St.ok())
     return St;
-  return rotate();
+  prune();
+  if (!ManifestDue)
+    return CheckpointStatus::success();
+  CheckpointStatus St = writeManifest();
+  ManifestDue = !St.ok();
+  return St;
 }
 
 template <unsigned Dim>

@@ -10,17 +10,20 @@
 /// discovery — the durability layer behind --checkpoint-dir / --resume.
 ///
 /// Layout: one file per generation, named `ckpt-<steps, 8 digits>.sacfd`,
-/// plus a `manifest.txt` listing the kept generations newest-first.  Both
-/// the generation files and the manifest are written through the atomic
-/// tmp → fsync → rename path of io/Checkpoint, so a crash at any
+/// plus a `manifest.txt` that holds a comment line and, for a claimed or
+/// adopted run, the `# run <id>` stamp.  Both are written through the
+/// atomic tmp → fsync → rename path of io/Checkpoint, so a crash at any
 /// instant leaves either the old or the new bytes under every name,
 /// never a torn file.
 ///
-/// The manifest records the rotation state, but discovery never trusts
-/// it alone: generations() unions the manifest with a directory scan, so
-/// a crash between "rename checkpoint into place" and "update manifest"
-/// cannot hide the newest generation, and a stale manifest entry whose
-/// file was pruned is ignored.
+/// Discovery is the directory scan alone: the generations are the files
+/// named like ours, so no crash between "rename checkpoint into place"
+/// and any bookkeeping can hide the newest one, and no stale list can
+/// name a pruned one.  The manifest lists no generations, so it changes
+/// only when the run id does: a store object stamps it on its first
+/// successful write() after construction, claim() or adopt(), and later
+/// writes only save and prune (one fsync of the data file and one of its
+/// directory).  A failed stamp is retried on the next write.
 ///
 /// resume() walks the generations newest-first and falls back across
 /// corrupt, torn, or mismatched files, reporting every skipped
@@ -29,7 +32,7 @@
 ///
 /// Run ids: a fresh run claim()s the store, which deletes every
 /// generation an earlier run left behind and stamps the manifest with
-/// the new run's id from its first write on.  Without the claim, an
+/// the new run's id on its first write.  Without the claim, an
 /// earlier, longer run's newer generations would shadow the fresh run's
 /// own in discovery.  A resumed run adopt()s the id it finds instead.
 ///
@@ -64,10 +67,11 @@ public:
   };
 
   /// Writes the solver state as generation `stepCount()` (atomically,
-  /// with bounded retry on transient write failures), then rotates: old
-  /// generations beyond keep() are deleted and the manifest is rewritten.
-  /// A WriteFailed status with a "manifest" detail means the checkpoint
-  /// itself is durably on disk but the manifest update failed.
+  /// with bounded retry on transient write failures), then deletes the
+  /// generations beyond keep() and, when the stamp is due, writes the
+  /// manifest.  A WriteFailed status with a "manifest" detail means the
+  /// checkpoint itself is durably on disk but the stamp failed; the next
+  /// write retries it.
   template <unsigned Dim> CheckpointStatus write(const EulerSolver<Dim> &S);
 
   /// What resume() did.
@@ -88,8 +92,7 @@ public:
   /// across corrupt or torn generations (each recorded in Skipped).
   template <unsigned Dim> ResumeOutcome resume(EulerSolver<Dim> &S);
 
-  /// All discovered generations, newest first (manifest ∪ directory
-  /// scan, existing files only).
+  /// All generation files in the directory, newest first.
   std::vector<Generation> generations() const;
 
   /// The run id stamped in the manifest; empty when there is no manifest
@@ -98,12 +101,15 @@ public:
 
   /// Starts a fresh run \p Id in this store: deletes every generation
   /// file and the manifest (files not named like ours are never
-  /// touched), and stamps \p Id into every manifest this object writes.
+  /// touched), and stamps \p Id on the next write.
   CheckpointStatus claim(std::string Id);
 
-  /// Continues run \p Id (a resume): stamps it into every manifest this
-  /// object writes, deleting nothing.
-  void adopt(std::string Id) { RunId = std::move(Id); }
+  /// Continues run \p Id (a resume): stamps it on the next write,
+  /// deleting nothing.
+  void adopt(std::string Id) {
+    RunId = std::move(Id);
+    ManifestDue = true;
+  }
 
   /// A new run id, unique across processes and time: pid, wall clock
   /// and a random nonce, in hex.
@@ -116,8 +122,10 @@ public:
 
 private:
   CheckpointStatus ensureDir();
-  /// Prunes generations beyond keep() and rewrites the manifest.
-  CheckpointStatus rotate();
+  /// Deletes the generations beyond keep().
+  void prune();
+  /// Stamps RunId into the manifest (tmp → fsync → rename).
+  CheckpointStatus writeManifest();
   /// Deletes staging leftovers (a generation's or the manifest's `.tmp`)
   /// abandoned by a crash mid-write.  Runs on the write and resume
   /// paths; foreign files in the directory are never touched.
@@ -126,8 +134,11 @@ private:
   std::string Root;
   unsigned Keep;
   RetryPolicy Retry;
-  /// Stamped into every manifest this object writes (none when empty).
+  /// Stamped into the manifest this object writes (none when empty).
   std::string RunId;
+  /// The manifest still has to be written: set by construction, claim()
+  /// and adopt(), cleared by a successful stamp.
+  bool ManifestDue = true;
 };
 
 extern template CheckpointStatus

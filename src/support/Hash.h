@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// 64-bit FNV-1a, the repo's one content-hash primitive: checkpoint
-/// section checksums (io/Checkpoint) and the scenario gallery's pinned
-/// reference hashes (solver/Scenario) both use it, so a state that
-/// round-trips a checkpoint and a state that matches a pinned reference
-/// are fingerprinted by the same arithmetic.
+/// 64-bit FNV-1a, the hash of field states: fieldStateHash, the scenario
+/// gallery's pinned reference hashes (solver/Scenario) and the
+/// benchmark's pinned rows all fold state bytes through it, so its values
+/// are frozen wherever a reference hash is checked in.  It is byte-serial
+/// (one dependent multiply per byte), which is why checkpoint files do
+/// not use it: their sections carry checkpointChecksum (io/Checkpoint),
+/// the same FNV step over 8 independent word lanes.  Both hashes share
+/// the constants below.
 ///
 //===----------------------------------------------------------------------===//
 

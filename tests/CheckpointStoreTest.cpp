@@ -1,16 +1,20 @@
 //===- tests/CheckpointStoreTest.cpp - Rotation + resume fallback ---------===//
 //
 // The rotated checkpoint directory: generation naming, keep-last-K
-// pruning, manifest ∪ directory-scan discovery (the crash window between
-// "rename checkpoint" and "update manifest"), and resume's newest-first
-// fallback across corrupt generations with per-file error reporting.
+// pruning, directory-scan discovery (a manifest, stale or missing, never
+// changes what is found), the once-per-run manifest stamp, resume's
+// newest-first fallback across corrupt generations with per-file error
+// reporting, and an exhaustive truncation and bit-flip sweep of a store's
+// newest generation and of its manifest.
 //
 //===----------------------------------------------------------------------===//
 
+#include "CheckpointTestSupport.h"
 #include "io/CheckpointStore.h"
 #include "runtime/SerialBackend.h"
 #include "solver/ArraySolver.h"
 #include "solver/Diagnostics.h"
+#include "solver/FusedSolver.h"
 #include "solver/Problems.h"
 #include "support/FaultInjection.h"
 
@@ -18,6 +22,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace sacfd;
 
@@ -50,6 +60,7 @@ TEST(CheckpointStore, GenerationNamesEncodeTheStepCount) {
 TEST(CheckpointStore, WritePublishesGenerationAndManifest) {
   std::string Dir = freshDir("store_write");
   CheckpointStore Store(Dir, /*Keep=*/3);
+  ASSERT_TRUE(Store.claim("run-a").ok());
   ArraySolver<1> S(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
   S.advanceSteps(4);
   ASSERT_TRUE(Store.write(S).ok());
@@ -59,13 +70,30 @@ TEST(CheckpointStore, WritePublishesGenerationAndManifest) {
   EXPECT_EQ(Gens[0].Steps, 4u);
   EXPECT_TRUE(fs::exists(Gens[0].Path));
 
-  std::ifstream Manifest(Store.manifestPath());
-  ASSERT_TRUE(Manifest.good());
-  std::string Line;
-  std::getline(Manifest, Line);
-  EXPECT_EQ(Line.front(), '#') << "leading comment line";
-  std::getline(Manifest, Line);
-  EXPECT_EQ(Line, "ckpt-00000004.sacfd");
+  // The manifest is a run-id stamp: a comment line and the run line,
+  // no generation list.
+  auto ManifestLines = [&] {
+    std::ifstream Manifest(Store.manifestPath());
+    std::vector<std::string> Lines;
+    for (std::string Line; std::getline(Manifest, Line);)
+      Lines.push_back(Line);
+    return Lines;
+  };
+  std::vector<std::string> Lines = ManifestLines();
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(Lines[0].front(), '#') << "leading comment line";
+  EXPECT_EQ(Lines[1], "# run run-a");
+
+  // Stamped once: later writes publish generations without replacing
+  // the manifest (a rewrite renames a new inode into place).
+  struct stat Before = {}, After = {};
+  ASSERT_EQ(::stat(Store.manifestPath().c_str(), &Before), 0);
+  S.advanceSteps(1);
+  ASSERT_TRUE(Store.write(S).ok());
+  ASSERT_EQ(::stat(Store.manifestPath().c_str(), &After), 0);
+  EXPECT_EQ(Before.st_ino, After.st_ino) << "the manifest was rewritten";
+  EXPECT_EQ(ManifestLines(), Lines);
+  EXPECT_EQ(Store.generations().size(), 2u);
   fs::remove_all(Dir);
 }
 
@@ -137,14 +165,16 @@ TEST(CheckpointStore, ResumeSweepsOrphanedTmpFiles) {
 }
 
 TEST(CheckpointStore, DiscoveryUnionsManifestWithDirectoryScan) {
+  // Discovery is the directory scan: no manifest content, stale, malformed
+  // or missing, changes what it finds.
   std::string Dir = freshDir("store_union");
   CheckpointStore Store(Dir, /*Keep=*/3);
   ArraySolver<1> S(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
   S.advanceSteps(2);
   ASSERT_TRUE(Store.write(S).ok());
 
-  // The crash window: a generation renamed into place whose manifest
-  // update never happened.  The scan must still surface it as newest.
+  // A generation renamed into place by a writer that never reached the
+  // store's bookkeeping.  The scan must still surface it as newest.
   S.advanceSteps(2);
   ASSERT_TRUE(
       saveCheckpoint(Dir + "/" + CheckpointStore::generationFileName(4), S)
@@ -153,8 +183,8 @@ TEST(CheckpointStore, DiscoveryUnionsManifestWithDirectoryScan) {
   ASSERT_EQ(Gens.size(), 2u);
   EXPECT_EQ(Gens[0].Steps, 4u) << "unmanifested newest generation found";
 
-  // The reverse: a manifest entry whose file is gone is ignored, and a
-  // deleted manifest does not hide the files.
+  // A deleted manifest does not hide the files, and an old-style manifest
+  // listing a pruned generation and a malformed name adds neither.
   fs::remove(Store.manifestPath());
   Gens = Store.generations();
   EXPECT_EQ(Gens.size(), 2u);
@@ -162,7 +192,9 @@ TEST(CheckpointStore, DiscoveryUnionsManifestWithDirectoryScan) {
   std::ofstream(Store.manifestPath())
       << "# comment\nckpt-00009999.sacfd\nnot-a-checkpoint.txt\n\n";
   Gens = Store.generations();
-  EXPECT_EQ(Gens.size(), 2u) << "stale + malformed entries ignored";
+  ASSERT_EQ(Gens.size(), 2u) << "stale + malformed entries ignored";
+  EXPECT_EQ(Gens[0].Steps, 4u);
+  EXPECT_EQ(Gens[1].Steps, 2u);
   fs::remove_all(Dir);
 }
 
@@ -298,6 +330,12 @@ TEST(CheckpointStore, ManifestWriteFailureStillKeepsTheCheckpoint) {
   CheckpointStore::ResumeOutcome Out = Store.resume(T);
   ASSERT_TRUE(Out.resumed()) << Out.Status.str();
   EXPECT_EQ(Out.LoadedSteps, 2u);
+
+  // The stamp stays due: the next write retries it.
+  EXPECT_FALSE(fs::exists(Store.manifestPath()));
+  S.advanceSteps(1);
+  ASSERT_TRUE(Store.write(S).ok());
+  EXPECT_TRUE(fs::exists(Store.manifestPath()));
   fs::remove_all(Dir);
 }
 
@@ -334,5 +372,98 @@ TEST(CheckpointStore, ClaimClearsAnEarlierRunAndStampsItsId) {
   EXPECT_EQ(Resumed.runId(), "run-b");
   EXPECT_EQ(Resumed.generations().size(), 2u);
   EXPECT_NE(CheckpointStore::newRunId(), CheckpointStore::newRunId());
+  fs::remove_all(Dir);
+}
+
+TEST(CheckpointStore, EveryTruncationAndBitFlipResumesCleanlyOrExactly) {
+  // Exhaustive corruption of a 2-generation store of a small 2D solver:
+  // every truncation length and every single-bit flip of the newest
+  // generation file, then of the manifest.  Each resume must either load
+  // a generation with exactly its saved bits, or fail with a
+  // CheckpointError and leave the target bit-identical to its state
+  // before the resume.  A crash, or different bits loaded without an
+  // error, fails.
+  const SchemeConfig C = SchemeConfig::benchmarkScheme();
+  const std::string Dir = freshDir("store_corruption_sweep");
+  CheckpointStore Store(Dir, /*Keep=*/2);
+  ASSERT_TRUE(Store.claim("run-sweep").ok());
+  FusedSolver<2> Source(riemann2D(8), C, Exec);
+  Source.advanceSteps(2);
+  std::map<unsigned, std::vector<unsigned char>> Saved;
+  ASSERT_TRUE(Store.write(Source).ok());
+  Saved[2] = restorableBytes(Source);
+  Source.advanceSteps(2);
+  ASSERT_TRUE(Store.write(Source).ok());
+  Saved[4] = restorableBytes(Source);
+  ASSERT_EQ(Store.generations().size(), 2u);
+
+  FusedSolver<2> Target(riemann2D(8), C, Exec);
+  Target.advanceSteps(1);
+
+  // Resumes from whatever the store holds now.  \returns the violated
+  // rule, or "" if the resume kept to the contract; counts the
+  // generation each clean resume loaded.
+  std::map<unsigned, size_t> Loaded;
+  auto Violation = [&]() -> std::string {
+    const std::vector<unsigned char> Prior = restorableBytes(Target);
+    const CheckpointStore::ResumeOutcome Out = Store.resume(Target);
+    if (Out.resumed()) {
+      ++Loaded[Out.LoadedSteps];
+      const auto It = Saved.find(Out.LoadedSteps);
+      return It != Saved.end() && restorableBytes(Target) == It->second
+                 ? ""
+                 : "resumed generation " + std::to_string(Out.LoadedSteps) +
+                       " with different bits and no error";
+    }
+    return restorableBytes(Target) == Prior
+               ? ""
+               : "failed resume (" + Out.Status.str() +
+                     ") changed the solver";
+  };
+
+  // Each file is edited in place through one descriptor, as in the
+  // single-file sweep of CheckpointTest: truncations shrink it a byte at
+  // a time, then each flip patches one byte and puts it back.
+  auto Sweep = [&](const std::string &Path) {
+    const std::string Good = readBytes(Path);
+    ASSERT_FALSE(Good.empty()) << Path;
+    const int Fd = ::open(Path.c_str(), O_WRONLY);
+    ASSERT_GE(Fd, 0) << Path;
+    for (size_t Len = Good.size(); Len-- > 0;) {
+      ASSERT_EQ(::ftruncate(Fd, static_cast<off_t>(Len)), 0);
+      ASSERT_EQ(Violation(), "") << Path << " truncated to " << Len;
+    }
+    ASSERT_EQ(::pwrite(Fd, Good.data(), Good.size(), 0),
+              static_cast<ssize_t>(Good.size()));
+    for (size_t Bit = 0; Bit < Good.size() * 8; ++Bit) {
+      const off_t At = static_cast<off_t>(Bit / 8);
+      const char Flipped =
+          static_cast<char>(Good[Bit / 8] ^ (1 << (Bit % 8)));
+      ASSERT_EQ(::pwrite(Fd, &Flipped, 1, At), 1);
+      ASSERT_EQ(Violation(), "") << Path << " bit " << Bit << " flipped";
+      ASSERT_EQ(::pwrite(Fd, &Good[Bit / 8], 1, At), 1);
+    }
+    ::close(Fd);
+  };
+
+  // The newest generation: no corrupted variant of it loads, and the
+  // intact older one is found every time.
+  const std::string NewestPath = Store.generations().front().Path;
+  const size_t GenerationCases = readBytes(NewestPath).size() * 9;
+  Sweep(NewestPath);
+  if (HasFatalFailure())
+    return;
+  EXPECT_EQ(Loaded[2], GenerationCases);
+  EXPECT_EQ(Loaded[4], 0u);
+
+  // The manifest is a run-id stamp, not the list of generations: no
+  // corruption of it changes what resume finds.
+  Loaded.clear();
+  const size_t ManifestCases = readBytes(Store.manifestPath()).size() * 9;
+  Sweep(Store.manifestPath());
+  if (HasFatalFailure())
+    return;
+  EXPECT_EQ(Loaded[4], ManifestCases);
+  EXPECT_EQ(Loaded[2], 0u);
   fs::remove_all(Dir);
 }

@@ -1,14 +1,16 @@
 //===- tests/CheckpointTest.cpp - Save/restart correctness ----------------===//
 //
-// Round-trip and restart bit-identity of the v2 checkpoint format, the
+// Round-trip and restart bit-identity of the v3 checkpoint format, the
 // full CheckpointError taxonomy (every variant constructed, most through
-// the fault-injection layer), rejection of the retired v1 format, exact
+// the fault-injection layer), rejection of the retired v1 and v2 formats,
+// the v3 checksum's known answers and single-bit-flip sensitivity, exact
 // file-size validation in both directions, an exhaustive truncation and
 // bit-flip sweep of one small file, the atomic save path, and the
 // retry-with-backoff wrapper.
 //
 //===----------------------------------------------------------------------===//
 
+#include "CheckpointTestSupport.h"
 #include "io/Checkpoint.h"
 #include "runtime/SerialBackend.h"
 #include "solver/ArraySolver.h"
@@ -16,6 +18,7 @@
 #include "solver/FusedSolver.h"
 #include "solver/Problems.h"
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -50,31 +53,6 @@ uint64_t sizeOf(const std::string &Path) {
   std::error_code Ec;
   uint64_t Size = std::filesystem::file_size(Path, Ec);
   return Ec ? 0 : Size;
-}
-
-std::string readBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// Every bit a checkpoint restores: the whole field including ghosts (as
-/// the interchange records the file stores), the bitwise clock and the
-/// step count.
-template <unsigned Dim>
-std::vector<unsigned char> restorableBytes(const EulerSolver<Dim> &S) {
-  std::vector<Cons<Dim>> U(S.field().size());
-  S.field().exportTo(U.data());
-  const size_t FieldBytes = U.size() * sizeof(Cons<Dim>);
-  const double Time = S.time();
-  const unsigned Steps = S.stepCount();
-  std::vector<unsigned char> Bytes(FieldBytes + sizeof(Time) +
-                                   sizeof(Steps));
-  std::memcpy(Bytes.data(), U.data(), FieldBytes);
-  std::memcpy(Bytes.data() + FieldBytes, &Time, sizeof(Time));
-  std::memcpy(Bytes.data() + FieldBytes + sizeof(Time), &Steps,
-              sizeof(Steps));
-  return Bytes;
 }
 
 } // namespace
@@ -288,6 +266,45 @@ TEST(Checkpoint, V1FileIsVersionSkew) {
   std::remove(Path.c_str());
 }
 
+TEST(Checkpoint, V2FileIsVersionSkew) {
+  // v2 had v3's layout with byte-serial FNV-1a checksums.  A genuine v2
+  // file (version 2, both checksums recomputed the v2 way) is refused by
+  // name, not misread as a corrupt v3 one.
+  ArraySolver<1> Source(sodProblem(32), SchemeConfig::benchmarkScheme(),
+                        Exec);
+  Source.advanceSteps(5);
+  std::string Path = tempPath("v2.ckp");
+  ASSERT_TRUE(saveCheckpoint(Path, Source).ok());
+  {
+    // Version at byte 8; the payload checksum at 120 covers bytes 136...;
+    // the header checksum at 128 covers bytes 0-127.
+    std::string Bytes = readBytes(Path);
+    ASSERT_GT(Bytes.size(), 136u);
+    const uint32_t V2 = 2;
+    std::memcpy(&Bytes[8], &V2, sizeof(V2));
+    const uint64_t Payload = fnv1a(&Bytes[136], Bytes.size() - 136);
+    std::memcpy(&Bytes[120], &Payload, sizeof(Payload));
+    const uint64_t Header = fnv1a(Bytes.data(), 128);
+    std::memcpy(&Bytes[128], &Header, sizeof(Header));
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  }
+
+  ArraySolver<1> T(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
+  T.advanceSteps(2);
+  ArraySolver<1> Reference(sodProblem(32), SchemeConfig::benchmarkScheme(),
+                           Exec);
+  Reference.advanceSteps(2);
+
+  CheckpointStatus St = loadCheckpoint(Path, T);
+  EXPECT_EQ(St.Error, CheckpointError::VersionSkew);
+  EXPECT_NE(St.Detail.find("v2"), std::string::npos) << St.str();
+  EXPECT_EQ(maxFieldDifference(T, Reference), 0.0)
+      << "failed load must not touch the field";
+  EXPECT_EQ(T.stepCount(), Reference.stepCount());
+  std::remove(Path.c_str());
+}
+
 TEST(Checkpoint, RejectsWrongRank) {
   ArraySolver<2> S2(riemann2D(8), SchemeConfig::benchmarkScheme(), Exec);
   std::string Path = tempPath("rank.ckp");
@@ -425,8 +442,48 @@ TEST(Checkpoint, FailedChecksumLoadPreservesField) {
   std::remove(Path.c_str());
 }
 
+//===----------------------------------------------------------------------===//
+// The v3 checksum
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// A fixed byte pattern: every byte value, in a stride-37 order.
+std::vector<unsigned char> checksumPattern(size_t Bytes) {
+  std::vector<unsigned char> P(Bytes);
+  for (size_t I = 0; I < Bytes; ++I)
+    P[I] = static_cast<unsigned char>(I * 37 + 11);
+  return P;
+}
+} // namespace
+
+TEST(Checkpoint, ChecksumKnownAnswers) {
+  // The checksum is part of the on-disk format: a change to it is a new
+  // format version, never a silent edit of these values.  1021 bytes
+  // also pin the folding of a tail shorter than a word.
+  const std::vector<unsigned char> P = checksumPattern(1024);
+  EXPECT_EQ(checkpointChecksum(P.data(), 1024), 0x3afd8da7b4b00c6dull);
+  EXPECT_EQ(checkpointChecksum(P.data(), 1021), 0xaf0d22e17aedd56dull);
+  EXPECT_EQ(checkpointChecksum(P.data(), 0), 0xd14df2d7dd9cab2dull);
+}
+
+TEST(Checkpoint, ChecksumChangesOnEverySingleBitFlip) {
+  // Every length 1-136 (the header's 128 checksummed bytes, a payload's
+  // words, tails of 1-7 bytes, fewer words than one round of 8 lanes) and
+  // every single-bit flip of it.
+  std::vector<unsigned char> P = checksumPattern(136);
+  for (size_t Len = 1; Len <= P.size(); ++Len) {
+    const uint64_t Clean = checkpointChecksum(P.data(), Len);
+    for (size_t Bit = 0; Bit < Len * 8; ++Bit) {
+      P[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+      ASSERT_NE(checkpointChecksum(P.data(), Len), Clean)
+          << "length " << Len << ", bit " << Bit;
+      P[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+    }
+  }
+}
+
 TEST(Checkpoint, EveryTruncationAndBitFlipFailsCleanlyOrLoadsExactly) {
-  // Exhaustive corruption of one small 2D v2 file: every truncation
+  // Exhaustive corruption of one small 2D v3 file: every truncation
   // length and every single-bit flip, loaded through one reused path.
   // Each load must either return a CheckpointError and leave the target
   // bit-identical to its state before the load, or restore exactly the
@@ -481,7 +538,7 @@ TEST(Checkpoint, EveryTruncationAndBitFlipFailsCleanlyOrLoadsExactly) {
     ASSERT_EQ(::pwrite(Fd, &Good[Bit / 8], 1, At), 1);
   }
   ::close(Fd);
-  // Every byte of a v2 file is under the magic, the version or one of the
+  // Every byte of a v3 file is under the magic, the version or one of the
   // two checksums, so no corrupted variant loads at all.
   EXPECT_EQ(CleanLoads, 0u);
 
@@ -597,7 +654,7 @@ TEST(CheckpointFaults, BitFlipOnVersionReadIsVersionSkew) {
   ASSERT_TRUE(saveCheckpoint(Path, S).ok());
 
   // Read 2 covers the header prefix after the magic; its byte 0 is the
-  // version field, and 2 xor 1 = 3 is a version this build refuses.
+  // version field, and 3 xor 1 = 2 is a version this build refuses.
   iofault::Plan P;
   P.BitFlipReadNth = 2;
   P.BitFlipByte = 0;
@@ -614,7 +671,7 @@ TEST(CheckpointFaults, BitFlipOnHeaderReadIsChecksumMismatch) {
   std::string Path = tempPath("fi_hdrsum.ckp");
   ASSERT_TRUE(saveCheckpoint(Path, S).ok());
 
-  // Byte 16 of read 2 is the step count — covered by the v2 header
+  // Byte 16 of read 2 is the step count — covered by the v3 header
   // checksum but not by the magic/version gates, so the flip must be
   // reported as corruption, not as a geometry mismatch.
   iofault::Plan P;
@@ -635,7 +692,7 @@ TEST(CheckpointFaults, BitFlipOnPayloadReadIsChecksumMismatch) {
   ASSERT_TRUE(saveCheckpoint(Path, S).ok());
 
   iofault::Plan P;
-  P.BitFlipReadNth = 4; // reads: magic, prefix, v2 tail, payload
+  P.BitFlipReadNth = 4; // reads: magic, prefix, v3 tail, payload
   iofault::setPlan(P);
   ArraySolver<1> T(sodProblem(16), SchemeConfig::benchmarkScheme(), Exec);
   CheckpointStatus St = loadCheckpoint(Path, T);

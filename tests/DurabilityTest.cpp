@@ -70,11 +70,12 @@ RunConfig durableConfig(BackendKind Backend, unsigned Threads,
 /// resume, bit-identity check.
 ///
 /// \p KillWriteNth picks the fwrite that murders the child.  Each store
-/// generation costs three writes (checkpoint header, payload, manifest
-/// body), so op 8 dies inside the third generation's payload (its tmp
-/// file is never renamed — the generation does not exist) and op 9 dies
-/// inside the manifest update (the generation IS on disk but the
-/// manifest never heard of it — resume must find it by directory scan).
+/// generation costs two writes (checkpoint header, payload), and the
+/// first one also stamps the manifest (write 3).  So op 7 dies inside the
+/// third generation's payload (its tmp file is never renamed — the
+/// generation does not exist) and op 3 dies inside the manifest stamp
+/// (the first generation IS on disk but no manifest exists yet — resume
+/// must find it by directory scan).
 template <unsigned Dim>
 void runKillResumeScenario(BackendKind Backend, unsigned Threads,
                            unsigned TotalSteps, unsigned Every,
@@ -158,43 +159,43 @@ void runKillResumeScenario(BackendKind Backend, unsigned Threads,
 //===----------------------------------------------------------------------===//
 
 TEST(Durability, KillMidPayloadWrite1DSerial) {
-  // Write op 8 = payload of the step-15 generation: its tmp is never
+  // Write op 7 = payload of the step-15 generation: its tmp is never
   // renamed, so the disk holds generations 5 and 10.
   runKillResumeScenario<1>(BackendKind::Serial, 1, /*TotalSteps=*/40,
-                           /*Every=*/5, /*KillWriteNth=*/8,
+                           /*Every=*/5, /*KillWriteNth=*/7,
                            /*ExpectResumeSteps=*/10, "kill_1d_serial");
 }
 
 TEST(Durability, KillMidManifestWrite1DSerial) {
-  // Write op 9 = the manifest body after the step-15 generation was
-  // renamed into place: the manifest is stale, the directory scan is
-  // what must surface generation 15.
+  // Write op 3 = the manifest stamp after the step-5 generation was
+  // renamed into place: no manifest exists, the directory scan is what
+  // must surface generation 5.
   runKillResumeScenario<1>(BackendKind::Serial, 1, /*TotalSteps=*/40,
-                           /*Every=*/5, /*KillWriteNth=*/9,
-                           /*ExpectResumeSteps=*/15, "kill_1d_manifest");
+                           /*Every=*/5, /*KillWriteNth=*/3,
+                           /*ExpectResumeSteps=*/5, "kill_1d_manifest");
 }
 
 TEST(Durability, KillMidPayloadWrite2DSerial) {
   runKillResumeScenario<2>(BackendKind::Serial, 1, /*TotalSteps=*/30,
-                           /*Every=*/5, /*KillWriteNth=*/8,
+                           /*Every=*/5, /*KillWriteNth=*/7,
                            /*ExpectResumeSteps=*/10, "kill_2d_serial");
 }
 
 TEST(Durability, KillMidPayloadWrite1DThreaded) {
   runKillResumeScenario<1>(BackendKind::SpinPool, 2, /*TotalSteps=*/40,
-                           /*Every=*/5, /*KillWriteNth=*/8,
+                           /*Every=*/5, /*KillWriteNth=*/7,
                            /*ExpectResumeSteps=*/10, "kill_1d_spinpool");
 }
 
 TEST(Durability, KillMidPayloadWrite2DThreaded) {
   runKillResumeScenario<2>(BackendKind::SpinPool, 2, /*TotalSteps=*/30,
-                           /*Every=*/5, /*KillWriteNth=*/8,
+                           /*Every=*/5, /*KillWriteNth=*/7,
                            /*ExpectResumeSteps=*/10, "kill_2d_spinpool");
 }
 
 TEST(Durability, KillMidPayloadWrite2DForkJoin) {
   runKillResumeScenario<2>(BackendKind::ForkJoin, 2, /*TotalSteps=*/30,
-                           /*Every=*/5, /*KillWriteNth=*/8,
+                           /*Every=*/5, /*KillWriteNth=*/7,
                            /*ExpectResumeSteps=*/10, "kill_2d_forkjoin");
 }
 
@@ -204,7 +205,7 @@ TEST(Durability, KillMidPayloadWrite2DFusedEngine) {
   // cached for any other field, or the post-resume trajectory diverges
   // from the uninterrupted reference.
   runKillResumeScenario<2>(BackendKind::SpinPool, 2, /*TotalSteps=*/30,
-                           /*Every=*/5, /*KillWriteNth=*/8,
+                           /*Every=*/5, /*KillWriteNth=*/7,
                            /*ExpectResumeSteps=*/10, "kill_2d_fused",
                            EngineKind::Fused);
 }
