@@ -9,9 +9,9 @@
 //   every=10    an aggressively short cadence, to show the scaling
 //
 // Each checkpoint is a full atomic header+payload write through the
-// CheckpointStore (both fsyncs included; the first one of a run also
-// stamps the manifest), so the measured overhead is the real durability
-// price, not just the serialization.  --json writes the
+// CheckpointStore (both fsyncs included; the manifest is stamped once,
+// by the untimed set-up's claim), so the measured overhead is the real
+// durability price, not just the serialization.  --json writes the
 // table as a machine-readable artifact (artifacts/BENCH_checkpoint.json
 // in CI).
 //

@@ -155,7 +155,14 @@ uint64_t sacfd::checkpointChecksum(const void *Data, size_t Bytes) {
   uint64_t H[Lanes];
   for (size_t J = 0; J < Lanes; ++J)
     H[J] = FnvOffsetBasis + J;
-  auto Fold = [](uint64_t &Lane, uint64_t W) { Lane = (Lane ^ W) * FnvPrime; };
+  // The multiply only carries a word's bits upward; the xor-shift folds
+  // the high half back down, so the top (sign, exponent) bits of every
+  // word reach every bit of the lane and no pair of flips of one bit
+  // position cancels structurally.
+  auto Fold = [](uint64_t &Lane, uint64_t W) {
+    Lane = (Lane ^ W) * FnvPrime;
+    Lane ^= Lane >> 32;
+  };
   auto Word = [P](size_t I) {
     uint64_t W;
     std::memcpy(&W, P + I * sizeof(W), sizeof(W));
@@ -165,6 +172,7 @@ uint64_t sacfd::checkpointChecksum(const void *Data, size_t Bytes) {
   const size_t Words = Bytes / sizeof(uint64_t);
   size_t I = 0;
   for (; I + Lanes <= Words; I += Lanes)
+#pragma GCC unroll 8
     for (size_t J = 0; J < Lanes; ++J)
       Fold(H[J], Word(I + J));
   for (; I < Words; ++I)

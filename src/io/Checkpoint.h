@@ -83,14 +83,17 @@ struct CheckpointStatus {
 };
 
 /// The checksum of both v3 sections: 8 independent 64-bit lanes, lane j
-/// folding the native-endian words j, j+8, ... as H = (H ^ w) * FnvPrime
-/// from its own seed; the Bytes mod 8 tail bytes fold one at a time into
-/// the lane that the next word would reach; then the 8 lane values fold
-/// the same way, as words, into one FNV-1a hash.  Every step is a
-/// bijection of H and injective in its word, so any single-word change
+/// folding the native-endian words j, j+8, ... as H = (H ^ w) * FnvPrime,
+/// H ^= H >> 32, from its own seed; the Bytes mod 8 tail bytes fold one
+/// at a time into the lane that the next word would reach; then the 8
+/// lane values fold the same way, as words, into one hash.  Every step is
+/// a bijection of H and injective in its word, so any single-word change
 /// (in particular any single-bit flip) changes the result, as with
-/// byte-serial FNV-1a; the lanes' multiplies are independent, so a
-/// checksum costs about a ninth of a byte-serial one.
+/// byte-serial FNV-1a.  The xor-shift carries each word's high bits (a
+/// double's sign and exponent) down into the low half, so two flips of
+/// the same bit position do not cancel as they would under the multiply
+/// alone.  The lanes' steps are independent, so a checksum costs a small
+/// fraction of a byte-serial one.
 uint64_t checkpointChecksum(const void *Data, size_t Bytes);
 
 /// Prints a structured one-line checkpoint failure to stderr:

@@ -129,9 +129,9 @@ std::string CheckpointStore::runId() const {
   return std::string();
 }
 
-CheckpointStatus CheckpointStore::claim(std::string Id) {
-  RunId = std::move(Id);
-  ManifestDue = true;
+CheckpointStatus CheckpointStore::claim(const std::string &Id) {
+  if (CheckpointStatus St = ensureDir(); !St.ok())
+    return St;
   std::error_code Ec;
   for (const Generation &G : generations())
     fs::remove(G.Path, Ec);
@@ -141,7 +141,9 @@ CheckpointStatus CheckpointStore::claim(std::string Id) {
                                   "cannot clear an earlier run's "
                                   "generations from " +
                                       Root);
-  return CheckpointStatus::success();
+  // Stamped before this run's first generation exists, so every
+  // generation the run writes lies under its id.
+  return writeManifest(Id);
 }
 
 std::string CheckpointStore::newRunId() {
@@ -167,7 +169,7 @@ void CheckpointStore::prune() {
   }
 }
 
-CheckpointStatus CheckpointStore::writeManifest() {
+CheckpointStatus CheckpointStore::writeManifest(const std::string &Id) {
   // The manifest gets the same torn-write protection as the checkpoints
   // themselves: stage, flush, fsync, rename.
   std::string Manifest = manifestPath();
@@ -176,14 +178,12 @@ CheckpointStatus CheckpointStore::writeManifest() {
     std::remove(Tmp.c_str());
     countStore("checkpoint.manifest_failures");
     return CheckpointStatus::make(CheckpointError::WriteFailed,
-                                  "manifest update failed (" + What +
-                                      "); the checkpoint itself is on disk");
+                                  "manifest stamp failed (" + What + ")");
   };
 
   std::string Text =
       "# sacfd checkpoint store; its generations are the ckpt-*.sacfd files\n";
-  if (!RunId.empty())
-    Text += std::string(RunPrefix) + RunId + "\n";
+  Text += std::string(RunPrefix) + Id + "\n";
 
   std::FILE *F = iofault::fopenChecked(Tmp.c_str(), "wb");
   if (!F)
@@ -211,11 +211,7 @@ CheckpointStatus CheckpointStore::write(const EulerSolver<Dim> &S) {
       !St.ok())
     return St;
   prune();
-  if (!ManifestDue)
-    return CheckpointStatus::success();
-  CheckpointStatus St = writeManifest();
-  ManifestDue = !St.ok();
-  return St;
+  return CheckpointStatus::success();
 }
 
 template <unsigned Dim>

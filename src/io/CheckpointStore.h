@@ -10,8 +10,8 @@
 /// discovery — the durability layer behind --checkpoint-dir / --resume.
 ///
 /// Layout: one file per generation, named `ckpt-<steps, 8 digits>.sacfd`,
-/// plus a `manifest.txt` that holds a comment line and, for a claimed or
-/// adopted run, the `# run <id>` stamp.  Both are written through the
+/// plus a `manifest.txt` that holds a comment line and the `# run <id>`
+/// stamp of the run that claimed the store.  Both are written through the
 /// atomic tmp → fsync → rename path of io/Checkpoint, so a crash at any
 /// instant leaves either the old or the new bytes under every name,
 /// never a torn file.
@@ -20,10 +20,9 @@
 /// named like ours, so no crash between "rename checkpoint into place"
 /// and any bookkeeping can hide the newest one, and no stale list can
 /// name a pruned one.  The manifest lists no generations, so it changes
-/// only when the run id does: a store object stamps it on its first
-/// successful write() after construction, claim() or adopt(), and later
-/// writes only save and prune (one fsync of the data file and one of its
-/// directory).  A failed stamp is retried on the next write.
+/// only when the run id does: claim() stamps it once, and every write()
+/// only saves and prunes (one fsync of the data file and one of its
+/// directory).
 ///
 /// resume() walks the generations newest-first and falls back across
 /// corrupt, torn, or mismatched files, reporting every skipped
@@ -32,9 +31,9 @@
 ///
 /// Run ids: a fresh run claim()s the store, which deletes every
 /// generation an earlier run left behind and stamps the manifest with
-/// the new run's id on its first write.  Without the claim, an
+/// the new run's id before its first write.  Without the claim, an
 /// earlier, longer run's newer generations would shadow the fresh run's
-/// own in discovery.  A resumed run adopt()s the id it finds instead.
+/// own in discovery.  A resumed run keeps the stamp it finds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +52,8 @@ namespace sacfd {
 class CheckpointStore {
 public:
   /// \p Keep is the number of generations retained by rotation (at least
-  /// 1).  The directory is created (recursively) on the first write.
+  /// 1).  The directory is created (recursively) by claim() or the
+  /// first write.
   explicit CheckpointStore(std::string Dir, unsigned Keep = 3,
                            RetryPolicy Retry = {});
 
@@ -68,10 +68,7 @@ public:
 
   /// Writes the solver state as generation `stepCount()` (atomically,
   /// with bounded retry on transient write failures), then deletes the
-  /// generations beyond keep() and, when the stamp is due, writes the
-  /// manifest.  A WriteFailed status with a "manifest" detail means the
-  /// checkpoint itself is durably on disk but the stamp failed; the next
-  /// write retries it.
+  /// generations beyond keep().  The manifest is not touched.
   template <unsigned Dim> CheckpointStatus write(const EulerSolver<Dim> &S);
 
   /// What resume() did.
@@ -99,17 +96,12 @@ public:
   /// or it carries no stamp (stores written before run ids existed).
   std::string runId() const;
 
-  /// Starts a fresh run \p Id in this store: deletes every generation
-  /// file and the manifest (files not named like ours are never
-  /// touched), and stamps \p Id on the next write.
-  CheckpointStatus claim(std::string Id);
-
-  /// Continues run \p Id (a resume): stamps it on the next write,
-  /// deleting nothing.
-  void adopt(std::string Id) {
-    RunId = std::move(Id);
-    ManifestDue = true;
-  }
+  /// Starts a fresh run \p Id in this store: creates the directory,
+  /// deletes every generation file and the manifest (files not named
+  /// like ours are never touched), then stamps \p Id into a new manifest.
+  /// A WriteFailed status with a "manifest" detail means the store was
+  /// cleared but holds no stamp.
+  CheckpointStatus claim(const std::string &Id);
 
   /// A new run id, unique across processes and time: pid, wall clock
   /// and a random nonce, in hex.
@@ -124,8 +116,8 @@ private:
   CheckpointStatus ensureDir();
   /// Deletes the generations beyond keep().
   void prune();
-  /// Stamps RunId into the manifest (tmp → fsync → rename).
-  CheckpointStatus writeManifest();
+  /// Stamps \p Id into the manifest (tmp → fsync → rename).
+  CheckpointStatus writeManifest(const std::string &Id);
   /// Deletes staging leftovers (a generation's or the manifest's `.tmp`)
   /// abandoned by a crash mid-write.  Runs on the write and resume
   /// paths; foreign files in the directory are never touched.
@@ -134,11 +126,6 @@ private:
   std::string Root;
   unsigned Keep;
   RetryPolicy Retry;
-  /// Stamped into the manifest this object writes (none when empty).
-  std::string RunId;
-  /// The manifest still has to be written: set by construction, claim()
-  /// and adopt(), cleared by a successful stamp.
-  bool ManifestDue = true;
 };
 
 extern template CheckpointStatus

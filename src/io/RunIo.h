@@ -105,7 +105,6 @@ DurabilitySetup setupDurableRun(SolverRun<Dim> &Run) {
     for (const auto &[Path, St] : Outcome.Skipped)
       reportCheckpointError(("resume: skipped " + Path).c_str(), St);
     if (Outcome.resumed()) {
-      Setup.Store->adopt(Setup.Store->runId());
       Setup.Resumed = true;
       Setup.ResumeSteps = Outcome.LoadedSteps;
       Setup.ResumePath = Outcome.LoadedPath;

@@ -105,10 +105,8 @@ int ShardCoordinator::workerBody(unsigned K) {
   EulerSolver<2> &S = Run.solver();
 
   std::unique_ptr<CheckpointStore> Store;
-  if (!Opt.CheckpointDir.empty()) {
+  if (!Opt.CheckpointDir.empty())
     Store = std::make_unique<CheckpointStore>(shardDir(K), Opt.CheckpointKeep);
-    Store->adopt(RunId); // claimed or adopted by the coordinator
-  }
 
   uint64_t Gen = Slot->TargetGen.load(std::memory_order_acquire);
   if (Gen != ShardNoResume) {

@@ -12,8 +12,8 @@
 /// are frozen wherever a reference hash is checked in.  It is byte-serial
 /// (one dependent multiply per byte), which is why checkpoint files do
 /// not use it: their sections carry checkpointChecksum (io/Checkpoint),
-/// the same FNV step over 8 independent word lanes.  Both hashes share
-/// the constants below.
+/// an FNV multiply over 8 independent word lanes with an xor-shift after
+/// each step.  Both hashes share the constants below.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -61,17 +61,9 @@ TEST(CheckpointStore, WritePublishesGenerationAndManifest) {
   std::string Dir = freshDir("store_write");
   CheckpointStore Store(Dir, /*Keep=*/3);
   ASSERT_TRUE(Store.claim("run-a").ok());
-  ArraySolver<1> S(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
-  S.advanceSteps(4);
-  ASSERT_TRUE(Store.write(S).ok());
 
-  auto Gens = Store.generations();
-  ASSERT_EQ(Gens.size(), 1u);
-  EXPECT_EQ(Gens[0].Steps, 4u);
-  EXPECT_TRUE(fs::exists(Gens[0].Path));
-
-  // The manifest is a run-id stamp: a comment line and the run line,
-  // no generation list.
+  // claim() stamps the manifest before any generation exists: a comment
+  // line and the run line, no generation list.
   auto ManifestLines = [&] {
     std::ifstream Manifest(Store.manifestPath());
     std::vector<std::string> Lines;
@@ -83,11 +75,19 @@ TEST(CheckpointStore, WritePublishesGenerationAndManifest) {
   ASSERT_EQ(Lines.size(), 2u);
   EXPECT_EQ(Lines[0].front(), '#') << "leading comment line";
   EXPECT_EQ(Lines[1], "# run run-a");
+  EXPECT_TRUE(Store.generations().empty());
 
-  // Stamped once: later writes publish generations without replacing
-  // the manifest (a rewrite renames a new inode into place).
+  // Stamped once: writes publish generations without replacing the
+  // manifest (a rewrite renames a new inode into place).
   struct stat Before = {}, After = {};
   ASSERT_EQ(::stat(Store.manifestPath().c_str(), &Before), 0);
+  ArraySolver<1> S(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
+  S.advanceSteps(4);
+  ASSERT_TRUE(Store.write(S).ok());
+  auto Gens = Store.generations();
+  ASSERT_EQ(Gens.size(), 1u);
+  EXPECT_EQ(Gens[0].Steps, 4u);
+  EXPECT_TRUE(fs::exists(Gens[0].Path));
   S.advanceSteps(1);
   ASSERT_TRUE(Store.write(S).ok());
   ASSERT_EQ(::stat(Store.manifestPath().c_str(), &After), 0);
@@ -315,27 +315,31 @@ TEST(CheckpointStore, ManifestWriteFailureStillKeepsTheCheckpoint) {
   ArraySolver<1> S(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
   S.advanceSteps(2);
 
-  // Ops during write(): checkpoint header (1), payload (2), then the
-  // manifest body is write 3 — fail exactly that one.
+  // The manifest body is claim()'s one write — fail exactly that one.
+  // The failure is claim's, named as the manifest's, and leaves neither
+  // a stamp nor its staging file.
   iofault::Plan P;
-  P.FailWriteNth = 3;
+  P.FailWriteNth = 1;
   iofault::setPlan(P);
-  CheckpointStatus St = Store.write(S);
+  CheckpointStatus St = Store.claim("run-c");
   iofault::clear();
   EXPECT_EQ(St.Error, CheckpointError::WriteFailed);
   EXPECT_NE(St.Detail.find("manifest"), std::string::npos) << St.str();
+  EXPECT_FALSE(fs::exists(Store.manifestPath()));
+  EXPECT_FALSE(fs::exists(Store.manifestPath() + ".tmp"));
 
-  // The generation itself is durably on disk and resumable.
+  // write() never touches the manifest, so checkpoints are written and
+  // resumable regardless of it.
+  ASSERT_TRUE(Store.write(S).ok());
+  EXPECT_FALSE(fs::exists(Store.manifestPath()));
   ArraySolver<1> T(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
   CheckpointStore::ResumeOutcome Out = Store.resume(T);
   ASSERT_TRUE(Out.resumed()) << Out.Status.str();
   EXPECT_EQ(Out.LoadedSteps, 2u);
 
-  // The stamp stays due: the next write retries it.
-  EXPECT_FALSE(fs::exists(Store.manifestPath()));
-  S.advanceSteps(1);
-  ASSERT_TRUE(Store.write(S).ok());
-  EXPECT_TRUE(fs::exists(Store.manifestPath()));
+  // A repeated claim stamps the run.
+  ASSERT_TRUE(Store.claim("run-c").ok());
+  EXPECT_EQ(Store.runId(), "run-c");
   fs::remove_all(Dir);
 }
 
@@ -349,6 +353,7 @@ TEST(CheckpointStore, ClaimClearsAnEarlierRunAndStampsItsId) {
     S.advanceSteps(4);
     ASSERT_TRUE(Earlier.write(S).ok());
     EXPECT_EQ(Earlier.runId(), "") << "no run claimed the store yet";
+    EXPECT_FALSE(fs::exists(Earlier.manifestPath())) << "writes never stamp";
   }
   { std::ofstream(Dir + "/notes.txt") << "not ours\n"; }
 
@@ -357,6 +362,7 @@ TEST(CheckpointStore, ClaimClearsAnEarlierRunAndStampsItsId) {
   ASSERT_TRUE(Store.claim("run-b").ok());
   EXPECT_TRUE(Store.generations().empty())
       << "the earlier run's newer generations must be gone";
+  EXPECT_EQ(Store.runId(), "run-b") << "stamped by the claim itself";
   EXPECT_TRUE(fs::exists(Dir + "/notes.txt")) << "foreign files survive";
   Fresh.advanceSteps(2);
   ASSERT_TRUE(Store.write(Fresh).ok());
@@ -364,9 +370,8 @@ TEST(CheckpointStore, ClaimClearsAnEarlierRunAndStampsItsId) {
   EXPECT_EQ(Store.generations()[0].Steps, 2u);
   EXPECT_EQ(Store.runId(), "run-b");
 
-  // A resumed run adopts the stamp it finds and keeps writing it.
+  // A resumed run writes under the stamp it finds.
   CheckpointStore Resumed(Dir, /*Keep=*/3);
-  Resumed.adopt(Resumed.runId());
   Fresh.advanceSteps(1);
   ASSERT_TRUE(Resumed.write(Fresh).ok());
   EXPECT_EQ(Resumed.runId(), "run-b");

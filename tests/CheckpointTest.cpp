@@ -3,7 +3,7 @@
 // Round-trip and restart bit-identity of the v3 checkpoint format, the
 // full CheckpointError taxonomy (every variant constructed, most through
 // the fault-injection layer), rejection of the retired v1 and v2 formats,
-// the v3 checksum's known answers and single-bit-flip sensitivity, exact
+// the v3 checksum's known answers and one- and two-bit-flip sensitivity, exact
 // file-size validation in both directions, an exhaustive truncation and
 // bit-flip sweep of one small file, the atomic save path, and the
 // retry-with-backoff wrapper.
@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -461,9 +462,9 @@ TEST(Checkpoint, ChecksumKnownAnswers) {
   // format version, never a silent edit of these values.  1021 bytes
   // also pin the folding of a tail shorter than a word.
   const std::vector<unsigned char> P = checksumPattern(1024);
-  EXPECT_EQ(checkpointChecksum(P.data(), 1024), 0x3afd8da7b4b00c6dull);
-  EXPECT_EQ(checkpointChecksum(P.data(), 1021), 0xaf0d22e17aedd56dull);
-  EXPECT_EQ(checkpointChecksum(P.data(), 0), 0xd14df2d7dd9cab2dull);
+  EXPECT_EQ(checkpointChecksum(P.data(), 1024), 0x2847e05f5cbae21aull);
+  EXPECT_EQ(checkpointChecksum(P.data(), 1021), 0x87fe993fb06a25a0ull);
+  EXPECT_EQ(checkpointChecksum(P.data(), 0), 0x962d8d378043d02bull);
 }
 
 TEST(Checkpoint, ChecksumChangesOnEverySingleBitFlip) {
@@ -480,6 +481,83 @@ TEST(Checkpoint, ChecksumChangesOnEverySingleBitFlip) {
       P[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
     }
   }
+}
+
+TEST(Checkpoint, ChecksumChangesOnEveryTwoBitFlip) {
+  // Two flips of one bit position must not cancel: a lane step whose
+  // multiply only carries bits upward maps a flip of bit 63 to the same
+  // change of bit 63 whatever the word, so flipping the signs of any two
+  // doubles would pass.  Every pair of flips of the header-sized
+  // pattern, then every pair of sign-bit flips across 128 words.
+  auto Flip = [](std::vector<unsigned char> &P, size_t Bit) {
+    P[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+  };
+  std::vector<unsigned char> P = checksumPattern(136);
+  const uint64_t Clean = checkpointChecksum(P.data(), P.size());
+  for (size_t A = 0; A < P.size() * 8; ++A) {
+    Flip(P, A);
+    for (size_t B = A + 1; B < P.size() * 8; ++B) {
+      Flip(P, B);
+      ASSERT_NE(checkpointChecksum(P.data(), P.size()), Clean)
+          << "bits " << A << " and " << B;
+      Flip(P, B);
+    }
+    Flip(P, A);
+  }
+
+  std::vector<unsigned char> Q = checksumPattern(1024);
+  const uint64_t CleanQ = checkpointChecksum(Q.data(), Q.size());
+  for (size_t A = 63; A < Q.size() * 8; A += 64) {
+    Flip(Q, A);
+    for (size_t B = A + 64; B < Q.size() * 8; B += 64) {
+      Flip(Q, B);
+      ASSERT_NE(checkpointChecksum(Q.data(), Q.size()), CleanQ)
+          << "sign bits of words " << A / 64 << " and " << B / 64;
+      Flip(Q, B);
+    }
+    Flip(Q, A);
+  }
+}
+
+TEST(Checkpoint, TwoFlippedSignBitsAreChecksumMismatch) {
+  // The file-level face of ChecksumChangesOnEveryTwoBitFlip: the signs of
+  // two field values (adjacent, in one lane, first and last) or of two
+  // header doubles flipped together are caught, and the failed load
+  // leaves the target untouched.
+  ArraySolver<1> Source(sodProblem(32), SchemeConfig::benchmarkScheme(),
+                        Exec);
+  Source.advanceSteps(5);
+  const std::string Path = tempPath("signs.ckp");
+  ASSERT_TRUE(saveCheckpoint(Path, Source).ok());
+  const std::string Good = readBytes(Path);
+  // The payload starts after the 136-byte header; gamma and time are
+  // the header doubles at bytes 24 and 32.
+  const size_t Words = (Good.size() - 136) / 8;
+  const std::pair<size_t, size_t> SignBytes[] = {
+      {136 + 7, 136 + 8 + 7},
+      {136 + 7, 136 + 8 * 8 + 7},
+      {136 + 3 * 8 + 7, 136 + 11 * 8 + 7},
+      {136 + 7, 136 + (Words - 1) * 8 + 7},
+      {24 + 7, 32 + 7},
+  };
+
+  ArraySolver<1> T(sodProblem(32), SchemeConfig::benchmarkScheme(), Exec);
+  T.advanceSteps(2);
+  const std::vector<unsigned char> Prior = restorableBytes(T);
+  for (const auto &[First, Second] : SignBytes) {
+    std::string Bytes = Good;
+    Bytes[First] = static_cast<char>(Bytes[First] ^ 0x80);
+    Bytes[Second] = static_cast<char>(Bytes[Second] ^ 0x80);
+    {
+      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+      Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+    }
+    const CheckpointStatus St = loadCheckpoint(Path, T);
+    EXPECT_EQ(St.Error, CheckpointError::ChecksumMismatch)
+        << "sign bytes " << First << " and " << Second << ": " << St.str();
+    EXPECT_EQ(restorableBytes(T), Prior);
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(Checkpoint, EveryTruncationAndBitFlipFailsCleanlyOrLoadsExactly) {
