@@ -143,6 +143,21 @@ std::vector<KernelRow> benchKernels(size_t Cells, unsigned Reps,
     else
       Rows.back().SimdSec = Sec;
   }
+  // The one-pass stage tail both engines' 2D stages end in: both axes'
+  // divergences folded into the in-place SSP update.
+  SoaField2 F0(Cells);
+  const kernels::ConstRun<2> StageLo[2] = {Res.crun(), Lo};
+  const kernels::ConstRun<2> StageHi[2] = {F0.crun(), Hi};
+  for (bool Simd : {false, true}) {
+    double Sec = timeKernel(Reps, Repeats, [&] {
+      kernels::stageUpdate<2>(U.run(), Un.crun(), U.crun(), StageLo, StageHi,
+                              InvDx, 0.5, 0.5, 1e-3, Cells, Simd);
+    });
+    if (!Simd)
+      Rows.push_back({"stageUpdate", Sec, 0.0});
+    else
+      Rows.back().SimdSec = Sec;
+  }
   // WENO3 characteristic face states from a staged window of Cells + 5,
   // its face neighbours' plane pass included (the window form runs it).
   SoaField2 Win(Cells + 5);

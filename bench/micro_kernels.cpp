@@ -292,6 +292,63 @@ BENCHMARK(BM_KernelAccumDivergence)
     ->Args({1 << 14, 1})
     ->Name("BM_Kernel/accumDivergence");
 
+// The 2D stage tail on one 400-cell row (L1-hot), the fused row pass's
+// unit: .../stageUpdate is the one-pass kernel, .../stageUpdateSequence
+// the four kernels it replaces (zeroState, accumDivergence per axis,
+// sspUpdate) over a scratch RHS row.  The axis-1 faces are two shifted
+// views of one face row, as in the engines.
+namespace {
+struct StageTailRow {
+  size_t N;
+  SoaField2 Out, Un, X, F0Lo, F0Hi, F1, Res;
+  kernels::ConstRun<2> Lo[2], Hi[2];
+  const double InvDx[2] = {400.0, 400.0};
+  explicit StageTailRow(size_t N)
+      : N(N), Out(N), Un(N), X(N), F0Lo(N), F0Hi(N), F1(N + 1), Res(N) {
+    Lo[0] = F0Lo.crun();
+    Hi[0] = F0Hi.crun();
+    Lo[1] = F1.crun();
+    Hi[1] = kernels::advance(F1.crun(), 1);
+  }
+};
+} // namespace
+
+static void BM_KernelStageUpdate(benchmark::State &State) {
+  const bool Simd = State.range(1) != 0;
+  StageTailRow T(static_cast<size_t>(State.range(0)));
+  for (auto _ : State) {
+    kernels::stageUpdate<2>(T.Out.run(), T.Un.crun(), T.X.crun(), T.Lo, T.Hi,
+                            T.InvDx, 0.5, 0.5, 1e-3, T.N, Simd);
+    benchmark::DoNotOptimize(T.Out.Buf.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(T.N));
+}
+BENCHMARK(BM_KernelStageUpdate)
+    ->Args({400, 0})
+    ->Args({400, 1})
+    ->Name("BM_Kernel/stageUpdate");
+
+static void BM_KernelStageUpdateSequence(benchmark::State &State) {
+  const bool Simd = State.range(1) != 0;
+  StageTailRow T(static_cast<size_t>(State.range(0)));
+  for (auto _ : State) {
+    kernels::zeroState<2>(T.Res.run(), T.N, Simd);
+    for (unsigned Ax = 0; Ax < 2; ++Ax)
+      kernels::accumDivergence<2>(T.Res.run(), T.Lo[Ax], T.Hi[Ax],
+                                  T.InvDx[Ax], T.N, Simd);
+    kernels::sspUpdate<2>(T.Out.run(), T.Un.crun(), T.X.crun(), T.Res.crun(),
+                          0.5, 0.5, 1e-3, T.N, Simd);
+    benchmark::DoNotOptimize(T.Out.Buf.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(T.N));
+}
+BENCHMARK(BM_KernelStageUpdateSequence)
+    ->Args({400, 0})
+    ->Args({400, 1})
+    ->Name("BM_Kernel/stageUpdateSequence");
+
 // The higher-order face path's first kernel: WENO3 characteristic face
 // states from a staged window (N faces read N + 5 cells), with the pass
 // that converts the window's N + 1 face neighbours into planes.
@@ -350,8 +407,8 @@ BENCHMARK(BM_KernelReconPrims)->Arg(1 << 14)->Name("BM_Kernel/reconPrims");
 //===----------------------------------------------------------------------===//
 
 // One whole RK stage of a serial fused run: the 2D row pass that solves
-// both axes' faces into a row-local RHS and writes the SSP update out of
-// place (plus GetDT on the last stage).  Timed by the engine's own
+// both axes' faces of a row and writes its SSP update out of place in one
+// stageUpdate run (plus GetDT on the last stage).  Timed by the engine's own
 // solver.flux span over the three stages of a step, so only the boundary
 // fill is excluded; ns_per_cell is that time per interior cell.
 static void fusedSweep2D(benchmark::State &State, Problem<2> Prob,

@@ -20,6 +20,9 @@
 #            one-region ghost fill's slab writers on every backend).  The
 #            OpenMP backend stays out: libgomp is not instrumented.
 #
+# Last, the slow mutation suite: each scripts/mutants/*.patch must be
+# killed by the tests its header names (scripts/mutation_check.sh).
+#
 # The guard subsystem must detect and recover from breakdowns in both
 # build types, so neither configuration is optional.  After the Release
 # run, a small guarded+instrumented smoke run emits a telemetry JSON
@@ -136,4 +139,11 @@ echo "== simd ablation gate + artifact =="
 ./build-ci-Release/bench/ablation_simd --cells 96 --steps 20 \
     --gate --json artifacts/BENCH_simd.json
 echo "wrote artifacts/BENCH_simd.json"
+
+echo "== mutation suite (slow) =="
+# Every checked-in mutant (scripts/mutants/*.patch) must still apply and
+# be killed by the tests its header names; each is rebuilt in a
+# temporary worktree with the Release tree's settings, about a minute
+# apiece.
+scripts/mutation_check.sh build-ci-Release "$JOBS"
 echo "== CI matrix passed =="

@@ -38,6 +38,13 @@
 /// those planes.  Either way an interior cell touches two faces per axis
 /// and is converted once.
 ///
+/// The stage tail is one kernel as well: stageUpdate folds every axis's
+/// flux divergence into the SSP update cell by cell, so no residual is
+/// stored (the fused 2D row pass and the array engine's combine).  The
+/// fused 1D/3D per-axis path keeps its whole-field RHS and the three
+/// kernels stageUpdate fuses: zeroState, accumDivergence per axis and
+/// sspUpdate.  maxEigen folds the next step's GetDT over an updated run.
+///
 /// Each kernel exists twice, in scalarimpl:: (compiled with vectorization
 /// disabled — the honest scalar baseline) and simdimpl:: (compiled with
 /// the host ISA, OpenMP SIMD pragmas, and contraction off).  The public
@@ -285,6 +292,11 @@ bool simdAccelerated();
   void accumDivergence(const Run<Dim> &Res, const ConstRun<Dim> &Lo,           \
                        const ConstRun<Dim> &Hi, double InvDx, size_t N);       \
   template <unsigned Dim>                                                      \
+  void stageUpdate(const Run<Dim> &Out, const ConstRun<Dim> &Un,               \
+                   const ConstRun<Dim> &X, const ConstRun<Dim> *Lo,            \
+                   const ConstRun<Dim> *Hi, const double *InvDx, double A,     \
+                   double B, double Dt, size_t N);                             \
+  template <unsigned Dim>                                                      \
   void fluxFaces(const ConstRun<Dim> &L, const ConstRun<Dim> &R,               \
                  const Run<Dim> &F, const Gas &G, unsigned Axis,               \
                  RiemannKind Kind, size_t N);
@@ -365,6 +377,23 @@ inline void accumDivergence(const Run<Dim> &Res, const ConstRun<Dim> &Lo,
                             bool Simd) {
   (Simd ? simdimpl::accumDivergence<Dim>
         : scalarimpl::accumDivergence<Dim>)(Res, Lo, Hi, InvDx, N);
+}
+
+/// The whole stage tail in one pass: per element and component, the
+/// residual R = 0.0 - (Hi[0] - Lo[0]) * InvDx[0] - ... over the Dim axes
+/// in order, then Out = Un*A + (X + R*Dt)*B.  Bit for bit zeroState,
+/// accumDivergence per axis and sspUpdate on a scratch residual, with no
+/// residual stored.  \p Lo, \p Hi and \p InvDx hold Dim entries: axis
+/// a's low and high face runs of the \p N cells and its inverse
+/// spacing.  \p Out may alias \p Un or \p X cell for cell (never at an
+/// offset) and never a face run.
+template <unsigned Dim>
+inline void stageUpdate(const Run<Dim> &Out, const ConstRun<Dim> &Un,
+                        const ConstRun<Dim> &X, const ConstRun<Dim> *Lo,
+                        const ConstRun<Dim> *Hi, const double *InvDx,
+                        double A, double B, double Dt, size_t N, bool Simd) {
+  (Simd ? simdimpl::stageUpdate<Dim> : scalarimpl::stageUpdate<Dim>)(
+      Out, Un, X, Lo, Hi, InvDx, A, B, Dt, N);
 }
 
 template <unsigned Dim>

@@ -23,9 +23,11 @@
 ///                small operations into fewer larger operations").  A 2D
 ///                stage is three with-loops: the ghost fill (every side
 ///                in one region), one flux with-loop that yields both
-///                axes' flux fields, and one combine with-loop that also
-///                folds the residual and the next step's GetDT
-///                reduction (last stage), so no residual field exists;
+///                axes' flux fields, and one combine with-loop that folds
+///                the residual into the update cell by cell (one
+///                kernels::stageUpdate run per row) and the next step's
+///                GetDT reduction (last stage), so no residual exists,
+///                not even a scratch row;
 ///                1D and 3D run one flux with-loop per axis.  Like a
 ///                with-loop, a stage defines a new
 ///                array: it reads its input and writes its output out of
@@ -154,11 +156,12 @@ private:
   /// The stage's combine with-loop over the interior rows (lines along
   /// the last axis).  Per row run it folds what the unfused formulation
   /// runs as separate whole-field passes:
-  ///   - the residual L(In) = -sum_axis dF_axis/dx_axis, built in a
-  ///     thread-local scratch row: zero, then the axis-ordered divergence
-  ///     accumulations — the same per-cell sequence as the materialized
-  ///     sum, so fields stay bit-identical;
-  ///   - the modarray Out = A * U + B * (In + dt * Res), U being Q^n;
+  ///   - the residual L(In) = -sum_axis dF_axis/dx_axis and the modarray
+  ///     Out = A * U + B * (In + dt * Res), U being Q^n, as one
+  ///     kernels::stageUpdate run: each cell's residual starts at 0 and
+  ///     takes the axis-ordered divergences in registers — the same
+  ///     per-cell sequence as the materialized sum, so fields stay
+  ///     bit-identical, and no residual is stored;
   ///   - on the \p Last stage, the GetDT max eigenvalue of the updated
   ///     row.
   /// The with-loop is a blockReduce2D fold over the same space and blocks
@@ -194,22 +197,21 @@ private:
         this->lineCount(LineAxis), this->N[LineAxis], this->Exec, 0.0,
         [&](size_t LB, size_t LE, size_t CB, size_t CE) {
           const size_t Len = CE - CB;
-          kernels::Run<Dim> Res = fluxScratch<Dim>(1, Len).run(0);
           double Acc = 0.0;
           for (size_t Line = LB; Line != LE; ++Line) {
             Index F = Lead.delinearize(Line);
             F.Rank = Dim;
             F.Coord[Dim - 1] = static_cast<std::ptrdiff_t>(CB);
-            kernels::zeroState<Dim>(Res, Len, Simd);
+            kernels::ConstRun<Dim> Lo[Dim], Hi[Dim];
             for (unsigned Ax = 0; Ax < Dim; ++Ax) {
-              size_t Lo = FaceShape[Ax].linearize(F);
-              kernels::accumDivergence<Dim>(
-                  Res, Flux[Ax].crun(Lo), Flux[Ax].crun(Lo + HiStride[Ax]),
-                  this->InvSpacing[Ax], Len, Simd);
+              size_t Off = FaceShape[Ax].linearize(F);
+              Lo[Ax] = Flux[Ax].crun(Off);
+              Hi[Ax] = Flux[Ax].crun(Off + HiStride[Ax]);
             }
             size_t SBase = this->lineStorageBase(LineAxis, Line) + CB;
-            kernels::sspUpdate<Dim>(Out.run(SBase), this->U.crun(SBase),
-                                    In.crun(SBase), Res, A, B, Dt, Len, Simd);
+            kernels::stageUpdate<Dim>(Out.run(SBase), this->U.crun(SBase),
+                                      In.crun(SBase), Lo, Hi,
+                                      this->InvSpacing, A, B, Dt, Len, Simd);
             if (Last)
               Acc = this->runMaxEigen(Out, SBase, Len, Acc);
           }

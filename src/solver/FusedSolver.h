@@ -23,13 +23,14 @@
 /// stage reads a stage input and writes its output out of place, Q^n is U
 /// itself, and no Q^n snapshot exists.
 ///
-/// The loop bodies themselves are the shared kernels:: layer: RHS
-/// zeroing, the SSP update and the GetDT reduction always run as
-/// contiguous line runs, and so do the face fluxes.  Every 2D scheme runs
-/// one row pass per stage serving both axes: the RHS row is zeroed and
-/// accumulated while it is in cache, and the updated row is written (and
-/// its GetDT maximum folded on the last stage) right after.  Its face rows
-/// read cells straight from the stage input.  Every scheme converts each
+/// The loop bodies themselves are the shared kernels:: layer: the stage
+/// update and the GetDT reduction always run as contiguous line runs, and
+/// so do the face fluxes.  Every 2D scheme runs one row pass per stage
+/// serving both axes: once a row's face rows are solved, one stageUpdate
+/// run folds both axes' flux differences into the updated row while the
+/// faces are in cache, so no RHS is stored, and the row's GetDT maximum
+/// is folded right after on the last stage.  Its face rows read cells
+/// straight from the stage input.  Every scheme converts each
 /// cell row once into a rolling primitive row (cellPrims), which feeds
 /// the axis-0 faces above and below it and the row's own axis-1 faces.
 /// Piecewise constant, fluxFaces solves a face row from two shifted views
@@ -241,12 +242,12 @@ private:
   /// pass down the rows serving both axes, reading \p In and writing the
   /// same cells of \p Out.  Two rolling flux rows hold axis-0 face rows i
   /// and i+1, and one flux row holds row i's axis-1 faces.  Per row i:
-  /// solve axis-0 face row i+1, zero the RHS row and accumulate the
-  /// axis-0 difference, solve row i's axis-1 faces and accumulate their
-  /// difference, then write Out row i = A*U + B*(In + dt*RHS) (U is Q^n)
-  /// and, on the \p Last stage, fold the updated row's max CFL
-  /// eigenvalue.  Every cell accumulates 0, then -D0, then -D1 from the
-  /// same face values as the per-axis sweeps.
+  /// solve axis-0 face row i+1 and row i's axis-1 faces, then one
+  /// stageUpdate run writes Out row i = A*U + B*(In + dt*RHS) (U is Q^n)
+  /// with each cell's RHS 0 - D0 - D1 formed in registers from the same
+  /// face values, in the same order, as the per-axis sweeps accumulate
+  /// it; on the \p Last stage the updated row's max CFL eigenvalue is
+  /// folded after.
   ///
   /// Two rolling primitive rows hold cells [CB-1, CE] of rows i and
   /// i+1, so cellPrims converts each cell row once per stage (plus the
@@ -270,8 +271,6 @@ private:
                      const Field<Dim> &In, Field<Dim> &Out, size_t RB,
                      size_t RE, size_t CB, size_t CE) {
     static_assert(Dim == 2, "the row pass is the 2D stage");
-    const double InvDx0 = 1.0 / this->Prob.Domain.dx(0);
-    const double InvDx1 = 1.0 / this->Prob.Domain.dx(1);
     const Gas &G = this->Prob.G;
     const SchemeConfig &SC = this->Scheme;
     const RiemannKind Kind = SC.Riemann;
@@ -286,11 +285,10 @@ private:
     };
 
     // A reconstructed scheme adds its two face-state rows.
-    FluxScratch<Dim> Scratch = fluxScratch<Dim>(Stencils ? 8 : 6, W + 2);
+    FluxScratch<Dim> Scratch = fluxScratch<Dim>(Stencils ? 7 : 5, W + 2);
     kernels::PrimRun<Dim> Prims[2] = {Scratch.prims(0), Scratch.prims(1)};
     kernels::Run<Dim> Rows[2] = {Scratch.run(2), Scratch.run(3)};
     kernels::Run<Dim> Row1 = Scratch.run(4);
-    kernels::Run<Dim> ResRow = Scratch.run(5);
     auto CellPrims = [&](size_t Base, const kernels::PrimRun<Dim> &P,
                          size_t Cells) {
       if constexpr (Stencils)
@@ -306,7 +304,7 @@ private:
                           const kernels::PrimRun<Dim> &PR,
                           const kernels::Run<Dim> &Flux) {
       if constexpr (Stencils) {
-        kernels::Run<Dim> FaceL = Scratch.run(6), FaceR = Scratch.run(7);
+        kernels::Run<Dim> FaceL = Scratch.run(5), FaceR = Scratch.run(6);
         const kernels::StencilSpan Span = kernels::stencilSpan(SC.Recon);
         kernels::StencilRuns<Dim> Stencil;
         for (unsigned C = Span.First; C <= Span.Last; ++C)
@@ -348,21 +346,17 @@ private:
       // resident for its axis-1 faces).
       FaceRow0(K + 1);
 
-      kernels::zeroState<Dim>(ResRow, W, Simd);
-      kernels::accumDivergence<Dim>(ResRow, Rows[K % 2], Rows[(K + 1) % 2],
-                                    InvDx0, W, Simd);
-
       const size_t Base = RowBase(I);
       const kernels::PrimRun<Dim> &Cur = Prims[(K + 1) % 2];
       SolveFaces(Base, 1, /*Axis=*/1, W + 1, Cur, kernels::advance(Cur, 1),
                  Row1);
-      kernels::ConstRun<Dim> Lo = Row1;
-      kernels::accumDivergence<Dim>(ResRow, Lo, kernels::advance(Lo, 1),
-                                    InvDx1, W, Simd);
 
-      kernels::sspUpdate<Dim>(Out.run(Base), this->U.crun(Base),
-                              In.crun(Base), ResRow, St.PrevWeight,
-                              St.StageWeight, Dt, W, Simd);
+      const kernels::ConstRun<Dim> Lo[Dim] = {Rows[K % 2], Row1};
+      const kernels::ConstRun<Dim> Hi[Dim] = {Rows[(K + 1) % 2],
+                                              kernels::advance(Row1, 1)};
+      kernels::stageUpdate<Dim>(Out.run(Base), this->U.crun(Base),
+                                In.crun(Base), Lo, Hi, this->InvSpacing,
+                                St.PrevWeight, St.StageWeight, Dt, W, Simd);
       if (Last)
         Acc = this->runMaxEigen(Out, Base, W, Acc);
     }

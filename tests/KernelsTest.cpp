@@ -27,6 +27,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -688,6 +689,162 @@ TEST(Kernels, DivergenceOverlappingFaceLine) {
       expectBitEqual(Ref, Br, N, "overlap divergence");
     }
   }
+}
+
+// -------------------------------------------------------------------------
+// stageUpdate: the one-pass stage tail == zeroState, accumDivergence per
+// axis in axis order and sspUpdate over a scratch residual, on both
+// dispatch arms, with Out distinct from its inputs, aliasing the stage
+// input X and aliasing Q^n (Un).  Every buffer is kStagePad cells longer
+// than the run, so a ragged tail that writes past N shows up too.
+
+constexpr size_t kStagePad = 3;
+
+/// The inputs of one stageUpdate run over N cells (each vector N +
+/// kStagePad long).  Lo/Hi hold the face runs of the axes before the
+/// last (entry Dim-1 stays empty); the last axis's face runs are two
+/// shifted views of one face line, the way both engines pass them.
+template <unsigned Dim> struct StageInputs {
+  std::vector<Cons<Dim>> Un, X, Junk;
+  std::vector<Cons<Dim>> Lo[Dim], Hi[Dim];
+  std::vector<Cons<Dim>> LastLine;
+};
+
+/// \p Draw(M, Seed) returns M states.
+template <unsigned Dim, typename DrawFn>
+StageInputs<Dim> stageInputs(size_t N, DrawFn Draw, uint64_t Seed) {
+  const size_t M = N + kStagePad;
+  StageInputs<Dim> In;
+  In.Un = Draw(M, Seed);
+  In.X = Draw(M, Seed + 1);
+  In.Junk = Draw(M, Seed + 2);
+  for (unsigned Ax = 0; Ax + 1 < Dim; ++Ax) {
+    In.Lo[Ax] = Draw(M, Seed + 3 + 2 * Ax);
+    In.Hi[Ax] = Draw(M, Seed + 4 + 2 * Ax);
+  }
+  In.LastLine = Draw(M + 1, Seed + 9);
+  return In;
+}
+
+enum class StageAlias { None, OutIsX, OutIsUn };
+
+/// Runs the tail on \p In's buffers with Out per \p Alias, either as
+/// stageUpdate or as the four-kernel sequence it replaces.  \returns the
+/// Out buffer.
+template <unsigned Dim>
+Buffers<Dim> runStageTail(const StageInputs<Dim> &In, size_t N,
+                          StageAlias Alias, bool Fused, bool Simd) {
+  const double InvDx[3] = {123.5, 0.37, 2.0e3};
+  const double A = 0.75, B = 0.25, Dt = 1.3e-3;
+  Buffers<Dim> Bn(In.Un), Bx(In.X), Bj(In.Junk), Bline(In.LastLine);
+  std::vector<Buffers<Dim>> Bl, Bh;
+  for (unsigned Ax = 0; Ax + 1 < Dim; ++Ax) {
+    Bl.emplace_back(In.Lo[Ax]);
+    Bh.emplace_back(In.Hi[Ax]);
+  }
+  ConstRun<Dim> Lo[Dim], Hi[Dim];
+  for (unsigned Ax = 0; Ax + 1 < Dim; ++Ax) {
+    Lo[Ax] = Bl[Ax].crun();
+    Hi[Ax] = Bh[Ax].crun();
+  }
+  Lo[Dim - 1] = Bline.crun();
+  Hi[Dim - 1] = advance(Bline.crun(), 1);
+
+  Buffers<Dim> &Bo = Alias == StageAlias::OutIsX    ? Bx
+                     : Alias == StageAlias::OutIsUn ? Bn
+                                                    : Bj;
+  if (Fused) {
+    stageUpdate<Dim>(Bo.run(), Bn.crun(), Bx.crun(), Lo, Hi, InvDx, A, B, Dt,
+                     N, Simd);
+  } else {
+    Buffers<Dim> Res(In.Junk);
+    zeroState<Dim>(Res.run(), N, Simd);
+    for (unsigned Ax = 0; Ax < Dim; ++Ax)
+      accumDivergence<Dim>(Res.run(), Lo[Ax], Hi[Ax], InvDx[Ax], N, Simd);
+    sspUpdate<Dim>(Bo.run(), Bn.crun(), Bx.crun(), Res.crun(), A, B, Dt, N,
+                   Simd);
+  }
+  return Bo;
+}
+
+/// stageUpdate on both arms == the scalar four-kernel sequence, bit for
+/// bit over the whole padded Out buffer, for every aliasing.  With
+/// \p UpToNaN, any two NaNs match (expectBitEqualUpToNaN says why): where
+/// two NaNs meet in Un*A + (...)*B, each build commutes the sum as it
+/// likes.
+template <unsigned Dim>
+void checkStageUpdate(const StageInputs<Dim> &In, size_t N,
+                      const std::string &What, bool UpToNaN = false) {
+  for (StageAlias Alias :
+       {StageAlias::None, StageAlias::OutIsX, StageAlias::OutIsUn}) {
+    Buffers<Dim> Want = runStageTail<Dim>(In, N, Alias, /*Fused=*/false,
+                                          /*Simd=*/false);
+    std::vector<Cons<Dim>> Ref(N + kStagePad);
+    for (size_t I = 0; I < Ref.size(); ++I)
+      Ref[I] = Want.at(I);
+    for (bool Simd : {false, true}) {
+      Buffers<Dim> Got = runStageTail<Dim>(In, N, Alias, /*Fused=*/true, Simd);
+      const std::string Tag = What + " alias=" +
+                              std::to_string(int(Alias)) +
+                              " simd=" + std::to_string(Simd);
+      if (UpToNaN)
+        expectBitEqualUpToNaN(Ref, Got, N + kStagePad, Tag);
+      else
+        expectBitEqual(Ref, Got, N + kStagePad, Tag);
+    }
+  }
+}
+
+template <unsigned Dim> void checkStageUpdateRandom(uint64_t Seed) {
+  auto Draw = [](size_t M, uint64_t S) {
+    return randomStates<Dim>(M, S, false);
+  };
+  for (size_t N = 0; N <= 17; ++N)
+    checkStageUpdate<Dim>(stageInputs<Dim>(N, Draw, Seed + 16 * N), N,
+                          "stageUpdate");
+}
+
+TEST(Kernels, StageUpdateBitIdentity1D) { checkStageUpdateRandom<1>(211); }
+TEST(Kernels, StageUpdateBitIdentity2D) { checkStageUpdateRandom<2>(223); }
+TEST(Kernels, StageUpdateBitIdentity3D) { checkStageUpdateRandom<3>(227); }
+
+// Non-finite and signed-zero fluxes and states; every non-NaN result is
+// held to its exact bits.  Cell 0 of every run has all-+0 fluxes and
+// Un = X = -0: its residual is +0 only because it starts from the
+// literal 0.0 - x (a -x start gives -0, and Out then reads -0 where the
+// sequence gives +0).
+template <unsigned Dim> void checkStageUpdateBroken(uint64_t Seed) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Special[] = {NaN, Inf, -Inf, 0.0, -0.0, 1.5, -2.25};
+  auto Draw = [&](size_t M, uint64_t S) {
+    std::mt19937_64 Rng(S);
+    std::vector<Cons<Dim>> Out(M);
+    for (size_t I = 0; I < M; ++I)
+      for (unsigned K = 0; K < NumVars<Dim>; ++K)
+        Out[I].setComp(K, Special[Rng() % std::size(Special)]);
+    return Out;
+  };
+  for (size_t N : {size_t(1), size_t(9), size_t(64)}) {
+    StageInputs<Dim> In = stageInputs<Dim>(N, Draw, Seed + N);
+    for (unsigned K = 0; K < NumVars<Dim>; ++K) {
+      In.Un[0].setComp(K, -0.0);
+      In.X[0].setComp(K, -0.0);
+      for (unsigned Ax = 0; Ax + 1 < Dim; ++Ax) {
+        In.Lo[Ax][0].setComp(K, 0.0);
+        In.Hi[Ax][0].setComp(K, 0.0);
+      }
+      In.LastLine[0].setComp(K, 0.0);
+      In.LastLine[1].setComp(K, 0.0);
+    }
+    checkStageUpdate<Dim>(In, N, "stageUpdate broken", /*UpToNaN=*/true);
+  }
+}
+
+TEST(Kernels, StageUpdateBrokenStates) {
+  checkStageUpdateBroken<1>(229);
+  checkStageUpdateBroken<2>(233);
+  checkStageUpdateBroken<3>(239);
 }
 
 TEST(Kernels, ReportsAcceleration) {
