@@ -91,7 +91,7 @@ TEST(AllocationTest, SteadyStateStepsAllocateNothing2D) {
 
 TEST(AllocationTest, SteadyStateStepsAllocateNothingSoA) {
   // The higher-order face path over SoA planes: the fused row pass keeps
-  // its face-state, flux and RHS rows in a per-thread, grown-only
+  // its face-state, flux and primitive rows in a per-thread, grown-only
   // scratch (the array engine also stages each line's stencil window
   // there), which must be sized once in warmup and then reused.
   SchemeConfig Weno3 = SchemeConfig::figureScheme();

@@ -222,8 +222,9 @@ TEST_F(TelemetryTest, FusedModesRunAFixedNumberOfRegionsPerRk3Step) {
   // region (every side, corners included), then the array engine's one
   // flux with-loop (both axes' flux fields) and its combine (residual,
   // update and GetDT folded), or the fused engine's one row pass, which
-  // is the whole stage (both axes, the RHS row, the update written out
-  // of place, and GetDT on the last stage; no snapshot).  The figure
+  // is the whole stage (both axes, the update written out of place with
+  // each cell's residual folded in, and GetDT on the last stage; no
+  // snapshot).  The figure
   // scheme (WENO3) runs the same passes as PC1 on both engines.
   // Only the first step's GetDT runs as a region of its own.  Gauges are
   // due at every step here, and the gauges' interior pass
